@@ -2,7 +2,12 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-all test-scenarios chaos docs bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
+.PHONY: test test-all test-scenarios chaos docs kernels bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
+
+# Build (or confirm) the cached dd/qd plane kernels ahead of the first
+# import; fails when no kernels could be built.
+kernels:
+	$(PY) -W error::RuntimeWarning -c "from repro.multiprec import compiled; print(compiled.KERNELS.__file__)"
 
 # Tier-1: the fast suite (pytest.ini deselects @pytest.mark.slow).
 test:
@@ -38,8 +43,9 @@ docs:
 bench-batch:
 	$(PY) benchmarks/bench_batch_tracking.py
 
-# Fused QD/DD arithmetic: per-op fused-vs-unfused speedups and end-to-end
-# qd tracker wall throughput vs the checked-in baseline.
+# Compiled QD/DD arithmetic: per-op compiled-vs-reference speedups at batch
+# 8/64/256 and end-to-end qd tracker wall throughput vs the checked-in
+# baseline.
 bench-qd:
 	$(PY) benchmarks/bench_qd_arith.py
 
@@ -58,9 +64,9 @@ bench-shard:
 bench-start:
 	$(PY) benchmarks/bench_start.py
 
-# Machine-readable perf trajectory: batch-tracking, escalation, fused
+# Machine-readable perf trajectory: batch-tracking, escalation, compiled
 # qd-arithmetic and sharded-service sweeps as JSON (paths/sec per context,
-# batch size and worker count; per-rung escalation pricing; fused-kernel
+# batch size and worker count; per-rung escalation pricing; compiled-kernel
 # speedups; crash-drill accounting).  Every solve-level report also sweeps
 # the scenario registry (repro.bench.scenarios) into a per-scenario
 # matrix, validated by tools/check_bench.py.

@@ -1,10 +1,22 @@
-"""Setuptools shim.
+"""Setuptools configuration for the ``repro`` package.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that ``pip install -e .`` works in offline environments whose setuptools
-lacks the ``wheel`` package required by the PEP 660 editable-install path.
+The package lives under ``src/``.  ``repro/multiprec/_kernels.c`` ships as
+package data: an installed copy compiles it into its kernel cache on first
+import, exactly like a source checkout (see ``repro.multiprec.compiled``).
+Without the ``wheel`` package (offline environments), ``python setup.py
+develop`` or running from the checkout with ``PYTHONPATH=src`` both work.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="Polynomial evaluation, differentiation and homotopy "
+                "continuation in double, double-double and quad-double "
+                "arithmetic",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.multiprec": ["_kernels.c"]},
+    install_requires=["numpy"],
+)

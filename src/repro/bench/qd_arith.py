@@ -1,14 +1,14 @@
-"""Micro + end-to-end benchmark of the fused QD/DD batch arithmetic.
+"""Micro + end-to-end benchmark of the compiled dd/qd batch arithmetic.
 
-Two measurements back the fused-kernel work (see
-:mod:`repro.multiprec.bufferpool` and the kernels in
-:mod:`repro.multiprec.qdarray` / :mod:`repro.multiprec.ddarray`):
+Two measurements back the compiled plane kernels of
+:mod:`repro.multiprec.compiled`:
 
 1. **Per-op micro-bench** (:func:`run_qd_arith_bench`): each hot operation
-   is timed fused and unfused (the reference out-of-place chains, toggled
-   via :func:`repro.multiprec.bufferpool.use_fused_kernels`) on the same
-   operands, reporting ns/element and the fused speedup.  Both paths are
-   bit-for-bit identical, so this isolates pure execution cost.
+   is timed through the array types (the compiled kernels) and as the
+   NumPy reference chain the array types fall back to without a compiler,
+   on the same operands, reporting ns/element and the compiled speedup.
+   Both paths are bit-for-bit identical, so this isolates pure execution
+   cost.
 2. **End-to-end lane throughput** (:func:`run_qd_tracker_bench`): the
    :class:`~repro.tracking.batch_tracker.BatchTracker` tracks a qd batch of
    the cyclic quadratic benchmark system, reporting wall-clock paths/sec
@@ -17,8 +17,9 @@ Two measurements back the fused-kernel work (see
    ``BENCH_batch_tracking.json`` qd rows and the speedup over that
    checked-in baseline is reported directly.
 
-Timings take the best of several repetitions, so the JSON report is stable
-enough for the regression assertion in ``tests/bench``.
+Timings take the best of several repetitions.  They are recorded in
+``BENCH_qd_arith.json``, whose speedup floors ``tools/check_bench.py``
+enforces; no tier-1 test asserts a live timing ratio.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..multiprec.bufferpool import DD_ADDSUB_FUSED_MIN_ELEMENTS, use_fused_kernels
-from ..multiprec.ddarray import DDArray
+from ..multiprec import compiled, ddarray, qdarray
+from ..multiprec.ddarray import ComplexDDArray, DDArray
 from ..multiprec.numeric import QUAD_DOUBLE
 from ..multiprec.qdarray import ComplexQDArray, QDArray
 from ..tracking.batch_tracker import BatchTracker
@@ -44,10 +44,13 @@ __all__ = [
     "QDTrackerRow",
     "baseline_qd_wall_paths_per_second",
     "qd_arith_report",
-    "run_dd_small_batch_bench",
     "run_qd_arith_bench",
     "run_qd_tracker_bench",
 ]
+
+#: Batch sizes of the per-op rows: the narrow lane counts the escalation
+#: ladder tracks at, and a wide batch.
+ARITH_BATCHES = (8, 64, 256)
 
 
 @dataclass
@@ -56,21 +59,21 @@ class QDArithRow:
 
     op: str
     batch: int
-    fused_ns_per_element: float
-    unfused_ns_per_element: float
+    compiled_ns_per_element: float
+    reference_ns_per_element: float
 
     @property
     def speedup(self) -> float:
-        if self.fused_ns_per_element == 0.0:
+        if self.compiled_ns_per_element == 0.0:
             return float("inf")
-        return self.unfused_ns_per_element / self.fused_ns_per_element
+        return self.reference_ns_per_element / self.compiled_ns_per_element
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "op": self.op,
             "batch": self.batch,
-            "fused_ns_per_elem": self.fused_ns_per_element,
-            "unfused_ns_per_elem": self.unfused_ns_per_element,
+            "compiled_ns_per_elem": self.compiled_ns_per_element,
+            "reference_ns_per_elem": self.reference_ns_per_element,
             "speedup": self.speedup,
         }
 
@@ -128,81 +131,51 @@ def _best_seconds(op: Callable[[], object], repeats: int, inner: int) -> float:
     return best
 
 
-def _operations(batch: int) -> Dict[str, Callable[[], object]]:
-    a = _rand_qd(batch, 1)
-    b = _rand_qd(batch, 2)
+def _operations(batch: int) -> Dict[str, Tuple[Callable[[], object],
+                                               Callable[[], object]]]:
+    """Each op as (array operator, its reference chain on the same planes)."""
+    a, b = _rand_qd(batch, 1), _rand_qd(batch, 2)
     ca = ComplexQDArray(_rand_qd(batch, 3), _rand_qd(batch, 4))
     cb = ComplexQDArray(_rand_qd(batch, 5), _rand_qd(batch, 6))
-    da = _rand_dd(batch, 7)
-    db = _rand_dd(batch, 8)
+    da, db = _rand_dd(batch, 7), _rand_dd(batch, 8)
+    cda = ComplexDDArray(_rand_dd(batch, 9), _rand_dd(batch, 10))
+    cdb = ComplexDDArray(_rand_dd(batch, 11), _rand_dd(batch, 12))
+    qa, qb = a._components(), b._components()
+    pa, pb = qdarray._planes(ca), qdarray._planes(cb)
+    ha, hb = (da.hi, da.lo), (db.hi, db.lo)
+    dpa, dpb = ddarray._planes(cda), ddarray._planes(cdb)
     return {
-        "qd_add": lambda: a + b,
-        "qd_mul": lambda: a * b,
-        "qd_div": lambda: a / b,
-        "cqd_mul": lambda: ca * cb,
-        "dd_mul": lambda: da * db,
+        "qd_add": (lambda: a + b, lambda: qdarray._add_planes_ref(qa, qb)),
+        "qd_mul": (lambda: a * b, lambda: qdarray._mul_planes_ref(qa, qb)),
+        "qd_div": (lambda: a / b, lambda: qdarray._div_planes_ref(qa, qb)),
+        "cqd_mul": (lambda: ca * cb, lambda: qdarray._complex_mul(pa, pb)),
+        "cqd_div": (lambda: ca / cb, lambda: qdarray._complex_div(pa, pb)),
+        "dd_add": (lambda: da + db, lambda: ddarray._dd_add_ref(ha, hb)),
+        "dd_mul": (lambda: da * db, lambda: ddarray._dd_mul_ref(ha, hb)),
+        "cdd_mul": (lambda: cda * cdb, lambda: ddarray._complex_mul(dpa, dpb)),
     }
 
 
-def run_qd_arith_bench(batch_sizes: Sequence[int] = (64, 256),
+def run_qd_arith_bench(batch_sizes: Sequence[int] = ARITH_BATCHES,
                        ops: Optional[Sequence[str]] = None,
                        repeats: int = 5) -> List[QDArithRow]:
-    """Time each hot operation fused and unfused; best-of-``repeats``."""
+    """Time each hot operation through the array types (the compiled
+    kernels when loaded) and as its NumPy reference chain on the same
+    planes; best-of-``repeats``.  With no kernels loaded both columns time
+    the reference chains."""
     rows: List[QDArithRow] = []
     for batch in batch_sizes:
-        operations = _operations(int(batch))
-        for name, op in operations.items():
+        for name, timed in _operations(int(batch)).items():
             if ops is not None and name not in ops:
                 continue
-            inner = max(3, min(50, 20000 // int(batch)))
-            with use_fused_kernels(True):
-                op()  # warm the scratch stack
-                fused = _best_seconds(op, repeats, inner)
-            with use_fused_kernels(False):
-                op()
-                unfused = _best_seconds(op, repeats, inner)
+            inner = max(3, min(200, 20000 // int(batch)))
+            fast, reference = (_best_seconds(op, repeats, inner)
+                               for op in timed)
             rows.append(QDArithRow(
                 op=name,
                 batch=int(batch),
-                fused_ns_per_element=fused / batch * 1e9,
-                unfused_ns_per_element=unfused / batch * 1e9,
-            ))
-    return rows
-
-
-def run_dd_small_batch_bench(batch_sizes: Sequence[int] = (8, 64, 256, 1024, 4096, 16384),
-                             repeats: int = 5) -> List[QDArithRow]:
-    """Fused-vs-reference dd add/sub across batch sizes, crossover finder.
-
-    The dd addition chain has no Dekker splits to share, so its fused
-    variant only repackages the same two_sum sequence behind scratch-plane
-    bookkeeping -- a fixed cost that dominates tiny batches.  This sweep
-    *forces* each path (``use_fused_kernels`` bypasses the size gate) to
-    measure where the fused kernels actually start winning; the measured
-    rows and the production threshold
-    (:data:`repro.multiprec.bufferpool.DD_ADDSUB_FUSED_MIN_ELEMENTS`, which
-    routes smaller batches to the reference chains automatically) are
-    recorded in the ``small_batch`` section of ``BENCH_qd_arith.json``.
-    """
-    rows: List[QDArithRow] = []
-    for batch in batch_sizes:
-        batch = int(batch)
-        da = _rand_dd(batch, 21)
-        db = _rand_dd(batch, 22)
-        for name, op in (("dd_add", lambda: da + db),
-                         ("dd_sub", lambda: da - db)):
-            inner = max(3, min(200, 50000 // batch))
-            with use_fused_kernels(True):
-                op()
-                fused = _best_seconds(op, repeats, inner)
-            with use_fused_kernels(False):
-                op()
-                unfused = _best_seconds(op, repeats, inner)
-            rows.append(QDArithRow(
-                op=name,
-                batch=batch,
-                fused_ns_per_element=fused / batch * 1e9,
-                unfused_ns_per_element=unfused / batch * 1e9,
+                compiled_ns_per_element=fast / batch * 1e9,
+                reference_ns_per_element=reference / batch * 1e9,
             ))
     return rows
 
@@ -259,21 +232,20 @@ def baseline_qd_wall_paths_per_second(path="BENCH_batch_tracking.json"
 
 def qd_arith_report(arith_rows: Sequence[QDArithRow],
                     tracker_rows: Sequence[QDTrackerRow],
-                    baseline_path: str = "BENCH_batch_tracking.json",
-                    small_batch_rows: Optional[Sequence[QDArithRow]] = None) -> Dict:
-    """Assemble the ``BENCH_qd_arith.json`` payload."""
+                    baseline_path: str = "BENCH_batch_tracking.json") -> Dict:
+    """Assemble the ``BENCH_qd_arith.json`` payload.
+
+    ``kernels_loaded`` records whether the per-op rows timed the compiled
+    kernels at all (without a compiler both columns are the reference).
+    """
     baseline = baseline_qd_wall_paths_per_second(baseline_path)
     wide = [r for r in tracker_rows if r.batch_size >= 64]
     best_wide = max((r.paths_per_second for r in wide), default=None)
     report: Dict = {
+        "kernels_loaded": compiled.KERNELS is not None,
         "per_op": [row.as_dict() for row in arith_rows],
         "tracker": [row.as_dict() for row in tracker_rows],
     }
-    if small_batch_rows is not None:
-        report["small_batch"] = {
-            "rows": [row.as_dict() for row in small_batch_rows],
-            "dd_addsub_fused_min_elements": DD_ADDSUB_FUSED_MIN_ELEMENTS,
-        }
     if baseline is not None:
         report["baseline_qd_paths_per_s_wall"] = baseline
         if best_wide is not None:

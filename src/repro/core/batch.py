@@ -226,9 +226,9 @@ class VectorisedBatchEvaluator:
     The walk path builds fresh accumulator arrays per call, so its rows
     belong to the caller outright.  The plan path with arenas enabled (the
     default, :func:`~repro.core.evalplan.use_plan_arenas`) returns rows
-    owned by the plan's persistent :class:`~repro.multiprec.bufferpool.
-    PlanArena`: they are valid -- and freely mutable, the batched linear
-    solver writes into them with ``copy=False`` -- until the *next*
+    owned by the plan's persistent :class:`~repro.core.evalplan.PlanArena`:
+    they are valid -- and freely mutable, the batched linear solver writes
+    into them with ``copy=False`` -- until the *next*
     ``evaluate`` call on the same evaluator, which overwrites them.
     Callers that need the rows to outlive the next evaluation must copy.
     """

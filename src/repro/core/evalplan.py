@@ -60,10 +60,9 @@ multiply chain) next to the matching counts of the walk path, which is how
 plan never schedules more work than the walk and wins >= 1.5x on workloads
 with shared supports.
 
-The module-wide toggle (:func:`use_eval_plans`, default on) mirrors the
-fused-kernel switch of :mod:`repro.multiprec.bufferpool`: the walk path is
-kept as the differential reference, and flipping the toggle only trades
-execution schedule, never results.
+The module-wide toggle (:func:`use_eval_plans`, default on) keeps the walk
+path as the differential reference; flipping it only trades execution
+schedule, never results.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..multiprec.backend import ComplexBatchBackend, backend_for_context
-from ..multiprec.bufferpool import PlanArena
 from ..multiprec.numeric import DOUBLE, NumericContext
 from ..polynomials.speelpenning import speelpenning_gradient
 from ..polynomials.system import PolynomialSystem
@@ -86,6 +84,7 @@ from ..polynomials.system import PolynomialSystem
 __all__ = [
     "EvaluationPlan",
     "HomotopyPlan",
+    "PlanArena",
     "PlanExecutionStats",
     "PlanOpCounts",
     "eval_plans_enabled",
@@ -102,7 +101,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# the toggle (mirrors bufferpool.use_fused_kernels)
+# the toggles
 # ----------------------------------------------------------------------
 _PLANS_ENABLED = True
 
@@ -141,10 +140,10 @@ def plan_arenas_enabled() -> bool:
 def use_plan_arenas(enabled: bool):
     """Temporarily force (or suppress) the plan-arena execution path.
 
-    With arenas on (the default), every plan owns a
-    :class:`~repro.multiprec.bufferpool.PlanArena` of persistent result
-    rows, term planes and scratch planes, sized at first execution for a
-    lane count and reused across corrector iterations and predictor calls.
+    With arenas on (the default), every plan owns a :class:`PlanArena` of
+    persistent result rows, term planes and scratch planes, sized at first
+    execution for a lane count and reused across corrector iterations and
+    predictor calls.
     With arenas off, executions allocate fresh arrays per call (the PR 5
     behaviour).  Both paths produce bit-for-bit identical results; the
     switch exists for the A/B benchmark and the differential tests.
@@ -691,6 +690,76 @@ def _row_cache_layout(tag: str, schedules: List["_PolySchedule"]
     return layout
 
 
+class PlanArena:
+    """Plan-owned persistent buffers for compiled-schedule execution.
+
+    A compiled :class:`EvaluationPlan` executes the
+    same op graph every call, so the buffers it needs -- result rows, term
+    planes, blend scratch -- have statically known lifetimes: they are live
+    from the start of one execution to the start of the next.  The arena
+    holds exactly those buffers, keyed by a name the schedule derives from
+    the op graph, sized once at first execution for a given lane count and
+    reused across every corrector iteration and predictor call thereafter.
+
+    ``ensure(lanes)`` re-sizes (drops every slot) only when the lane count
+    changes, e.g. after lane compression; the drop is counted in
+    :attr:`resizes` so tests can pin "exactly one re-size per lane-count
+    change".  ``slot(name, factory)`` returns the named buffer, building it
+    via ``factory()`` on first use (a *miss*) and handing back the cached
+    object afterwards (a *hit*).
+
+    Arena slots are not scoped: there is nothing to release, so an
+    exception mid-execution cannot leak anything -- the next execution
+    simply overwrites the same slots.  The flip side is the ownership rule:
+    buffers handed out of an execution (result rows) remain arena-owned and
+    are only valid until the next execution of the same plan.
+    """
+
+    __slots__ = ("_slots", "lanes", "hits", "misses", "resizes")
+
+    def __init__(self) -> None:
+        self._slots: Dict[object, object] = {}
+        self.lanes = None
+        #: slot reuses / creations / lane-count invalidations (for benches)
+        self.hits = 0
+        self.misses = 0
+        self.resizes = 0
+
+    def ensure(self, lanes: int) -> bool:
+        """Invalidate every slot when the lane count changes.
+
+        Returns True when the arena was (re)sized -- i.e. every previously
+        handed-out buffer is now stale -- so owners can drop caches built on
+        top of the old slots.
+        """
+        if self.lanes != lanes:
+            if self.lanes is not None:
+                self.resizes += 1
+            self.lanes = lanes
+            self._slots.clear()
+            return True
+        return False
+
+    def slot(self, name, factory):
+        """The named buffer, built by ``factory()`` on first use."""
+        buffer = self._slots.get(name)
+        if buffer is None:
+            buffer = factory()
+            self._slots[name] = buffer
+            self.misses += 1
+        else:
+            self.hits += 1
+        return buffer
+
+    def clear(self) -> None:
+        """Drop every slot and forget the lane count (memory pressure)."""
+        self._slots.clear()
+        self.lanes = None
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+
 class _PlanExecutor:
     """Shared execution machinery of the single-system and homotopy plans.
 
@@ -699,8 +768,8 @@ class _PlanExecutor:
     * the **allocating** path (arenas off) builds fresh arrays per call --
       the PR 5 behaviour, kept as the A/B reference;
     * the **arena** path (default) lands every plane and accumulator row in
-      this plan's persistent :class:`~repro.multiprec.bufferpool.PlanArena`
-      through the backend's ``*_into`` kernels.  Slots are keyed by the op
+      this plan's persistent :class:`PlanArena` through the backend's
+      ``*_into`` operations.  Slots are keyed by the op
       graph, sized at the first execution for a lane count, and re-sized
       only when the lane count changes (lane compression).  Buffers handed
       out of an execution stay arena-owned: they are valid until the next

@@ -16,13 +16,14 @@ provides:
   :class:`~repro.multiprec.qdarray.QDArray` /
   :class:`~repro.multiprec.qdarray.ComplexQDArray` -- vectorised NumPy-backed
   double-double and quad-double arrays for the bulk benchmarks and the
-  batched path tracker;
+  batched path tracker, whose element-wise arithmetic runs through the
+  compiled plane kernels of :mod:`~repro.multiprec.compiled` (built and
+  cached on first import);
 * :class:`~repro.multiprec.numeric.NumericContext` -- the arithmetic
   abstraction that makes the kernels generic over precision and feeds the
   cost model the relative multiplication cost (the paper's "factor of 8").
 """
 
-from .bufferpool import plane_stack, use_fused_kernels
 from .complex_dd import ComplexDD, cdd
 from .ddarray import ComplexDDArray, DDArray
 from .double_double import DoubleDouble, dd
@@ -56,10 +57,8 @@ __all__ = [
     "cdd",
     "dd",
     "get_context",
-    "plane_stack",
     "qd",
     "quick_two_sum",
-    "use_fused_kernels",
     "split",
     "two_diff",
     "two_prod",

@@ -30,24 +30,11 @@ from typing import Dict, List, Sequence, Union
 import numpy as np
 
 from ..errors import ConfigurationError
-from .bufferpool import plane_stack
 from .complex_dd import ComplexDD
-from .ddarray import (
-    ComplexDDArray,
-    DDArray,
-    complex_dd_from_planes,
-    complex_dd_mul_into,
-    dd_mul_operand,
-)
+from .ddarray import ComplexDDArray, DDArray, complex_dd_mul_into, dd_mul_operand
 from .double_double import DoubleDouble
 from .numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, ComplexQD, NumericContext
-from .qdarray import (
-    ComplexQDArray,
-    QDArray,
-    complex_qd_from_planes,
-    complex_qd_mul_into,
-    qd_mul_operand,
-)
+from .qdarray import ComplexQDArray, QDArray, complex_qd_mul_into, qd_mul_operand
 from .quad_double import QuadDouble
 
 __all__ = [
@@ -372,41 +359,16 @@ class ComplexDDBackend(ComplexBatchBackend):
         return acc.iadd_(value)
 
     def isub_mul(self, acc: ComplexDDArray, factor, value) -> ComplexDDArray:
-        # ``acc -= factor * value`` with the product formed in stack scratch
-        # instead of fresh wrapper allocations; the product's bits are
+        # Multiply and subtract in one kernel pass; the product's bits are
         # exactly ``acc._coerce(factor) * value``'s (the walk expression).
-        if isinstance(factor, ComplexDDArray):
-            x, y = factor, dd_mul_operand(factor, value)
-        elif isinstance(value, ComplexDDArray):
-            x, y = dd_mul_operand(acc, factor), value
-        else:
-            return acc.isub_mul_(factor, value)
-        st = plane_stack()
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        fb, mark = st.take(shape, 4)
-        try:
-            prod = complex_dd_from_planes(fb)
-            complex_dd_mul_into(prod, x, y)
-            return acc.isub_(prod)
-        finally:
-            st.release(mark)
+        return acc.isub_mul_(factor, value)
 
     def iadd_mul(self, acc: ComplexDDArray, a, b) -> ComplexDDArray:
         if isinstance(a, ComplexDDArray):
-            x, y = a, dd_mul_operand(a, b)
-        elif isinstance(b, ComplexDDArray):
-            x, y = b, dd_mul_operand(b, a)
-        else:
-            return acc.iadd_(a * b)
-        st = plane_stack()
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        fb, mark = st.take(shape, 4)
-        try:
-            prod = complex_dd_from_planes(fb)
-            complex_dd_mul_into(prod, x, y)
-            return acc.iadd_(prod)
-        finally:
-            st.release(mark)
+            return acc.iadd_mul_(a, b)
+        if isinstance(b, ComplexDDArray):
+            return acc.iadd_mul_(b, a)
+        return acc.iadd_(a * b)
 
     def iadd_masked(self, acc: ComplexDDArray, value, mask) -> ComplexDDArray:
         return acc.iadd_where_(value, mask)
@@ -524,38 +486,14 @@ class ComplexQDBackend(ComplexBatchBackend):
         return acc.iadd_(value)
 
     def isub_mul(self, acc: ComplexQDArray, factor, value) -> ComplexQDArray:
-        if isinstance(factor, ComplexQDArray):
-            x, y = factor, qd_mul_operand(factor, value)
-        elif isinstance(value, ComplexQDArray):
-            x, y = qd_mul_operand(acc, factor), value
-        else:
-            return acc.isub_mul_(factor, value)
-        st = plane_stack()
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        fb, mark = st.take(shape, 8)
-        try:
-            prod = complex_qd_from_planes(fb)
-            complex_qd_mul_into(prod, x, y)
-            return acc.isub_(prod)
-        finally:
-            st.release(mark)
+        return acc.isub_mul_(factor, value)
 
     def iadd_mul(self, acc: ComplexQDArray, a, b) -> ComplexQDArray:
         if isinstance(a, ComplexQDArray):
-            x, y = a, qd_mul_operand(a, b)
-        elif isinstance(b, ComplexQDArray):
-            x, y = b, qd_mul_operand(b, a)
-        else:
-            return acc.iadd_(a * b)
-        st = plane_stack()
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        fb, mark = st.take(shape, 8)
-        try:
-            prod = complex_qd_from_planes(fb)
-            complex_qd_mul_into(prod, x, y)
-            return acc.iadd_(prod)
-        finally:
-            st.release(mark)
+            return acc.iadd_mul_(a, b)
+        if isinstance(b, ComplexQDArray):
+            return acc.iadd_mul_(b, a)
+        return acc.iadd_(a * b)
 
     def iadd_masked(self, acc: ComplexQDArray, value, mask) -> ComplexQDArray:
         return acc.iadd_where_(value, mask)

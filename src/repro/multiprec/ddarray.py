@@ -21,196 +21,70 @@ from typing import Iterable, Tuple, Union
 import numpy as np
 
 from ..errors import DivisionByZeroError
-from .bufferpool import (
-    fused_addsub_enabled,
-    fused_kernels_enabled,
-    needs_reference_split,
-    op_shape,
-    plane_stack,
-    result_planes,
-    zero_plane,
-)
+from . import compiled
+from .compiled import apply, complex_chains
 from .complex_dd import ComplexDD
 from .double_double import DoubleDouble
-from .eft import (
-    SPLIT_THRESHOLD,
-    quick_two_sum,
-    quick_two_sum_into,
-    split_into,
-    two_diff,
-    two_diff_into,
-    two_prod,
-    two_sum,
-    two_sum_into,
-)
+from .eft import quick_two_sum, two_diff, two_prod, two_sum
 
 __all__ = ["DDArray", "ComplexDDArray"]
 
 
 # ----------------------------------------------------------------------
-# fused, allocation-light kernels (bit-for-bit with the reference path)
+# reference chains on (hi, lo) plane pairs
 # ----------------------------------------------------------------------
-# Same design as the quad-double kernels in repro.multiprec.qdarray: the
-# exact floating-point sequences of the operators below, with scratch
-# planes drawn from the thread's PlaneStack, ``out=`` threaded through
-# every ufunc, and one Dekker split per input plane.  ``out`` may alias
-# the input planes -- the final quick_two_sum runs after every read.
+# The NumPy forms of the scalar DoubleDouble sequences.  They run when no
+# compiled kernels are loaded (see repro.multiprec.compiled), when a plane
+# layout does not fit the kernels, and as the kernels' test oracle.
 
-def _dd_add_planes_fused(x, y, out=None):
-    st = plane_stack()
-    shape = op_shape(x, y)
-    fb, mark = st.take(shape, 7)
-    try:
-        t, s1, s2, t1, t2, u, v = fb
-        two_sum_into(x[0], y[0], s1, s2, t)
-        two_sum_into(x[1], y[1], t1, t2, t)
-        np.add(s2, t1, out=s2)
-        quick_two_sum_into(s1, s2, u, v)
-        np.add(v, t2, out=v)
-        hi, lo = out = result_planes(shape, out, 2)
-        quick_two_sum_into(u, v, hi, lo)
-        return out
-    finally:
-        st.release(mark)
-
-
-def _dd_sub_planes_fused(x, y, out=None):
-    st = plane_stack()
-    shape = op_shape(x, y)
-    fb, mark = st.take(shape, 7)
-    try:
-        t, s1, s2, t1, t2, u, v = fb
-        two_diff_into(x[0], y[0], s1, s2, t)
-        two_diff_into(x[1], y[1], t1, t2, t)
-        np.add(s2, t1, out=s2)
-        quick_two_sum_into(s1, s2, u, v)
-        np.add(v, t2, out=v)
-        hi, lo = out = result_planes(shape, out, 2)
-        quick_two_sum_into(u, v, hi, lo)
-        return out
-    finally:
-        st.release(mark)
-
-
-def _dd_mul_planes_ref(x, y):
-    p1, p2 = two_prod(x[0], y[0])
-    p2 = p2 + (x[0] * y[1] + x[1] * y[0])
-    p1, p2 = quick_two_sum(p1, p2)
-    return p1, p2
-
-
-def _dd_mul_planes_fused(x, y, out=None):
-    st = plane_stack()
-    shape = op_shape(x, y)
-    fb, mark = st.take(shape, 8)
-    bb, bmark = st.take(shape, 1, np.bool_)
-    try:
-        t = fb[0]
-        mb = bb[0]
-        if (needs_reference_split(x[0], t, mb)
-                or needs_reference_split(y[0], t, mb)):
-            planes = _dd_mul_planes_ref(x, y)
-            if out is None:
-                return planes
-            np.copyto(out[0], planes[0])
-            np.copyto(out[1], planes[1])
-            return out
-
-        p1, p2, ah, al, bh, bl, v = fb[1:8]
-        np.multiply(x[0], y[0], out=p1)
-        split_into(x[0], ah, al, t)
-        split_into(y[0], bh, bl, t)
-        # two_prod error: ((ah*bh - p) + ah*bl + al*bh) + al*bl
-        np.multiply(ah, bh, out=p2)
-        np.subtract(p2, p1, out=p2)
-        np.multiply(ah, bl, out=t)
-        np.add(p2, t, out=p2)
-        np.multiply(al, bh, out=t)
-        np.add(p2, t, out=p2)
-        np.multiply(al, bl, out=t)
-        np.add(p2, t, out=p2)
-        # p2 += (x.hi * y.lo + x.lo * y.hi)
-        np.multiply(x[0], y[1], out=v)
-        np.multiply(x[1], y[0], out=t)
-        np.add(v, t, out=v)
-        np.add(p2, v, out=p2)
-        hi, lo = out = result_planes(shape, out, 2)
-        quick_two_sum_into(p1, p2, hi, lo)
-        return out
-    finally:
-        st.release(mark)
-        st.release(bmark)
-
-
-def _dd_div_planes_fused(x, y, out=None):
-    st = plane_stack()
-    shape = op_shape(x, y)
-    fb, mark = st.take(shape, 11)
-    try:
-        q1, q2, q3, s, e = fb[0:5]
-        prod = fb[5:7]
-        ra = fb[7:9]
-        rb = fb[9:11]
-        zp = zero_plane(shape)
-
-        np.divide(x[0], y[0], out=q1)
-        _dd_mul_planes_fused(y, (q1, zp), out=prod)
-        _dd_sub_planes_fused(x, prod, out=ra)
-        np.divide(ra[0], y[0], out=q2)
-        _dd_mul_planes_fused(y, (q2, zp), out=prod)
-        _dd_sub_planes_fused(ra, prod, out=rb)
-        np.divide(rb[0], y[0], out=q3)
-        quick_two_sum_into(q1, q2, s, e)
-        return _dd_add_planes_fused((s, e), (q3, zp), out=out)
-    finally:
-        st.release(mark)
-
-
-# ----------------------------------------------------------------------
-# into-variants: the operator dispatch (gates included), landed in caller
-# planes.  These exist for the plan-arena executor of
-# :mod:`repro.core.evalplan`: results go into persistent arena planes
-# instead of fresh allocations, with the exact same floating-point
-# sequences the ``+ - *`` operators would execute.
-# ----------------------------------------------------------------------
-def _dd_add_into(x, y, out) -> None:
-    """``out := x + y`` on (hi, lo) plane pairs, replaying ``__add__``."""
-    if fused_addsub_enabled(max(x[0].size, y[0].size)):
-        _dd_add_planes_fused(x, y, out=out)
-        return
+def _dd_add_ref(x, y):
     s1, s2 = two_sum(x[0], y[0])
     t1, t2 = two_sum(x[1], y[1])
     s2 = s2 + t1
     s1, s2 = quick_two_sum(s1, s2)
     s2 = s2 + t2
-    s1, s2 = quick_two_sum(s1, s2)
-    np.copyto(out[0], s1)
-    np.copyto(out[1], s2)
+    return quick_two_sum(s1, s2)
 
 
-def _dd_sub_into(x, y, out) -> None:
-    """``out := x - y`` on (hi, lo) plane pairs, replaying ``__sub__``."""
-    if fused_addsub_enabled(max(x[0].size, y[0].size)):
-        _dd_sub_planes_fused(x, y, out=out)
-        return
+def _dd_sub_ref(x, y):
     s1, s2 = two_diff(x[0], y[0])
     t1, t2 = two_diff(x[1], y[1])
     s2 = s2 + t1
     s1, s2 = quick_two_sum(s1, s2)
     s2 = s2 + t2
-    s1, s2 = quick_two_sum(s1, s2)
-    np.copyto(out[0], s1)
-    np.copyto(out[1], s2)
+    return quick_two_sum(s1, s2)
 
 
-def _dd_mul_into(x, y, out) -> None:
-    """``out := x * y`` on (hi, lo) plane pairs, replaying ``__mul__``."""
-    if fused_kernels_enabled():
-        _dd_mul_planes_fused(x, y, out=out)
-        return
-    p1, p2 = _dd_mul_planes_ref(x, y)
-    np.copyto(out[0], p1)
-    np.copyto(out[1], p2)
+def _dd_mul_ref(x, y):
+    p1, p2 = two_prod(x[0], y[0])
+    p2 = p2 + (x[0] * y[1] + x[1] * y[0])
+    return quick_two_sum(p1, p2)
+
+
+def _dd_div_ref(x, y):
+    """Iterated-correction division with three quotient terms."""
+    q1 = x[0] / y[0]
+    z = np.zeros_like(q1)
+    r = _dd_sub_ref(x, _dd_mul_ref(y, (q1, z)))
+    q2 = r[0] / y[0]
+    r = _dd_sub_ref(r, _dd_mul_ref(y, (q2, z)))
+    q3 = r[0] / y[0]
+    return _dd_add_ref(quick_two_sum(q1, q2), (q3, z))
+
+
+_complex_add, _complex_sub, _complex_mul, _complex_div = complex_chains(
+    _dd_add_ref, _dd_sub_ref, _dd_mul_ref, _dd_div_ref, "ComplexDDArray")
+
+
+def _planes(z: "ComplexDDArray") -> tuple:
+    """The four planes of a complex array: ``(re_hi, re_lo, im_hi, im_lo)``."""
+    return z.real.hi, z.real.lo, z.imag.hi, z.imag.lo
+
+
+def _complex_op(kernel: str, reference, x: "ComplexDDArray",
+                y: "ComplexDDArray") -> "ComplexDDArray":
+    return complex_dd_from_planes(apply(kernel, reference, _planes(x),
+                                        _planes(y)))
 
 
 def complex_dd_raw(real: "DDArray", imag: "DDArray") -> "ComplexDDArray":
@@ -250,73 +124,12 @@ def dd_mul_operand(x: "ComplexDDArray", other) -> "ComplexDDArray":
     return x._coerce(other)
 
 
-def _complex_dd_div_fused(a: "DDArray", b: "DDArray", c: "DDArray",
-                          d: "DDArray") -> "ComplexDDArray":
-    """``(a + ib) / (c + id)`` with every intermediate in pooled scratch.
-
-    Replays the allocating expression ``((a*c + b*d) / denom,
-    (b*c - a*d) / denom)`` kernel for kernel -- same products, same
-    additions, same iterated-correction divisions, so the landed bits are
-    identical -- without materialising the six intermediate ``DDArray``
-    wrappers and their planes.
-    """
-    st = plane_stack()
-    shape = a.hi.shape
-    fb, mark = st.take(shape, 8)
-    try:
-        t1, t2 = fb[0:2], fb[2:4]
-        denom, num = fb[4:6], fb[6:8]
-        _dd_mul_planes_fused((c.hi, c.lo), (c.hi, c.lo), out=t1)
-        _dd_mul_planes_fused((d.hi, d.lo), (d.hi, d.lo), out=t2)
-        _dd_add_planes_fused(t1, t2, out=denom)
-        # Mirror the scalar ComplexDD check: |z|^2 == 0 means the divisor
-        # is an exact zero (or underflowed to one).
-        if np.any(denom[0] == 0.0):
-            raise DivisionByZeroError(
-                f"ComplexDDArray division by zero in "
-                f"{int(np.count_nonzero(denom[0] == 0.0))} element(s)"
-            )
-        _dd_mul_planes_fused((a.hi, a.lo), (c.hi, c.lo), out=t1)
-        _dd_mul_planes_fused((b.hi, b.lo), (d.hi, d.lo), out=t2)
-        _dd_add_planes_fused(t1, t2, out=num)
-        real = _raw(*_dd_div_planes_fused(num, denom))
-        _dd_mul_planes_fused((b.hi, b.lo), (c.hi, c.lo), out=t1)
-        _dd_mul_planes_fused((a.hi, a.lo), (d.hi, d.lo), out=t2)
-        _dd_sub_planes_fused(t1, t2, out=num)
-        imag = _raw(*_dd_div_planes_fused(num, denom))
-        return ComplexDDArray(real, imag)
-    finally:
-        st.release(mark)
-
-
 def complex_dd_mul_into(out: "ComplexDDArray", x: "ComplexDDArray",
                         y: "ComplexDDArray") -> "ComplexDDArray":
-    """``out := x * y``, bit-for-bit with ``ComplexDDArray.__mul__``.
-
-    All four real products land in scratch *before* the first write to
-    ``out``'s planes, so ``out`` may alias either operand.
-    """
-    a = (x.real.hi, x.real.lo)
-    b = (x.imag.hi, x.imag.lo)
-    c = (y.real.hi, y.real.lo)
-    d = (y.imag.hi, y.imag.lo)
-    st = plane_stack()
-    shape = op_shape(a, c)
-    fb, mark = st.take(shape, 8)
-    try:
-        ac = fb[0:2]
-        bd = fb[2:4]
-        ad = fb[4:6]
-        bc = fb[6:8]
-        _dd_mul_into(a, c, ac)
-        _dd_mul_into(b, d, bd)
-        _dd_mul_into(a, d, ad)
-        _dd_mul_into(b, c, bc)
-        _dd_sub_into(ac, bd, (out.real.hi, out.real.lo))
-        _dd_add_into(ad, bc, (out.imag.hi, out.imag.lo))
-        return out
-    finally:
-        st.release(mark)
+    """``out := x * y``, bit-for-bit with ``ComplexDDArray.__mul__``;
+    ``out`` may alias either operand."""
+    apply("cdd_mul", _complex_mul, _planes(x), _planes(y), out=_planes(out))
+    return out
 
 
 class DDArray:
@@ -432,30 +245,15 @@ class DDArray:
 
     def __add__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
-        # Gate on the larger operand: a broadcast result is at least that big.
-        if fused_addsub_enabled(max(self.hi.size, o.hi.size)):
-            return _raw(*_dd_add_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
-        s1, s2 = two_sum(self.hi, o.hi)
-        t1, t2 = two_sum(self.lo, o.lo)
-        s2 = s2 + t1
-        s1, s2 = quick_two_sum(s1, s2)
-        s2 = s2 + t2
-        s1, s2 = quick_two_sum(s1, s2)
-        return _raw(s1, s2)
+        return _raw(*apply("dd_add", _dd_add_ref, (self.hi, self.lo),
+                           (o.hi, o.lo)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
-        if fused_addsub_enabled(max(self.hi.size, o.hi.size)):
-            return _raw(*_dd_sub_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
-        s1, s2 = two_diff(self.hi, o.hi)
-        t1, t2 = two_diff(self.lo, o.lo)
-        s2 = s2 + t1
-        s1, s2 = quick_two_sum(s1, s2)
-        s2 = s2 + t2
-        s1, s2 = quick_two_sum(s1, s2)
-        return _raw(s1, s2)
+        return _raw(*apply("dd_sub", _dd_sub_ref, (self.hi, self.lo),
+                           (o.hi, o.lo)))
 
     def __rsub__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
@@ -463,9 +261,8 @@ class DDArray:
 
     def __mul__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
-        if fused_kernels_enabled():
-            return _raw(*_dd_mul_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
-        return _raw(*_dd_mul_planes_ref((self.hi, self.lo), (o.hi, o.lo)))
+        return _raw(*apply("dd_mul", _dd_mul_ref, (self.hi, self.lo),
+                           (o.hi, o.lo)))
 
     __rmul__ = __mul__
 
@@ -480,15 +277,8 @@ class DDArray:
                 f"DDArray division by zero in "
                 f"{int(np.count_nonzero(o.hi == 0.0))} element(s)"
             )
-        if fused_kernels_enabled():
-            return _raw(*_dd_div_planes_fused((self.hi, self.lo), (o.hi, o.lo)))
-        q1 = self.hi / o.hi
-        r = self - o * _raw(q1, np.zeros_like(q1))
-        q2 = r.hi / o.hi
-        r = r - o * _raw(q2, np.zeros_like(q2))
-        q3 = r.hi / o.hi
-        s, e = quick_two_sum(q1, q2)
-        return _raw(s, e) + _raw(q3, np.zeros_like(q3))
+        return _raw(*apply("dd_div", _dd_div_ref, (self.hi, self.lo),
+                           (o.hi, o.lo)))
 
     def __rtruediv__(self, other) -> "DDArray":
         o = _coerce(other, like=self.hi)
@@ -509,47 +299,29 @@ class DDArray:
 
     # ------------------------------------------------------------------
     # in-place updates (see QDArray: bit-for-bit with the operators, with
-    # the fused path writing this array's planes directly)
+    # the kernels writing this array's planes directly)
     # ------------------------------------------------------------------
-    def _assign_planes(self, planes, mask=None) -> "DDArray":
-        np.copyto(self.hi, planes[0], where=True if mask is None else mask)
-        np.copyto(self.lo, planes[1], where=True if mask is None else mask)
-        return self
-
     def iadd_(self, other) -> "DDArray":
         """In-place ``self += other`` (bit-for-bit with ``self + other``)."""
         o = _coerce(other, like=self.hi)
-        if fused_addsub_enabled(self.hi.size):
-            _dd_add_planes_fused((self.hi, self.lo), (o.hi, o.lo),
-                                 out=(self.hi, self.lo))
-            return self
-        result = self + o
-        return self._assign_planes((result.hi, result.lo))
+        planes = (self.hi, self.lo)
+        apply("dd_add", _dd_add_ref, planes, (o.hi, o.lo), out=planes)
+        return self
 
     def isub_(self, other) -> "DDArray":
         """In-place ``self -= other`` (bit-for-bit with ``self - other``)."""
         o = _coerce(other, like=self.hi)
-        if fused_addsub_enabled(self.hi.size):
-            _dd_sub_planes_fused((self.hi, self.lo), (o.hi, o.lo),
-                                 out=(self.hi, self.lo))
-            return self
-        result = self - o
-        return self._assign_planes((result.hi, result.lo))
+        planes = (self.hi, self.lo)
+        apply("dd_sub", _dd_sub_ref, planes, (o.hi, o.lo), out=planes)
+        return self
 
     def iadd_where_(self, other, mask) -> "DDArray":
         """Masked in-place add: ``self = where(mask, self + other, self)``."""
-        o = _coerce(other, like=self.hi)
+        total = self + other
         mask = np.asarray(mask, dtype=bool)
-        if fused_addsub_enabled(self.hi.size):
-            st = plane_stack()
-            buf, mark = st.take(self.hi.shape, 2)
-            _dd_add_planes_fused((self.hi, self.lo), (o.hi, o.lo),
-                                 out=(buf[0], buf[1]))
-            self._assign_planes(buf, mask=mask)
-            st.release(mark)
-            return self
-        result = self + o
-        return self._assign_planes((result.hi, result.lo), mask=mask)
+        np.copyto(self.hi, total.hi, where=mask)
+        np.copyto(self.lo, total.lo, where=mask)
+        return self
 
     # ------------------------------------------------------------------
     # masked selection (the primitive behind per-path retirement in the
@@ -744,42 +516,24 @@ class ComplexDDArray:
         return ComplexDDArray(-self.real, -self.imag)
 
     def __add__(self, other) -> "ComplexDDArray":
-        o = self._coerce(other)
-        return ComplexDDArray(self.real + o.real, self.imag + o.imag)
+        return _complex_op("cdd_add", _complex_add, self, self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ComplexDDArray":
-        o = self._coerce(other)
-        return ComplexDDArray(self.real - o.real, self.imag - o.imag)
+        return _complex_op("cdd_sub", _complex_sub, self, self._coerce(other))
 
     def __rsub__(self, other) -> "ComplexDDArray":
-        o = self._coerce(other)
-        return ComplexDDArray(o.real - self.real, o.imag - self.imag)
+        return _complex_op("cdd_sub", _complex_sub, self._coerce(other), self)
 
     def __mul__(self, other) -> "ComplexDDArray":
-        o = self._coerce(other)
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        return ComplexDDArray(a * c - b * d, a * d + b * c)
+        return _complex_op("cdd_mul", _complex_mul, self,
+                           dd_mul_operand(self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ComplexDDArray":
-        o = self._coerce(other)
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        if fused_kernels_enabled() and a.hi.shape == c.hi.shape:
-            return _complex_dd_div_fused(a, b, c, d)
-        denom = c * c + d * d
-        # Mirror the scalar ComplexDD check: |z|^2 == 0 means the divisor is
-        # an exact zero (or underflowed to one), which would otherwise fill
-        # the lane with silent NaN.  NaN divisors propagate instead of
-        # raising, exactly as in the element-wise real case.
-        if np.any(denom.hi == 0.0):
-            raise DivisionByZeroError(
-                f"ComplexDDArray division by zero in "
-                f"{int(np.count_nonzero(denom.hi == 0.0))} element(s)"
-            )
-        return ComplexDDArray((a * c + b * d) / denom, (b * c - a * d) / denom)
+        return _complex_op("cdd_div", _complex_div, self, self._coerce(other))
 
     def __rtruediv__(self, other) -> "ComplexDDArray":
         return self._coerce(other) / self
@@ -802,29 +556,47 @@ class ComplexDDArray:
     # ------------------------------------------------------------------
     def iadd_(self, other) -> "ComplexDDArray":
         """In-place ``self += other``."""
-        o = self._coerce(other)
-        self.real.iadd_(o.real)
-        self.imag.iadd_(o.imag)
+        acc = _planes(self)
+        apply("cdd_add", _complex_add, acc, _planes(self._coerce(other)),
+              out=acc)
         return self
 
     def isub_(self, other) -> "ComplexDDArray":
         """In-place ``self -= other``."""
-        o = self._coerce(other)
-        self.real.isub_(o.real)
-        self.imag.isub_(o.imag)
+        acc = _planes(self)
+        apply("cdd_sub", _complex_sub, acc, _planes(self._coerce(other)),
+              out=acc)
+        return self
+
+    def iadd_mul_(self, factor, value) -> "ComplexDDArray":
+        """In-place ``self += factor * value``, the product formed as the
+        expression ``factor * value`` forms it once ``factor`` is coerced
+        like this array's operands."""
+        x = dd_mul_operand(self, factor)
+        y = dd_mul_operand(x, value)
+        if compiled.run("cdd_add_mul",
+                        _planes(self) + _planes(x) + _planes(y)) is None:
+            self.iadd_(x * y)
         return self
 
     def isub_mul_(self, factor, value) -> "ComplexDDArray":
         """In-place ``self -= factor * value`` (elimination inner loop)."""
-        prod = self._coerce(factor) * value
-        return self.isub_(prod)
+        x = dd_mul_operand(self, factor)
+        y = dd_mul_operand(x, value)
+        if compiled.run("cdd_sub_mul",
+                        _planes(self) + _planes(x) + _planes(y)) is None:
+            self.isub_(x * y)
+        return self
 
     def iadd_where_(self, other, mask) -> "ComplexDDArray":
         """Masked in-place add: ``self = where(mask, self + other, self)``."""
         o = self._coerce(other)
         mask = np.asarray(mask, dtype=bool)
-        self.real.iadd_where_(o.real, mask)
-        self.imag.iadd_where_(o.imag, mask)
+        lanes = np.ascontiguousarray(np.broadcast_to(mask, self.shape))
+        if compiled.run("cdd_add_masked",
+                        _planes(self) + _planes(o) + (lanes,)) is None:
+            self.real.iadd_where_(o.real, mask)
+            self.imag.iadd_where_(o.imag, mask)
         return self
 
     def sum(self, axis=None):

@@ -35,10 +35,6 @@ __all__ = [
     "split",
     "two_prod",
     "two_sqr",
-    "two_sum_into",
-    "quick_two_sum_into",
-    "two_diff_into",
-    "split_into",
 ]
 
 #: Dekker's splitting constant, :math:`2^{27} + 1`.  Multiplying by this and
@@ -130,65 +126,6 @@ def two_prod(a: Number, b: Number) -> Tuple[Number, Number]:
     b_hi, b_lo = split(b)
     e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return p, e
-
-
-# ----------------------------------------------------------------------
-# out=-threaded array variants for the fused batch kernels
-# ----------------------------------------------------------------------
-# Each *_into function executes exactly the floating-point sequence of its
-# allocating sibling above, but writes every intermediate into caller-provided
-# buffers (typically borrowed from repro.multiprec.bufferpool).  Contracts:
-# output/scratch buffers must be distinct arrays, and none of them may alias
-# an input -- the sequences read their inputs after the first write.
-
-def two_sum_into(a, b, s: np.ndarray, e: np.ndarray, t: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """TwoSum into buffers: ``s, e`` outputs, ``t`` scratch."""
-    np.add(a, b, out=s)
-    np.subtract(s, a, out=t)        # bb
-    np.subtract(s, t, out=e)        # s - bb
-    np.subtract(a, e, out=e)        # a - (s - bb)
-    np.subtract(b, t, out=t)        # b - bb
-    np.add(e, t, out=e)
-    return s, e
-
-
-def quick_two_sum_into(a, b, s: np.ndarray, e: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """FastTwoSum into buffers (requires ``|a| >= |b|`` element-wise)."""
-    np.add(a, b, out=s)
-    np.subtract(s, a, out=e)        # s - a
-    np.subtract(b, e, out=e)        # b - (s - a)
-    return s, e
-
-
-def two_diff_into(a, b, s: np.ndarray, e: np.ndarray, t: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """TwoDiff into buffers: ``s, e`` outputs, ``t`` scratch."""
-    np.subtract(a, b, out=s)
-    np.subtract(s, a, out=t)        # bb
-    np.subtract(s, t, out=e)        # s - bb
-    np.subtract(a, e, out=e)        # a - (s - bb)
-    np.add(b, t, out=t)             # b + bb
-    np.subtract(e, t, out=e)
-    return s, e
-
-
-def split_into(a, hi: np.ndarray, lo: np.ndarray, t: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Dekker split into buffers -- the *unscaled* branch only.
-
-    The caller must guarantee no element of ``a`` exceeds
-    :data:`SPLIT_THRESHOLD` in magnitude (NaN elements are fine: they follow
-    the unscaled sequence in :func:`split` too, producing the same NaNs).
-    The fused kernels check their operands' leading planes once per
-    operation and fall back to :func:`split` when the guard fails.
-    """
-    np.multiply(SPLITTER, a, out=t)
-    np.subtract(t, a, out=hi)       # temp - a
-    np.subtract(t, hi, out=hi)      # temp - (temp - a)
-    np.subtract(a, hi, out=lo)
-    return hi, lo
 
 
 def two_sqr(a: Number) -> Tuple[Number, Number]:

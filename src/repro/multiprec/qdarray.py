@@ -9,13 +9,18 @@ add/mul and iterated-correction division), so results are bit-for-bit equal
 to looping over scalars -- the invariant the batched tracker's differential
 tests rely on.
 
-The only non-trivial vectorisation is the QD renormalisation, whose scalar
-form is a nest of data-dependent branches.  Those branches implement a
-*compaction*: the values ``c2, c3, (c4)`` are inserted one after another at
-the lowest non-zero slot of the expansion.  The vectorised form tracks that
-slot per element with an integer ``ptr`` array and realises each insertion
-with masked selects, which reproduces the scalar branch tree exactly (see
-:func:`_insert_lowest`).
+Every operation runs through the compiled plane kernels of
+:mod:`repro.multiprec.compiled` when they are loaded.  The NumPy reference
+chains below execute the same sequences; they run when no kernels could be
+built, when a plane layout does not fit the kernels, and as the test oracle.
+
+The only non-trivial vectorisation of the reference chains is the QD
+renormalisation, whose scalar form is a nest of data-dependent branches.
+Those branches implement a *compaction*: the values ``c2, c3, (c4)`` are
+inserted one after another at the lowest non-zero slot of the expansion.
+The vectorised form tracks that slot per element with an integer ``ptr``
+array and realises each insertion with masked selects, which reproduces the
+scalar branch tree exactly (see :func:`_insert_lowest`).
 
 :class:`ComplexQDArray` pairs two :class:`QDArray` instances, mirroring
 :class:`~repro.multiprec.numeric.ComplexQD`.
@@ -28,23 +33,9 @@ from typing import Iterable, List, Tuple, Union
 import numpy as np
 
 from ..errors import DivisionByZeroError
-from .bufferpool import (
-    fused_kernels_enabled,
-    needs_reference_split,
-    op_shape,
-    plane_stack,
-    result_planes,
-    zero_plane,
-)
-from .eft import (
-    SPLIT_THRESHOLD,
-    quick_two_sum,
-    quick_two_sum_into,
-    split_into,
-    two_prod,
-    two_sum,
-    two_sum_into,
-)
+from . import compiled
+from .compiled import apply, complex_chains
+from .eft import quick_two_sum, two_prod, two_sum
 from .numeric import ComplexQD
 from .quad_double import QuadDouble
 
@@ -129,152 +120,6 @@ def _renorm5(c0, c1, c2, c3, c4) -> Tuple[np.ndarray, ...]:
             np.where(keep, c2, s[2]), np.where(keep, c3, s[3]))
 
 
-# ----------------------------------------------------------------------
-# fused, allocation-light kernels (bit-for-bit with the reference path)
-# ----------------------------------------------------------------------
-# Every function below replays *exactly* the floating-point sequence of the
-# reference implementation above (and hence of the scalar QuadDouble), but
-# with the NumPy call stream fused: scratch planes come from the thread's
-# PlaneStack in one take per op, every intermediate is written with out=,
-# the Dekker splits of the product kernel are computed once per input plane
-# instead of once per partial product, and the renormalisation insertions
-# run off precomputed slot masks with masked copies instead of allocating
-# np.where chains.  The op stream shrinks by ~2x and allocates (amortised)
-# nothing, which is what makes qd batch lanes cheap enough to scale past a
-# few hundred (see ROADMAP).  Takes are released in try/finally so an
-# exception escaping mid-kernel (e.g. a promoted FP warning) cannot leak
-# the taken frame.
-
-def _fused_insert(s, ptr, u, top, m0, m1, m2, m3, sel, summed, e):
-    """One fused ``_insert_lowest`` pass with precomputed slot masks.
-
-    ``top`` is the highest pointer value any element can hold *before* this
-    insertion (1 after the renorm prologue, +1 per insertion); slots above
-    it are skipped entirely.  Mutates the planes in ``s`` and ``ptr`` in
-    place; ``m0..m3 / sel / summed / e`` are caller scratch.
-    """
-    np.equal(ptr, 0, out=m0)
-    np.equal(ptr, 1, out=m1)
-    if top >= 2:
-        np.equal(ptr, 2, out=m2)
-    if top >= 3:
-        np.equal(ptr, 3, out=m3)
-
-    # s[ptr], element-wise, via one masked overwrite per live slot.
-    np.copyto(sel, s[min(top, 3)])
-    if top >= 3:
-        np.copyto(sel, s[2], where=m2)
-    if top >= 2:
-        np.copyto(sel, s[1], where=m1)
-    np.copyto(sel, s[0], where=m0)
-
-    quick_two_sum_into(sel, u, summed, e)
-
-    np.copyto(s[0], summed, where=m0)
-    np.copyto(s[1], e, where=m0)
-    np.copyto(s[1], summed, where=m1)
-    np.copyto(s[2], e, where=m1)
-    if top >= 2:
-        np.copyto(s[2], summed, where=m2)
-        np.copyto(s[3], e, where=m2)
-    if top >= 3:
-        np.add(s[3], u, out=sel)            # sel is dead: scratch for += leaf
-        np.copyto(s[3], sel, where=m3)
-
-    adv = m0                                # m0 is dead: reuse for the advance
-    np.not_equal(e, 0.0, out=adv)
-    if top >= 3:
-        np.logical_not(m3, out=m3)
-        np.logical_and(adv, m3, out=adv)
-    np.add(ptr, adv, out=ptr)
-
-
-def _fused_renorm4(c0, c1, c2, c3, st, out=None):
-    """Fused form of :func:`_renorm4`.
-
-    Writes the four result planes into ``out`` when given (which must not
-    alias any ``c`` input), else into fresh arrays; returns them either way.
-    """
-    shape = c0.shape
-    fb, fmark = st.take(shape, 7)
-    bb, bmark = st.take(shape, 4, np.bool_)
-    ib, imark = st.take(shape, 1, np.int8)
-    try:
-        w1, t3, w2, t2, sel, summed, e = fb
-        keep, m0, m1, m2 = bb
-        ptr = ib[0]
-
-        np.isfinite(c0, out=keep)
-        all_finite = bool(keep.all())
-
-        quick_two_sum_into(c2, c3, w1, t3)
-        quick_two_sum_into(c1, w1, w2, t2)
-        s0, s1, s2, s3 = out = result_planes(shape, out, 4)
-        quick_two_sum_into(c0, w2, s0, s1)
-        s2.fill(0.0)
-        s3.fill(0.0)
-        np.not_equal(s1, 0.0, out=m0)
-        np.copyto(ptr, m0)
-
-        s = (s0, s1, s2, s3)
-        _fused_insert(s, ptr, t2, 1, m0, m1, m2, None, sel, summed, e)
-        _fused_insert(s, ptr, t3, 2, m0, m1, m2, None, sel, summed, e)
-
-        if not all_finite:
-            np.logical_not(keep, out=keep)
-            np.copyto(s0, c0, where=keep)
-            np.copyto(s1, c1, where=keep)
-            np.copyto(s2, c2, where=keep)
-            np.copyto(s3, c3, where=keep)
-        return out
-    finally:
-        st.release(fmark)
-        st.release(bmark)
-        st.release(imark)
-
-
-def _fused_renorm5(c0, c1, c2, c3, c4, st, out=None):
-    """Fused form of :func:`_renorm5` (same contract as :func:`_fused_renorm4`)."""
-    shape = c0.shape
-    fb, fmark = st.take(shape, 9)
-    bb, bmark = st.take(shape, 5, np.bool_)
-    ib, imark = st.take(shape, 1, np.int8)
-    try:
-        w1, t4, w2, t3, w3, t2, sel, summed, e = fb
-        keep, m0, m1, m2, m3 = bb
-        ptr = ib[0]
-
-        np.isfinite(c0, out=keep)
-        all_finite = bool(keep.all())
-
-        quick_two_sum_into(c3, c4, w1, t4)
-        quick_two_sum_into(c2, w1, w2, t3)
-        quick_two_sum_into(c1, w2, w3, t2)
-        s0, s1, s2, s3 = out = result_planes(shape, out, 4)
-        quick_two_sum_into(c0, w3, s0, s1)
-        s2.fill(0.0)
-        s3.fill(0.0)
-        np.not_equal(s1, 0.0, out=m0)
-        np.copyto(ptr, m0)
-
-        s = (s0, s1, s2, s3)
-        _fused_insert(s, ptr, t2, 1, m0, m1, m2, m3, sel, summed, e)
-        _fused_insert(s, ptr, t3, 2, m0, m1, m2, m3, sel, summed, e)
-        _fused_insert(s, ptr, t4, 3, m0, m1, m2, m3, sel, summed, e)
-
-        if not all_finite:
-            np.logical_not(keep, out=keep)
-            np.copyto(s0, c0, where=keep)
-            np.copyto(s1, c1, where=keep)
-            np.copyto(s2, c2, where=keep)
-            np.copyto(s3, c3, where=keep)
-        return out
-    finally:
-        st.release(fmark)
-        st.release(bmark)
-        st.release(imark)
-
-
 def _add_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
     """The reference QD ``sloppy_add`` on component planes."""
     s0, t0 = two_sum(x[0], y[0])
@@ -289,51 +134,9 @@ def _add_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
     return _renorm5(s0, s1, s2, s3, t0)
 
 
-def _add_planes_fused(x, y, out=None) -> Tuple[np.ndarray, ...]:
-    """Fused QD ``sloppy_add``: same sequence as :func:`_add_planes_ref`.
-
-    ``out``, when given, receives the result planes; it may alias the
-    *input* planes of ``x``/``y`` (every read of them happens before the
-    final renormalisation writes) -- that is what the in-place array
-    updates rely on.
-    """
-    st = plane_stack()
-    fb, mark = st.take(op_shape(x, y), 21)
-    try:
-        (t, a0, b0, a1, b1, a2, b2, a3, b3,
-         s1, t0, u1, v1, w1, z1, p1, q1, u2, v2, w2, z2) = fb
-        two_sum_into(x[0], y[0], a0, b0, t)
-        two_sum_into(x[1], y[1], a1, b1, t)
-        two_sum_into(x[2], y[2], a2, b2, t)
-        two_sum_into(x[3], y[3], a3, b3, t)
-
-        two_sum_into(a1, b0, s1, t0, t)
-        # _three_sum(s2, t0, t1) on (a2, t0, b1) -> (w1, p1, q1)
-        two_sum_into(a2, t0, u1, v1, t)
-        two_sum_into(b1, u1, w1, z1, t)
-        two_sum_into(v1, z1, p1, q1, t)
-        # _three_sum2(s3, t0, t2) on (a3, p1, b2) -> (w2, v2)
-        two_sum_into(a3, p1, u2, v2, t)
-        two_sum_into(b2, u2, w2, z2, t)
-        np.add(v2, z2, out=v2)
-        # t0 = t0 + t1 + t3
-        np.add(v2, q1, out=v2)
-        np.add(v2, b3, out=v2)
-        return _fused_renorm5(a0, s1, w1, w2, v2, st, out=out)
-    finally:
-        st.release(mark)
-
-
-def _sub_planes_fused(x, y, out=None) -> Tuple[np.ndarray, ...]:
-    """Fused QD subtraction: add of the negated operand, like ``__sub__``."""
-    st = plane_stack()
-    nb, mark = st.take(y[0].shape, 4)
-    try:
-        for src, dst in zip(y, nb):
-            np.negative(src, out=dst)
-        return _add_planes_fused(x, nb, out=out)
-    finally:
-        st.release(mark)
+def _sub_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
+    """The reference QD subtraction: the add of the negated operand."""
+    return _add_planes_ref(x, tuple(-c for c in y))
 
 
 def _mul_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
@@ -360,132 +163,19 @@ def _mul_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
     return _renorm5(p0, p1, s0, s1, s2)
 
 
-def _mul_planes_fused(x, y, out=None) -> Tuple[np.ndarray, ...]:
-    """Fused QD ``sloppy_mul``: one Dekker split per input plane.
-
-    Falls back to :func:`_mul_planes_ref` when either leading plane carries
-    a magnitude above the split threshold or a NaN (see
-    :func:`repro.multiprec.bufferpool.needs_reference_split`).  ``out`` may
-    alias input planes, as in :func:`_add_planes_fused`.
-    """
-    st = plane_stack()
-    shape = op_shape(x, y)
-    fb, mark = st.take(shape, 51)
-    bb, bmark = st.take(shape, 1, np.bool_)
-    try:
-        t = fb[0]
-        mb = bb[0]
-        if needs_reference_split(x[0], t, mb) or needs_reference_split(y[0], t, mb):
-            planes = _mul_planes_ref(x, y)
-            if out is None:
-                return planes
-            for dst, src in zip(out, planes):
-                np.copyto(dst, src)
-            return out
-
-        (x0h, x0l, x1h, x1l, x2h, x2l,
-         y0h, y0l, y1h, y1l, y2h, y2l) = fb[1:13]
-        split_into(x[0], x0h, x0l, t)
-        split_into(x[1], x1h, x1l, t)
-        split_into(x[2], x2h, x2l, t)
-        split_into(y[0], y0h, y0l, t)
-        split_into(y[1], y1h, y1l, t)
-        split_into(y[2], y2h, y2l, t)
-
-        (p0, q0, p1, q1, p2, q2, p3, q3, p4, q4, p5, q5) = fb[13:25]
-
-        def prod(a, ah, al, b, bh, bl, p, e):
-            # two_prod with the splits hoisted; identical error expression.
-            np.multiply(a, b, out=p)
-            np.multiply(ah, bh, out=e)
-            np.subtract(e, p, out=e)
-            np.multiply(ah, bl, out=t)
-            np.add(e, t, out=e)
-            np.multiply(al, bh, out=t)
-            np.add(e, t, out=e)
-            np.multiply(al, bl, out=t)
-            np.add(e, t, out=e)
-
-        prod(x[0], x0h, x0l, y[0], y0h, y0l, p0, q0)
-        prod(x[0], x0h, x0l, y[1], y1h, y1l, p1, q1)
-        prod(x[1], x1h, x1l, y[0], y0h, y0l, p2, q2)
-        prod(x[0], x0h, x0l, y[2], y2h, y2l, p3, q3)
-        prod(x[1], x1h, x1l, y[1], y1h, y1l, p4, q4)
-        prod(x[2], x2h, x2l, y[0], y0h, y0l, p5, q5)
-
-        (u1, v1, w1, z1, a1, c1,
-         u2, v2, w2, z2, a2, c2,
-         u3, v3, w3, z3, a3, c3) = fb[25:43]
-        # p1, p2, q0 = _three_sum(p1, p2, q0) -> (w1, a1, c1)
-        two_sum_into(p1, p2, u1, v1, t)
-        two_sum_into(q0, u1, w1, z1, t)
-        two_sum_into(v1, z1, a1, c1, t)
-        # p2, q1, q2 = _three_sum(p2, q1, q2) on (a1, q1, q2) -> (w2, a2, c2)
-        two_sum_into(a1, q1, u2, v2, t)
-        two_sum_into(q2, u2, w2, z2, t)
-        two_sum_into(v2, z2, a2, c2, t)
-        # p3, p4, p5 = _three_sum(p3, p4, p5) -> (w3, a3, c3)
-        two_sum_into(p3, p4, u3, v3, t)
-        two_sum_into(p5, u3, w3, z3, t)
-        two_sum_into(v3, z3, a3, c3, t)
-
-        (s0, t0, s1, t1, s2, s1b, t0b, acc) = fb[43:51]
-        two_sum_into(w2, w3, s0, t0, t)          # s0, t0 = two_sum(p2, p3)
-        two_sum_into(a2, a3, s1, t1, t)          # s1, t1 = two_sum(q1, p4)
-        np.add(c2, c3, out=s2)                   # s2 = q2 + p5
-        two_sum_into(s1, t0, s1b, t0b, t)        # s1, t0 = two_sum(s1, t0)
-        np.add(t0b, t1, out=t0b)
-        np.add(s2, t0b, out=s2)                  # s2 += (t0 + t1)
-
-        # s1 += (x0*y3 + x1*y2 + x2*y1 + x3*y0 + q0 + q3 + q4 + q5)
-        np.multiply(x[0], y[3], out=acc)
-        np.multiply(x[1], y[2], out=t)
-        np.add(acc, t, out=acc)
-        np.multiply(x[2], y[1], out=t)
-        np.add(acc, t, out=acc)
-        np.multiply(x[3], y[0], out=t)
-        np.add(acc, t, out=acc)
-        np.add(acc, c1, out=acc)                 # + q0 (post-three-sum)
-        np.add(acc, q3, out=acc)
-        np.add(acc, q4, out=acc)
-        np.add(acc, q5, out=acc)
-        np.add(s1b, acc, out=s1b)
-
-        return _fused_renorm5(p0, w1, s0, s1b, s2, st, out=out)
-    finally:
-        st.release(mark)
-        st.release(bmark)
-
-
-def _div_planes_fused(x, y, out=None) -> Tuple[np.ndarray, ...]:
-    """Fused QD iterated-correction division (QD's ``sloppy_div``)."""
-    st = plane_stack()
-    shape = op_shape(x, y)
-    fb, mark = st.take(shape, 17)
-    try:
-        q0, q1, q2, q3, q4 = fb[0:5]
-        prod = fb[5:9]
-        ra = fb[9:13]
-        rb = fb[13:17]
-        zp = zero_plane(shape)
-
-        np.divide(x[0], y[0], out=q0)
-        _mul_planes_fused(y, (q0, zp, zp, zp), out=prod)
-        _sub_planes_fused(x, prod, out=ra)
-        np.divide(ra[0], y[0], out=q1)
-        _mul_planes_fused(y, (q1, zp, zp, zp), out=prod)
-        _sub_planes_fused(ra, prod, out=rb)
-        np.divide(rb[0], y[0], out=q2)
-        _mul_planes_fused(y, (q2, zp, zp, zp), out=prod)
-        _sub_planes_fused(rb, prod, out=ra)
-        np.divide(ra[0], y[0], out=q3)
-        _mul_planes_fused(y, (q3, zp, zp, zp), out=prod)
-        _sub_planes_fused(ra, prod, out=rb)
-        np.divide(rb[0], y[0], out=q4)
-
-        return _fused_renorm5(q0, q1, q2, q3, q4, st, out=out)
-    finally:
-        st.release(mark)
+def _div_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
+    """The reference QD iterated-correction division (QD's ``sloppy_div``)."""
+    q0 = x[0] / y[0]
+    z = np.zeros_like(q0)
+    r = _sub_planes_ref(x, _mul_planes_ref(y, (q0, z, z, z)))
+    q1 = r[0] / y[0]
+    r = _sub_planes_ref(r, _mul_planes_ref(y, (q1, z, z, z)))
+    q2 = r[0] / y[0]
+    r = _sub_planes_ref(r, _mul_planes_ref(y, (q2, z, z, z)))
+    q3 = r[0] / y[0]
+    r = _sub_planes_ref(r, _mul_planes_ref(y, (q3, z, z, z)))
+    q4 = r[0] / y[0]
+    return _renorm5(q0, q1, q2, q3, q4)
 
 
 # ----------------------------------------------------------------------
@@ -520,11 +210,10 @@ class QDArray:
                 raise ValueError(f"component shape mismatch: {c0.shape} vs {other.shape}")
         # Normalise so the expansion invariant holds element-wise, exactly
         # like the scalar constructor.
-        if fused_kernels_enabled():
-            comps = _fused_renorm4(c0, c1, c2, c3, plane_stack())
-            self.c0, self.c1, self.c2, self.c3 = comps
-        else:
-            self.c0, self.c1, self.c2, self.c3 = _renorm4(c0, c1, c2, c3)
+        comps = tuple(np.empty(c0.shape) for _ in range(4))
+        if compiled.run("qd_renorm", comps + (c0, c1, c2, c3)) is None:
+            comps = _renorm4(c0, c1, c2, c3)
+        self.c0, self.c1, self.c2, self.c3 = comps
 
     # ------------------------------------------------------------------
     # constructors / conversions
@@ -618,18 +307,15 @@ class QDArray:
 
     def __add__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
-        x, y = self._components(), o._components()
-        if fused_kernels_enabled():
-            return _raw(*_add_planes_fused(x, y))
-        return _raw(*_add_planes_ref(x, y))
+        return _raw(*apply("qd_add", _add_planes_ref, self._components(),
+                           o._components()))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
-        if fused_kernels_enabled():
-            return _raw(*_sub_planes_fused(self._components(), o._components()))
-        return self + (-o)
+        return _raw(*apply("qd_sub", _sub_planes_ref, self._components(),
+                           o._components()))
 
     def __rsub__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
@@ -637,10 +323,8 @@ class QDArray:
 
     def __mul__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
-        x, y = self._components(), o._components()
-        if fused_kernels_enabled():
-            return _raw(*_mul_planes_fused(x, y))
-        return _raw(*_mul_planes_ref(x, y))
+        return _raw(*apply("qd_mul", _mul_planes_ref, self._components(),
+                           o._components()))
 
     __rmul__ = __mul__
 
@@ -654,18 +338,8 @@ class QDArray:
                 f"QDArray division by zero in "
                 f"{int(np.count_nonzero(o.c0 == 0.0))} element(s)"
             )
-        if fused_kernels_enabled():
-            return _raw(*_div_planes_fused(self._components(), o._components()))
-        q0 = self.c0 / o.c0
-        r = self - o * _from_plane(q0)
-        q1 = r.c0 / o.c0
-        r = r - o * _from_plane(q1)
-        q2 = r.c0 / o.c0
-        r = r - o * _from_plane(q2)
-        q3 = r.c0 / o.c0
-        r = r - o * _from_plane(q3)
-        q4 = r.c0 / o.c0
-        return _raw(*_renorm5(q0, q1, q2, q3, q4))
+        return _raw(*apply("qd_div", _div_planes_ref, self._components(),
+                           o._components()))
 
     def __rtruediv__(self, other) -> "QDArray":
         o = _coerce(other, like=self.c0)
@@ -688,49 +362,32 @@ class QDArray:
     # in-place updates (the accumulation loops of the batched engine)
     # ------------------------------------------------------------------
     # Each computes exactly the out-of-place operation's floating-point
-    # sequence, then lands the result in this array's planes.  On the fused
-    # path the final renormalisation writes the planes *directly* (every
-    # read of the old values happens before it), so a long accumulation --
-    # an evaluator's value row, a Gaussian elimination row -- allocates
-    # nothing at all.
-
-    def _assign_planes(self, planes, mask=None) -> "QDArray":
-        for dst, src in zip(self._components(), planes):
-            np.copyto(dst, src, where=True if mask is None else mask)
-        return self
+    # sequence, then lands the result in this array's planes.  The kernels
+    # write the planes *directly* (each lane's old values are read before
+    # its new ones are written), so a long accumulation -- an evaluator's
+    # value row, a Gaussian elimination row -- allocates nothing at all.
 
     def iadd_(self, other) -> "QDArray":
         """In-place ``self += other`` (bit-for-bit with ``self + other``)."""
         o = _coerce(other, like=self.c0)
         x = self._components()
-        if fused_kernels_enabled():
-            _add_planes_fused(x, o._components(), out=x)
-            return self
-        return self._assign_planes(_add_planes_ref(x, o._components()))
+        apply("qd_add", _add_planes_ref, x, o._components(), out=x)
+        return self
 
     def isub_(self, other) -> "QDArray":
         """In-place ``self -= other`` (bit-for-bit with ``self - other``)."""
         o = _coerce(other, like=self.c0)
         x = self._components()
-        if fused_kernels_enabled():
-            _sub_planes_fused(x, o._components(), out=x)
-            return self
-        return self._assign_planes((self + (-o))._components())
+        apply("qd_sub", _sub_planes_ref, x, o._components(), out=x)
+        return self
 
     def iadd_where_(self, other, mask) -> "QDArray":
         """Masked in-place add: ``self = where(mask, self + other, self)``."""
-        o = _coerce(other, like=self.c0)
-        x = self._components()
+        total = self + other
         mask = np.asarray(mask, dtype=bool)
-        if fused_kernels_enabled():
-            st = plane_stack()
-            buf, mark = st.take(self.c0.shape, 4)
-            _add_planes_fused(x, o._components(), out=buf)
-            self._assign_planes(buf, mask=mask)
-            st.release(mark)
-            return self
-        return self._assign_planes(_add_planes_ref(x, o._components()),
-                                   mask=mask)
+        for dst, src in zip(self._components(), total._components()):
+            np.copyto(dst, src, where=mask)
+        return self
 
     # ------------------------------------------------------------------
     # masked selection
@@ -802,11 +459,6 @@ def _raw(c0, c1, c2, c3) -> QDArray:
     out.c2 = c2
     out.c3 = c3
     return out
-
-
-def _from_plane(c0: np.ndarray) -> QDArray:
-    z = np.zeros_like(c0)
-    return _raw(c0, z, z, z)
 
 
 def _components_of(value) -> Tuple[np.ndarray, ...]:
@@ -948,39 +600,24 @@ class ComplexQDArray:
         return ComplexQDArray(-self.real, -self.imag)
 
     def __add__(self, other) -> "ComplexQDArray":
-        o = self._coerce(other)
-        return ComplexQDArray(self.real + o.real, self.imag + o.imag)
+        return _complex_op("cqd_add", _complex_add, self, self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ComplexQDArray":
-        o = self._coerce(other)
-        return ComplexQDArray(self.real - o.real, self.imag - o.imag)
+        return _complex_op("cqd_sub", _complex_sub, self, self._coerce(other))
 
     def __rsub__(self, other) -> "ComplexQDArray":
-        o = self._coerce(other)
-        return ComplexQDArray(o.real - self.real, o.imag - self.imag)
+        return _complex_op("cqd_sub", _complex_sub, self._coerce(other), self)
 
     def __mul__(self, other) -> "ComplexQDArray":
-        o = self._coerce(other)
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        return ComplexQDArray(a * c - b * d, a * d + b * c)
+        return _complex_op("cqd_mul", _complex_mul, self,
+                           qd_mul_operand(self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ComplexQDArray":
-        o = self._coerce(other)
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        if fused_kernels_enabled() and a.c0.shape == c.c0.shape:
-            return _complex_qd_div_fused(a, b, c, d)
-        denom = c * c + d * d
-        # Mirror the scalar ComplexQD check; see ComplexDDArray.__truediv__.
-        if np.any(denom.c0 == 0.0):
-            raise DivisionByZeroError(
-                f"ComplexQDArray division by zero in "
-                f"{int(np.count_nonzero(denom.c0 == 0.0))} element(s)"
-            )
-        return ComplexQDArray((a * c + b * d) / denom, (b * c - a * d) / denom)
+        return _complex_op("cqd_div", _complex_div, self, self._coerce(other))
 
     def __rtruediv__(self, other) -> "ComplexQDArray":
         return self._coerce(other) / self
@@ -1004,29 +641,47 @@ class ComplexQDArray:
     # ------------------------------------------------------------------
     def iadd_(self, other) -> "ComplexQDArray":
         """In-place ``self += other``."""
-        o = self._coerce(other)
-        self.real.iadd_(o.real)
-        self.imag.iadd_(o.imag)
+        acc = _planes(self)
+        apply("cqd_add", _complex_add, acc, _planes(self._coerce(other)),
+              out=acc)
         return self
 
     def isub_(self, other) -> "ComplexQDArray":
         """In-place ``self -= other``."""
-        o = self._coerce(other)
-        self.real.isub_(o.real)
-        self.imag.isub_(o.imag)
+        acc = _planes(self)
+        apply("cqd_sub", _complex_sub, acc, _planes(self._coerce(other)),
+              out=acc)
+        return self
+
+    def iadd_mul_(self, factor, value) -> "ComplexQDArray":
+        """In-place ``self += factor * value``, the product formed as the
+        expression ``factor * value`` forms it once ``factor`` is coerced
+        like this array's operands."""
+        x = qd_mul_operand(self, factor)
+        y = qd_mul_operand(x, value)
+        if compiled.run("cqd_add_mul",
+                        _planes(self) + _planes(x) + _planes(y)) is None:
+            self.iadd_(x * y)
         return self
 
     def isub_mul_(self, factor, value) -> "ComplexQDArray":
         """In-place ``self -= factor * value`` (elimination inner loop)."""
-        prod = self._coerce(factor) * value
-        return self.isub_(prod)
+        x = qd_mul_operand(self, factor)
+        y = qd_mul_operand(x, value)
+        if compiled.run("cqd_sub_mul",
+                        _planes(self) + _planes(x) + _planes(y)) is None:
+            self.isub_(x * y)
+        return self
 
     def iadd_where_(self, other, mask) -> "ComplexQDArray":
         """Masked in-place add: ``self = where(mask, self + other, self)``."""
         o = self._coerce(other)
         mask = np.asarray(mask, dtype=bool)
-        self.real.iadd_where_(o.real, mask)
-        self.imag.iadd_where_(o.imag, mask)
+        lanes = np.ascontiguousarray(np.broadcast_to(mask, self.shape))
+        if compiled.run("cqd_add_masked",
+                        _planes(self) + _planes(o) + (lanes,)) is None:
+            self.real.iadd_where_(o.real, mask)
+            self.imag.iadd_where_(o.imag, mask)
         return self
 
     def sum(self, axis=None):
@@ -1084,39 +739,6 @@ def _complex_parts(value):
     arr = np.asarray(value, dtype=np.complex128)
     return arr.real, arr.imag
 
-# ----------------------------------------------------------------------
-# into-variants for the plan-arena executor (see the double-double
-# counterparts in ddarray.py): the exact operator dispatch, landed in
-# caller-owned planes instead of fresh allocations.
-# ----------------------------------------------------------------------
-def _qd_add_into(x, y, out) -> None:
-    """``out := x + y`` on component-plane quadruples, replaying ``__add__``."""
-    if fused_kernels_enabled():
-        _add_planes_fused(x, y, out=out)
-        return
-    for dst, src in zip(out, _add_planes_ref(x, y)):
-        np.copyto(dst, src)
-
-
-def _qd_sub_into(x, y, out) -> None:
-    """``out := x - y`` on component-plane quadruples, replaying ``__sub__``."""
-    if fused_kernels_enabled():
-        _sub_planes_fused(x, y, out=out)
-        return
-    # Reference __sub__ is ``self + (-o)``.
-    neg = tuple(-c for c in y)
-    for dst, src in zip(out, _add_planes_ref(x, neg)):
-        np.copyto(dst, src)
-
-
-def _qd_mul_into(x, y, out) -> None:
-    """``out := x * y`` on component-plane quadruples, replaying ``__mul__``."""
-    if fused_kernels_enabled():
-        _mul_planes_fused(x, y, out=out)
-        return
-    for dst, src in zip(out, _mul_planes_ref(x, y)):
-        np.copyto(dst, src)
-
 
 def complex_qd_raw(real: QDArray, imag: QDArray) -> ComplexQDArray:
     """Wrap two QDArrays without the constructor's shape validation."""
@@ -1155,69 +777,27 @@ def qd_mul_operand(x: ComplexQDArray, other) -> ComplexQDArray:
     return x._coerce(other)
 
 
-def _complex_qd_div_fused(a: QDArray, b: QDArray, c: QDArray,
-                          d: QDArray) -> ComplexQDArray:
-    """``(a + ib) / (c + id)`` with every intermediate in pooled scratch.
-
-    Replays the allocating expression ``((a*c + b*d) / denom,
-    (b*c - a*d) / denom)`` kernel for kernel -- same products, same
-    additions, same iterated-correction divisions, so the landed bits are
-    identical -- without materialising the six intermediate ``QDArray``
-    wrappers and their planes.
-    """
-    st = plane_stack()
-    shape = a.c0.shape
-    fb, mark = st.take(shape, 16)
-    try:
-        t1, t2 = fb[0:4], fb[4:8]
-        denom, num = fb[8:12], fb[12:16]
-        _mul_planes_fused(c._components(), c._components(), out=t1)
-        _mul_planes_fused(d._components(), d._components(), out=t2)
-        _add_planes_fused(t1, t2, out=denom)
-        # Mirror the scalar ComplexQD check; see ComplexDDArray.__truediv__.
-        if np.any(denom[0] == 0.0):
-            raise DivisionByZeroError(
-                f"ComplexQDArray division by zero in "
-                f"{int(np.count_nonzero(denom[0] == 0.0))} element(s)"
-            )
-        _mul_planes_fused(a._components(), c._components(), out=t1)
-        _mul_planes_fused(b._components(), d._components(), out=t2)
-        _add_planes_fused(t1, t2, out=num)
-        real = _raw(*_div_planes_fused(num, denom))
-        _mul_planes_fused(b._components(), c._components(), out=t1)
-        _mul_planes_fused(a._components(), d._components(), out=t2)
-        _sub_planes_fused(t1, t2, out=num)
-        imag = _raw(*_div_planes_fused(num, denom))
-        return ComplexQDArray(real, imag)
-    finally:
-        st.release(mark)
-
-
 def complex_qd_mul_into(out: ComplexQDArray, x: ComplexQDArray,
                         y: ComplexQDArray) -> ComplexQDArray:
-    """``out := x * y``, bit-for-bit with ``ComplexQDArray.__mul__``.
+    """``out := x * y``, bit-for-bit with ``ComplexQDArray.__mul__``;
+    ``out`` may alias either operand."""
+    apply("cqd_mul", _complex_mul, _planes(x), _planes(y), out=_planes(out))
+    return out
 
-    All four real products land in scratch *before* the first write to
-    ``out``'s planes, so ``out`` may alias either operand.
-    """
-    a = x.real._components()
-    b = x.imag._components()
-    c = y.real._components()
-    d = y.imag._components()
-    st = plane_stack()
-    shape = op_shape(a, c)
-    fb, mark = st.take(shape, 16)
-    try:
-        ac = fb[0:4]
-        bd = fb[4:8]
-        ad = fb[8:12]
-        bc = fb[12:16]
-        _qd_mul_into(a, c, ac)
-        _qd_mul_into(b, d, bd)
-        _qd_mul_into(a, d, ad)
-        _qd_mul_into(b, c, bc)
-        _qd_sub_into(ac, bd, out.real._components())
-        _qd_add_into(ad, bc, out.imag._components())
-        return out
-    finally:
-        st.release(mark)
+
+def _planes(z: ComplexQDArray) -> tuple:
+    """The eight planes of a complex array: real c0..c3, then imag."""
+    real, imag = z.real, z.imag
+    return (real.c0, real.c1, real.c2, real.c3,
+            imag.c0, imag.c1, imag.c2, imag.c3)
+
+
+def _complex_op(kernel: str, reference, x: ComplexQDArray,
+                y: ComplexQDArray) -> ComplexQDArray:
+    return complex_qd_from_planes(apply(kernel, reference, _planes(x),
+                                        _planes(y)))
+
+
+_complex_add, _complex_sub, _complex_mul, _complex_div = complex_chains(
+    _add_planes_ref, _sub_planes_ref, _mul_planes_ref, _div_planes_ref,
+    "ComplexQDArray")

@@ -1,18 +1,23 @@
-"""Acceptance tests for the fused QD arithmetic: the speedup cannot
-silently regress.
+"""Acceptance tests for the compiled dd/qd arithmetic bench.
 
-The fast tier asserts the fused kernels beat the unfused reference chains
-by >= 1.5x on the product ops of a small batch (the addition chain has less
-to fuse -- no splits to share -- so it gets a softer floor).  The slow tier
-re-runs the end-to-end qd tracker at batch 64 and checks the >= 2x
-wall-clock win over the checked-in ``BENCH_batch_tracking.json`` baseline.
+Tier-1 checks only deterministic properties: the report's shape and the
+checked-in ``BENCH_qd_arith.json`` (per-op rows at every batch size, taken
+with the kernels loaded).  The speedup floors over those checked-in numbers
+are enforced by ``tools/check_bench.py``; no test here asserts a live
+timing ratio.  The slow tier re-runs the end-to-end qd tracker at batch 64
+and checks the >= 2x wall-clock win over the checked-in
+``BENCH_batch_tracking.json`` baseline.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.qd_arith import (
+    ARITH_BATCHES,
     QDArithRow,
     QDTrackerRow,
     baseline_qd_wall_paths_per_second,
@@ -21,28 +26,18 @@ from repro.bench.qd_arith import (
     run_qd_tracker_bench,
 )
 
+REPORT = Path(__file__).resolve().parents[2] / "BENCH_qd_arith.json"
 
-class TestFusedSpeedup:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        rows = run_qd_arith_bench(batch_sizes=(64,), repeats=7)
-        return {row.op: row for row in rows}
 
-    def test_fused_product_ops_beat_reference(self, rows):
-        for op in ("qd_mul", "cqd_mul", "qd_div"):
-            speedup = rows[op].speedup
-            assert speedup >= 1.5, f"{op} fused speedup only {speedup:.2f}x"
-
-    def test_fused_addition_does_not_regress(self, rows):
-        # Addition has no splits to share, so its fusion win is smaller;
-        # the floor only guards against the fused path becoming a loss.
-        assert rows["qd_add"].speedup >= 1.15, (
-            f"qd_add fused speedup only {rows['qd_add'].speedup:.2f}x")
-
-    def test_rows_report_consistent_units(self, rows):
-        for row in rows.values():
-            assert row.fused_ns_per_element > 0
-            assert row.unfused_ns_per_element > 0
+class TestLiveRows:
+    def test_rows_report_consistent_units(self):
+        rows = run_qd_arith_bench(batch_sizes=(8,), ops=("qd_mul", "cdd_mul"),
+                                  repeats=1)
+        assert [(row.op, row.batch) for row in rows] == [("qd_mul", 8),
+                                                          ("cdd_mul", 8)]
+        for row in rows:
+            assert row.compiled_ns_per_element > 0
+            assert row.reference_ns_per_element > 0
 
 
 class TestReportShape:
@@ -52,8 +47,8 @@ class TestReportShape:
             '{"qd": {"rows": [{"paths": 8, "wall_s": 10.0}]}}',
             encoding="utf-8")
         arith = [QDArithRow(op="qd_mul", batch=64,
-                            fused_ns_per_element=1.0,
-                            unfused_ns_per_element=2.0)]
+                            compiled_ns_per_element=1.0,
+                            reference_ns_per_element=2.0)]
         tracker = [QDTrackerRow(batch_size=64, paths_tracked=64,
                                 paths_converged=64, lane_evaluations=1000,
                                 wall_seconds=4.0)]
@@ -61,11 +56,22 @@ class TestReportShape:
         assert report["per_op"][0]["speedup"] == 2.0
         assert report["baseline_qd_paths_per_s_wall"] == 0.8
         assert report["wall_speedup_vs_baseline_at_batch_64"] == 20.0
+        assert isinstance(report["kernels_loaded"], bool)
 
     def test_missing_baseline_degrades_gracefully(self, tmp_path):
         report = qd_arith_report([], [], baseline_path=str(tmp_path / "nope.json"))
         assert "baseline_qd_paths_per_s_wall" not in report
         assert report["per_op"] == [] and report["tracker"] == []
+
+
+class TestCheckedInReport:
+    def test_rows_cover_every_op_at_every_batch_with_kernels(self):
+        report = json.loads(REPORT.read_text(encoding="utf-8"))
+        assert report["kernels_loaded"] is True
+        cells = {(row["op"], row["batch"]) for row in report["per_op"]}
+        ops = {op for op, _ in cells}
+        assert {"qd_add", "qd_mul", "qd_div", "cqd_mul", "dd_mul"} <= ops
+        assert cells == {(op, batch) for op in ops for batch in ARITH_BATCHES}
 
 
 @pytest.mark.slow
