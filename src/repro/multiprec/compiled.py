@@ -12,8 +12,10 @@ CPython extension under the user cache directory (``$XDG_CACHE_HOME`` or
 ``~/.cache``), keyed by a hash of the source, the compiler flags, the
 extension ABI tag and the platform, so later imports -- in any checkout of
 the same source -- only load the cached file.  The build writes to a
-temporary file and renames it into place, so concurrent first imports
-cannot load a half-written extension.  If the compiler is missing or the
+temporary file, flushes it to disk and renames it into place, so concurrent
+first imports cannot load a half-written extension.  A cached file that
+fails to load (truncated by a crash, or built on a host with another C
+library) is rebuilt once in place.  If the compiler is missing or the
 build fails, one :class:`RuntimeWarning` is emitted, :data:`KERNELS` is
 ``None`` and the array types run the plain NumPy reference chains instead:
 slower, with the same results.
@@ -77,30 +79,41 @@ def _build(code: bytes, target: Path) -> None:
             input=code, capture_output=True, timeout=300)
         if done.returncode != 0:
             raise RuntimeError(done.stderr.decode(errors="replace").strip())
+        with open(partial, "rb") as built:
+            os.fsync(built.fileno())
         os.replace(partial, target)
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
 
 
+def _load(target: Path):
+    spec = importlib.util.spec_from_file_location(
+        f"{__package__}._kernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_kernels(source: Path = SOURCE,
                  directory: Optional[Path] = None):
     """The compiled kernel module, built first on a cache miss.
 
-    Returns ``None`` after one :class:`RuntimeWarning` when the kernels
-    cannot be built or loaded; callers then use the reference chains.
+    A cached file that does not load is rebuilt once over itself.  Returns
+    ``None`` after one :class:`RuntimeWarning` when the kernels cannot be
+    built or loaded; callers then use the reference chains.
     """
     try:
         code = Path(source).read_bytes()
         target = (Path(directory) if directory is not None else cache_dir()) \
             / f"_kernels-{_cache_key(code)}{_SUFFIX}"
-        if not target.exists():
-            _build(code, target)
-        spec = importlib.util.spec_from_file_location(
-            f"{__package__}._kernels", target)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        if target.exists():
+            try:
+                return _load(target)
+            except ImportError:
+                pass  # truncated, or built against another C library
+        _build(code, target)
+        return _load(target)
     except (OSError, RuntimeError, ImportError,
             subprocess.SubprocessError) as exc:
         warnings.warn(f"compiled dd/qd kernels unavailable, using the NumPy "

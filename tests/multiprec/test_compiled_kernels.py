@@ -21,6 +21,7 @@ must, and a failed compile must warn once and fall back.
 from __future__ import annotations
 
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -34,11 +35,23 @@ from repro.multiprec import (
     QDArray,
     compiled,
 )
-from repro.multiprec.backend import COMPLEX_DD_BACKEND, COMPLEX_QD_BACKEND
+from repro.multiprec.backend import (
+    COMPLEX128_BACKEND,
+    COMPLEX_DD_BACKEND,
+    COMPLEX_QD_BACKEND,
+)
 from repro.multiprec.ddarray import complex_dd_mul_into
 from repro.multiprec.eft import SPLIT_THRESHOLD
-from repro.multiprec.qdarray import _renorm4, complex_qd_mul_into
-from repro.multiprec.quad_double import _renorm4 as scalar_renorm4
+from repro.multiprec.qdarray import (
+    _insert_lowest,
+    _renorm4,
+    _renorm5,
+    complex_qd_mul_into,
+)
+from repro.multiprec.quad_double import (
+    _renorm4 as scalar_renorm4,
+    _renorm5 as scalar_renorm5,
+)
 from repro.tracking import EscalationPolicy, TrackerOptions, solve_system
 
 try:
@@ -75,6 +88,13 @@ def assert_identical(got, expected) -> None:
         assert np.array_equal(np.isnan(g), np.isnan(e))
         keep = ~np.isnan(g)
         assert np.array_equal(g[keep].view(np.int64), e[keep].view(np.int64))
+
+
+def same_floats(got, expected) -> bool:
+    """Scalar tuples equal under the NaN contract."""
+    return len(got) == len(expected) and all(
+        g == e and np.signbit(g) == np.signbit(e) or (np.isnan(g) and np.isnan(e))
+        for g, e in zip(got, expected))
 
 
 def on_reference(compute):
@@ -334,6 +354,122 @@ class TestComplexKernels:
         out = tuple(np.empty(4) for _ in range(8))
         assert compiled.run("cqd_div", out + planes(x) + planes(y)) == 2
 
+    def test_qd_adversarial_ops_match_scalar_loop(self):
+        x, y = adversarial_qd(), adversarial_qd(3)
+        xs, ys = x.to_scalars(), y.to_scalars()
+        with np.errstate(all="ignore"):
+            for op in ("add", "sub", "mul"):
+                got = BINARY[op](x, y).to_scalars()
+                for lane, (mine, a, b) in enumerate(zip(got, xs, ys)):
+                    assert same_floats(mine.c, BINARY[op](a, b).c), (op, lane)
+
+
+@pytest.mark.parametrize("tier", ["kernels", "reference"])
+@pytest.mark.parametrize("backend", [COMPLEX128_BACKEND, COMPLEX_DD_BACKEND,
+                                     COMPLEX_QD_BACKEND], ids=lambda b: b.name)
+def test_backend_inplace_interface(backend, tier):
+    """The backends' in-place accumulates land exactly the out-of-place
+    expressions, through the kernels and through the reference chains."""
+    rng = np.random.default_rng(20120521)
+    z, w, f = (rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+               for _ in range(3))
+    mask = np.array([True, False, True, False, True, True, False, False])
+
+    def fresh(values):
+        return backend.from_points([list(col) for col in values.T])
+
+    def accumulate():
+        return (backend.iadd(fresh(z), fresh(w)),
+                backend.isub_mul(fresh(z), fresh(f), fresh(w)),
+                backend.iadd_mul(fresh(z), fresh(f), fresh(w)),
+                backend.iadd_masked(fresh(z), fresh(w), mask))
+
+    got = accumulate() if tier == "kernels" else on_reference(accumulate)
+    expected = on_reference(lambda: (
+        fresh(z) + fresh(w),
+        fresh(z) - fresh(f) * fresh(w),
+        fresh(z) + fresh(f) * fresh(w),
+        backend.where(mask, fresh(z) + fresh(w), fresh(z))))
+    for mine, want in zip(got, expected, strict=True):
+        assert_identical(backend.component_planes(mine),
+                         backend.component_planes(want))
+
+
+# ----------------------------------------------------------------------
+# the reference renormalisation vs the scalar branch nest
+# ----------------------------------------------------------------------
+class TestReferenceRenorm:
+    """The vectorised renorm of the reference chains -- the no-compiler
+    path and the kernels' oracle -- against the scalar branch nest."""
+
+    def test_renorms_match_scalar_on_adversarial_lanes(self):
+        comps = [ADVERSARIAL[:, i].copy() for i in range(4)]
+        extra = np.linspace(-1e-40, 1e-40, ADVERSARIAL.shape[0])
+        with np.errstate(all="ignore"):
+            vec4 = _renorm4(*comps)
+            vec5 = _renorm5(*comps, extra)
+        for lane in range(ADVERSARIAL.shape[0]):
+            row = tuple(float(c[lane]) for c in comps)
+            assert same_floats(tuple(float(c[lane]) for c in vec4),
+                               scalar_renorm4(*row)), lane
+            assert same_floats(tuple(float(c[lane]) for c in vec5),
+                               scalar_renorm5(*row, float(extra[lane]))), lane
+
+    @pytest.mark.parametrize("lead", [np.inf, np.nan])
+    def test_non_finite_lead_keeps_the_lane(self, lead):
+        with np.errstate(invalid="ignore"):
+            out = _renorm4(np.array([lead]), np.array([7.0]),
+                           np.array([8.0]), np.array([9.0]))
+        assert same_floats(tuple(float(c[0]) for c in out),
+                           (lead, 7.0, 8.0, 9.0))
+        assert same_floats(scalar_renorm4(lead, 7.0, 8.0, 9.0),
+                           (lead, 7.0, 8.0, 9.0))
+
+    def test_constructor_keeps_non_finite_lanes_on_both_tiers(self):
+        comps = (np.array([np.nan, np.inf, 1.0]), np.array([1.0, 2.0, 1e-17]),
+                 np.array([2.0, 3.0, 0.0]), np.array([3.0, 4.0, 0.0]))
+
+        def construct():
+            with np.errstate(all="ignore"):
+                return QDArray(*(c.copy() for c in comps))
+
+        got = construct()
+        assert_identical(got, on_reference(construct))
+        assert np.isnan(got.c0[0]) and got.c1[0] == 1.0
+        assert got.c0[1] == np.inf and got.c1[1] == 2.0
+
+    def test_nan_error_advances_the_insertion_pointer(self):
+        # quick_two_sum(1.0, NaN) leaves a NaN error, and the scalar nest's
+        # `if s2 != 0.0` descends on NaN; the insertion must advance too.
+        s = [np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.0])]
+        with np.errstate(invalid="ignore"):
+            ptr = _insert_lowest(s, np.array([0]), np.array([np.nan]))
+        assert int(ptr[0]) == 1
+        assert np.isnan(s[0][0]) and np.isnan(s[1][0])
+
+    def test_zero_error_keeps_the_insertion_pointer(self):
+        s = [np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.0])]
+        ptr = _insert_lowest(s, np.array([0]), np.array([0.5]))
+        assert int(ptr[0]) == 0  # 1.0 + 0.5 is exact: no error
+        assert float(s[0][0]) == 1.5
+
+    def test_mid_insertion_nan_matches_scalar(self):
+        # A finite lead with an inner inf: the prologue makes NaN errors
+        # that flow through the insertion loop.
+        c = (1.0, 1e-20, np.inf, 1.0)
+
+        def construct():
+            with np.errstate(all="ignore"):
+                return QDArray(*(np.array([v]) for v in c))
+
+        with np.errstate(all="ignore"):
+            vec = _renorm5(*(np.array([v]) for v in c), np.array([1.0]))
+        assert same_floats(tuple(float(p[0]) for p in vec),
+                           scalar_renorm5(*c, 1.0))
+        assert_identical(construct(), on_reference(construct))
+        assert same_floats(tuple(float(p[0]) for p in construct()._components()),
+                           scalar_renorm4(*c))
+
 
 @requires_kernels
 class TestPlaneLayouts:
@@ -366,6 +502,41 @@ class TestPlaneLayouts:
                          on_reference(lambda: strided + other))
         row = y[0]
         assert_identical(x * row, on_reference(lambda: x * row))
+
+    def test_strided_planes_take_the_reference(self):
+        x, y = random_qd(32), random_qd(33)
+        strided, other = x[::2], y[1::2]
+        out = tuple(np.empty(strided.shape) for _ in range(4))
+        assert compiled.run("qd_mul", out + planes(strided)
+                            + planes(other)) is None
+        assert_identical(strided * other, on_reference(lambda: strided * other))
+
+    def test_output_may_be_the_same_plane_as_an_input(self):
+        x, y = random_qd(34), random_qd(35)
+        expected = x + y
+        assert compiled.run("qd_add", planes(x) + planes(x) + planes(y)) == 0
+        assert_identical(x, expected)
+
+    @pytest.mark.parametrize("make", [random_qd, random_dd, random_cqd,
+                                      random_cdd],
+                             ids=["qd", "dd", "cqd", "cdd"])
+    def test_overlapping_inplace_operands(self, make):
+        x = make(36)
+        acc = x.copy()
+        acc[1:].iadd_(acc[:-1])
+        assert_identical(acc[1:], on_reference(lambda: x[1:] + x[:-1]))
+        acc = x.copy()
+        acc.iadd_(acc[::-1])
+        assert_identical(acc, on_reference(lambda: x + x[::-1]))
+
+    def test_shifted_out_of_mul_into(self):
+        buffer, y = random_cqd(37, size=25), random_cqd(38, size=24)
+        x, out = buffer[:-1], buffer[1:]
+        expected = on_reference(lambda: x * y)
+        assert compiled.run("cqd_mul", planes(out) + planes(x)
+                            + planes(y)) is None
+        complex_qd_mul_into(out, x, y)
+        assert_identical(out, expected)
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +586,24 @@ class TestBuildCache:
         again = compiled.load_kernels(directory=tmp_path)
         assert again is not None and hasattr(again, "cqd_mul")
         assert sorted(tmp_path.iterdir()) == built
+
+    def test_corrupt_cached_file_is_rebuilt(self, tmp_path, monkeypatch):
+        code = compiled.SOURCE.read_bytes()
+        target = tmp_path / f"_kernels-{compiled._cache_key(code)}" \
+                            f"{compiled._SUFFIX}"
+        target.write_bytes(b"\x7fELF truncated")
+        builds = []
+        real_build = compiled._build
+        monkeypatch.setattr(compiled, "_build",
+                            lambda code, target: (builds.append(target),
+                                                  real_build(code, target)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            module = compiled.load_kernels(directory=tmp_path)
+        assert module is not None and hasattr(module, "cqd_mul")
+        assert builds == [target]
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert target.stat().st_size > 1000
 
     def test_changed_source_rebuilds(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -475,3 +664,18 @@ if HAVE_HYPOTHESIS:
                 for a, b in ((x, y), (z, z)):
                     compute = lambda: apply(a, b)  # noqa: E731
                     assert_identical(compute(), on_reference(compute))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(any_component, any_component,
+                              any_component, any_component),
+                    min_size=1, max_size=8))
+    def test_hypothesis_renorm_matches_scalar(rows):
+        comps = np.array(rows)
+        with np.errstate(all="ignore"):
+            reference = _renorm4(*(comps[:, i].copy() for i in range(4)))
+            constructed = QDArray(*(comps[:, i].copy() for i in range(4)))
+        for lane, row in enumerate(rows):
+            want = scalar_renorm4(*row)
+            assert same_floats(tuple(float(c[lane]) for c in reference), want)
+            assert same_floats(tuple(float(c[lane])
+                                     for c in constructed._components()), want)
