@@ -16,13 +16,16 @@
  * Calling convention (METH_FASTCALL): the read-write planes, then the
  * write-only planes, then the read-only planes, then (masked kernels only)
  * a bool mask -- each an object exporting the buffer protocol with one
- * common shape.  A plane is C-contiguous or (inputs only) fully broadcast
- * with every stride zero.  Each lane's inputs are read before its outputs
- * are written, so an output plane may be the very same plane as an input;
- * an output that overlaps another plane in any other way is refused.  A
- * kernel returns the number of lanes with a zero denominator (always 0
- * outside the complex divisions), or NotImplemented when a plane does not
- * fit these rules; the caller then runs the reference chain instead.
+ * common shape.  A plane is C-contiguous, one-dimensional with any stride
+ * (a row of the column-major arrays NumPy returns for a lane gather
+ * x[:, idx], which the batched Newton corrector evaluates), or (inputs
+ * only) fully broadcast with every stride zero.  Each lane's inputs are
+ * read before its outputs are written, so an output plane may be the very
+ * same plane as an input; an output whose byte range overlaps another
+ * plane in any other way is refused.  A kernel returns the number of lanes
+ * with a zero denominator (always 0 outside the complex divisions), or
+ * NotImplemented when a plane does not fit these rules; the caller then
+ * runs the reference chain instead.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -466,6 +469,8 @@ static int acquire(PyObject *obj, Py_buffer *view, int writable, char kind,
         *step = itemsize;
     else if (broadcast && !writable)
         *step = 0;
+    else if (view->ndim == 1)
+        *step = view->strides[0];
     else
         goto reject;
     return 1;
@@ -486,21 +491,24 @@ static int same_shape(const Py_buffer *a, const Py_buffer *b)
 }
 
 /* Whether each output plane, against every other plane, either coincides
- * with it lane for lane (same base and step) or shares no byte with it.
- * Any other overlap would let a later lane read what an earlier lane has
- * already written. */
+ * with it lane for lane (same base and step) or spans a disjoint byte
+ * range.  Any other overlap could let a later lane read what an earlier
+ * lane has already written. */
 static int outputs_separate(const Py_buffer *views, char *const *base,
                             const Py_ssize_t *step, int n_out, int total,
                             Py_ssize_t lanes)
 {
-    char *end[MAX_PLANES];
+    char *lo[MAX_PLANES], *hi[MAX_PLANES];
     int i, j;
 
-    for (j = 0; j < total; j++)
-        end[j] = base[j] + (lanes - 1) * step[j] + views[j].itemsize;
+    for (j = 0; j < total; j++) {
+        char *last = base[j] + (lanes - 1) * step[j];
+        lo[j] = step[j] < 0 ? last : base[j];
+        hi[j] = (step[j] < 0 ? base[j] : last) + views[j].itemsize;
+    }
     for (i = 0; i < n_out; i++)
         for (j = 0; j < total; j++)
-            if (j != i && base[i] < end[j] && base[j] < end[i]
+            if (j != i && lo[i] < hi[j] && lo[j] < hi[i]
                     && (base[j] != base[i] || step[j] != step[i]))
                 return 0;
     return 1;

@@ -12,10 +12,13 @@ on adversarial lanes too: overlapping components, signed zeros, subnormals,
 magnitudes past the Dekker split threshold, inf and NaN.  The NaN contract:
 NaN sits at the same positions, and every other element is bit-identical
 (a NaN's sign bit may differ, since the compiler may commute ``a + b``).
+The reference chains' own renormalisation is pinned against the scalar
+branch nest, since it is both the no-compiler path and the oracle.
 
 The build tests drive :func:`repro.multiprec.compiled.load_kernels` against
 a temporary cache directory: a cache hit must not rebuild, a changed source
-must, and a failed compile must warn once and fall back.
+or a corrupt cached file must, and a failed compile must warn once and fall
+back.
 """
 
 from __future__ import annotations
@@ -503,13 +506,25 @@ class TestPlaneLayouts:
         row = y[0]
         assert_identical(x * row, on_reference(lambda: x * row))
 
-    def test_strided_planes_take_the_reference(self):
-        x, y = random_qd(32), random_qd(33)
-        strided, other = x[::2], y[1::2]
-        out = tuple(np.empty(strided.shape) for _ in range(4))
-        assert compiled.run("qd_mul", out + planes(strided)
-                            + planes(other)) is None
-        assert_identical(strided * other, on_reference(lambda: strided * other))
+    def test_rows_of_a_lane_gather_run_the_kernels(self):
+        # NumPy lays out `x[:, idx]` column-major, so every row the batched
+        # Newton corrector's evaluation plan multiplies is a strided plane.
+        x = ComplexQDArray(*(QDArray(*(c.reshape(4, 6) for c in
+                                       random_qd(seed)._components()))
+                             for seed in (32, 33)))
+        live = x[:, np.array([0, 2, 3, 5])]
+        a, b = live[0], live[1]
+        assert a.real.c0.strides == (4 * 8,)
+        out = tuple(np.empty(a.shape) for _ in range(8))
+        assert compiled.run("cqd_mul", out + planes(a) + planes(b)) == 0
+        assert_identical(out, on_reference(lambda: a * b))
+
+    def test_reversed_input_runs_the_kernels(self):
+        x, y = random_qd(33), random_qd(34)
+        back = x[::-1]
+        out = tuple(np.empty(x.shape) for _ in range(4))
+        assert compiled.run("qd_add", out + planes(back) + planes(y)) == 0
+        assert_identical(out, on_reference(lambda: back + y))
 
     def test_output_may_be_the_same_plane_as_an_input(self):
         x, y = random_qd(34), random_qd(35)
@@ -528,6 +543,9 @@ class TestPlaneLayouts:
         acc = x.copy()
         acc.iadd_(acc[::-1])
         assert_identical(acc, on_reference(lambda: x + x[::-1]))
+        acc = x.copy()
+        acc[4:8].iadd_(acc[5:1:-1])
+        assert_identical(acc[4:8], on_reference(lambda: x[4:8] + x[5:1:-1]))
 
     def test_shifted_out_of_mul_into(self):
         buffer, y = random_cqd(37, size=25), random_cqd(38, size=24)
