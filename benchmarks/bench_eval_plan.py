@@ -14,7 +14,7 @@ This benchmark reports
 * end-to-end qd ``BatchTracker`` wall seconds with plans on and off;
 * the plan-arena A/B: the same tracker workload with plans on both ways and
   only :func:`repro.core.evalplan.use_plan_arenas` toggled, with arena
-  hit/miss/resize and step-cache counters, plus steady-state numpy
+  hit/miss/resize and execution counters, plus steady-state numpy
   allocations per batched evaluation for walk / plans / plans+arenas.
 
 Run as a script (``python benchmarks/bench_eval_plan.py [--json PATH]``) or

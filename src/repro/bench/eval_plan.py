@@ -21,10 +21,10 @@ Three measurements back the evaluation-plan work (see
    paths/sec both ways.
 4. **Arena executor A/B** (:func:`run_arena_tracker_bench`): the same
    tracked workload with plans on both ways, toggling only
-   :func:`~repro.core.evalplan.use_plan_arenas` -- persistent plan-owned
-   buffers plus the step-scoped power-table cache against the PR 5
-   allocating plan path -- with the arena hit/miss/resize and step-cache
-   counters of the winning run.
+   :func:`~repro.core.evalplan.use_plan_arenas` -- the plan tape over its
+   persistent plan-owned slot buffer (one native call per evaluation)
+   against the PR 5 allocating plan path -- with the arena hit/miss/resize
+   and execution counters of the winning run.
 5. **Allocations per evaluation** (:func:`run_allocation_bench`): NumPy
    constructor-family calls (``np.empty`` / ``zeros`` / ``ones`` /
    ``full`` and their ``_like`` variants) per ``evaluate_batch``, for the
@@ -136,9 +136,6 @@ class ArenaTrackerRow:
     arena_hits: int = 0
     arena_misses: int = 0
     arena_resizes: int = 0
-    step_cache_hits: int = 0
-    step_cache_misses: int = 0
-    plane_builds: int = 0
     executions: int = 0
 
     @property
@@ -158,9 +155,6 @@ class ArenaTrackerRow:
             "arena_hits": self.arena_hits,
             "arena_misses": self.arena_misses,
             "arena_resizes": self.arena_resizes,
-            "step_cache_hits": self.step_cache_hits,
-            "step_cache_misses": self.step_cache_misses,
-            "plane_builds": self.plane_builds,
             "executions": self.executions,
         }
 
@@ -270,10 +264,8 @@ def run_arena_tracker_bench(context: NumericContext = QUAD_DOUBLE,
     """Track the cyclic quadratic workload with plans on, arenas on vs off.
 
     Both arms execute the identical compiled schedule under the tangent
-    predictor -- the configuration the step-scoped row cache targets (the
-    predictor re-evaluates at the corrector's accepted points); the toggle
-    trades only where the buffers live (persistent arena slots + per-lane
-    row reuse vs fresh allocations per call).  Wall seconds take the best
+    predictor; the toggle trades the plan tape over persistent slot
+    buffers against fresh allocations per call.  Wall seconds take the best
     of ``repeats`` full runs; the arms are interleaved within each repeat
     so slow machine-load drift hits both equally, and the counters come
     from the winning run.
@@ -301,7 +293,6 @@ def run_arena_tracker_bench(context: NumericContext = QUAD_DOUBLE,
     for use_arenas in arms:
         tracker, outcome = best[use_arenas]
         plan = tracker.homotopy.plan
-        stats = plan.exec_stats
         rows.append(ArenaTrackerRow(
             context=context.name,
             batch_size=batch_size or len(starts),
@@ -312,10 +303,7 @@ def run_arena_tracker_bench(context: NumericContext = QUAD_DOUBLE,
             arena_hits=plan.arena.hits,
             arena_misses=plan.arena.misses,
             arena_resizes=plan.arena.resizes,
-            step_cache_hits=stats.step_cache_hits,
-            step_cache_misses=stats.step_cache_misses,
-            plane_builds=stats.plane_builds,
-            executions=stats.executions,
+            executions=plan.exec_stats.executions,
         ))
     return rows
 

@@ -261,9 +261,8 @@ class VectorisedBatchEvaluator:
 
     @property
     def plan_execution_stats(self):
-        """Arena-executor counters of the compiled plan: executions, plane
-        builds, power-table entries executed, step-cache hits/misses.
-        Compiles the plan on first access."""
+        """Execution counters of the compiled plan.  Compiles the plan on
+        first access."""
         return self.plan.exec_stats
 
     def evaluate(self, points) -> BatchSystemEvaluation:

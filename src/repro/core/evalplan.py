@@ -60,6 +60,10 @@ multiply chain) next to the matching counts of the walk path, which is how
 plan never schedules more work than the walk and wins >= 1.5x on workloads
 with shared supports.
 
+Executions run the schedule lowered once more to an instruction tape
+(:mod:`repro.core.tape`): one native call per evaluation where the compiled
+kernels serve the backend, else a Python loop over the same instructions.
+
 The module-wide toggle (:func:`use_eval_plans`, default on) keeps the walk
 path as the differential reference; flipping it only trades execution
 schedule, never results.
@@ -80,6 +84,7 @@ from ..multiprec.backend import ComplexBatchBackend, backend_for_context
 from ..multiprec.numeric import DOUBLE, NumericContext
 from ..polynomials.speelpenning import speelpenning_gradient
 from ..polynomials.system import PolynomialSystem
+from .tape import TapeRunner, lower
 
 __all__ = [
     "EvaluationPlan",
@@ -207,7 +212,7 @@ def use_homotopy_compile_cache(enabled: bool):
     With the cache on (the default), two :class:`HomotopyPlan` instances
     over the same ``(start, target)`` coefficient structure share their
     compiled schedules, plane specs and op counts -- only the per-instance
-    execution state (arena buffers, step cache) is rebuilt, so instances
+    execution state (the slot buffer, the bound gamma) is rebuilt, so instances
     stay safe to drive from different threads.  The artifacts are
     deterministic functions of the key, so the toggle trades compile time
     only, never results; it exists for the family-serving benchmark's
@@ -304,27 +309,12 @@ class PlanOpCounts:
 
 @dataclass
 class PlanExecutionStats:
-    """Run-time counters of one plan's executions (arena path).
-
-    ``power_entries`` counts the power-table entries actually *built*; a
-    step-cache hit (the predictor re-evaluating at the corrector's accepted
-    point inside one :meth:`~_PlanExecutor.step_scope`) reuses the previous
-    execution's ladders and builds none, which is what the tier-1
-    power-table-reuse test asserts.
-    """
+    """Run-time counters of one plan's tape executions."""
 
     executions: int = 0
-    plane_builds: int = 0
-    power_entries: int = 0
-    step_cache_hits: int = 0
-    step_cache_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {"executions": self.executions,
-                "plane_builds": self.plane_builds,
-                "power_entries": self.power_entries,
-                "step_cache_hits": self.step_cache_hits,
-                "step_cache_misses": self.step_cache_misses}
+        return {"executions": self.executions}
 
 
 def walk_op_counts(system: PolynomialSystem) -> PlanOpCounts:
@@ -679,17 +669,6 @@ class _Compiler:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-def _row_cache_layout(tag: str, schedules: List["_PolySchedule"]
-                      ) -> List[tuple]:
-    """Arena slot keys of a compiled system's accumulator rows, in a fixed
-    order (value rows first, then the sparse Jacobian entries): the unit
-    of the step-scoped per-lane row cache."""
-    layout: List[tuple] = [(tag, "val", i) for i in range(len(schedules))]
-    for i, schedule in enumerate(schedules):
-        layout.extend((tag, "jac", i, p) for p in sorted(schedule.jacobian))
-    return layout
-
-
 class PlanArena:
     """Plan-owned persistent buffers for compiled-schedule execution.
 
@@ -697,9 +676,9 @@ class PlanArena:
     same op graph every call, so the buffers it needs -- result rows, term
     planes, blend scratch -- have statically known lifetimes: they are live
     from the start of one execution to the start of the next.  The arena
-    holds exactly those buffers, keyed by a name the schedule derives from
-    the op graph, sized once at first execution for a given lane count and
-    reused across every corrector iteration and predictor call thereafter.
+    holds exactly those buffers (the plan tape's slot buffer), sized once at
+    first execution for a given lane count and reused across every
+    corrector iteration and predictor call thereafter.
 
     ``ensure(lanes)`` re-sizes (drops every slot) only when the lane count
     changes, e.g. after lane compression; the drop is counted in
@@ -765,280 +744,37 @@ class _PlanExecutor:
 
     Two execution modes share the compiled schedules:
 
-    * the **allocating** path (arenas off) builds fresh arrays per call --
-      the PR 5 behaviour, kept as the A/B reference;
-    * the **arena** path (default) lands every plane and accumulator row in
-      this plan's persistent :class:`PlanArena` through the backend's
-      ``*_into`` operations.  Slots are keyed by the op
-      graph, sized at the first execution for a lane count, and re-sized
-      only when the lane count changes (lane compression).  Buffers handed
-      out of an execution stay arena-owned: they are valid until the next
-      execution of the same plan, and callers may freely mutate them in
-      between (the batched linear solver does) because every execution
-      fully overwrites every row it returns.
-
-    Inside a :meth:`step_scope`, executions remember the accumulated
-    system rows *per lane*, keyed by the byte-exact column of that lane's
-    points.  The rows (values and Jacobian entries of each compiled
-    system) are functions of the points alone -- the homotopy parameter
-    ``t`` enters only the blend weights -- and every batched kernel is
-    element-wise across lanes, so a lane's rows at a given column are the
-    same bits no matter which batch they were computed in.  When every
-    lane of an execution hits the cache, the rows are gathered back into
-    the arena slots and the plane build plus both accumulation passes are
-    skipped outright; this is how the tangent predictor's evaluation at
-    the corrector's accepted points (just evaluated, in a differently
-    compressed batch) becomes a pure dedup.  The cache stores copies, so
-    the solver mutating returned rows in place cannot corrupt it, and the
-    content key makes stale hits impossible by construction.
+    * the **tape** (arenas on, the default): the schedule lowered once to
+      an instruction tape (:mod:`repro.core.tape`) and run in one native
+      call per evaluation, or through the backend's ``*_into`` methods
+      where no native tape applies.  Every row lands in a slot buffer the
+      plan owns (its :attr:`arena`), sized for a lane count and re-sized
+      only when the lane count changes.  Returned rows stay plan-owned:
+      valid, and freely mutable (the batched linear solver writes into
+      them), until the next execution of the same plan, which rewrites
+      every row it returns;
+    * the **allocating** path (arenas off) builds fresh arrays per call,
+      kept as the A/B reference.
     """
 
     backend: ComplexBatchBackend
     _specs: List[tuple]
 
-    def _init_execution_state(self) -> None:
+    def _init_execution_state(self, tape, gamma=None) -> None:
+        self._tape = tape
         self._arena = PlanArena()
+        self._runner = TapeRunner(tape, self.backend, self._arena, gamma)
         self.exec_stats = PlanExecutionStats()
-        self._step_depth = 0
-        #: lane column bytes -> (rows, components) float matrix of that
-        #: lane's accumulated system rows (copies, content-addressed).
-        self._lane_cache: Dict[bytes, np.ndarray] = {}
 
     @property
     def arena(self) -> PlanArena:
         """This plan's persistent buffer arena (hit/miss/resize counters)."""
         return self._arena
 
-    @contextmanager
-    def step_scope(self):
-        """Open a per-lane row cache across executions of this plan.
-
-        The tracker wraps each batch-tracking run in this scope so the
-        tangent predictor's evaluation at the corrector's accepted points
-        reuses the corrector's already-accumulated system rows -- power
-        ladders, term planes and accumulation passes are skipped when
-        every lane of the batch was evaluated before (the rows are
-        bit-for-bit identical by construction since every kernel is
-        element-wise across lanes).  Scopes nest; the cache drops when the
-        outermost scope closes.  Lane compression cannot go stale: the
-        cache is keyed by lane *content*, not batch shape.
-        """
-        self._step_depth += 1
-        try:
-            yield self
-        finally:
-            self._step_depth -= 1
-            if self._step_depth == 0:
-                self._lane_cache.clear()
-
-    def _lane_keys(self, points) -> Optional[List[bytes]]:
-        """Byte-exact per-lane keys of a point batch (None: no planes)."""
-        planes = self.backend.component_planes(points)
-        if planes is None:
-            return None
-        stacked = np.stack([np.asarray(p) for p in planes])
-        columns = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
-        return [columns[lane].tobytes() for lane in range(columns.shape[0])]
-
-    def _row_slots(self, lanes: int) -> List:
-        """The arena slots of every cacheable accumulator row, in the
-        fixed ``self._cache_layout`` order."""
-        factory = self._zeros_factory(lanes)
-        slot = self._arena.slot
-        return [slot(key, factory) for key in self._cache_layout]
-
-    def _step_lookup(self, points, lanes: int) -> Tuple[Optional[List[bytes]],
-                                                        Optional[List]]:
-        """Row-cache probe: ``(keys, rows)``; rows are the filled arena
-        slots on an all-lane hit, None on a miss (or outside a scope)."""
-        if self._step_depth <= 0:
-            return None, None
-        keys = self._lane_keys(points)
-        if keys is None:
-            return None, None
-        cache = self._lane_cache
-        if cache:
-            try:
-                data = np.stack([cache[key] for key in keys], axis=-1)
-            except KeyError:
-                data = None
-            if data is not None:
-                rows = self._row_slots(lanes)
-                backend = self.backend
-                for r, row in enumerate(rows):
-                    for c, plane in enumerate(backend.component_planes(row)):
-                        np.asarray(plane)[...] = data[r, c]
-                self.exec_stats.step_cache_hits += 1
-                return keys, rows
-        self.exec_stats.step_cache_misses += 1
-        return keys, None
-
-    def _step_store(self, keys: List[bytes], rows: List) -> None:
-        """Snapshot freshly accumulated rows into the per-lane cache.
-
-        Copies are taken *before* the rows are handed out, so the blend
-        and the batched solver mutating them in place (both do) cannot
-        reach the cached bits.
-        """
-        backend = self.backend
-        data = np.stack([np.stack([np.asarray(p) for p in
-                                   backend.component_planes(row)])
-                         for row in rows])
-        per_lane = np.ascontiguousarray(np.moveaxis(data, -1, 0))
-        cache = self._lane_cache
-        if len(cache) > 1024:  # generational cap: hits come from the
-            cache.clear()      # current round, not deep history
-        for lane, key in enumerate(keys):
-            cache[key] = per_lane[lane]
-
-    def _zeros_factory(self, lanes: int):
-        return lambda: self.backend.zeros((lanes,))
-
-    def _planes_for(self, points, lanes: int) -> List:
-        """Arena-path plane building (row-cache misses land here)."""
-        self.exec_stats.plane_builds += 1
-        return self._compute_planes_arena(points, lanes)
-
-    def _pow_into(self, out, base, exponent: int):
-        """``base ** exponent`` landed in ``out``, replaying ``__pow__``.
-
-        The ``d`` backend's ``**`` is a single ``np.power`` ufunc; the
-        multiprecision arrays run the binary ladder, replayed here through
-        ``mul_into`` with the running square in a shared arena slot.  The
-        ladder's final (unused) squaring is skipped -- it never reaches the
-        result, so the landed bits are identical.
-        """
-        backend = self.backend
-        if isinstance(out, np.ndarray):
-            # ndarray.__pow__ special-cases exponent 2 as np.square, whose
-            # complex product differs in the last bit from npy_cpow.
-            if exponent == 2:
-                np.square(base, out=out)
-            else:
-                np.power(base, exponent, out=out)
-            return out
-        arena = self._arena
-        lanes = self._arena.lanes
-        square = arena.slot(("pow-square",), self._zeros_factory(lanes))
-        backend.copy_into(square, base)
-        result = None
-        e = int(exponent)
-        while e:
-            if e & 1:
-                # The ladder's first accumulation is `one * square`, an
-                # exact identity in every plane arithmetic: land it as a
-                # copy (the walk's `x ** 2` is one squaring, not two
-                # multiplies).  `out` is a distinct slot, so the running
-                # square keeps squaring undisturbed.
-                result = (backend.copy_into(out, square) if result is None
-                          else backend.mul_into(out, result, square))
-            e >>= 1
-            if e:
-                backend.mul_into(square, square, square)
-        if result is None:  # exponent 0: the constant-one plane
-            ones = arena.slot(("pow-ones",),
-                              lambda: backend.ones((lanes,)))
-            result = backend.copy_into(out, ones)
-        return result
-
-    def _compute_planes_arena(self, points, lanes: int) -> List:
-        backend = self.backend
-        arena = self._arena
-        factory = self._zeros_factory(lanes)
-        planes: List = [None] * len(self._specs)
-        for pid, spec in enumerate(self._specs):
-            kind = spec[0]
-            if kind == "row":
-                planes[pid] = points[spec[1]]
-            elif kind == "power":
-                slot = arena.slot(("plane", pid), factory)
-                planes[pid] = self._pow_into(slot, planes[spec[1]], spec[2])
-                self.exec_stats.power_entries += 1
-            elif kind == "sweep":
-                factors = [planes[rp] for rp in spec[1]]
-                planes[pid] = speelpenning_gradient(factors)[0]
-            elif kind == "grad":
-                planes[pid] = planes[spec[1]][spec[2]]
-            elif kind == "chain":
-                slot = arena.slot(("plane", pid), factory)
-                powers = spec[1]
-                acc = backend.mul_into(slot, planes[powers[0]],
-                                       planes[powers[1]])
-                for power in powers[2:]:
-                    acc = backend.mul_into(slot, acc, planes[power])
-                planes[pid] = acc
-            else:  # "mul"
-                slot = arena.slot(("plane", pid), factory)
-                planes[pid] = backend.mul_into(
-                    slot,
-                    self._atom_arena(spec[1], planes, lanes),
-                    self._atom_arena(spec[2], planes, lanes))
-        return planes
-
-    def _atom_arena(self, atom: tuple, planes: List, lanes: int):
-        kind, payload = atom
-        if kind == "plane":
-            return planes[payload]
-        if kind == "scalar":
-            return payload
-        # "full": constant rows never change value -- fill once per sizing.
-        backend = self.backend
-        return self._arena.slot(("const", payload),
-                                lambda: backend.full((lanes,), payload))
-
-    def _run_entries_into(self, entries: List[tuple], planes: List,
-                          lanes: int, out):
-        backend = self.backend
-        acc = None
-        for entry in entries:
-            kind = entry[0]
-            if kind == "seed":  # always a ("full", z) constant atom
-                acc = backend.full_into(out, entry[1][1])
-            elif kind == "seed_copy":
-                acc = backend.copy_into(out, planes[entry[1]])
-            elif kind == "seed_mul":
-                acc = backend.mul_into(out,
-                                       self._atom_arena(entry[1], planes, lanes),
-                                       self._atom_arena(entry[2], planes, lanes))
-            elif kind == "add":
-                acc = backend.iadd(acc, self._atom_arena(entry[1], planes, lanes))
-            else:  # "add_mul"
-                acc = backend.iadd_mul(acc,
-                                       self._atom_arena(entry[1], planes, lanes),
-                                       self._atom_arena(entry[2], planes, lanes))
-        return acc
-
-    def _run_system_into(self, schedules: List[_PolySchedule], planes: List,
-                         lanes: int, tag: str
-                         ) -> Tuple[List, List[Dict[int, object]]]:
-        backend = self.backend
-        arena = self._arena
-        factory = self._zeros_factory(lanes)
-        values: List = []
-        rows: List[Dict[int, object]] = []
-        for i, schedule in enumerate(schedules):
-            slot = arena.slot((tag, "val", i), factory)
-            if schedule.value:
-                values.append(self._run_entries_into(schedule.value, planes,
-                                                     lanes, slot))
-            else:
-                values.append(backend.zero_into(slot))
-            row: Dict[int, object] = {}
-            for p, entries in schedule.jacobian.items():
-                jslot = arena.slot((tag, "jac", i, p), factory)
-                row[p] = self._run_entries_into(entries, planes, lanes, jslot)
-            rows.append(row)
-        return values, rows
-
-    def _zero_row(self, tag: str, i: int, j: int, lanes: int):
-        """A structurally zero Jacobian entry, re-zeroed every execution.
-
-        The batched solver mutates returned rows in place (``copy=False``),
-        so a persistent zero row must be scrubbed per call, not trusted.
-        """
-        slot = self._arena.slot((tag, "jzero", i, j),
-                                self._zeros_factory(lanes))
-        return self.backend.zero_into(slot)
+    @property
+    def tape(self):
+        """The compiled :class:`~repro.core.tape.Tape` this plan runs."""
+        return self._tape
 
     def _atom(self, atom: tuple, planes: List, lanes: int):
         kind, payload = atom
@@ -1142,8 +878,8 @@ class EvaluationPlan(_PlanExecutor):
         self.op_counts = compiler.op_counts([self._schedules])
         self.walk_counts = walk_op_counts(system)
         self.statistics = compiler.statistics()
-        self._cache_layout = _row_cache_layout("s", self._schedules)
-        self._init_execution_state()
+        self._init_execution_state(lower(compiler.specs, [self._schedules],
+                                         self.dimension))
 
     def execute(self, points) -> Tuple[List, List[List]]:
         """Evaluate at an ``(n, B)`` lane batch; returns (values, jacobian).
@@ -1153,30 +889,13 @@ class EvaluationPlan(_PlanExecutor):
         ``execute`` call, which overwrites them.
         """
         require_lane_batch(points, self.dimension)
+        if plan_arenas_enabled():
+            values, jacobian, _ = self._runner.run(points)
+            self.exec_stats.executions += 1
+            return values, jacobian
         backend = self.backend
         n = self.dimension
         lanes = points.shape[1]
-        if plan_arenas_enabled():
-            self._arena.ensure(lanes)
-            keys, cached = self._step_lookup(points, lanes)
-            if cached is not None:
-                mapping = dict(zip(self._cache_layout, cached))
-                values = [mapping[("s", "val", i)] for i in range(n)]
-                rows = [{p: mapping[("s", "jac", i, p)]
-                         for p in schedule.jacobian}
-                        for i, schedule in enumerate(self._schedules)]
-            else:
-                planes = self._planes_for(points, lanes)
-                values, rows = self._run_system_into(self._schedules, planes,
-                                                     lanes, "s")
-                if keys is not None:
-                    self._step_store(keys, self._row_slots(lanes))
-            jacobian = [[row[j] if j in row else self._zero_row("s", i, j,
-                                                                lanes)
-                         for j in range(n)]
-                        for i, row in enumerate(rows)]
-            self.exec_stats.executions += 1
-            return values, jacobian
         planes = self._compute_planes(points)
         values, rows = self._run_system(self._schedules, planes, lanes)
         jacobian = [[row[j] if j in row else backend.zeros((lanes,))
@@ -1217,8 +936,7 @@ class HomotopyPlan(_PlanExecutor):
         self._jac_union = compiled["jac_union"]
         self.op_counts = compiled["op_counts"]
         self.walk_counts = compiled["walk_counts"]
-        self._cache_layout = compiled["cache_layout"]
-        self._init_execution_state()
+        self._init_execution_state(compiled["tape"], self.gamma)
 
     @staticmethod
     def _compile_artifacts(start_system: PolynomialSystem,
@@ -1226,10 +944,11 @@ class HomotopyPlan(_PlanExecutor):
         """Compile the pair, reusing the family-keyed cache when enabled.
 
         The artifacts -- schedules, plane specs, Jacobian union, op counts
-        -- are deterministic in the two systems' coefficient structure and
-        are strictly read-only at execution time, so instances may share
-        them; everything mutable (arena, step cache, statistics counters)
-        lives in per-instance execution state.  This is what lets a
+        and the lowered tape -- are deterministic in the two systems'
+        coefficient structure and are strictly read-only at execution time,
+        so instances may share them; everything mutable (the slot buffer,
+        the bound gamma, statistics counters) lives in per-instance
+        execution state.  This is what lets a
         parameter-homotopy family compile its member plan once and serve
         every subsequent query from the cache.
         """
@@ -1274,8 +993,8 @@ class HomotopyPlan(_PlanExecutor):
             "op_counts": accumulation + PlanOpCounts(blend_muls, blend_adds),
             "walk_counts": homotopy_walk_op_counts(start_system,
                                                    target_system),
-            "cache_layout": (_row_cache_layout("g", g_schedules)
-                             + _row_cache_layout("f", f_schedules)),
+            "tape": lower(compiler.specs, [g_schedules, f_schedules], n,
+                          jac_union),
         }
         if _COMPILE_CACHE_ENABLED:
             with _COMPILE_CACHE_LOCK:
@@ -1295,66 +1014,26 @@ class HomotopyPlan(_PlanExecutor):
             raise ConfigurationError("this HomotopyPlan was compiled without "
                                      "a gamma; pass one at construction")
         require_lane_batch(points, self.dimension)
+        t = np.asarray(t, dtype=np.float64)
+        if plan_arenas_enabled():
+            result = self._runner.run(points, t)
+            self.exec_stats.executions += 1
+            return result
         backend = self.backend
         n = self.dimension
         lanes = points.shape[1]
-        arenas = plan_arenas_enabled()
+        planes = self._compute_planes(points)
+        g_values, g_rows = self._run_system(self._g_schedules, planes, lanes)
+        f_values, f_rows = self._run_system(self._f_schedules, planes, lanes)
 
-        if arenas:
-            self._arena.ensure(lanes)
-            keys, cached = self._step_lookup(points, lanes)
-            if cached is not None:
-                mapping = dict(zip(self._cache_layout, cached))
-                g_values = [mapping[("g", "val", i)] for i in range(n)]
-                f_values = [mapping[("f", "val", i)] for i in range(n)]
-                g_rows = [{p: mapping[("g", "jac", i, p)]
-                           for p in schedule.jacobian}
-                          for i, schedule in enumerate(self._g_schedules)]
-                f_rows = [{p: mapping[("f", "jac", i, p)]
-                           for p in schedule.jacobian}
-                          for i, schedule in enumerate(self._f_schedules)]
-            else:
-                planes = self._planes_for(points, lanes)
-                g_values, g_rows = self._run_system_into(self._g_schedules,
-                                                         planes, lanes, "g")
-                f_values, f_rows = self._run_system_into(self._f_schedules,
-                                                         planes, lanes, "f")
-                if keys is not None:
-                    self._step_store(keys, self._row_slots(lanes))
-        else:
-            planes = self._compute_planes(points)
-            g_values, g_rows = self._run_system(self._g_schedules, planes,
-                                                lanes)
-            f_values, f_rows = self._run_system(self._f_schedules, planes,
-                                                lanes)
-
-        t = np.asarray(t, dtype=np.float64)
         weight_g = self.gamma * (1.0 - t).astype(np.complex128)
         weight_f = t.astype(np.complex128)
-        if arenas:
-            # One up-front embedding per execution instead of one inside
-            # every blend kernel: ``embed_complex128`` is exactly the
-            # coercion the kernels apply to an ndarray operand, so the
-            # landed bits are unchanged.
-            weight_g = backend.embed_complex128(weight_g)
-            weight_f = backend.embed_complex128(weight_f)
-
-        # h = weight_g * g + weight_f * f, landed with one product per row
-        # (into an arena row when arenas are on, the walk operand order
-        # either way) and an in-place weighted accumulate.
-        values = []
-        for i in range(n):
-            if arenas:
-                slot = self._arena.slot(("h", "val", i),
-                                        self._zeros_factory(lanes))
-                acc = backend.mul_into(slot, g_values[i], weight_g)
-            else:
-                acc = g_values[i] * weight_g
-            values.append(backend.iadd_mul(acc, f_values[i], weight_f))
-
+        # h = weight_g * g + weight_f * f (the walk operand order) with an
+        # in-place weighted accumulate.
+        values = [backend.iadd_mul(g_values[i] * weight_g, f_values[i],
+                                   weight_f) for i in range(n)]
         # dh/dt = f - gamma * g, in place in the target accumulators (they
-        # are plan-owned and no longer read after the value blend; the
-        # arena rows are reseeded by the next execution).
+        # are no longer read after the value blend).
         t_derivative = [backend.isub_mul(f_values[i], g_values[i], self.gamma)
                         for i in range(n)]
 
@@ -1363,31 +1042,14 @@ class HomotopyPlan(_PlanExecutor):
             g_row, f_row = g_rows[i], f_rows[i]
             entries = dict()
             for j, has_g, has_f in self._jac_union[i]:
-                if arenas:
-                    slot = self._arena.slot(("h", "jac", i, j),
-                                            self._zeros_factory(lanes))
-                    if has_g and has_f:
-                        acc = backend.mul_into(slot, g_row[j], weight_g)
-                        entries[j] = backend.iadd_mul(acc, f_row[j], weight_f)
-                    elif has_g:
-                        entries[j] = backend.mul_into(slot, g_row[j], weight_g)
-                    else:
-                        entries[j] = backend.mul_into(slot, f_row[j], weight_f)
-                elif has_g and has_f:
+                if has_g and has_f:
                     acc = g_row[j] * weight_g
                     entries[j] = backend.iadd_mul(acc, f_row[j], weight_f)
                 elif has_g:
                     entries[j] = g_row[j] * weight_g
                 else:
                     entries[j] = f_row[j] * weight_f
-            if arenas:
-                jacobian.append([entries[j] if j in entries
-                                 else self._zero_row("h", i, j, lanes)
-                                 for j in range(n)])
-            else:
-                jacobian.append([entries[j] if j in entries
-                                 else backend.zeros((lanes,))
-                                 for j in range(n)])
-        if arenas:
-            self.exec_stats.executions += 1
+            jacobian.append([entries[j] if j in entries
+                             else backend.zeros((lanes,))
+                             for j in range(n)])
         return values, jacobian, t_derivative

@@ -597,10 +597,382 @@ KERNEL(cqd_add_mul, cqd_add_mul, 8, 0, 16, 0)
 KERNEL(cqd_sub_mul, cqd_sub_mul, 8, 0, 16, 0)
 KERNEL(cqd_add_masked, cqd_add, 8, 0, 8, 1)
 
+/* ------------------------------------------------------ instruction tape */
+/*
+ * A compiled evaluation plan lowered to a flat program over numbered lane
+ * slots (repro/core/tape.py).  tape_P(program, consts, slots, t, points...)
+ * runs the whole program for one batch in one call:
+ *
+ *   program  int32 records (op, dst, a, b), C-contiguous;
+ *   consts   float64 table, one context value (WIDTH doubles) per entry;
+ *   slots    the plan's slot buffer: complex128 (nslots, lanes) for d,
+ *            float64 (nslots, WIDTH, lanes) for dd/qd, C-contiguous;
+ *   t        float64 (lanes,) continuation parameters, or None;
+ *   points   the (n, lanes) input rows: one complex128 plane (d) or the
+ *            4 (dd) / 8 (qd) float64 planes, any strides.
+ *
+ * The points are copied into slots 0..n-1 first.  An operand a >= 0 names
+ * a slot, a < 0 the constant -1 - a (read with stride 0 across lanes).
+ * Every record reads a lane's operands before it writes that lane, so
+ * dst may be the same slot as an operand.  Returns None, or
+ * NotImplemented when a point plane overlaps the slot buffer (the caller
+ * then runs the tape in Python).
+ *
+ * d must round like NumPy's complex128 loops: on hosts with FMA its
+ * multiply (and np.square) is re = fma(ar, br, -(ai*bi)), im = fma(ar, bi,
+ * ai*br), while np.power's integer ladder (npy_cpow) rounds twice.
+ * repro.multiprec.compiled checks both against NumPy at load.  dd/qd
+ * reuse the element sequences above, with constants embedded by the
+ * Python side exactly as the backends coerce them.
+ */
+enum { OP_COPY, OP_ZERO, OP_MUL, OP_ADD, OP_ADDMUL, OP_SUBMUL, OP_POW,
+       OP_WEIGHTS, N_OPS };
+
+typedef struct { double re, im; } cd_t;
+
+static inline cd_t cd_mul(cd_t x, cd_t y)
+{
+    return (cd_t){fma(x.re, y.re, -(x.im * y.im)),
+                  fma(x.re, y.im, x.im * y.re)};
+}
+
+static inline cd_t cd_mul_twice(cd_t x, cd_t y)
+{
+    return (cd_t){x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re};
+}
+
+static inline cd_t cd_add(cd_t x, cd_t y)
+{
+    return (cd_t){x.re + y.re, x.im + y.im};
+}
+
+static inline cd_t cd_sub(cd_t x, cd_t y)
+{
+    return (cd_t){x.re - y.re, x.im - y.im};
+}
+
+/* np.power(x, n) for an integer 1 <= n < 100: NumPy's nc_pow ladder. */
+static inline cd_t cd_pow(cd_t x, int n)
+{
+    cd_t acc = {1.0, 0.0}, p = x;
+    int mask = 1;
+    if (x.re == 0.0 && x.im == 0.0)
+        return (cd_t){0.0, 0.0};
+    if (n == 1)
+        return x;
+    if (n == 2)
+        return cd_mul_twice(x, x);
+    if (n == 3)
+        return cd_mul_twice(x, cd_mul_twice(x, x));
+    for (;;) {
+        if (n & mask)
+            acc = cd_mul_twice(acc, p);
+        mask <<= 1;
+        if (n < mask)
+            break;
+        p = cd_mul_twice(p, p);
+    }
+    return acc;
+}
+
+/* One operand: element (lane k, component c) sits at p[k*lane + c*plane]. */
+typedef struct { double *p; Py_ssize_t lane, plane; } opnd_t;
+
+#define AT(o, k, c) ((o).p[(k) * (o).lane + (c) * (o).plane])
+
+static inline cd_t ld_cd(opnd_t o, Py_ssize_t k)
+{
+    return (cd_t){AT(o, k, 0), AT(o, k, 1)};
+}
+static inline cdd_t ld_cdd(opnd_t o, Py_ssize_t k)
+{
+    return (cdd_t){{AT(o, k, 0), AT(o, k, 1)}, {AT(o, k, 2), AT(o, k, 3)}};
+}
+static inline cqd_t ld_cqd(opnd_t o, Py_ssize_t k)
+{
+    return (cqd_t){{{AT(o, k, 0), AT(o, k, 1), AT(o, k, 2), AT(o, k, 3)}},
+                   {{AT(o, k, 4), AT(o, k, 5), AT(o, k, 6), AT(o, k, 7)}}};
+}
+static inline void st_cd(opnd_t o, Py_ssize_t k, cd_t x)
+{
+    AT(o, k, 0) = x.re;
+    AT(o, k, 1) = x.im;
+}
+static inline void st_cdd(opnd_t o, Py_ssize_t k, cdd_t x)
+{
+    AT(o, k, 0) = x.re.h; AT(o, k, 1) = x.re.l;
+    AT(o, k, 2) = x.im.h; AT(o, k, 3) = x.im.l;
+}
+static inline void st_cqd(opnd_t o, Py_ssize_t k, cqd_t x)
+{
+    int c;
+    for (c = 0; c < 4; c++) {
+        AT(o, k, c) = x.re.c[c];
+        AT(o, k, c + 4) = x.im.c[c];
+    }
+}
+
+/* A complex128 weight embedded as each backend's embed_complex128 does. */
+static inline cd_t emb_cd(cd_t w) { return w; }
+static inline cdd_t emb_cdd(cd_t w)
+{
+    cdd_t r;
+    two_sum(w.re, 0.0, &r.re.h, &r.re.l);
+    two_sum(w.im, 0.0, &r.im.h, &r.im.l);
+    return r;
+}
+static inline cqd_t emb_cqd(cd_t w)
+{
+    return (cqd_t){{{w.re, 0.0, 0.0, 0.0}}, {{w.im, 0.0, 0.0, 0.0}}};
+}
+
+typedef struct {
+    double *slots, *consts;
+    const char *t;
+    Py_ssize_t lanes, width, t_step;
+    int interleaved;  /* d: complex128 slots, re and im adjacent */
+} tape_t;
+
+static inline opnd_t operand(const tape_t *tp, int32_t a)
+{
+    if (a < 0)
+        return (opnd_t){tp->consts + (Py_ssize_t)(-1 - a) * tp->width, 0, 1};
+    if (tp->interleaved)
+        return (opnd_t){tp->slots + 2 * a * tp->lanes, 2, 1};
+    return (opnd_t){tp->slots + a * tp->width * tp->lanes, 1, tp->lanes};
+}
+
+#define LANES(BODY) for (k = 0; k < lanes; k++) { BODY; } break
+
+#define TAPE_INTERPRETER(P, ZERO)                                           \
+static void interpret_##P(const tape_t *tp, const int32_t *prog,            \
+                          Py_ssize_t count)                                 \
+{                                                                           \
+    Py_ssize_t i, k, lanes = tp->lanes;                                     \
+    for (i = 0; i < count; i++) {                                           \
+        const int32_t *r = prog + 4 * i;                                    \
+        opnd_t d = operand(tp, r[1]), a, b;                                 \
+        switch (r[0]) {                                                     \
+        case OP_COPY:                                                       \
+            a = operand(tp, r[2]);                                          \
+            LANES(st_##P(d, k, ld_##P(a, k)));                              \
+        case OP_ZERO:                                                       \
+            LANES(st_##P(d, k, ZERO));                                      \
+        case OP_MUL:                                                        \
+            a = operand(tp, r[2]); b = operand(tp, r[3]);                   \
+            LANES(st_##P(d, k, P##_mul(ld_##P(a, k), ld_##P(b, k))));       \
+        case OP_ADD:                                                        \
+            a = operand(tp, r[2]);                                          \
+            LANES(st_##P(d, k, P##_add(ld_##P(d, k), ld_##P(a, k))));       \
+        case OP_ADDMUL:                                                     \
+            a = operand(tp, r[2]); b = operand(tp, r[3]);                   \
+            LANES(st_##P(d, k, P##_add(ld_##P(d, k),                        \
+                                       P##_mul(ld_##P(a, k),                \
+                                               ld_##P(b, k)))));            \
+        case OP_SUBMUL:                                                     \
+            a = operand(tp, r[2]); b = operand(tp, r[3]);                   \
+            LANES(st_##P(d, k, P##_sub(ld_##P(d, k),                        \
+                                       P##_mul(ld_##P(a, k),                \
+                                               ld_##P(b, k)))));            \
+        case OP_POW:                                                        \
+            a = operand(tp, r[2]);                                          \
+            LANES(st_cd(d, k, cd_pow(ld_cd(a, k), r[3])));                  \
+        case OP_WEIGHTS: {                                                  \
+            /* dst = gamma * (1 - t), slot a = t: the homotopy blend        \
+             * weights, formed in complex128 like NumPy, then embedded. */  \
+            cd_t gamma;                                                     \
+            a = operand(tp, r[2]); b = operand(tp, r[3]);                   \
+            gamma = ld_cd(b, 0);                                            \
+            LANES(double t = *(const double *)(tp->t + k * tp->t_step);     \
+                  st_##P(d, k, emb_##P(cd_mul(gamma,                        \
+                                              (cd_t){1.0 - t, 0.0})));      \
+                  st_##P(a, k, emb_##P((cd_t){t, 0.0})));                   \
+        }                                                                   \
+        }                                                                   \
+    }                                                                       \
+}
+
+TAPE_INTERPRETER(cd, ((cd_t){0.0, 0.0}))
+TAPE_INTERPRETER(cdd, ((cdd_t){{0.0, 0.0}, {0.0, 0.0}}))
+TAPE_INTERPRETER(cqd, ((cqd_t){{{0.0, 0.0, 0.0, 0.0}}, {{0.0, 0.0, 0.0, 0.0}}}))
+
+typedef void (*interpret_fn)(const tape_t *, const int32_t *, Py_ssize_t);
+
+/* Whether every record names valid slots and constants: outputs are
+ * non-input slots, POW (d only) has an exponent in [1, 99] and WEIGHTS
+ * has its t. */
+static int program_valid(const int32_t *prog, Py_ssize_t count,
+                         Py_ssize_t inputs, Py_ssize_t nslots,
+                         Py_ssize_t nconsts, int pow_ok, int has_t)
+{
+    Py_ssize_t i;
+#define SLOT_OUT(x) ((x) >= inputs && (x) < nslots)
+#define OPERAND(x) ((x) < nslots && (x) >= -nconsts)
+    for (i = 0; i < count; i++) {
+        const int32_t *r = prog + 4 * i;
+        int ok = SLOT_OUT(r[1]);
+        switch (r[0]) {
+        case OP_ZERO: break;
+        case OP_COPY: case OP_ADD: ok = ok && OPERAND(r[2]); break;
+        case OP_MUL: case OP_ADDMUL: case OP_SUBMUL:
+            ok = ok && OPERAND(r[2]) && OPERAND(r[3]); break;
+        case OP_POW:
+            ok = ok && pow_ok && OPERAND(r[2]) && r[3] >= 1 && r[3] < 100;
+            break;
+        case OP_WEIGHTS:
+            ok = ok && has_t && SLOT_OUT(r[2]) && OPERAND(r[3]); break;
+        default: ok = 0;
+        }
+        if (!ok)
+            return 0;
+    }
+#undef SLOT_OUT
+#undef OPERAND
+    return 1;
+}
+
+static int get_view(PyObject *obj, Py_buffer *view, int flags,
+                    const char *format, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0)
+        return 0;
+    if (view->format == NULL || strcmp(view->format, format) != 0) {
+        PyErr_Format(PyExc_TypeError, "tape %s: expected format '%s'",
+                     what, format);
+        PyBuffer_Release(view);
+        return 0;
+    }
+    return 1;
+}
+
+static PyObject *tape_run(PyObject *const *args, Py_ssize_t nargs,
+                          int width, interpret_fn interpret)
+{
+    /* program, consts, slots, t, then the point planes */
+    int interleaved = width == 2, n_planes = interleaved ? 1 : width;
+    const char *plane_format = interleaved ? "Zd" : "d";
+    Py_buffer views[4 + 8];
+    Py_ssize_t count, nconsts, nslots, lanes, inputs, p, k, c;
+    int held = 0, i, overlap = 0;
+    tape_t tp;
+    PyObject *result = NULL;
+    char *lo, *hi;
+
+    if (nargs != 4 + n_planes) {
+        PyErr_Format(PyExc_TypeError, "expected %d arguments, got %zd",
+                     4 + n_planes, nargs);
+        return NULL;
+    }
+    if (!get_view(args[0], &views[held], PyBUF_C_CONTIGUOUS, "i", "program"))
+        goto done;
+    held++;
+    if (!get_view(args[1], &views[held], PyBUF_C_CONTIGUOUS, "d", "consts"))
+        goto done;
+    held++;
+    if (!get_view(args[2], &views[held], PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
+                  plane_format, "slots"))
+        goto done;
+    held++;
+    if (views[2].ndim != (interleaved ? 2 : 3)
+            || (!interleaved && views[2].shape[1] != width)) {
+        PyErr_SetString(PyExc_ValueError, "tape slots: wrong layout");
+        goto done;
+    }
+    nslots = views[2].shape[0];
+    lanes = views[2].shape[views[2].ndim - 1];
+    count = views[0].len / (4 * (Py_ssize_t)sizeof(int32_t));
+    nconsts = views[1].len / (width * (Py_ssize_t)sizeof(double));
+    tp.t = NULL;
+    tp.t_step = 0;
+    if (args[3] != Py_None) {
+        if (!get_view(args[3], &views[held], PyBUF_STRIDES, "d", "t"))
+            goto done;
+        held++;
+        if (views[3].ndim != 1 || views[3].shape[0] != lanes) {
+            PyErr_SetString(PyExc_ValueError, "tape t: expected (lanes,)");
+            goto done;
+        }
+        tp.t = views[3].buf;
+        tp.t_step = views[3].strides[0];
+    }
+    inputs = -1;
+    lo = views[2].buf;
+    hi = lo + views[2].len;
+    for (i = 0; i < n_planes; i++) {
+        Py_buffer *v = &views[held];
+        Py_ssize_t first = 0, last = 0;
+        if (!get_view(args[4 + i], v, PyBUF_STRIDES, plane_format, "points"))
+            goto done;
+        held++;
+        if (v->ndim != 2 || v->shape[1] != lanes
+                || (inputs >= 0 && v->shape[0] != inputs)) {
+            PyErr_SetString(PyExc_ValueError, "tape points: expected (n, lanes)");
+            goto done;
+        }
+        inputs = v->shape[0];
+        for (c = 0; c < 2; c++) {
+            Py_ssize_t span = (v->shape[c] - 1) * v->strides[c];
+            if (span < 0) first += span; else last += span;
+        }
+        if (v->shape[0] && lanes
+                && (char *)v->buf + first < hi
+                && lo < (char *)v->buf + last + v->itemsize)
+            overlap = 1;
+    }
+    if (inputs > nslots) {
+        PyErr_SetString(PyExc_ValueError, "tape: more inputs than slots");
+        goto done;
+    }
+    if (!program_valid(views[0].buf, count, inputs, nslots, nconsts,
+                       interleaved, tp.t != NULL)) {
+        PyErr_SetString(PyExc_ValueError, "tape: invalid program");
+        goto done;
+    }
+    if (overlap) {
+        result = Py_NewRef(Py_NotImplemented);
+        goto done;
+    }
+    tp.slots = views[2].buf;
+    tp.consts = views[1].buf;
+    tp.lanes = lanes;
+    tp.width = width;
+    tp.interleaved = interleaved;
+    for (p = 0; p < inputs; p++) {
+        opnd_t dst = operand(&tp, (int32_t)p);
+        for (k = 0; k < lanes; k++)
+            for (c = 0; c < width; c++) {
+                const Py_buffer *v = &views[held - n_planes
+                                            + (interleaved ? 0 : c)];
+                const char *src = (const char *)v->buf + p * v->strides[0]
+                    + k * v->strides[1];
+                AT(dst, k, c) = ((const double *)src)[interleaved ? c : 0];
+            }
+    }
+    interpret(&tp, views[0].buf, count);
+    result = Py_NewRef(Py_None);
+done:
+    while (held > 0)
+        PyBuffer_Release(&views[--held]);
+    return result;
+}
+
+#define TAPE(NAME, WIDTH, P)                                                \
+static PyObject *py_##NAME(PyObject *module, PyObject *const *args,         \
+                           Py_ssize_t nargs)                                \
+{                                                                           \
+    (void)module;                                                           \
+    return tape_run(args, nargs, WIDTH, interpret_##P);                     \
+}
+
+TAPE(tape_d, 2, cd)
+TAPE(tape_dd, 4, cdd)
+TAPE(tape_qd, 8, cqd)
+
 #define ENTRY(NAME)                                                         \
     {#NAME, (PyCFunction)(void (*)(void))py_##NAME, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
+    ENTRY(tape_d), ENTRY(tape_dd), ENTRY(tape_qd),
     ENTRY(dd_add), ENTRY(dd_sub), ENTRY(dd_mul), ENTRY(dd_div),
     ENTRY(qd_renorm), ENTRY(qd_add), ENTRY(qd_sub), ENTRY(qd_mul),
     ENTRY(qd_div),

@@ -154,9 +154,9 @@ class ComplexBatchBackend:
         """``where(mask, acc + value, acc)``, overwriting ``acc`` if possible."""
         return self.where(np.asarray(mask, dtype=bool), acc + value, acc)
 
-    # -- into-operations (plan-arena executor) --------------------------
-    # The arena executor of :mod:`repro.core.evalplan` lands results in
-    # persistent caller-owned arrays instead of fresh allocations.  Every
+    # -- into-operations (the plan tape's Python loop) ------------------
+    # The Python loop of :mod:`repro.core.tape` lands results in the plan's
+    # persistent slot arrays instead of fresh allocations.  Every
     # ``*_into`` computes exactly the floating-point sequence of the
     # corresponding out-of-place expression, then writes ``out``'s storage;
     # callers always use the *returned* array, so these generic defaults --
@@ -184,12 +184,11 @@ class ComplexBatchBackend:
         return self.zeros(out.shape)
 
     def component_planes(self, array: BatchArray):
-        """The float planes of a batch array, for exact fingerprinting.
+        """The float planes of a batch array, in storage order.
 
-        Returns a tuple of ndarrays whose concatenated bytes identify the
-        array's values bit-for-bit, or ``None`` when the backend has no
-        lossless plane decomposition (callers must then skip fingerprint
-        caching).
+        Returns a tuple of ndarrays that hold the array's values
+        bit-for-bit (the native plan tapes read and embed through them),
+        or ``None`` when the backend has no lossless plane decomposition.
         """
         return None
 

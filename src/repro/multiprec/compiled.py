@@ -20,6 +20,14 @@ build fails, one :class:`RuntimeWarning` is emitted, :data:`KERNELS` is
 ``None`` and the array types run the plain NumPy reference chains instead:
 slower, with the same results.
 
+The extension also runs whole evaluation plans lowered to instruction
+tapes (:mod:`repro.core.tape`), one call per evaluation.  The ``d`` tape
+must round exactly like NumPy's ``complex128`` loops, so at load it is run
+once on a fixed probe set against ``np.multiply``, ``np.square`` and
+``np.power``; :data:`TAPE_CONTEXTS` names the contexts whose tapes may run
+natively, and a host where any probe bit differs keeps ``d`` on the Python
+tape loop after one :class:`RuntimeWarning`.
+
 :func:`run` calls one kernel on a tuple of planes, :func:`apply` runs an op
 through its kernel or else its reference chain, and :func:`complex_chains`
 composes the complex reference chains from the real ones.
@@ -42,8 +50,9 @@ import numpy as np
 
 from ..errors import DivisionByZeroError
 
-__all__ = ["FLAGS", "KERNELS", "SOURCE", "apply", "cache_dir",
-           "complex_chains", "load_kernels", "run"]
+__all__ = ["FLAGS", "KERNELS", "SOURCE", "TAPE_CONTEXTS", "apply",
+           "cache_dir", "complex_chains", "load_kernels", "run",
+           "tape_contexts"]
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -123,6 +132,88 @@ def load_kernels(source: Path = SOURCE,
 
 #: The loaded kernel module, or ``None`` when it could not be built.
 KERNELS = load_kernels()
+
+#: Tape opcodes, as numbered in ``_kernels.c``.
+COPY, ZERO, MUL, ADD, ADDMUL, SUBMUL, POW, WEIGHTS = range(8)
+
+#: The integer powers the d probe checks (np.power runs its own ladder).
+_PROBE_EXPONENTS = (1, 3, 4, 5, 6, 7, 8, 13, 99)
+
+
+def _probe_points() -> np.ndarray:
+    """A fixed (2, lanes) complex128 probe batch: random magnitudes over
+    many binades plus inf, NaN, +-0, subnormal and > 2^996 components."""
+    rng = np.random.default_rng(20120521)
+    special = np.array([0.0, -0.0, 1.0, -1.5, np.inf, -np.inf, np.nan,
+                        5e-324, -2.5e-308, 1.5 * 2.0 ** 996, -1e300, 3e-300])
+    size = 64
+    parts = [rng.normal(size=(4, size)) * np.exp2(rng.integers(-30, 30,
+                                                                (4, size)))]
+    grid = np.array(np.meshgrid(special, special)).reshape(2, -1)
+    parts.append(np.concatenate([grid, grid[::-1]]))
+    planes = np.concatenate(parts, axis=1)
+    points = np.empty((2, planes.shape[1]), np.complex128, order="F")
+    points.real = planes[0::2]  # strided rows, like the gather x[:, idx]
+    points.imag = planes[1::2]
+    return points
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Bit equality of two complex128 arrays under the NaN contract: NaN
+    positions must match, a NaN's sign and payload may differ."""
+    a = np.ascontiguousarray(got).view(np.float64)
+    b = np.ascontiguousarray(want).view(np.float64)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a.view(np.int64)[~nan],
+                                   b.view(np.int64)[~nan]))
+
+
+def _probe_d_tape(kernels, multiply, square, power) -> Optional[str]:
+    """Run the d tape against the NumPy references; the first mismatch."""
+    points = _probe_points()
+    x, y = points
+    scalar = complex(0.6, -0.8)
+    program = [(MUL, 2, 0, 1), (MUL, 3, -1, 1), (MUL, 4, 0, -1),
+               (MUL, 5, 0, 0)]
+    program += [(POW, 6 + i, 0, e) for i, e in enumerate(_PROBE_EXPONENTS)]
+    slots = np.zeros((len(program) + 2, points.shape[1]), np.complex128)
+    kernels.tape_d(np.array(program, np.int32),
+                   np.array([scalar.real, scalar.imag]), slots, None, points)
+    with np.errstate(all="ignore"):
+        references = [("np.multiply(x, y)", multiply(x, y)),
+                      ("np.multiply(scalar, y)", multiply(scalar, y)),
+                      ("np.multiply(x, scalar)", multiply(x, scalar)),
+                      ("np.square(x)", square(x))]
+        references += [(f"np.power(x, {e})", power(x, e))
+                       for e in _PROBE_EXPONENTS]
+    for slot, (name, want) in enumerate(references, start=2):
+        if not _same_bits(slots[slot], want):
+            return name
+    return None
+
+
+def tape_contexts(kernels, multiply=np.multiply, square=np.square,
+                  power=np.power) -> frozenset:
+    """The contexts whose plan tapes may run in ``kernels``.
+
+    dd and qd always may; d only when its tape matches the NumPy references
+    bit for bit on the probe set, else one :class:`RuntimeWarning` names the
+    first reference that differs.
+    """
+    if kernels is None:
+        return frozenset()
+    mismatch = _probe_d_tape(kernels, multiply, square, power)
+    if mismatch is None:
+        return frozenset(("d", "dd", "qd"))
+    warnings.warn(f"compiled d tape declined: it does not round like "
+                  f"{mismatch} on this host; d plans run their tape in "
+                  f"Python", RuntimeWarning, stacklevel=2)
+    return frozenset(("dd", "qd"))
+
+
+#: Contexts whose compiled plan tapes run natively (see tape_contexts).
+TAPE_CONTEXTS = tape_contexts(KERNELS)
 
 
 def run(kernel: str, planes) -> Optional[int]:

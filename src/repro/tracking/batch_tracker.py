@@ -734,10 +734,8 @@ class BatchTracker:
     # ------------------------------------------------------------------
     @property
     def plan_execution_stats(self):
-        """Arena-executor counters of the homotopy's compiled plan
-        (executions, plane builds, power entries, step-cache hits/misses).
-        Compiles the plan on first access; counters accumulate across
-        runs."""
+        """Execution counters of the homotopy's compiled plan.  Compiles
+        the plan on first access; counters accumulate across runs."""
         return self.homotopy.plan.exec_stats
 
     # ------------------------------------------------------------------
@@ -754,10 +752,8 @@ class BatchTracker:
         # Lanes that diverge or retire carry inf/NaN through the masked
         # batch arithmetic (predictor, corrector, endgame); the errstate
         # scope keeps them from spraying RuntimeWarnings while the status
-        # masks report the failures.  The plan step scope lets the tangent
-        # predictor reuse the corrector's power ladders at the accepted
-        # point (a no-op when plans or arenas are off).
-        with masked_lane_errstate(), self.homotopy.plan_step_scope():
+        # masks report the failures.
+        with masked_lane_errstate():
             return self._track_one_batch_inner(starts, checkpoints)
 
     def _track_one_batch_inner(self,

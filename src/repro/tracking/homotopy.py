@@ -189,10 +189,18 @@ class BatchHomotopy:
         compiled :class:`~repro.core.evalplan.HomotopyPlan`: supports and
         power tables are shared across the two systems and the blend lands
         in-place over the sparse Jacobian union instead of materialising
-        ``n^2 + 2n`` blended temporaries.
+        ``n^2 + 2n`` blended temporaries.  The plan runs as one instruction
+        tape (:mod:`repro.core.tape`), natively where the compiled kernels
+        serve the backend.
+
+        Raises
+        ------
+        ConfigurationError
+            When any ``t`` lies outside ``[0, 1]`` or is NaN.
         """
         t = np.asarray(t, dtype=np.float64)
-        if np.any((t < 0.0) | (t > 1.0)):
+        # Written so NaN fails too, as in the scalar Homotopy.evaluate_at.
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ConfigurationError("all continuation parameters must lie in [0, 1]")
         enabled = self.use_plan if self.use_plan is not None else self._plans_enabled()
         if enabled:
@@ -222,26 +230,6 @@ class BatchHomotopy:
         from ..core.evalplan import eval_plans_enabled  # local import: cycle
 
         return eval_plans_enabled()
-
-    def plan_step_scope(self):
-        """A step scope over the compiled plan, or a no-op context.
-
-        The tracker opens this around each batch-tracking run so
-        consecutive plan executions at bit-identical points -- the Newton
-        corrector's accepted evaluation followed by the tangent predictor's
-        -- reuse the already-built power ladders and term planes.  Falls
-        back to a null context when the walk path or the arena executor is
-        disabled (the allocating paths have no cross-call cache).
-        """
-        from contextlib import nullcontext
-
-        from ..core.evalplan import plan_arenas_enabled  # local import: cycle
-
-        enabled = self.use_plan if self.use_plan is not None \
-            else self._plans_enabled()
-        if enabled and plan_arenas_enabled():
-            return self.plan.step_scope()
-        return nullcontext()
 
     class _Frozen:
         """Adapter exposing a batched evaluator interface for fixed ``t``."""

@@ -37,9 +37,8 @@ class TestLiveSweep:
         assert family["identical"]
         assert family["cold_solves"] == 1
         assert family["warm_serves"] == 2
-        # The live floor is softer than the checked-in 2x gate: tier-1
-        # machines are noisy and the batch is tiny.
-        assert family["warm_vs_cold_speedup"] > 1.0
+        # No live timing ratio: the >= 2x warm-vs-cold gate is asserted on
+        # the checked-in report (below and in tools/check_bench.py).
 
 
 class TestCheckedInReport:

@@ -2,7 +2,7 @@
 
 The cache shares *compile artifacts* -- schedules, plane specs, Jacobian
 union, op counts -- between :class:`HomotopyPlan` instances over the same
-(start, target) pair; execution state (arena, step cache) stays
+(start, target) pair; execution state (slot buffer, bound gamma) stays
 per-instance.  The promises: hits share, execution is bit-for-bit
 identical with the cache off, distinct coefficients never collide (the
 coefficients are baked into the schedules), eviction is LRU-bounded, and

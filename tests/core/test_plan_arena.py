@@ -3,9 +3,8 @@
 The arena path must stay bit-for-bit with the allocating plan path (which
 the differential suite in ``test_evalplan.py`` pins against the walk), and
 its persistent buffers must obey their lifecycle contract: exactly one
-re-size per lane-count change, step-scoped plane reuse that is a pure
-dedup, and exception-safety without scoped releases (an aborted execution
-leaves the arena fully reusable).
+re-size per lane-count change and exception-safety without scoped releases
+(an aborted execution leaves the arena fully reusable).
 """
 
 from __future__ import annotations
@@ -231,92 +230,6 @@ class TestLifecycle:
         with use_plan_arenas(False), masked_lane_errstate():
             bv, bj = plan.execute(points)
         assert_matches_snapshot(bv, bj, snap, DOUBLE_DOUBLE)
-
-
-class TestStepScopedReuse:
-    def test_second_execution_at_same_points_reuses_power_tables(self):
-        system = example_system()
-        backend = backend_for_context(DOUBLE_DOUBLE)
-        points = lane_points(backend, 3, 5, seed=12)
-        plan = EvaluationPlan(system, backend=backend)
-        per_build = plan.statistics["power_table_entries"]
-        assert per_build > 0
-        with use_plan_arenas(True), masked_lane_errstate():
-            with plan.step_scope():
-                av, aj = plan.execute(points)
-                first = snapshot(av, aj, DOUBLE_DOUBLE)
-                stats = plan.exec_stats
-                assert stats.plane_builds == 1
-                assert stats.power_entries == per_build
-                assert stats.step_cache_misses == 1
-                bv, bj = plan.execute(points)
-                # Pure dedup: zero new power-table entries, same bits.
-                assert stats.plane_builds == 1
-                assert stats.power_entries == per_build
-                assert stats.step_cache_hits == 1
-                assert_matches_snapshot(bv, bj, first, DOUBLE_DOUBLE)
-
-    def test_cache_invalidated_by_new_points_and_scope_exit(self):
-        system = example_system()
-        backend = backend_for_context(DOUBLE)
-        a = lane_points(backend, 3, 5, seed=13)
-        b = lane_points(backend, 3, 5, seed=14)
-        plan = EvaluationPlan(system, backend=backend)
-        with use_plan_arenas(True), masked_lane_errstate():
-            with plan.step_scope():
-                plan.execute(a)
-                plan.execute(b)  # different bits -> miss, planes rebuilt
-                assert plan.exec_stats.step_cache_hits == 0
-                assert plan.exec_stats.plane_builds == 2
-                av, aj = plan.execute(b)
-                assert plan.exec_stats.step_cache_hits == 1
-                snap = snapshot(av, aj, DOUBLE)
-            # Scope closed: no stale reuse on the next execution.
-            plan.execute(b)
-            assert plan.exec_stats.step_cache_hits == 1
-        with use_plan_arenas(False), masked_lane_errstate():
-            bv, bj = plan.execute(b)
-        assert_matches_snapshot(bv, bj, snap, DOUBLE)
-
-    def test_caller_mutating_points_after_a_miss_cannot_go_stale(self):
-        # The cached planes are built from a plan-owned copy; mutating the
-        # caller's buffer between calls must produce a miss (fingerprint
-        # differs) and fresh planes, not a hit on stale views.
-        system = example_system()
-        backend = backend_for_context(DOUBLE)
-        points = lane_points(backend, 3, 5, seed=15)
-        plan = EvaluationPlan(system, backend=backend)
-        with use_plan_arenas(True), masked_lane_errstate():
-            with plan.step_scope():
-                plan.execute(points)
-                points[0, 0] += 1.0 + 0.5j
-                av, aj = plan.execute(points)
-                assert plan.exec_stats.step_cache_hits == 0
-                snap = snapshot(av, aj, DOUBLE)
-        with use_plan_arenas(False), masked_lane_errstate():
-            bv, bj = plan.execute(points)
-        assert_matches_snapshot(bv, bj, snap, DOUBLE)
-
-    def test_tracker_run_hits_the_step_cache(self):
-        from repro.bench.eval_plan import (cyclic_quadratic_system,
-                                           start_solutions)
-        from repro.tracking.batch_tracker import BatchTracker, TrackerOptions
-
-        target = cyclic_quadratic_system(3)
-        start = total_degree_start_system(target)
-        tracker = BatchTracker(start, target, context=DOUBLE,
-                               options=TrackerOptions(predictor="tangent"))
-        results = tracker.track_many(start_solutions(target))
-        assert all(r.success for r in results)
-        stats = tracker.plan_execution_stats
-        per_build = tracker.homotopy.plan.statistics["power_table_entries"]
-        # The tangent predictor reuses the corrector's accepted-point
-        # planes: strictly fewer plane builds (hence power-table entries)
-        # than homotopy evaluations.
-        assert stats.step_cache_hits > 0
-        assert stats.plane_builds < stats.executions
-        assert stats.power_entries == stats.plane_builds * per_build
-        assert stats.power_entries < stats.executions * per_build
 
 
 class TestScaleFactorSharing:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,6 +10,7 @@ from repro.core import CPUReferenceEvaluator
 from repro.multiprec import DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
 from repro.tracking import Homotopy, total_degree_start_system
+from repro.tracking.homotopy import BatchHomotopy
 
 
 def target_system():
@@ -91,6 +93,22 @@ class TestInterface:
             homotopy.evaluate_at([0j, 0j], 1.5)
         with pytest.raises(ConfigurationError):
             homotopy.evaluate_at([0j, 0j], -0.1)
+        with pytest.raises(ConfigurationError):
+            homotopy.evaluate_at([0j, 0j], float("nan"))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("use_plan", [True, False])
+    def test_batch_rejects_t_outside_unit_interval(self, bad, use_plan):
+        # NaN fails every comparison, so the range test is written to
+        # reject it rather than let it through as NaN rows.
+        target = target_system()
+        start = total_degree_start_system(target)
+        batch = BatchHomotopy(start, target, gamma=complex(0.6, 0.8),
+                              use_plan=use_plan)
+        points = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [0.5j, -0.2 + 0j]])
+        batch.evaluate_batch(points, np.array([0.0, 1.0]))
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            batch.evaluate_batch(points, np.array([0.5, bad]))
 
     def test_gamma_must_have_unit_modulus(self):
         target = target_system()
