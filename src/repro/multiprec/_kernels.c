@@ -1,5 +1,7 @@
 /*
- * Element-wise double-double and quad-double plane kernels.
+ * Element-wise double-double and quad-double plane kernels, and the
+ * interpreters that run a lowered evaluation plan in one call (the
+ * instruction tape, at the end of this file).
  *
  * Every kernel replays, lane by lane, exactly the floating-point sequence
  * of the scalar DoubleDouble / QuadDouble arithmetic (the QD 2.3.9 library
@@ -985,7 +987,8 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Element-wise double-double / quad-double plane kernels.", -1, methods,
+    "Element-wise double-double / quad-double plane kernels and plan tapes.",
+    -1, methods,
     NULL, NULL, NULL, NULL
 };
 

@@ -292,7 +292,7 @@ class TestLowering:
         # NumPy multiplies scalar * array as written; the dd/qd arrays
         # always multiply the array by the embedded scalar.
         plan = HomotopyPlan(*_power_pair(3), gamma=0.6 + 0.8j)
-        for backend_type, native in tape_module._NATIVE.items():
+        for native in tape_module._NATIVE.values():
             program, _ = plan.tape.native(native)
             products = program[np.isin(program[:, 0],
                                        (compiled.MUL, compiled.ADDMUL))]
@@ -423,7 +423,9 @@ def test_solve_reports_identical_through_the_python_loop_at_d(scenario,
 
 
 @requires_tape
-@pytest.mark.parametrize("scenario", tier1_scenarios(), ids=lambda s: s.name)
+@pytest.mark.parametrize("scenario", [
+    s if s.tier1 else pytest.param(s, marks=pytest.mark.slow)
+    for s in SCENARIOS], ids=lambda s: s.name)
 def test_solve_reports_identical_up_the_escalation_ladder(scenario,
                                                           monkeypatch):
     native = solve(scenario, escalate=True)
