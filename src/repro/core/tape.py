@@ -385,15 +385,26 @@ def _ladder(dst: int, base: int, exponent: int, square: int) -> List[tuple]:
     return ops
 
 
+def _row_d(buffer: np.ndarray, s: int):
+    return buffer[s]
+
+
+def _row_dd(buffer: np.ndarray, s: int):
+    return complex_dd_from_planes(buffer[s])
+
+
+def _row_qd(buffer: np.ndarray, s: int):
+    return complex_qd_from_planes(buffer[s])
+
+
+# Plain functions, not lambdas: plans holding a sized buffer stay picklable.
 _NATIVE = {
     type(COMPLEX128_BACKEND): _Native(COMPLEX128_BACKEND, 2, np.ndarray,
-                                      None, lambda buffer, s: buffer[s]),
-    type(COMPLEX_DD_BACKEND): _Native(
-        COMPLEX_DD_BACKEND, 4, ComplexDDArray, dd_mul_operand,
-        lambda buffer, s: complex_dd_from_planes(buffer[s])),
-    type(COMPLEX_QD_BACKEND): _Native(
-        COMPLEX_QD_BACKEND, 8, ComplexQDArray, qd_mul_operand,
-        lambda buffer, s: complex_qd_from_planes(buffer[s])),
+                                      None, _row_d),
+    type(COMPLEX_DD_BACKEND): _Native(COMPLEX_DD_BACKEND, 4, ComplexDDArray,
+                                      dd_mul_operand, _row_dd),
+    type(COMPLEX_QD_BACKEND): _Native(COMPLEX_QD_BACKEND, 8, ComplexQDArray,
+                                      qd_mul_operand, _row_qd),
 }
 
 
