@@ -302,6 +302,25 @@ class TestLowering:
                 assert (products[:, 2] >= 0).all()
 
 
+@requires_tape
+@pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
+def test_used_plan_pickles(context):
+    # A plan that already sized its slot buffer still pickles, and the
+    # copy evaluates to the same bits.
+    import pickle
+
+    backend = backend_for_context(context)
+    plan = HomotopyPlan(*_power_pair(3), gamma=0.6 + 0.8j, backend=backend)
+    points = backend.from_points([[0.3 + 0.1j, -0.2 + 0.7j],
+                                  [1.1 - 0.4j, 0.5j]])
+    t = np.array([0.2, 0.9])
+    first = plan.execute(points, t)[0][0]
+    want = [np.array(p) for p in planes_of(first, context)]
+    copy = pickle.loads(pickle.dumps(plan))
+    got = copy.execute(points, t)[0][0]
+    assert_same_bits([np.array(p) for p in planes_of(got, context)], want)
+
+
 def _power_pair(exponent: int):
     xy = Monomial((0, 1), (exponent, 2))
     target = PolynomialSystem([
