@@ -122,6 +122,9 @@ def _rand_dd(size: int, seed: int) -> DDArray:
 
 
 def _best_seconds(op: Callable[[], object], repeats: int, inner: int) -> float:
+    """Best-of-``repeats`` wall seconds per call, each repeat timing
+    ``inner`` calls: the one protocol every arm of a bench comparison uses,
+    so noise on a loaded box cannot favour either side."""
     best = float("inf")
     for _ in range(repeats):
         began = time.perf_counter()

@@ -14,8 +14,7 @@ The four solve-level benches (``bench/batch_tracking.py``,
 ``bench/escalation.py``, ``bench/eval_plan.py``, ``bench/shard.py``) sweep
 :func:`bench_scenarios` so every ``BENCH_*.json`` records a per-scenario
 matrix, and the tier-1 differential suite (``tests/scenarios/``) asserts
-batched-vs-scalar, plans-vs-walk, and arenas-on-vs-off identity on every
-registry member.
+batched-vs-scalar and plan-vs-walk identity on every registry member.
 
 Two tiers:
 

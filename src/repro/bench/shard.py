@@ -38,6 +38,7 @@ from ..service.workerpool import WorkerPool
 from ..tracking.solver import EscalationPolicy, SolveReport, solve_system
 from ..tracking.tracker import TrackerOptions
 from .batch_tracking import cyclic_quadratic_system
+from .qd_arith import _best_seconds
 
 __all__ = ["ShardRow", "ShardSummary", "run_robustness_bench",
            "run_shard_bench", "run_scenario_shard_bench"]
@@ -189,17 +190,6 @@ def run_shard_bench(dimension: int = 4,
     )
 
 
-def _timed_best(fn, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall seconds -- the same protocol for every arm
-    of a comparison, so noise on a loaded box cannot favour either side."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        begin = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - begin)
-    return best
-
-
 #: Candidate (scenario, shards, batch_size) rows for the persistent-pool
 #: comparison: explicit chunking makes the single-process arm run its
 #: sub-batches sequentially while the pool's workers run theirs
@@ -306,19 +296,19 @@ def run_robustness_bench(dimension: int = 4,
     # (fork, system pickle, tracker construction) is not drowned out by
     # tracking work, and on a clean pool the drills have not battered.
     dispatch_system = get_scenario("speelpenning-2").build_system()
-    fresh_wall = _timed_best(
+    fresh_wall = _best_seconds(
         lambda: solve_system_sharded(dispatch_system, shards=workers,
                                      max_workers=workers,
                                      backoff_seconds=0.0),
-        repeats)
+        repeats, 1)
     with WorkerPool(workers=workers) as dispatch_pool:
         solve_system_sharded(dispatch_system, shards=workers,
                              pool=dispatch_pool, backoff_seconds=0.0)
-        persistent_wall = _timed_best(
+        persistent_wall = _best_seconds(
             lambda: solve_system_sharded(dispatch_system, shards=workers,
                                          pool=dispatch_pool,
                                          backoff_seconds=0.0),
-            repeats)
+            repeats, 1)
     report["dispatch"] = {
         "scenario": "speelpenning-2",
         "fresh_wall_s": fresh_wall,
@@ -332,10 +322,10 @@ def run_robustness_bench(dimension: int = 4,
     best_row: Optional[Dict[str, object]] = None
     for name, shards, chunk in _PERSISTENT_CANDIDATES:
         scenario_system = get_scenario(name).build_system()
-        single_wall = _timed_best(
+        single_wall = _best_seconds(
             lambda: solve_system(scenario_system, options=opts,
                                  escalation=policy, batch_size=chunk),
-            repeats)
+            repeats, 1)
         with WorkerPool(workers=workers) as pool:
             def persistent_solve():
                 return solve_system_sharded(
@@ -343,7 +333,7 @@ def run_robustness_bench(dimension: int = 4,
                     options=opts, escalation=policy, batch_size=chunk,
                     backoff_seconds=0.0)
             last = persistent_solve()  # warm the pool before timing
-            persistent_wall = _timed_best(persistent_solve, repeats)
+            persistent_wall = _best_seconds(persistent_solve, repeats, 1)
         single_ref = solve_system(scenario_system, options=opts,
                                   escalation=policy, batch_size=chunk)
         row = {

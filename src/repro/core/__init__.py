@@ -15,13 +15,7 @@
 """
 
 from .batch import BatchEvaluator, BatchResult, BatchStatistics
-from .evalplan import (
-    EvaluationPlan,
-    HomotopyPlan,
-    PlanOpCounts,
-    eval_plans_enabled,
-    use_eval_plans,
-)
+from .evalplan import EvaluationPlan, HomotopyPlan, PlanOpCounts
 from .common_factor_kernel import CommonFactorFromScratchKernel, CommonFactorKernel
 from .cpu_reference import CPUEvaluation, CPUReferenceEvaluator
 from .evaluator import GPUEvaluation, GPUEvaluator
@@ -91,7 +85,6 @@ __all__ = [
     "SummationKernel",
     "SystemLayout",
     "compare_evaluations",
-    "eval_plans_enabled",
     "expected_counts",
     "kernel1_multiplications_per_thread",
     "kernel2_multiplications_per_thread",
@@ -102,6 +95,5 @@ __all__ = [
     "shared_memory_budget",
     "sharing_report",
     "speelpenning_multiplications",
-    "use_eval_plans",
     "validate_evaluator",
 ]

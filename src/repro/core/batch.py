@@ -23,7 +23,9 @@ paper's factorisation -- the common factor ``x^(a-1)`` of kernel 1 and the
 Speelpenning forward/backward sweep of kernel 2, reusing
 :func:`repro.polynomials.speelpenning.speelpenning_gradient` verbatim on
 arrays -- so every lane performs the same operation sequence a per-path
-kernel launch would.
+kernel launch would.  It is the walk-the-terms reference: the compiled
+:class:`~repro.core.evalplan.EvaluationPlan` must reproduce it bit for bit,
+and the differential tests and the plan-vs-walk bench evaluate through it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from ..multiprec.numeric import DOUBLE, NumericContext
 from ..polynomials.speelpenning import speelpenning_gradient
 from ..polynomials.system import PolynomialSystem
 from .cpu_reference import CPUReferenceEvaluator
-from .evalplan import EvaluationPlan, eval_plans_enabled, require_lane_batch
+from .evalplan import require_lane_batch
 from .evaluator import GPUEvaluation, GPUEvaluator
 from .validation import compare_evaluations
 
@@ -214,56 +216,27 @@ class VectorisedBatchEvaluator:
         the backend of ``context``.
     context:
         Scalar arithmetic used when no backend is given.
-    use_plan:
-        ``True``/``False`` pins this evaluator to the compiled
-        :class:`~repro.core.evalplan.EvaluationPlan` or to the
-        walk-the-terms reference; ``None`` (default) follows the module
-        toggle :func:`~repro.core.evalplan.use_eval_plans`.  Both paths
-        are bit-for-bit identical.
 
-    Buffer ownership
-    ----------------
-    The walk path builds fresh accumulator arrays per call, so its rows
-    belong to the caller outright.  The plan path with arenas enabled (the
-    default, :func:`~repro.core.evalplan.use_plan_arenas`) returns rows
-    owned by the plan's persistent :class:`~repro.core.evalplan.PlanArena`:
-    they are valid -- and freely mutable, the batched linear solver writes
-    into them with ``copy=False`` -- until the *next*
-    ``evaluate`` call on the same evaluator, which overwrites them.
-    Callers that need the rows to outlive the next evaluation must copy.
+    Every call walks the terms afresh and builds fresh accumulator arrays,
+    so the returned rows belong to the caller outright.  For the compiled
+    schedule of the same system build an
+    :class:`~repro.core.evalplan.EvaluationPlan`.
     """
 
     def __init__(self, system: PolynomialSystem, *,
                  backend: Optional[ComplexBatchBackend] = None,
-                 context: NumericContext = DOUBLE,
-                 use_plan: Optional[bool] = None):
+                 context: NumericContext = DOUBLE):
         if not system.is_square():
             raise ConfigurationError("batched evaluation needs a square system")
         self.system = system
         self.backend = backend or backend_for_context(context)
         self.dimension = system.dimension
-        self.use_plan = use_plan
-        self._plan: Optional[EvaluationPlan] = None
         # Flatten each polynomial into (coeff, positions, exponents) triples
         # once; evaluate() walks this flat structure per batch.
         self._terms: List[List[Tuple[complex, Tuple[int, ...], Tuple[int, ...]]]] = [
             [(coeff, mono.positions, mono.exponents) for coeff, mono in poly.terms]
             for poly in system
         ]
-
-    @property
-    def plan(self) -> EvaluationPlan:
-        """The compiled :class:`~repro.core.evalplan.EvaluationPlan`
-        (compiled on first use, cached for the evaluator's lifetime)."""
-        if self._plan is None:
-            self._plan = EvaluationPlan(self.system, backend=self.backend)
-        return self._plan
-
-    @property
-    def plan_execution_stats(self):
-        """Execution counters of the compiled plan.  Compiles the plan on
-        first access."""
-        return self.plan.exec_stats
 
     def evaluate(self, points) -> BatchSystemEvaluation:
         """Evaluate at an ``(n, B)`` batch array of points.
@@ -277,22 +250,12 @@ class VectorisedBatchEvaluator:
            ``d/dx_p = coeff * a_p * cf * grad_p`` accumulated into the value
            row and Jacobian rows (kernel 3's summation).
 
-        With evaluation plans enabled (the default) the same operation
-        sequence runs from the compiled schedule instead: power tables and
-        Speelpenning sweeps are computed once per batch and shared by every
-        consuming term, bit-for-bit with this walk.
-
         Raises
         ------
         ConfigurationError
             When ``points`` is not an ``(n, B)`` lane batch (a bare 1-D
             point used to be silently misread as ``n`` lanes).
         """
-        enabled = self.use_plan if self.use_plan is not None else eval_plans_enabled()
-        if enabled:
-            # The plan validates the lane batch itself (execute is public).
-            values, jacobian = self.plan.execute(points)
-            return BatchSystemEvaluation(values=values, jacobian=jacobian)
         require_lane_batch(points, self.dimension)
 
         backend = self.backend

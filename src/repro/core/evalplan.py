@@ -63,17 +63,19 @@ with shared supports.
 Executions run the schedule lowered once more to an instruction tape
 (:mod:`repro.core.tape`): one native call per evaluation where the compiled
 kernels serve the backend, else a Python loop over the same instructions.
+The tape is the only way a plan executes.  The walk stays as the
+differential reference: tests and the plan-vs-walk bench select it per
+instance (a :class:`~repro.core.batch.VectorisedBatchEvaluator`, or a
+:class:`~repro.tracking.homotopy.BatchHomotopy` with ``use_plan=False``).
 
-The module-wide toggle (:func:`use_eval_plans`, default on) keeps the walk
-path as the differential reference; flipping it only trades execution
-schedule, never results.
+The one piece of module state is the bounded homotopy compile cache, which
+shares compile artifacts between plan instances over the same system pair.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,84 +84,21 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..multiprec.backend import ComplexBatchBackend, backend_for_context
 from ..multiprec.numeric import DOUBLE, NumericContext
-from ..polynomials.speelpenning import speelpenning_gradient
 from ..polynomials.system import PolynomialSystem
 from .tape import TapeRunner, lower
 
 __all__ = [
     "EvaluationPlan",
     "HomotopyPlan",
-    "PlanArena",
     "PlanExecutionStats",
     "PlanOpCounts",
-    "eval_plans_enabled",
     "homotopy_compile_cache_stats",
     "homotopy_walk_op_counts",
-    "plan_arenas_enabled",
     "pow_chain_multiplications",
     "require_lane_batch",
-    "use_eval_plans",
-    "use_homotopy_compile_cache",
-    "use_plan_arenas",
+    "require_lane_parameters",
     "walk_op_counts",
 ]
-
-
-# ----------------------------------------------------------------------
-# the toggles
-# ----------------------------------------------------------------------
-_PLANS_ENABLED = True
-
-
-def eval_plans_enabled() -> bool:
-    """Whether batch evaluators dispatch to their compiled plans."""
-    return _PLANS_ENABLED
-
-
-@contextmanager
-def use_eval_plans(enabled: bool):
-    """Temporarily force the compiled-plan (or walk-the-terms) path.
-
-    The walk path replays the original per-term loops; the differential
-    tests run both and compare, so this switch exists for them and for the
-    plan-vs-walk benchmark, not for results.
-    """
-    global _PLANS_ENABLED
-    previous = _PLANS_ENABLED
-    _PLANS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _PLANS_ENABLED = previous
-
-
-_ARENAS_ENABLED = True
-
-
-def plan_arenas_enabled() -> bool:
-    """Whether plan executions land in persistent per-plan arenas."""
-    return _ARENAS_ENABLED
-
-
-@contextmanager
-def use_plan_arenas(enabled: bool):
-    """Temporarily force (or suppress) the plan-arena execution path.
-
-    With arenas on (the default), every plan owns a :class:`PlanArena` of
-    persistent result rows, term planes and scratch planes, sized at first
-    execution for a lane count and reused across corrector iterations and
-    predictor calls.
-    With arenas off, executions allocate fresh arrays per call (the PR 5
-    behaviour).  Both paths produce bit-for-bit identical results; the
-    switch exists for the A/B benchmark and the differential tests.
-    """
-    global _ARENAS_ENABLED
-    previous = _ARENAS_ENABLED
-    _ARENAS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _ARENAS_ENABLED = previous
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +109,6 @@ def use_plan_arenas(enabled: bool):
 #: distinct systems must not pin compile artifacts forever.
 _COMPILE_CACHE_LIMIT = 32
 
-_COMPILE_CACHE_ENABLED = True
 _COMPILE_CACHE: "OrderedDict[tuple, dict]" = OrderedDict()
 _COMPILE_CACHE_LOCK = threading.Lock()
 _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0}
@@ -205,28 +143,6 @@ def clear_homotopy_compile_cache() -> None:
         _COMPILE_CACHE_STATS["misses"] = 0
 
 
-@contextmanager
-def use_homotopy_compile_cache(enabled: bool):
-    """Temporarily force (or suppress) compile-artifact reuse.
-
-    With the cache on (the default), two :class:`HomotopyPlan` instances
-    over the same ``(start, target)`` coefficient structure share their
-    compiled schedules, plane specs and op counts -- only the per-instance
-    execution state (the slot buffer, the bound gamma) is rebuilt, so instances
-    stay safe to drive from different threads.  The artifacts are
-    deterministic functions of the key, so the toggle trades compile time
-    only, never results; it exists for the family-serving benchmark's
-    cold/warm comparison.
-    """
-    global _COMPILE_CACHE_ENABLED
-    previous = _COMPILE_CACHE_ENABLED
-    _COMPILE_CACHE_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _COMPILE_CACHE_ENABLED = previous
-
-
 def require_lane_batch(points, dimension: int) -> None:
     """Reject inputs that are not an ``(n, B)`` lane batch.
 
@@ -254,6 +170,34 @@ def require_lane_batch(points, dimension: int) -> None:
             f"lane batch has {int(shape[0])} rows but the system dimension "
             f"is {dimension}; expected shape ({dimension}, B)"
         )
+
+
+def require_lane_parameters(t, lanes: int) -> np.ndarray:
+    """The continuation parameters ``t`` of a homotopy evaluation as one
+    float64 value per lane.
+
+    The one check of both homotopy routes, the plan and the walk: a scalar
+    ``t`` broadcasts to every lane.
+
+    Raises
+    ------
+    ConfigurationError
+        When any ``t`` lies outside ``[0, 1]`` or is NaN, or ``t`` does not
+        broadcast to ``lanes`` values.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    # Written so NaN fails too, as in the scalar Homotopy.evaluate_at.
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ConfigurationError(
+            "all continuation parameters must lie in [0, 1]")
+    if t.shape == (lanes,):
+        return t
+    try:
+        return np.broadcast_to(t, (lanes,))
+    except ValueError:
+        raise ConfigurationError(
+            f"continuation parameters of shape {t.shape} do not broadcast "
+            f"to the {lanes} lanes of the batch") from None
 
 
 # ----------------------------------------------------------------------
@@ -669,180 +613,33 @@ class _Compiler:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-class PlanArena:
-    """Plan-owned persistent buffers for compiled-schedule execution.
-
-    A compiled :class:`EvaluationPlan` executes the
-    same op graph every call, so the buffers it needs -- result rows, term
-    planes, blend scratch -- have statically known lifetimes: they are live
-    from the start of one execution to the start of the next.  The arena
-    holds exactly those buffers (the plan tape's slot buffer), sized once at
-    first execution for a given lane count and reused across every
-    corrector iteration and predictor call thereafter.
-
-    ``ensure(lanes)`` re-sizes (drops every slot) only when the lane count
-    changes, e.g. after lane compression; the drop is counted in
-    :attr:`resizes` so tests can pin "exactly one re-size per lane-count
-    change".  ``slot(name, factory)`` returns the named buffer, building it
-    via ``factory()`` on first use (a *miss*) and handing back the cached
-    object afterwards (a *hit*).
-
-    Arena slots are not scoped: there is nothing to release, so an
-    exception mid-execution cannot leak anything -- the next execution
-    simply overwrites the same slots.  The flip side is the ownership rule:
-    buffers handed out of an execution (result rows) remain arena-owned and
-    are only valid until the next execution of the same plan.
-    """
-
-    __slots__ = ("_slots", "lanes", "hits", "misses", "resizes")
-
-    def __init__(self) -> None:
-        self._slots: Dict[object, object] = {}
-        self.lanes = None
-        #: slot reuses / creations / lane-count invalidations (for benches)
-        self.hits = 0
-        self.misses = 0
-        self.resizes = 0
-
-    def ensure(self, lanes: int) -> bool:
-        """Invalidate every slot when the lane count changes.
-
-        Returns True when the arena was (re)sized -- i.e. every previously
-        handed-out buffer is now stale -- so owners can drop caches built on
-        top of the old slots.
-        """
-        if self.lanes != lanes:
-            if self.lanes is not None:
-                self.resizes += 1
-            self.lanes = lanes
-            self._slots.clear()
-            return True
-        return False
-
-    def slot(self, name, factory):
-        """The named buffer, built by ``factory()`` on first use."""
-        buffer = self._slots.get(name)
-        if buffer is None:
-            buffer = factory()
-            self._slots[name] = buffer
-            self.misses += 1
-        else:
-            self.hits += 1
-        return buffer
-
-    def clear(self) -> None:
-        """Drop every slot and forget the lane count (memory pressure)."""
-        self._slots.clear()
-        self.lanes = None
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-
 class _PlanExecutor:
     """Shared execution machinery of the single-system and homotopy plans.
 
-    Two execution modes share the compiled schedules:
-
-    * the **tape** (arenas on, the default): the schedule lowered once to
-      an instruction tape (:mod:`repro.core.tape`) and run in one native
-      call per evaluation, or through the backend's ``*_into`` methods
-      where no native tape applies.  Every row lands in a slot buffer the
-      plan owns (its :attr:`arena`), sized for a lane count and re-sized
-      only when the lane count changes.  Returned rows stay plan-owned:
-      valid, and freely mutable (the batched linear solver writes into
-      them), until the next execution of the same plan, which rewrites
-      every row it returns;
-    * the **allocating** path (arenas off) builds fresh arrays per call,
-      kept as the A/B reference.
+    A plan executes as its instruction tape (:mod:`repro.core.tape`), run
+    in one native call per evaluation, or through the backend's ``*_into``
+    methods where no native tape applies.  Every row lands in a slot buffer
+    the plan's runner owns, sized for a lane count and re-sized only when
+    the lane count changes.  Returned rows stay plan-owned: valid, and
+    freely mutable (the batched linear solver writes into them), until the
+    next execution of the same plan, which rewrites every row it returns.
     """
 
     backend: ComplexBatchBackend
-    _specs: List[tuple]
 
     def _init_execution_state(self, tape, gamma=None) -> None:
-        self._tape = tape
-        self._arena = PlanArena()
-        self._runner = TapeRunner(tape, self.backend, self._arena, gamma)
+        self._runner = TapeRunner(tape, self.backend, gamma)
         self.exec_stats = PlanExecutionStats()
-
-    @property
-    def arena(self) -> PlanArena:
-        """This plan's persistent buffer arena (hit/miss/resize counters)."""
-        return self._arena
 
     @property
     def tape(self):
         """The compiled :class:`~repro.core.tape.Tape` this plan runs."""
-        return self._tape
+        return self._runner.tape
 
-    def _atom(self, atom: tuple, planes: List, lanes: int):
-        kind, payload = atom
-        if kind == "plane":
-            return planes[payload]
-        if kind == "scalar":
-            return payload
-        return self.backend.full((lanes,), payload)  # "full"
-
-    def _compute_planes(self, points) -> List:
-        planes: List = [None] * len(self._specs)
-        lanes = points.shape[1]
-        for pid, spec in enumerate(self._specs):
-            kind = spec[0]
-            if kind == "row":
-                planes[pid] = points[spec[1]]
-            elif kind == "power":
-                planes[pid] = planes[spec[1]] ** spec[2]
-            elif kind == "sweep":
-                factors = [planes[rp] for rp in spec[1]]
-                planes[pid] = speelpenning_gradient(factors)[0]
-            elif kind == "grad":
-                planes[pid] = planes[spec[1]][spec[2]]
-            elif kind == "chain":
-                acc = None
-                for power in spec[1]:
-                    acc = planes[power] if acc is None else acc * planes[power]
-                planes[pid] = acc
-            else:  # "mul"
-                planes[pid] = (self._atom(spec[1], planes, lanes)
-                               * self._atom(spec[2], planes, lanes))
-        return planes
-
-    def _run_entries(self, entries: List[tuple], planes: List, lanes: int):
-        backend = self.backend
-        acc = None
-        for entry in entries:
-            kind = entry[0]
-            if kind == "seed":
-                acc = self._atom(entry[1], planes, lanes)
-            elif kind == "seed_copy":
-                # Shared planes are read-only; seeding copies so the
-                # accumulator's in-place adds cannot corrupt co-consumers.
-                acc = backend.copy(planes[entry[1]])
-            elif kind == "seed_mul":
-                acc = (self._atom(entry[1], planes, lanes)
-                       * self._atom(entry[2], planes, lanes))
-            elif kind == "add":
-                acc = backend.iadd(acc, self._atom(entry[1], planes, lanes))
-            else:  # "add_mul"
-                acc = backend.iadd_mul(acc,
-                                       self._atom(entry[1], planes, lanes),
-                                       self._atom(entry[2], planes, lanes))
-        return acc
-
-    def _run_system(self, schedules: List[_PolySchedule], planes: List,
-                    lanes: int) -> Tuple[List, List[Dict[int, object]]]:
-        backend = self.backend
-        values: List = []
-        rows: List[Dict[int, object]] = []
-        for schedule in schedules:
-            if schedule.value:
-                values.append(self._run_entries(schedule.value, planes, lanes))
-            else:
-                values.append(backend.zeros((lanes,)))
-            rows.append({p: self._run_entries(entries, planes, lanes)
-                         for p, entries in schedule.jacobian.items()})
-        return values, rows
+    @property
+    def resizes(self) -> int:
+        """How often the slot buffer was re-sized for a new lane count."""
+        return self._runner.resizes
 
 
 class EvaluationPlan(_PlanExecutor):
@@ -872,34 +669,23 @@ class EvaluationPlan(_PlanExecutor):
         self.backend = backend or backend_for_context(context)
         self.dimension = system.dimension
         compiler = _Compiler()
-        self._schedules = compiler.compile_system(system)
+        schedules = compiler.compile_system(system)
         compiler.finalize()
-        self._specs = compiler.specs
-        self.op_counts = compiler.op_counts([self._schedules])
+        self.op_counts = compiler.op_counts([schedules])
         self.walk_counts = walk_op_counts(system)
         self.statistics = compiler.statistics()
-        self._init_execution_state(lower(compiler.specs, [self._schedules],
+        self._init_execution_state(lower(compiler.specs, [schedules],
                                          self.dimension))
 
     def execute(self, points) -> Tuple[List, List[List]]:
         """Evaluate at an ``(n, B)`` lane batch; returns (values, jacobian).
 
-        With arenas on (the default) the returned rows are plan-owned
-        persistent buffers: valid and freely mutable until this plan's next
-        ``execute`` call, which overwrites them.
+        The returned rows are plan-owned: valid and freely mutable until
+        this plan's next ``execute`` call, which overwrites them.
         """
         require_lane_batch(points, self.dimension)
-        if plan_arenas_enabled():
-            values, jacobian, _ = self._runner.run(points)
-            self.exec_stats.executions += 1
-            return values, jacobian
-        backend = self.backend
-        n = self.dimension
-        lanes = points.shape[1]
-        planes = self._compute_planes(points)
-        values, rows = self._run_system(self._schedules, planes, lanes)
-        jacobian = [[row[j] if j in row else backend.zeros((lanes,))
-                     for j in range(n)] for row in rows]
+        values, jacobian, _ = self._runner.run(points)
+        self.exec_stats.executions += 1
         return values, jacobian
 
 
@@ -929,11 +715,7 @@ class HomotopyPlan(_PlanExecutor):
         self.gamma = None if gamma is None else complex(gamma)
 
         compiled = self._compile_artifacts(start_system, target_system)
-        self._g_schedules = compiled["g_schedules"]
-        self._f_schedules = compiled["f_schedules"]
-        self._specs = compiled["specs"]
         self.statistics = compiled["statistics"]
-        self._jac_union = compiled["jac_union"]
         self.op_counts = compiled["op_counts"]
         self.walk_counts = compiled["walk_counts"]
         self._init_execution_state(compiled["tape"], self.gamma)
@@ -941,27 +723,25 @@ class HomotopyPlan(_PlanExecutor):
     @staticmethod
     def _compile_artifacts(start_system: PolynomialSystem,
                            target_system: PolynomialSystem) -> Dict[str, object]:
-        """Compile the pair, reusing the family-keyed cache when enabled.
+        """Compile the pair, reusing the family-keyed compile cache.
 
-        The artifacts -- schedules, plane specs, Jacobian union, op counts
-        and the lowered tape -- are deterministic in the two systems'
-        coefficient structure and are strictly read-only at execution time,
-        so instances may share them; everything mutable (the slot buffer,
-        the bound gamma, statistics counters) lives in per-instance
-        execution state.  This is what lets a
-        parameter-homotopy family compile its member plan once and serve
-        every subsequent query from the cache.
+        The artifacts -- sharing statistics, op counts and the lowered
+        tape -- are deterministic in the two systems' coefficient structure
+        and are strictly read-only at execution time, so instances may
+        share them; everything mutable (the slot buffer, the bound gamma,
+        statistics counters) lives in per-instance execution state.  This
+        is what lets a parameter-homotopy family compile its member plan
+        once and serve every subsequent query from the cache.
         """
         key = (_system_signature(start_system),
                _system_signature(target_system))
-        if _COMPILE_CACHE_ENABLED:
-            with _COMPILE_CACHE_LOCK:
-                cached = _COMPILE_CACHE.get(key)
-                if cached is not None:
-                    _COMPILE_CACHE.move_to_end(key)
-                    _COMPILE_CACHE_STATS["hits"] += 1
-                    return cached
-                _COMPILE_CACHE_STATS["misses"] += 1
+        with _COMPILE_CACHE_LOCK:
+            cached = _COMPILE_CACHE.get(key)
+            if cached is not None:
+                _COMPILE_CACHE.move_to_end(key)
+                _COMPILE_CACHE_STATS["hits"] += 1
+                return cached
+            _COMPILE_CACHE_STATS["misses"] += 1
 
         compiler = _Compiler()
         g_schedules = compiler.compile_system(start_system)
@@ -985,71 +765,37 @@ class HomotopyPlan(_PlanExecutor):
                 blend_muls += 2 if (has_g and has_f) else 1
                 blend_adds += 1 if (has_g and has_f) else 0
         compiled = {
-            "g_schedules": g_schedules,
-            "f_schedules": f_schedules,
-            "specs": compiler.specs,
             "statistics": compiler.statistics(),
-            "jac_union": jac_union,
             "op_counts": accumulation + PlanOpCounts(blend_muls, blend_adds),
             "walk_counts": homotopy_walk_op_counts(start_system,
                                                    target_system),
             "tape": lower(compiler.specs, [g_schedules, f_schedules], n,
                           jac_union),
         }
-        if _COMPILE_CACHE_ENABLED:
-            with _COMPILE_CACHE_LOCK:
-                _COMPILE_CACHE[key] = compiled
-                _COMPILE_CACHE.move_to_end(key)
-                while len(_COMPILE_CACHE) > _COMPILE_CACHE_LIMIT:
-                    _COMPILE_CACHE.popitem(last=False)
+        with _COMPILE_CACHE_LOCK:
+            _COMPILE_CACHE[key] = compiled
+            _COMPILE_CACHE.move_to_end(key)
+            while len(_COMPILE_CACHE) > _COMPILE_CACHE_LIMIT:
+                _COMPILE_CACHE.popitem(last=False)
         return compiled
 
-    def execute(self, points, t: np.ndarray) -> Tuple[List, List[List], List]:
+    def execute(self, points, t) -> Tuple[List, List[List], List]:
         """Evaluate ``h``, ``dh/dx``, ``dh/dt`` at per-lane parameters ``t``.
 
         Returns ``(values, jacobian, t_derivative)`` with the same layout
         as :class:`~repro.tracking.homotopy.BatchHomotopyEvaluation`.
+
+        Raises
+        ------
+        ConfigurationError
+            When the plan has no gamma, ``points`` is not an ``(n, B)``
+            lane batch, or ``t`` fails :func:`require_lane_parameters`.
         """
         if self.gamma is None:
             raise ConfigurationError("this HomotopyPlan was compiled without "
                                      "a gamma; pass one at construction")
         require_lane_batch(points, self.dimension)
-        t = np.asarray(t, dtype=np.float64)
-        if plan_arenas_enabled():
-            result = self._runner.run(points, t)
-            self.exec_stats.executions += 1
-            return result
-        backend = self.backend
-        n = self.dimension
-        lanes = points.shape[1]
-        planes = self._compute_planes(points)
-        g_values, g_rows = self._run_system(self._g_schedules, planes, lanes)
-        f_values, f_rows = self._run_system(self._f_schedules, planes, lanes)
-
-        weight_g = self.gamma * (1.0 - t).astype(np.complex128)
-        weight_f = t.astype(np.complex128)
-        # h = weight_g * g + weight_f * f (the walk operand order) with an
-        # in-place weighted accumulate.
-        values = [backend.iadd_mul(g_values[i] * weight_g, f_values[i],
-                                   weight_f) for i in range(n)]
-        # dh/dt = f - gamma * g, in place in the target accumulators (they
-        # are no longer read after the value blend).
-        t_derivative = [backend.isub_mul(f_values[i], g_values[i], self.gamma)
-                        for i in range(n)]
-
-        jacobian: List[List] = []
-        for i in range(n):
-            g_row, f_row = g_rows[i], f_rows[i]
-            entries = dict()
-            for j, has_g, has_f in self._jac_union[i]:
-                if has_g and has_f:
-                    acc = g_row[j] * weight_g
-                    entries[j] = backend.iadd_mul(acc, f_row[j], weight_f)
-                elif has_g:
-                    entries[j] = g_row[j] * weight_g
-                else:
-                    entries[j] = f_row[j] * weight_f
-            jacobian.append([entries[j] if j in entries
-                             else backend.zeros((lanes,))
-                             for j in range(n)])
-        return values, jacobian, t_derivative
+        t = require_lane_parameters(t, points.shape[1])
+        result = self._runner.run(points, t)
+        self.exec_stats.executions += 1
+        return result

@@ -470,16 +470,16 @@ def _collect(tape: Tape, get):
 
 class TapeRunner:
     """Runs one plan instance's tape: native call first, else the Python
-    loop (see the module docstring).  The slot buffer lives in the plan's
-    :class:`~repro.core.evalplan.PlanArena`, re-sized with the lane
-    count."""
+    loop (see the module docstring).  The runner owns the slot buffer,
+    re-sized with the lane count; :attr:`resizes` counts the re-sizes."""
 
-    def __init__(self, tape: Tape, backend: ComplexBatchBackend, arena,
+    def __init__(self, tape: Tape, backend: ComplexBatchBackend,
                  gamma: Optional[complex] = None):
         self.tape = tape
         self.backend = backend
-        self.arena = arena
         self.gamma = gamma
+        self.resizes = 0
+        self._sized: Optional[_Sized] = None
         self._bound: Dict[str, object] = {}
 
     def _native(self) -> Optional[_Native]:
@@ -505,17 +505,19 @@ class TapeRunner:
         return bound or None
 
     def run(self, points, t: Optional[np.ndarray] = None):
-        """Execute at an ``(n, B)`` lane batch; returns ``(values,
-        jacobian, t_derivative)`` rows (``t_derivative`` None for a single
-        system), owned by this runner until its next execution."""
+        """Execute at an ``(n, B)`` lane batch and, for a homotopy, the
+        ``(B,)`` float64 parameters ``t``; returns ``(values, jacobian,
+        t_derivative)`` rows (``t_derivative`` None for a single system),
+        owned by this runner until its next execution."""
         lanes = points.shape[1]
-        arena = self.arena
-        arena.ensure(lanes)
+        sized = self._sized
+        if sized is None or sized.lanes != lanes:
+            if sized is not None:
+                self.resizes += 1
+            sized = self._sized = _Sized(self.tape, self.backend,
+                                         _NATIVE.get(type(self.backend)),
+                                         lanes)
         native = self._native()
-        sized = arena.slot("tape", lambda: _Sized(
-            self.tape, self.backend, _NATIVE.get(type(self.backend)), lanes))
-        if t is not None and t.shape != (lanes,):
-            t = np.broadcast_to(t, (lanes,))
         if native is not None:
             program = self._program(native)
             planes = native.planes(points)

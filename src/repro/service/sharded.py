@@ -38,11 +38,11 @@ explicit exceptions are recorded degradations: a quarantined shard's lanes
 are missing, and a cold-restarted shard's lanes were re-tracked from
 ``t = 0`` at the wide rung.
 
-Every rung must be able to take the batched tracking route
-(:func:`~repro.tracking.solver.batched_route_available`): the scalar
-fallback produces no checkpoints, so a sharded service built on it could
-not keep its crash-resume promise.  That is checked up front and refused
-with a :class:`~repro.errors.ConfigurationError`, never degraded silently.
+Every rung tracks with the batched tracker, so every rung's context needs
+a registered batch backend: without one its checkpoints could be neither
+produced nor honoured, and the crash-resume promise would break.  That is
+checked up front and refused with a
+:class:`~repro.errors.ConfigurationError`, never degraded silently.
 """
 
 from __future__ import annotations
@@ -57,15 +57,11 @@ from ..errors import (
     ConfigurationError,
     ShardFailedError,
 )
+from ..multiprec.backend import backend_for_context
 from ..multiprec.numeric import DOUBLE, CONTEXTS, NumericContext
 from ..polynomials.system import PolynomialSystem
 from ..tracking.escalation import RungOutcome, run_escalation_ladder
-from ..tracking.solver import (
-    EscalationPolicy,
-    SolveReport,
-    _deduplicate,
-    batched_route_available,
-)
+from ..tracking.solver import EscalationPolicy, SolveReport, _deduplicate
 from ..tracking.start_systems import (
     StartStrategy,
     TotalDegreeStart,
@@ -294,9 +290,9 @@ def solve_system_sharded(system: PolynomialSystem, *,
     Raises
     ------
     ConfigurationError
-        When a ladder rung cannot take the batched tracking route or is
-        not resolvable by name in a worker process -- the service refuses
-        up front rather than degrade its crash-resume guarantee.
+        When a ladder rung has no registered batch backend or is not
+        resolvable by name in a worker process -- the service refuses up
+        front rather than degrade its crash-resume guarantee.
     ShardFailedError
         When one shard's retries are exhausted (and quarantine did not
         intervene).
@@ -312,15 +308,16 @@ def solve_system_sharded(system: PolynomialSystem, *,
     starts = [tuple(complex(x) for x in s) for s in starts]
 
     ladder = list(escalation.ladder) if escalation is not None else [context]
-    exposed = (start_system, system)
     for rung in ladder:
-        if not batched_route_available(rung, exposed):
+        try:
+            backend_for_context(rung)
+        except ConfigurationError:
             raise ConfigurationError(
                 f"the sharded service needs the batched tracking route at "
                 f"every rung, but context {rung.name!r} has no registered "
                 f"batch backend -- its checkpoints could be neither "
                 f"produced nor honoured, breaking crash recovery"
-            )
+            ) from None
         if CONTEXTS.get(rung.name) is not rung:
             raise ConfigurationError(
                 f"context {rung.name!r} is not resolvable by name in a "

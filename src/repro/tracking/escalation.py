@@ -8,7 +8,9 @@ resume statistics / endgame skips), move failures to the next rung with
 their checkpoints, and count recoveries.  Only *how a rung is run* differs
 -- in process versus fanned out over a shard pool with crash retries -- so
 that part stays with the caller as a callback and everything else lives
-here, once.
+here, once.  Both callers track every rung with the batched tracker, so
+every rung hands back one checkpoint per path for the next rung to resume
+from.
 
 The bookkeeping is deliberately order-preserving: pending paths are kept
 in ascending path-index order and rung names are inserted in ladder order,
@@ -28,16 +30,15 @@ __all__ = ["LadderState", "RungOutcome", "run_escalation_ladder"]
 class RungOutcome:
     """What one rung run hands back to the shared ladder loop.
 
-    ``results`` is aligned with the pending list the callback received;
-    ``checkpoints`` likewise, or ``None`` when the route taken cannot
-    produce checkpoints (the scalar fallback).  ``resumed_mid_ts`` carries
-    the resume ``t`` of every warm-resumed mid-path lane when the rung ran
-    from checkpoints, and is ``None`` for a cold rung -- the distinction
-    the restarted/resumed accounting is built on.
+    ``results`` and ``checkpoints`` are aligned with the pending list the
+    callback received.  ``resumed_mid_ts`` carries the resume ``t`` of
+    every warm-resumed mid-path lane when the rung ran from checkpoints,
+    and is ``None`` for a cold rung -- the distinction the
+    restarted/resumed accounting is built on.
     """
 
     results: List[object]
-    checkpoints: Optional[List[object]] = None
+    checkpoints: List[object]
     endgame_skips: int = 0
     resumed_mid_ts: Optional[List[float]] = None
 
@@ -110,9 +111,7 @@ def run_escalation_ladder(
         next_pending: List[Tuple[int, object]] = []
         for position, ((index, start), result) in enumerate(
                 zip(pending, outcome.results)):
-            if outcome.checkpoints is not None:
-                state.checkpoints_by_index[index] = \
-                    outcome.checkpoints[position]
+            state.checkpoints_by_index[index] = outcome.checkpoints[position]
             if result.success:
                 state.solved[index] = result
                 if level > 0:

@@ -10,7 +10,14 @@ deforms the start system ``g`` into the target ``f``; for a random complex
 ``evaluate(point)`` returning ``values``/``jacobian``) so that either the
 simulated-GPU pipeline or a CPU reference can supply the expensive
 evaluations, exactly the role the paper intends for its kernels inside
-PHCpack's trackers.
+PHCpack's trackers.  The scalar :class:`Homotopy` drives the paper's
+examples and is the batched tracker's differential oracle.
+
+:class:`BatchHomotopy` evaluates a whole lane batch of paths at once.  It
+runs the start+target pair as one compiled
+:class:`~repro.core.evalplan.HomotopyPlan` tape; with ``use_plan=False`` it
+blends two walk-the-terms evaluators instead, the reference the plan is
+tested and benchmarked against.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core.batch import VectorisedBatchEvaluator
+from ..core.evalplan import (HomotopyPlan, require_lane_batch,
+                             require_lane_parameters)
 from ..errors import ConfigurationError
 from ..multiprec.backend import ComplexBatchBackend, backend_for_context
 from ..multiprec.numeric import DOUBLE, NumericContext
@@ -132,36 +142,29 @@ class BatchHomotopy:
     """The gamma-trick homotopy over an ``(n, B)`` lane batch of points.
 
     Unlike the scalar :class:`Homotopy`, which composes two evaluator
-    *objects*, the batched variant is built from the two *systems* directly:
-    it instantiates a
-    :class:`~repro.core.batch.VectorisedBatchEvaluator` for each, so both
-    the start and the target system are evaluated for the whole batch with
-    structure-of-arrays arithmetic.  Every lane carries its own ``t`` (the
-    batch tracker advances paths at independent rates), so the convex
-    weights ``gamma (1 - t)`` and ``t`` are per-lane complex vectors that
-    broadcast across the value and Jacobian rows.
+    *objects*, the batched variant is built from the two *systems*
+    directly.  Every lane carries its own ``t`` (the batch tracker advances
+    paths at independent rates), so the convex weights ``gamma (1 - t)``
+    and ``t`` are per-lane complex vectors that broadcast across the value
+    and Jacobian rows.
+
+    ``use_plan`` (default True) runs the compiled
+    :class:`~repro.core.evalplan.HomotopyPlan`; False blends two
+    :class:`~repro.core.batch.VectorisedBatchEvaluator` walks instead -- the
+    differential reference, selected per instance.
     """
 
     def __init__(self, start_system, target_system, *,
                  gamma: Optional[complex] = None,
                  context: NumericContext = DOUBLE,
                  backend: Optional[ComplexBatchBackend] = None,
-                 use_plan: Optional[bool] = None):
-        # Imported here: repro.core.batch already imports repro.multiprec,
-        # and pulling it at module load would cycle through repro.tracking.
-        from ..core.batch import VectorisedBatchEvaluator
-
+                 use_plan: bool = True):
         self.context = context
         self.backend = backend or backend_for_context(context)
         self.gamma = _checked_gamma(gamma)
-        # The sub-evaluators drive the walk path only; the plan path runs
-        # the pair through one fused HomotopyPlan instead.  They are built
-        # with use_plan=False so the walk reference stays a pure walk even
-        # while plans are globally enabled.
-        self.start_evaluator = VectorisedBatchEvaluator(start_system, backend=self.backend,
-                                                        use_plan=False)
-        self.target_evaluator = VectorisedBatchEvaluator(target_system, backend=self.backend,
-                                                         use_plan=False)
+        # The walk reference of use_plan=False.
+        self.start_evaluator = VectorisedBatchEvaluator(start_system, backend=self.backend)
+        self.target_evaluator = VectorisedBatchEvaluator(target_system, backend=self.backend)
         if start_system.dimension != target_system.dimension:
             raise ConfigurationError("start and target systems must share a dimension")
         self.dimension = target_system.dimension
@@ -170,43 +173,39 @@ class BatchHomotopy:
         self._systems = (start_system, target_system)
 
     @property
-    def plan(self):
+    def plan(self) -> HomotopyPlan:
         """The fused :class:`~repro.core.evalplan.HomotopyPlan` of the
         start+target pair (compiled on first use, cached)."""
         if self._plan is None:
-            from ..core.evalplan import HomotopyPlan  # local import: cycle
-
             self._plan = HomotopyPlan(self._systems[0], self._systems[1],
                                       gamma=self.gamma, backend=self.backend)
         return self._plan
 
-    def evaluate_batch(self, points, t: np.ndarray) -> BatchHomotopyEvaluation:
+    def evaluate_batch(self, points, t) -> BatchHomotopyEvaluation:
         """Evaluate ``h``, ``dh/dx`` and ``dh/dt`` at per-lane parameters.
 
-        With evaluation plans enabled (the default, see
-        :func:`repro.core.evalplan.use_eval_plans`) the whole evaluation --
-        both system passes, the convex blend and ``dh/dt`` -- runs from the
-        compiled :class:`~repro.core.evalplan.HomotopyPlan`: supports and
-        power tables are shared across the two systems and the blend lands
-        in-place over the sparse Jacobian union instead of materialising
-        ``n^2 + 2n`` blended temporaries.  The plan runs as one instruction
-        tape (:mod:`repro.core.tape`), natively where the compiled kernels
-        serve the backend.
+        The plan runs the whole evaluation -- both system passes, the
+        convex blend and ``dh/dt`` -- as one instruction tape
+        (:mod:`repro.core.tape`), natively where the compiled kernels serve
+        the backend: supports and power tables are shared across the two
+        systems and the blend lands in place over the sparse Jacobian union
+        instead of materialising ``n^2 + 2n`` blended temporaries.  The
+        walk evaluates both systems term by term and blends them densely.
 
         Raises
         ------
         ConfigurationError
-            When any ``t`` lies outside ``[0, 1]`` or is NaN.
+            When ``points`` is not an ``(n, B)`` lane batch, or any ``t``
+            lies outside ``[0, 1]``, is NaN, or ``t`` does not broadcast to
+            the ``B`` lanes (:func:`~repro.core.evalplan.
+            require_lane_parameters`, shared by both routes).
         """
-        t = np.asarray(t, dtype=np.float64)
-        # Written so NaN fails too, as in the scalar Homotopy.evaluate_at.
-        if not np.all((t >= 0.0) & (t <= 1.0)):
-            raise ConfigurationError("all continuation parameters must lie in [0, 1]")
-        enabled = self.use_plan if self.use_plan is not None else self._plans_enabled()
-        if enabled:
+        if self.use_plan:
             values, jacobian, t_derivative = self.plan.execute(points, t)
             return BatchHomotopyEvaluation(values=values, jacobian=jacobian,
                                            t_derivative=t_derivative)
+        require_lane_batch(points, self.dimension)
+        t = require_lane_parameters(t, points.shape[1])
         g = self.start_evaluator.evaluate(points)
         f = self.target_evaluator.evaluate(points)
 
@@ -224,12 +223,6 @@ class BatchHomotopy:
         t_derivative = [f.values[i] - g.values[i] * self.gamma for i in range(n)]
         return BatchHomotopyEvaluation(values=values, jacobian=jacobian,
                                        t_derivative=t_derivative)
-
-    @staticmethod
-    def _plans_enabled() -> bool:
-        from ..core.evalplan import eval_plans_enabled  # local import: cycle
-
-        return eval_plans_enabled()
 
     class _Frozen:
         """Adapter exposing a batched evaluator interface for fixed ``t``."""

@@ -122,9 +122,9 @@ class BatchTangentPredictor:
     corrector will reject and shrink their step).  The extra batched
     homotopy evaluation per prediction is recorded in ``evaluation_log``
     (when given) so the cost-model pricing covers predictor work too.
-    The ``evaluate_batch`` call dispatches to the homotopy's compiled
-    :class:`~repro.core.evalplan.HomotopyPlan` when plans are enabled;
-    the predictor needs no knowledge of which schedule ran.
+    The ``evaluate_batch`` call runs the homotopy's compiled
+    :class:`~repro.core.evalplan.HomotopyPlan` (or, with ``use_plan=False``,
+    the walk); the predictor needs no knowledge of which schedule ran.
     """
 
     def __init__(self, backend: ComplexBatchBackend, *,

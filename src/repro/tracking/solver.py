@@ -12,42 +12,34 @@ computational engine inside them.  :func:`solve_system` wires the pieces of
    generic-member parameter-homotopy starts track fewer paths on the
    targets that support them);
 2. construct the gamma-trick homotopy from the start system to the target;
-3. track every path (optionally only a sample of them) -- through the
-   structure-of-arrays :class:`~repro.tracking.batch_tracker.BatchTracker`
-   whenever the evaluator factory exposes its underlying
-   :class:`~repro.polynomials.system.PolynomialSystem` and the context has a
-   registered batch backend, falling back to the sequential scalar tracker
-   otherwise;
+3. track every path (optionally only a sample of them) through the
+   structure-of-arrays :class:`~repro.tracking.batch_tracker.BatchTracker`,
+   which needs a registered batch backend for every rung's context;
 4. optionally *escalate*: re-track the failed-path residue at the next wider
    arithmetic of an :class:`EscalationPolicy` ladder (d -> dd -> qd), the
    operational form of the paper's quality-up argument -- parallel batching
    pays for the software-arithmetic overhead, so precision is raised only
    where double precision actually fails;
 5. sharpen the end points with Newton's method and de-duplicate the results.
-
-Any evaluator factory can be supplied, so the paths can be driven by the
-sequential CPU reference (default) or by the simulated-GPU pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.cpu_reference import CPUReferenceEvaluator
 from ..errors import ConfigurationError
 from ..multiprec.backend import backend_for_context
 from ..multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, NumericContext
 from ..polynomials.system import PolynomialSystem
+from .batch_tracker import BatchTracker
 from .escalation import RungOutcome, run_escalation_ladder
-from .homotopy import Homotopy
 from .quality_up import affordable_precision
 from .start_systems import (StartStrategy, TotalDegreeStart, total_degree)
-from .tracker import PathResult, PathTracker, TrackerOptions
+from .tracker import PathResult, TrackerOptions
 
-__all__ = ["EscalationPolicy", "Solution", "SolveReport",
-           "batched_route_available", "solve_system"]
+__all__ = ["EscalationPolicy", "Solution", "SolveReport", "solve_system"]
 
 #: The canonical precision ladder: hardware doubles, then the two software
 #: arithmetics of the QD library the paper builds on.
@@ -176,8 +168,8 @@ class SolveReport:
     ``resumed_by_context`` (paths continued mid-path from a cheaper rung's
     checkpoint, i.e. with ``t > 0`` of tracked progress reused) and
     ``restarted_by_context`` (paths tracked from ``t = 0``: the first rung,
-    cold restarts under ``warm_restart=False``, start-correction failures,
-    and scalar-fallback rungs that produce no checkpoints).
+    cold restarts under ``warm_restart=False`` and start-correction
+    failures).
     ``resume_t_by_context`` records, per rung, the continuation parameter
     each resumed path continued from -- on typical workloads these cluster
     at ``t = 1.0``, which is exactly why warm restarts win: the wide
@@ -186,11 +178,9 @@ class SolveReport:
     certified the endgame tolerance, so even that replay was skipped (the
     residual-aware policy, see :class:`EscalationPolicy`).
 
-    ``degradations`` lists, human-readably, every place the solve silently
-    did something weaker than asked -- today that is a warm restart that
-    had to fall back to a cold re-track (a rung without the batched route,
-    or missing checkpoints after such a rung).  An empty list means the
-    solve ran exactly as configured.
+    ``degradations`` lists, human-readably, every place the solve did
+    something weaker than asked.  Only the sharded service records any
+    (see below); an empty list means the solve ran exactly as configured.
 
     The sharded solve service (:func:`repro.service.sharded.
     solve_system_sharded`) fills the per-shard accounting: ``shards`` is
@@ -381,115 +371,8 @@ def _deduplicate(solutions: Sequence[PathResult], context: NumericContext,
     return found
 
 
-# ----------------------------------------------------------------------
-# tracking one rung of the ladder
-# ----------------------------------------------------------------------
-def _has_backend(context: NumericContext) -> bool:
-    try:
-        backend_for_context(context)
-    except ConfigurationError:
-        return False
-    return True
-
-
-def _track_paths(start_system: PolynomialSystem, system: PolynomialSystem,
-                 starts: Sequence[Sequence], context: NumericContext,
-                 evaluators: Optional[Tuple[object, object]],
-                 exposed: Optional[Tuple[PolynomialSystem, PolynomialSystem]],
-                 options: Optional[TrackerOptions], gamma: Optional[complex],
-                 batch_size: Optional[int],
-                 resume_from: Optional[Sequence] = None,
-                 skip_certified_endgame: bool = False
-                 ) -> Tuple[List[PathResult], Optional[List], int]:
-    """Track ``starts`` in one arithmetic, batched when possible.
-
-    The batched engine needs the polynomial systems themselves (it builds
-    structure-of-arrays evaluators); it is used when the factory's
-    evaluators exposed them (``exposed``, probed once by the caller) and the
-    context has a registered batch backend.  Otherwise the scalar
-    predictor-corrector loop runs path by path -- with the factory's
-    probe-time ``evaluators`` when given, else with fresh CPU reference
-    evaluators in this rung's arithmetic.
-
-    Returns ``(results, checkpoints, endgame_skips)``: the per-path
-    outcomes plus, on the batched route, one
-    :class:`~repro.tracking.batch_tracker.LaneCheckpoint` per path (the
-    state a wider rung can warm-restart from) and the number of resumed
-    lanes whose endgame re-entry was skipped by the residual-aware policy.
-    The scalar route returns ``checkpoints=None`` -- its failures can only
-    be restarted cold.  ``resume_from`` (checkpoints aligned with
-    ``starts``) makes the batched route continue each path mid-track
-    instead of from ``t = 0``.
-
-    Raises
-    ------
-    ConfigurationError
-        When ``resume_from`` (or ``skip_certified_endgame``, which only
-        means anything on a resumed batch) is passed but the scalar
-        fallback route is taken: the scalar tracker cannot honour
-        checkpoints, and silently re-tracking cold would misreport a warm
-        restart as having happened.  Callers that can tolerate the
-        degradation decide it *explicitly* -- :func:`solve_system` probes
-        :func:`batched_route_available` first and records the degradation
-        in :attr:`SolveReport.degradations` instead of passing
-        ``resume_from`` down an unable route.
-    """
-    if exposed is not None and _has_backend(context):
-        from .batch_tracker import BatchTracker  # local import: cycle
-
-        tracker = BatchTracker(exposed[0], exposed[1], context=context,
-                               options=options, batch_size=batch_size,
-                               gamma=gamma,
-                               skip_certified_endgame=skip_certified_endgame)
-        if resume_from is not None:
-            outcome = tracker.track_batches(resume_from=resume_from)
-        else:
-            outcome = tracker.track_batches(starts)
-        return (outcome.results, outcome.checkpoints(),
-                outcome.endgame_reentries_skipped)
-
-    if resume_from is not None or skip_certified_endgame:
-        reasons = []
-        if exposed is None:
-            reasons.append("the evaluator factory hides its polynomial "
-                           "systems")
-        if not _has_backend(context):
-            reasons.append(f"context {context.name!r} has no registered "
-                           "batch backend")
-        raise ConfigurationError(
-            "resume_from/skip_certified_endgame need the batched tracking "
-            "route, but the scalar fallback would be taken ("
-            + "; ".join(reasons) +
-            "); the scalar tracker cannot honour checkpoints, so a warm "
-            "restart would silently degrade to a cold re-track -- drop "
-            "resume_from or make the batched route available"
-        )
-    if evaluators is None:
-        evaluators = (CPUReferenceEvaluator(start_system, context=context),
-                      CPUReferenceEvaluator(system, context=context))
-    homotopy = Homotopy(evaluators[0], evaluators[1],
-                        gamma=gamma, context=context)
-    scalar = PathTracker(homotopy, context=context, options=options)
-    return [scalar.track(s) for s in starts], None, 0
-
-
-def batched_route_available(context: NumericContext,
-                            exposed: Optional[Tuple[PolynomialSystem,
-                                                    PolynomialSystem]]) -> bool:
-    """Whether :func:`_track_paths` would take the batched engine.
-
-    The batched route -- the only one that can produce and honour
-    :class:`~repro.tracking.batch_tracker.LaneCheckpoint` state -- needs
-    the polynomial systems themselves (``exposed``) and a registered batch
-    backend for the context.  The solver and the sharded service probe this
-    before deciding to pass ``resume_from``.
-    """
-    return exposed is not None and _has_backend(context)
-
-
 def solve_system(system: PolynomialSystem, *,
                  context: NumericContext = DOUBLE,
-                 evaluator_factory: Optional[Callable[[PolynomialSystem], object]] = None,
                  options: Optional[TrackerOptions] = None,
                  max_paths: Optional[int] = None,
                  gamma: Optional[complex] = None,
@@ -520,18 +403,6 @@ def solve_system(system: PolynomialSystem, *,
         Working arithmetic for evaluation, linear algebra and tracking.
         Ignored when ``escalation`` is given (the ladder's first rung is the
         starting arithmetic then).
-    evaluator_factory:
-        Called on the start system and on the target system to produce the
-        evaluators used inside the homotopy; defaults to the sequential
-        :class:`~repro.core.cpu_reference.CPUReferenceEvaluator`.  When both
-        produced evaluators expose their underlying polynomial system (the
-        CPU reference and GPU evaluators both do) the paths are tracked by
-        the batched structure-of-arrays engine; otherwise each path runs
-        through the scalar tracker driven by the factory's evaluators.  With
-        ``escalation``, a custom factory is only consulted for those exposed
-        systems -- the per-rung arithmetic is applied by the batched engine;
-        a factory that hides its systems is rejected when the ladder has
-        more than one rung (its evaluators are stuck in one arithmetic).
     options:
         Tracker options; sensible defaults otherwise.
     max_paths:
@@ -563,7 +434,17 @@ def solve_system(system: PolynomialSystem, *,
     SolveReport
         Distinct solutions with residuals and multiplicities, plus failures
         and the per-arithmetic path accounting.
+
+    Raises
+    ------
+    ConfigurationError
+        Before any path is tracked, when a ladder rung's context has no
+        registered batch backend (the error names ``register_backend``).
     """
+    ladder = list(escalation.ladder) if escalation is not None else [context]
+    for rung in ladder:
+        backend_for_context(rung)  # refuse a backendless rung up front
+
     strategy = start if start is not None else TotalDegreeStart()
     plan = strategy.prepare(system)
     start_system = plan.start_system
@@ -574,81 +455,31 @@ def solve_system(system: PolynomialSystem, *,
     else:
         starts = list(plan.solutions())
 
-    ladder = list(escalation.ladder) if escalation is not None else [context]
-
-    # Probe the factory once: the exposed systems are rung-independent, so
-    # there is no point rebuilding (possibly expensive) evaluators per rung
-    # just to read their ``system`` attribute.
-    probe_evaluators: Optional[Tuple[object, object]] = None
-    exposed: Optional[Tuple[PolynomialSystem, PolynomialSystem]] = None
-    if evaluator_factory is not None:
-        probe_evaluators = (evaluator_factory(start_system),
-                            evaluator_factory(system))
-        exposed_start = getattr(probe_evaluators[0], "system", None)
-        exposed_target = getattr(probe_evaluators[1], "system", None)
-        if exposed_start is not None and exposed_target is not None:
-            exposed = (exposed_start, exposed_target)
-        elif len(ladder) > 1:
-            # The opaque evaluators were built in one fixed arithmetic; the
-            # wider rungs could not actually widen the precision, so the
-            # escalated report would be a lie.  Refuse instead.
-            raise ConfigurationError(
-                "precision escalation needs evaluators that expose their "
-                "polynomial system (so each rung can rebuild them in its "
-                "arithmetic); the supplied evaluator_factory hides it -- "
-                "drop the escalation policy or expose a `system` attribute"
-            )
-    else:
-        exposed = (start_system, system)
-
-    degradations: List[str] = []
     warm = escalation is not None and escalation.warm_restart
-
-    # The factory's evaluators are built in one fixed arithmetic, so the
-    # scalar fallback may only reuse them when there is a single rung; a
-    # multi-rung fallback rebuilds CPU reference evaluators per rung.
-    fallback_evaluators = probe_evaluators if len(ladder) == 1 else None
 
     def run_rung(level: int, rung: NumericContext,
                  pending: List[Tuple[int, Sequence]],
                  checkpoints_by_index: Dict[int, object]) -> RungOutcome:
-        # Warm-restart the residue from its checkpoints when the rung can
-        # take the batched route AND every pending path has a checkpoint
-        # (a scalar-fallback rung leaves none).  When either leg fails the
-        # rung degrades to a cold re-track -- recorded in the report, never
-        # silent, and resume_from is withheld so _track_paths cannot be
-        # asked for something its route would ignore.
+        # Warm-restart the residue from the checkpoints the cheaper rung
+        # left for every path it tracked.
         resume = None
         if warm and level > 0:
-            have_all = all(index in checkpoints_by_index
-                           for index, _ in pending)
-            if not batched_route_available(rung, exposed):
-                degradations.append(
-                    f"{rung.name}: warm restart degraded to a cold re-track "
-                    f"of {len(pending)} path(s) -- the scalar fallback route "
-                    f"cannot honour checkpoints")
-            elif not have_all:
-                degradations.append(
-                    f"{rung.name}: warm restart degraded to a cold re-track "
-                    f"of {len(pending)} path(s) -- a previous scalar-fallback "
-                    f"rung left no checkpoints to resume from")
-            else:
-                resume = [checkpoints_by_index[index] for index, _ in pending]
-        results, checkpoints, endgame_skips = _track_paths(
-            start_system, system, [s for _, s in pending], rung,
-            fallback_evaluators, exposed, options, gamma, batch_size,
-            resume_from=resume,
-            skip_certified_endgame=(resume is not None
-                                    and escalation.residual_aware))
-        # resume is only ever passed down the batched route (which always
-        # returns checkpoints), so the resumed accounting follows the route
-        # actually taken.
-        resumed_mid_ts = None
-        if resume is not None and checkpoints is not None:
-            resumed_mid_ts = [cp.t for cp in resume if cp.resumes_mid_path]
-        return RungOutcome(results=results, checkpoints=checkpoints,
-                           endgame_skips=endgame_skips,
-                           resumed_mid_ts=resumed_mid_ts)
+            resume = [checkpoints_by_index[index] for index, _ in pending]
+        tracker = BatchTracker(start_system, system, context=rung,
+                               options=options, batch_size=batch_size,
+                               gamma=gamma,
+                               skip_certified_endgame=(
+                                   resume is not None
+                                   and escalation.residual_aware))
+        if resume is not None:
+            outcome = tracker.track_batches(resume_from=resume)
+        else:
+            outcome = tracker.track_batches([s for _, s in pending])
+        return RungOutcome(
+            results=outcome.results, checkpoints=outcome.checkpoints(),
+            endgame_skips=outcome.endgame_reentries_skipped,
+            resumed_mid_ts=(None if resume is None else
+                            [cp.t for cp in resume if cp.resumes_mid_path]))
 
     state = run_escalation_ladder(ladder, starts, run_rung)
 
@@ -671,6 +502,5 @@ def solve_system(system: PolynomialSystem, *,
         restarted_by_context=state.restarted_by_context,
         resume_t_by_context=state.resume_t_by_context,
         endgame_skips_by_context=state.endgame_skips_by_context,
-        degradations=degradations,
         start_strategy=plan.strategy,
     )

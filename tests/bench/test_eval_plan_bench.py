@@ -15,13 +15,11 @@ import numpy as np
 import pytest
 
 from repro.bench.eval_plan import (
-    ArenaTrackerRow,
     EvalPlanRow,
     PlanTrackerRow,
     eval_plan_report,
     op_count_report,
     run_allocation_bench,
-    run_arena_tracker_bench,
     run_eval_plan_bench,
 )
 from repro.core.evalplan import EvaluationPlan, HomotopyPlan
@@ -96,51 +94,35 @@ class TestReportShape:
         assert report["evaluation"][0]["speedup"] == pytest.approx(2.0)
         assert report["op_counts"]["plan"]["multiplications"] > 0
 
-    def test_report_assembles_arena_section(self):
+    def test_report_assembles_allocations(self):
         op_counts = op_count_report(dimension=3)
-        arena_rows = [
-            ArenaTrackerRow(context="qd", batch_size=8, use_arenas=True,
-                            paths_tracked=8, paths_converged=8,
-                            wall_seconds=2.0, arena_hits=100,
-                            executions=100),
-            ArenaTrackerRow(context="qd", batch_size=8, use_arenas=False,
-                            paths_tracked=8, paths_converged=8,
-                            wall_seconds=3.0),
-        ]
-        allocations = {"walk": 1700.0, "plans": 750.0, "plans_arenas": 100.0}
-        report = eval_plan_report(op_counts, [], [], arena_rows, allocations)
-        arena = report["arena"]
-        assert arena["qd_tracker_wall_speedup_vs_plans"] == pytest.approx(1.5)
-        assert arena["allocations_per_evaluation"]["plans_arenas"] == 100.0
-        assert arena["tracker"][0]["executions"] == 100
+        allocations = {"walk": 780.0, "tape": 0.0}
+        report = eval_plan_report(op_counts, [], [], allocations)
+        assert report["allocations_per_evaluation"] == allocations
 
 
 class TestCheckedInReport:
-    def test_checked_in_arena_speedup_meets_acceptance_floor(self):
-        """The regenerated ``BENCH_eval_plan.json`` must record the arena
-        A/B acceptance number: >= 1.15x further qd tracker wall over the
-        plans-on baseline, plus the allocation drop walk -> plans ->
-        plans+arenas."""
+    def test_checked_in_tape_meets_acceptance_floors(self):
+        """The regenerated ``BENCH_eval_plan.json`` must record the tape's
+        acceptance numbers against the walk: >= 1.15x qd tracker wall, and
+        fewer numpy allocations per batched evaluation."""
         import json
         from pathlib import Path
 
         path = Path(__file__).resolve().parents[2] / "BENCH_eval_plan.json"
         report = json.loads(path.read_text(encoding="utf-8"))
-        arena = report["arena"]
-        assert arena["qd_tracker_wall_speedup_vs_plans"] >= 1.15
-        allocs = arena["allocations_per_evaluation"]
-        assert allocs["plans_arenas"] < allocs["plans"] < allocs["walk"]
+        assert report["qd_tracker_wall_speedup"] >= 1.15
+        allocs = report["allocations_per_evaluation"]
+        assert allocs["tape"] < allocs["walk"]
 
 
 class TestAllocationDrop:
-    def test_arena_path_allocates_less_than_plan_path(self):
+    def test_tape_allocates_less_than_walk(self):
         """Steady-state allocations per batched evaluation must drop going
-        walk -> plans -> plans+arenas (the point of the arena refactor)."""
+        walk -> tape, and by the bulk of the walk's churn, not a token
+        amount (the checked-in report records none for the tape)."""
         counts = run_allocation_bench(evaluations=4)
-        assert counts["plans_arenas"] < counts["plans"] < counts["walk"], counts
-        # The arena path retires the bulk of the per-evaluation churn, not
-        # a token amount (checked-in report records ~7x vs plans).
-        assert counts["plans_arenas"] <= 0.5 * counts["plans"], counts
+        assert counts["tape"] <= 0.5 * counts["walk"], counts
 
 
 @pytest.mark.slow
@@ -153,18 +135,3 @@ class TestMeasuredSpeedup:
                                    repeats=7)
         assert rows[0].speedup >= 1.15, \
             f"qd plan evaluate_batch speedup only {rows[0].speedup:.2f}x"
-
-    def test_qd_arena_tracker_wall_wins(self):
-        """Arenas on must beat the allocating plan path end to end on the
-        qd tracker.  The acceptance floor (1.15x) is asserted against the
-        checked-in report (see ``TestCheckedInReport`` and
-        ``tools/check_bench.py``), where the single-run measurement is not
-        noise-compressed; the live re-measurement here uses a softer alarm
-        floor because repeated interleaved runs warm the allocator and
-        squeeze the allocating arm's disadvantage."""
-        rows = run_arena_tracker_bench(repeats=3)
-        on = next(r for r in rows if r.use_arenas)
-        off = next(r for r in rows if not r.use_arenas)
-        speedup = off.wall_seconds / on.wall_seconds
-        assert speedup >= 1.05, \
-            f"qd arena tracker speedup only {speedup:.2f}x"

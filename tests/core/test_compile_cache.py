@@ -1,12 +1,11 @@
 """Tests for the structural homotopy compile cache in ``evalplan``.
 
-The cache shares *compile artifacts* -- schedules, plane specs, Jacobian
-union, op counts -- between :class:`HomotopyPlan` instances over the same
-(start, target) pair; execution state (slot buffer, bound gamma) stays
+The cache shares *compile artifacts* -- the lowered tape, sharing
+statistics, op counts -- between :class:`HomotopyPlan` instances over the
+same (start, target) pair; execution state (slot buffer, bound gamma) stays
 per-instance.  The promises: hits share, execution is bit-for-bit
-identical with the cache off, distinct coefficients never collide (the
-coefficients are baked into the schedules), eviction is LRU-bounded, and
-the toggle restores itself.
+identical to a fresh compile, distinct coefficients never collide (the
+coefficients are baked into the tape), and eviction is LRU-bounded.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.core.evalplan import (
     HomotopyPlan,
     clear_homotopy_compile_cache,
     homotopy_compile_cache_stats,
-    use_homotopy_compile_cache,
 )
 from repro.polynomials import katsura_system, random_sparse_system
 from repro.polynomials.generators import perturb_coefficients
@@ -53,13 +51,11 @@ class TestSharing:
         assert stats["misses"] == 1
         assert stats["hits"] == 1
         assert stats["entries"] == 1
-        assert second._g_schedules is first._g_schedules
-        assert second._f_schedules is first._f_schedules
-        assert second._specs is first._specs
+        assert second.tape is first.tape
 
     def test_perturbed_coefficients_do_not_collide(self):
-        """Coefficients are baked into the compiled schedules as scalar
-        ops, so two family members must get distinct cache entries."""
+        """Coefficients are baked into the compiled tape as constants, so
+        two family members must get distinct cache entries."""
         start, target = plan_pair()
         shifted = perturb_coefficients(target, scale=1e-2, seed=3)
         HomotopyPlan(start, target, gamma=0.5 + 0.5j)
@@ -72,8 +68,9 @@ class TestSharing:
         start, target = plan_pair()
         HomotopyPlan(start, target, gamma=0.6 + 0.8j)  # prime the cache
         cached = HomotopyPlan(start, target, gamma=0.6 + 0.8j)
-        with use_homotopy_compile_cache(False):
-            direct = HomotopyPlan(start, target, gamma=0.6 + 0.8j)
+        clear_homotopy_compile_cache()
+        direct = HomotopyPlan(start, target, gamma=0.6 + 0.8j)
+        assert direct.tape is not cached.tape
         points = lane_batch(target.dimension)
         t = np.array([0.15, 0.5, 0.85])
         h_a, jac_a, dt_a = cached.execute(points, t)
@@ -101,21 +98,6 @@ class TestSharing:
 
 
 class TestLifecycle:
-    def test_disabled_cache_stores_nothing(self):
-        start, target = plan_pair()
-        with use_homotopy_compile_cache(False):
-            HomotopyPlan(start, target, gamma=0.5 + 0.5j)
-            HomotopyPlan(start, target, gamma=0.5 + 0.5j)
-        stats = homotopy_compile_cache_stats()
-        assert stats == {"hits": 0, "misses": 0, "entries": 0}
-
-    def test_toggle_restores_on_exit(self):
-        start, target = plan_pair()
-        with use_homotopy_compile_cache(False):
-            pass
-        HomotopyPlan(start, target, gamma=0.5 + 0.5j)
-        assert homotopy_compile_cache_stats()["entries"] == 1
-
     def test_eviction_is_lru_bounded(self):
         limit = evalplan._COMPILE_CACHE_LIMIT
         for seed in range(limit + 3):

@@ -21,15 +21,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import evalplan
 from repro.core.batch import VectorisedBatchEvaluator
 from repro.core.evalplan import (
     EvaluationPlan,
     HomotopyPlan,
     PlanOpCounts,
-    eval_plans_enabled,
     homotopy_walk_op_counts,
     pow_chain_multiplications,
-    use_eval_plans,
     walk_op_counts,
 )
 from repro.core.opcounts import sharing_report
@@ -129,24 +128,29 @@ def assert_value_equal(a, b, context, where=""):
             f"value mismatch {where}: {pa} vs {pb}"
 
 
+def compiled_specs(system):
+    """The plane specs the plan compiler emits for ``system``."""
+    compiler = evalplan._Compiler()
+    compiler.compile_system(system)
+    compiler.finalize()
+    return compiler.specs
+
+
 # ----------------------------------------------------------------------
 # the differential core, reused by the seeded and hypothesis drivers
 # ----------------------------------------------------------------------
 def check_single_system(system, context, rng, lanes=5, poison=False):
     backend = backend_for_context(context)
     points = lane_points(backend, system.dimension, lanes, rng, poison=poison)
-    evaluator = VectorisedBatchEvaluator(system, backend=backend)
     with masked_lane_errstate():
-        with use_eval_plans(False):
-            walk = evaluator.evaluate(points)
-        with use_eval_plans(True):
-            plan = evaluator.evaluate(points)
+        walk = VectorisedBatchEvaluator(system, backend=backend).evaluate(points)
+        values, jacobian = EvaluationPlan(system, backend=backend).execute(points)
     n = system.dimension
     for i in range(n):
-        assert_bit_for_bit(walk.values[i], plan.values[i], context,
+        assert_bit_for_bit(walk.values[i], values[i], context,
                            f"values[{i}] at {context.name}")
         for j in range(n):
-            assert_bit_for_bit(walk.jacobian[i][j], plan.jacobian[i][j],
+            assert_bit_for_bit(walk.jacobian[i][j], jacobian[i][j],
                                context, f"jacobian[{i}][{j}] at {context.name}")
 
 
@@ -155,12 +159,11 @@ def check_homotopy(start, target, context, rng, lanes=5, poison=False):
     n = target.dimension
     points = lane_points(backend, n, lanes, rng, poison=poison)
     t = rng.uniform(0.0, 1.0, size=lanes)
-    homotopy = BatchHomotopy(start, target, context=context, backend=backend)
     with masked_lane_errstate():
-        with use_eval_plans(False):
-            walk = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True):
-            plan = homotopy.evaluate_batch(points, t)
+        walk = BatchHomotopy(start, target, context=context, backend=backend,
+                             use_plan=False).evaluate_batch(points, t)
+        plan = BatchHomotopy(start, target, context=context,
+                             backend=backend).evaluate_batch(points, t)
     for i in range(n):
         assert_bit_for_bit(walk.values[i], plan.values[i], context,
                            f"h values[{i}] at {context.name}")
@@ -240,33 +243,34 @@ if HAVE_HYPOTHESIS:
 # shape validation (regression: 1-D points used to be silently misread)
 # ----------------------------------------------------------------------
 class TestInputShapeValidation:
-    def make_evaluator(self):
+    def make_evaluate(self, use_plan=False):
+        """The plan's ``execute`` or the walk's ``evaluate``."""
         system = PolynomialSystem([
             Polynomial([(1 + 0j, Monomial((0,), (2,)))]),
             Polynomial([(1 + 0j, Monomial((1,), (1,)))]),
         ], dimension=2)
-        return VectorisedBatchEvaluator(system)
+        if use_plan:
+            return EvaluationPlan(system).execute
+        return VectorisedBatchEvaluator(system).evaluate
 
     @pytest.mark.parametrize("use_plan", [True, False])
     def test_one_dimensional_points_rejected(self, use_plan):
-        evaluator = self.make_evaluator()
+        evaluate = self.make_evaluate(use_plan)
         flat = np.array([1 + 0j, 2 + 0j])  # a single point, not a batch
-        with use_eval_plans(use_plan):
-            with pytest.raises(ConfigurationError, match=r"\(n, B\)"):
-                evaluator.evaluate(flat)
+        with pytest.raises(ConfigurationError, match=r"\(n, B\)"):
+            evaluate(flat)
 
     @pytest.mark.parametrize("use_plan", [True, False])
     def test_wrong_leading_dimension_rejected(self, use_plan):
-        evaluator = self.make_evaluator()
+        evaluate = self.make_evaluate(use_plan)
         wrong = np.zeros((3, 4), dtype=np.complex128)
-        with use_eval_plans(use_plan):
-            with pytest.raises(ConfigurationError, match="dimension"):
-                evaluator.evaluate(wrong)
+        with pytest.raises(ConfigurationError, match="dimension"):
+            evaluate(wrong)
 
     def test_correct_shape_accepted(self):
-        evaluator = self.make_evaluator()
+        evaluate = self.make_evaluate()
         points = np.ones((2, 3), dtype=np.complex128)
-        result = evaluator.evaluate(points)
+        result = evaluate(points)
         assert len(result.values) == 2
         assert result.values[0].shape == (3,)
 
@@ -275,41 +279,18 @@ class TestInputShapeValidation:
             Polynomial([(1 + 0j, Monomial((0,), (2,))),
                         (-1 + 0j, Monomial((), ()))]),
         ], dimension=1)
-        homotopy = BatchHomotopy(total_degree_start_system(system), system)
         for use_plan in (True, False):
-            with use_eval_plans(use_plan):
-                with pytest.raises(ConfigurationError):
-                    homotopy.evaluate_batch(np.ones(3, dtype=np.complex128),
-                                            np.zeros(3))
+            homotopy = BatchHomotopy(total_degree_start_system(system), system,
+                                     use_plan=use_plan)
+            with pytest.raises(ConfigurationError):
+                homotopy.evaluate_batch(np.ones(3, dtype=np.complex128),
+                                        np.zeros(3))
 
 
 # ----------------------------------------------------------------------
-# the toggle and the compiled structure
+# the compiled structure
 # ----------------------------------------------------------------------
 class TestPlanMachinery:
-    def test_toggle_round_trip(self):
-        assert eval_plans_enabled()  # default on
-        with use_eval_plans(False):
-            assert not eval_plans_enabled()
-            with use_eval_plans(True):
-                assert eval_plans_enabled()
-            assert not eval_plans_enabled()
-        assert eval_plans_enabled()
-
-    def test_use_plan_parameter_overrides_toggle(self):
-        rng = np.random.default_rng(7)
-        system = random_system(rng, 2)
-        backend = backend_for_context(DOUBLE)
-        points = lane_points(backend, 2, 3, rng)
-        pinned_walk = VectorisedBatchEvaluator(system, use_plan=False)
-        with use_eval_plans(True):
-            pinned_walk.evaluate(points)
-        assert pinned_walk._plan is None  # the walk never compiled a plan
-        pinned_plan = VectorisedBatchEvaluator(system, use_plan=True)
-        with use_eval_plans(False):
-            pinned_plan.evaluate(points)
-        assert pinned_plan._plan is not None
-
     def test_pow_chain_matches_pow_operator_cost(self):
         # e = 1 -> ones*base + one squaring; e = 6 (110b) -> 2 result muls
         # + 3 squarings.
@@ -319,11 +300,11 @@ class TestPlanMachinery:
 
     def test_plan_compiles_lazily_and_once(self):
         rng = np.random.default_rng(8)
-        system = random_system(rng, 2)
-        evaluator = VectorisedBatchEvaluator(system)
-        assert evaluator._plan is None
-        plan = evaluator.plan
-        assert evaluator.plan is plan
+        target = random_system(rng, 2)
+        homotopy = BatchHomotopy(total_degree_start_system(target), target)
+        assert homotopy._plan is None
+        plan = homotopy.plan
+        assert homotopy.plan is plan
 
     def test_rejects_non_square_system(self):
         lopsided = PolynomialSystem([
@@ -389,8 +370,8 @@ class TestOpCounts:
             Polynomial([(1 + 0j, Monomial((2,), (1,)))]),
             Polynomial([(1 + 0j, Monomial((3,), (1,)))]),
         ], dimension=4)
-        plan = EvaluationPlan(system)
-        chains = [spec for spec in plan._specs if spec[0] == "chain"]
+        chains = [spec for spec in compiled_specs(system)
+                  if spec[0] == "chain"]
         assert len(chains) == 1
         # A single >1 exponent needs no chain plane at all: the power is
         # the common factor.
@@ -398,8 +379,7 @@ class TestOpCounts:
             Polynomial([(1 + 0j, Monomial((0,), (3,)))]),
             Polynomial([(1 + 0j, Monomial((1,), (1,)))]),
         ], dimension=2)
-        assert not [s for s in EvaluationPlan(single)._specs
-                    if s[0] == "chain"]
+        assert not [s for s in compiled_specs(single) if s[0] == "chain"]
 
     def test_sharing_report_shapes(self):
         rng = np.random.default_rng(700)

@@ -7,8 +7,8 @@ Both routes must give the same bits under the NaN contract of
 ``docs/compiled_kernels.md`` (NaN positions match, a NaN's sign may not),
 agree with the walk-the-terms reference, and keep the slot buffer's
 lifecycle: rows valid until the next execution, exactly one re-size per
-lane-count change, instances sharing compile-cache artifacts safe across
-threads.
+lane-count change, an aborted execution leaving the plan reusable, and
+instances sharing compile-cache artifacts safe across threads.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from repro.bench.scenarios import SCENARIOS, tier1_scenarios
-from repro.core.batch import VectorisedBatchEvaluator
+from repro.core.batch import BatchSystemEvaluation, VectorisedBatchEvaluator
 from repro.core import tape as tape_module
-from repro.core.evalplan import HomotopyPlan, use_eval_plans
+from repro.core.evalplan import EvaluationPlan, HomotopyPlan
 from repro.multiprec import compiled
 from repro.multiprec.backend import backend_for_context, masked_lane_errstate
 from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE
@@ -32,7 +32,7 @@ from repro.polynomials.polynomial import Polynomial
 from repro.polynomials.system import PolynomialSystem
 from repro.tracking import EscalationPolicy, TrackerOptions, solve_system
 from repro.tracking.batch_linsolve import batched_solve
-from repro.tracking.homotopy import BatchHomotopy
+from repro.tracking.homotopy import BatchHomotopy, BatchHomotopyEvaluation
 from repro.tracking.start_systems import (DiagonalStart, TotalDegreeStart,
                                           total_degree_start_system)
 
@@ -99,11 +99,31 @@ def lane_batch(backend, dimension, rng, clean=5):
         return backend.from_points(points)
 
 
-def homotopy_for(scenario, context):
+def clean_lanes(backend, dimension, lanes, seed):
+    """``lanes`` random finite points."""
+    rng = np.random.default_rng(seed)
+    points = [[complex(a, b) for a, b in zip(rng.normal(size=dimension),
+                                             rng.normal(size=dimension))]
+              for _ in range(lanes)]
+    return backend.from_points(points)
+
+
+def homotopy_for(scenario, context, use_plan=True):
     target = scenario.build_system()
     start = total_degree_start_system(target)
     return BatchHomotopy(start, target, context=context,
-                         gamma=complex(-0.6, 0.8))
+                         gamma=complex(-0.6, 0.8), use_plan=use_plan)
+
+
+def run_plan(plan, points, t=None):
+    """One execution of ``plan``, packaged like the walk's evaluation."""
+    if t is None:
+        return BatchSystemEvaluation(*plan.execute(points))
+    return BatchHomotopyEvaluation(*plan.execute(points, t))
+
+
+def walk_of(system, backend, points):
+    return VectorisedBatchEvaluator(system, backend=backend).evaluate(points)
 
 
 class TestRegistry:
@@ -122,21 +142,20 @@ class TestRegistry:
         points = lane_batch(backend, n, rng)
         lanes = points.shape[1]
         t = np.linspace(0.0, 1.0, lanes)
-        evaluator = VectorisedBatchEvaluator(scenario.build_system(),
-                                             backend=backend)
+        system = scenario.build_system()
+        plan = EvaluationPlan(system, backend=backend)
         clean = slice(len(ADVERSARIAL), None)
         with masked_lane_errstate():
             native = snapshot(homotopy.evaluate_batch(points, t), context)
-            native_system = snapshot(evaluator.evaluate(points), context)
-            with use_eval_plans(False):
-                walk = snapshot(homotopy.evaluate_batch(points, t), context,
-                                clean)
-                walk_system = snapshot(evaluator.evaluate(points), context,
-                                       clean)
+            native_system = snapshot(run_plan(plan, points), context)
+            walk = snapshot(homotopy_for(scenario, context, use_plan=False)
+                            .evaluate_batch(points, t), context, clean)
+            walk_system = snapshot(walk_of(system, backend, points), context,
+                                   clean)
             with monkeypatch.context() as patch:
                 patch.setattr(compiled, "KERNELS", None)
                 loop = snapshot(homotopy.evaluate_batch(points, t), context)
-                loop_system = snapshot(evaluator.evaluate(points), context)
+                loop_system = snapshot(run_plan(plan, points), context)
         assert_same_bits(native, loop, "tape vs Python loop")
         assert_same_bits(native_system, loop_system, "system tape vs loop")
         # The walk on the finite lanes only: on an inf lane the plan's
@@ -210,10 +229,161 @@ class TestLayoutsAndLifecycle:
             fresh = homotopy_for(tier1_scenarios()[0], DOUBLE)
             assert_same_bits(got,
                              snapshot(fresh.evaluate_batch(points, t), DOUBLE))
-        arena = homotopy.plan.arena
-        assert arena.resizes == changes
-        assert arena.lanes == sequence[-1]
+        assert homotopy.plan.resizes == changes
         assert homotopy.plan.exec_stats.executions == len(sequence)
+
+
+def example_system() -> PolynomialSystem:
+    """Small square system with shared supports, powers and a constant."""
+    xy = Monomial((0, 1), (2, 3))
+    yz = Monomial((1, 2), (1, 2))
+    return PolynomialSystem([
+        Polynomial([(2 + 1j, xy), (1 - 1j, yz), (0.5 + 0j, Monomial((), ()))]),
+        Polynomial([(1 + 0j, xy), (-3 + 0j, Monomial((2,), (4,)))]),
+        Polynomial([(1 + 2j, yz), (1 + 0j, Monomial((0,), (1,)))]),
+    ], dimension=3)
+
+
+class TestAgainstWalk:
+    """The tape against the walk on a small system with shared supports,
+    powers and a constant term."""
+
+    @pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
+    def test_single_system_bit_for_bit(self, context):
+        system = example_system()
+        backend = backend_for_context(context)
+        points = clean_lanes(backend, 3, 5, seed=1)
+        plan = EvaluationPlan(system, backend=backend)
+        with masked_lane_errstate():
+            got = snapshot(run_plan(plan, points), context)
+            want = snapshot(walk_of(system, backend, points), context)
+        assert_same_bits(got, want)
+        assert plan.exec_stats.executions == 1
+
+    @pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
+    def test_homotopy_bit_for_bit(self, context):
+        # Values and dh/dt bit for bit; a Jacobian entry only one system
+        # touches skips the walk's product of a zeros row, so its zero may
+        # differ in sign.
+        target = example_system()
+        start = total_degree_start_system(target)
+        backend = backend_for_context(context)
+        points = clean_lanes(backend, 3, 4, seed=2)
+        t = np.random.default_rng(3).uniform(0.0, 1.0, size=4)
+        plan = HomotopyPlan(start, target, gamma=0.6 - 0.8j, backend=backend)
+        walk = BatchHomotopy(start, target, gamma=0.6 - 0.8j,
+                             backend=backend, use_plan=False)
+        with masked_lane_errstate():
+            got = run_plan(plan, points, t)
+            want = walk.evaluate_batch(points, t)
+            assert_value_equal(snapshot(got, context), snapshot(want, context))
+            for name in ("values", "t_derivative"):
+                assert_same_bits(
+                    [p for row in getattr(got, name)
+                     for p in planes_of(row, context)],
+                    [p for row in getattr(want, name)
+                     for p in planes_of(row, context)], name)
+
+
+class TestPlanLifecycle:
+    def test_lane_count_change_resizes_exactly_once(self):
+        backend = backend_for_context(DOUBLE)
+        plan = EvaluationPlan(example_system(), backend=backend)
+        for lanes, seed, resizes in ((8, 4, 0), (8, 5, 0), (3, 6, 1),
+                                     (3, 7, 1)):
+            plan.execute(clean_lanes(backend, 3, lanes, seed))
+            assert plan.resizes == resizes
+
+    def test_results_correct_across_resize(self):
+        system = example_system()
+        backend = backend_for_context(DOUBLE_DOUBLE)
+        plan = EvaluationPlan(system, backend=backend)
+        wide = clean_lanes(backend, 3, 6, seed=8)
+        narrow = clean_lanes(backend, 3, 2, seed=9)
+        with masked_lane_errstate():
+            for points in (wide, narrow, wide):
+                assert_same_bits(
+                    snapshot(run_plan(plan, points), DOUBLE_DOUBLE),
+                    snapshot(walk_of(system, backend, points), DOUBLE_DOUBLE))
+
+    @pytest.mark.parametrize("context", (DOUBLE, DOUBLE_DOUBLE),
+                             ids=lambda c: c.name)
+    def test_tape_matches_walk_with_and_without_kernels(self, context,
+                                                        monkeypatch):
+        # One plan, executed under the compiled kernels and then the NumPy
+        # reference chains, matches the walk both times.
+        system = example_system()
+        backend = backend_for_context(context)
+        points = clean_lanes(backend, 3, 5, seed=10)
+        plan = EvaluationPlan(system, backend=backend)
+        with masked_lane_errstate():
+            want = snapshot(walk_of(system, backend, points), context)
+            for kernels in (compiled.KERNELS, None):
+                monkeypatch.setattr(compiled, "KERNELS", kernels)
+                assert_same_bits(snapshot(run_plan(plan, points), context),
+                                 want)
+
+    def test_exception_mid_execution_leaves_the_plan_reusable(self):
+        system = example_system()
+        backend = backend_for_context(DOUBLE_DOUBLE)
+        points = clean_lanes(backend, 3, 5, seed=11)
+        plan = EvaluationPlan(system, backend=backend)
+        calls = {"n": 0}
+        original = backend.iadd_mul
+
+        def failing_iadd_mul(acc, a, b):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("injected mid-plan failure")
+            return original(acc, a, b)
+
+        with masked_lane_errstate():
+            plan.execute(points)  # size the slot buffer
+            # A replaced backend method sends the tape to the Python loop,
+            # where the failure fires mid-execution.
+            backend.iadd_mul = failing_iadd_mul
+            try:
+                with pytest.raises(RuntimeError, match="injected"):
+                    plan.execute(points)
+            finally:
+                del backend.iadd_mul
+            # No poisoned slots: the next execution fully overwrites them.
+            got = snapshot(run_plan(plan, points), DOUBLE_DOUBLE)
+            want = snapshot(walk_of(system, backend, points), DOUBLE_DOUBLE)
+        assert calls["n"] == 2
+        assert_same_bits(got, want)
+
+
+class TestScaleFactorSharing:
+    def scaled_system(self):
+        # The same monomial under distinct coefficients, with one
+        # (coeff, monomial) pair consumed twice: without scale sharing the
+        # compiler would materialise a scaled term plane; with it, the one
+        # unscaled product plane feeds every consumer through iadd_mul.
+        xy = Monomial((0, 1), (1, 2))
+        z2 = Monomial((2,), (2,))
+        return PolynomialSystem([
+            Polynomial([(2 + 0j, xy), (1 + 0j, z2)]),
+            Polynomial([(2 + 0j, xy), (3 + 0j, z2)]),
+            Polynomial([(5 + 0j, xy), (1 + 1j, z2)]),
+        ], dimension=3)
+
+    def test_products_shared_and_counted(self):
+        plan = EvaluationPlan(self.scaled_system())
+        assert plan.statistics["scale_shared_products"] >= 1
+        # Suppressed products never materialise scaled planes.
+        assert plan.statistics["shared_term_planes"] == 0
+
+    @pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
+    def test_bit_for_bit_with_walk(self, context):
+        system = self.scaled_system()
+        backend = backend_for_context(context)
+        points = clean_lanes(backend, 3, 5, seed=16)
+        plan = EvaluationPlan(system, backend=backend)
+        with masked_lane_errstate():
+            got = snapshot(run_plan(plan, points), context)
+            want = snapshot(walk_of(system, backend, points), context)
+        assert_same_bits(got, want)
 
 
 @requires_tape
@@ -341,9 +511,8 @@ def test_d_power_beyond_numpys_ladder_runs_the_python_loop():
     t = np.array([0.25, 0.75])
     assert plan.tape.native(tape_module._NATIVE[type(plan.backend)]) is None
     got = [np.array(v) for v in plan.execute(points, t)[0]]
-    with use_eval_plans(False):
-        walk = BatchHomotopy(start, target, gamma=0.6 + 0.8j
-                             ).evaluate_batch(points, t)
+    walk = BatchHomotopy(start, target, gamma=0.6 + 0.8j,
+                         use_plan=False).evaluate_batch(points, t)
     for a, b in zip(got, walk.values):
         assert np.array_equal(a, b)
 

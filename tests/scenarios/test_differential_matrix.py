@@ -4,10 +4,11 @@ Every tier-1 scenario (one per family: cyclic, katsura, noon,
 speelpenning-product, random-sparse, irregular-degree) is pushed through
 the engine identities the repository's perf work depends on:
 
-* **plans vs walk, arenas on vs off** -- the compiled evaluation schedule
-  and its arena executor must reproduce the naive walk *bit for bit* on a
-  ``BatchHomotopy`` evaluation (values, t-derivative, full Jacobian), at
-  double-double so the hi/lo plane arithmetic is exercised too;
+* **plan vs walk** -- the compiled evaluation schedule, run as its tape
+  on a fresh and on a re-used slot buffer, must reproduce the naive walk
+  *bit for bit* on a ``BatchHomotopy`` evaluation (values, t-derivative,
+  full Jacobian), at double-double so the hi/lo plane arithmetic is
+  exercised too;
 * **batched vs scalar tracker** -- same solution sets on every family,
   including divergent-path systems (noon) where both engines must agree
   on *which* paths fail;
@@ -30,7 +31,6 @@ import pytest
 from repro.bench.eval_plan import _evaluations_identical, _lane_points
 from repro.bench.scenarios import get_scenario, tier1_scenarios
 from repro.core import CPUReferenceEvaluator, GPUEvaluator, SystemLayout
-from repro.core.evalplan import use_eval_plans, use_plan_arenas
 from repro.errors import ConfigurationError
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.multiprec.backend import backend_for_context
@@ -96,32 +96,35 @@ END_TOLERANCE = 1e-10
 
 @pytest.mark.parametrize("scenario", TIER1, ids=SCENARIO_IDS)
 class TestPlanIdentity:
-    """Compiled plans and arenas reproduce the walk path bit for bit."""
+    """The compiled plan tape reproduces the walk path bit for bit."""
 
     @staticmethod
-    def evaluations(scenario, context=DOUBLE_DOUBLE, lanes=6, seed=29):
+    def evaluations(scenario, context=DOUBLE_DOUBLE, lanes=6, seed=29,
+                    reuse=False):
         target = scenario.build_system()
         start = total_degree_start_system(target)
         backend = backend_for_context(context)
-        homotopy = BatchHomotopy(start, target, context=context,
-                                 backend=backend)
+        walk = BatchHomotopy(start, target, context=context, backend=backend,
+                             use_plan=False)
+        tape = BatchHomotopy(start, target, context=context, backend=backend)
         points = _lane_points(backend, target.dimension, lanes, seed=seed)
         t = np.random.default_rng(seed + 1).uniform(0.1, 0.9, size=lanes)
-        with use_eval_plans(False):
-            walk = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True), use_plan_arenas(False):
-            plan = homotopy.evaluate_batch(points, t)
-        with use_eval_plans(True), use_plan_arenas(True):
-            arena = homotopy.evaluate_batch(points, t)
-        return target.dimension, walk, plan, arena
+        if reuse:
+            # Run the tape on another lane count first: the measured
+            # execution lands in a re-sized buffer that held other rows.
+            other = _lane_points(backend, target.dimension, lanes + 3,
+                                 seed=seed + 2)
+            tape.evaluate_batch(other, np.full(lanes + 3, 0.5))
+        return (target.dimension, walk.evaluate_batch(points, t),
+                tape.evaluate_batch(points, t))
 
     def test_plan_matches_walk_bit_for_bit_dd(self, scenario):
-        dimension, walk, plan, _ = self.evaluations(scenario)
-        assert _evaluations_identical(walk, plan, dimension, DOUBLE_DOUBLE)
+        dimension, walk, tape = self.evaluations(scenario)
+        assert _evaluations_identical(walk, tape, dimension, DOUBLE_DOUBLE)
 
-    def test_arena_matches_plan_bit_for_bit_dd(self, scenario):
-        dimension, _, plan, arena = self.evaluations(scenario)
-        assert _evaluations_identical(plan, arena, dimension, DOUBLE_DOUBLE)
+    def test_reused_tape_matches_walk_bit_for_bit_dd(self, scenario):
+        dimension, walk, tape = self.evaluations(scenario, reuse=True)
+        assert _evaluations_identical(walk, tape, dimension, DOUBLE_DOUBLE)
 
 
 @pytest.mark.parametrize("scenario", TIER1, ids=SCENARIO_IDS)

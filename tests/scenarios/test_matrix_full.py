@@ -16,7 +16,6 @@ import pytest
 
 from repro.bench.eval_plan import _evaluations_identical, _lane_points
 from repro.bench.scenarios import SCENARIOS
-from repro.core.evalplan import use_eval_plans, use_plan_arenas
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.multiprec.backend import backend_for_context
 from repro.tracking import TrackerOptions, solve_system
@@ -38,23 +37,24 @@ ALL_IDS = [s.name for s in SCENARIOS]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=ALL_IDS)
-def test_plan_and_arena_identity_dd(scenario):
+def test_tape_identity_dd(scenario):
     target = scenario.build_system()
     start = total_degree_start_system(target)
     backend = backend_for_context(DOUBLE_DOUBLE)
-    homotopy = BatchHomotopy(start, target, context=DOUBLE_DOUBLE,
-                             backend=backend)
+    walk = BatchHomotopy(start, target, context=DOUBLE_DOUBLE,
+                         backend=backend, use_plan=False)
+    tape = BatchHomotopy(start, target, context=DOUBLE_DOUBLE,
+                         backend=backend)
     points = _lane_points(backend, target.dimension, 8, seed=61)
     t = np.random.default_rng(62).uniform(0.1, 0.9, size=8)
-    with use_eval_plans(False):
-        walk = homotopy.evaluate_batch(points, t)
-    with use_eval_plans(True), use_plan_arenas(False):
-        plan = homotopy.evaluate_batch(points, t)
-    with use_eval_plans(True), use_plan_arenas(True):
-        arena = homotopy.evaluate_batch(points, t)
-    assert _evaluations_identical(walk, plan, target.dimension, DOUBLE_DOUBLE)
-    assert _evaluations_identical(plan, arena, target.dimension,
-                                  DOUBLE_DOUBLE)
+    reference = walk.evaluate_batch(points, t)
+    assert _evaluations_identical(reference, tape.evaluate_batch(points, t),
+                                  target.dimension, DOUBLE_DOUBLE)
+    # Again on the slot buffer after a run at another lane count.
+    other = _lane_points(backend, target.dimension, 11, seed=63)
+    tape.evaluate_batch(other, np.full(11, 0.5))
+    assert _evaluations_identical(reference, tape.evaluate_batch(points, t),
+                                  target.dimension, DOUBLE_DOUBLE)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=ALL_IDS)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core import CPUReferenceEvaluator
+from repro.core import CPUReferenceEvaluator, HomotopyPlan
 from repro.multiprec import DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
 from repro.tracking import Homotopy, total_degree_start_system
@@ -87,6 +87,22 @@ class TestEndpoints:
             assert (v1 - v0) / dt == pytest.approx(dv, rel=1e-5)
 
 
+#: The batched routes: BatchHomotopy on its plan or on its walk, and a
+#: bare HomotopyPlan, which checks its inputs itself.
+BATCH_ROUTES = ["plan", "walk", "plan.execute"]
+
+
+def batch_evaluate(route):
+    """``evaluate(points, t)`` of one batched route over the test pair."""
+    target = target_system()
+    start = total_degree_start_system(target)
+    gamma = complex(0.6, 0.8)
+    if route == "plan.execute":
+        return HomotopyPlan(start, target, gamma=gamma).execute
+    return BatchHomotopy(start, target, gamma=gamma,
+                         use_plan=route == "plan").evaluate_batch
+
+
 class TestInterface:
     def test_invalid_t_rejected(self, homotopy):
         with pytest.raises(ConfigurationError):
@@ -97,18 +113,23 @@ class TestInterface:
             homotopy.evaluate_at([0j, 0j], float("nan"))
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
-    @pytest.mark.parametrize("use_plan", [True, False])
-    def test_batch_rejects_t_outside_unit_interval(self, bad, use_plan):
+    @pytest.mark.parametrize("route", BATCH_ROUTES)
+    def test_batch_rejects_t_outside_unit_interval(self, bad, route):
         # NaN fails every comparison, so the range test is written to
         # reject it rather than let it through as NaN rows.
-        target = target_system()
-        start = total_degree_start_system(target)
-        batch = BatchHomotopy(start, target, gamma=complex(0.6, 0.8),
-                              use_plan=use_plan)
+        evaluate = batch_evaluate(route)
         points = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [0.5j, -0.2 + 0j]])
-        batch.evaluate_batch(points, np.array([0.0, 1.0]))
+        evaluate(points, np.array([0.0, 1.0]))
         with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
-            batch.evaluate_batch(points, np.array([0.5, bad]))
+            evaluate(points, np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("route", BATCH_ROUTES)
+    def test_batch_rejects_t_of_the_wrong_length(self, route):
+        evaluate = batch_evaluate(route)
+        points = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [0.5j, -0.2 + 0j]])
+        with pytest.raises(ConfigurationError, match="broadcast"):
+            evaluate(points, np.array([0.1, 0.2, 0.3]))
+        evaluate(points, 0.5)  # one t broadcasts to every lane
 
     def test_gamma_must_have_unit_modulus(self):
         target = target_system()

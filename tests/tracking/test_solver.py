@@ -6,7 +6,6 @@ import cmath
 
 import pytest
 
-from repro.core import CPUReferenceEvaluator, GPUEvaluator
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
 from repro.tracking import PathResult, TrackerOptions, solve_system
@@ -135,23 +134,6 @@ class TestBackends:
         assert report.paths_converged == 2
         for solution in report.solutions:
             assert solution.residual < 1e-25
-
-    def test_gpu_evaluator_factory(self):
-        """Drive the paths with the simulated GPU pipeline.  The target must
-        be regular; the start system is evaluated on the CPU."""
-        system = decoupled_quadratics((2.0, 5.0))
-
-        def factory(s):
-            if s.regularity() is not None and s is system:
-                return GPUEvaluator(s, check_capacity=False)
-            return CPUReferenceEvaluator(s)
-
-        report = solve_system(system, evaluator_factory=factory)
-        assert report.paths_converged == 4
-        for solution in report.solutions:
-            x, y = solution.as_complex()
-            assert abs(x * x - 2.0) < 1e-7
-            assert abs(y * y - 5.0) < 1e-7
 
 
 class TestDeduplicationScales:
@@ -324,24 +306,6 @@ class TestWarmRestartEscalation:
                             for s in cold.solutions)
         assert warm_roots == cold_roots
 
-    def test_scalar_route_reports_cold_restarts(self):
-        """Without the batched engine there are no checkpoints; the report
-        must say so instead of claiming warm restarts."""
-
-        class Opaque:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def evaluate(self, point):
-                return self._inner.evaluate(point)
-
-        report = solve_system(decoupled_quadratics(),
-                              evaluator_factory=lambda s: Opaque(
-                                  CPUReferenceEvaluator(s)))
-        assert report.resumed_by_context == {"d": 0}
-        assert report.restarted_by_context == {"d": 4}
-        assert report.resume_t_by_context == {"d": []}
-
 
 class TestBatchedRoute:
     def test_default_factory_goes_through_batch_tracker(self):
@@ -349,123 +313,29 @@ class TestBatchedRoute:
         assert report.paths_converged == 4
         assert len(report.solutions) == 4
 
-    def test_opaque_factory_falls_back_to_scalar_tracker(self):
-        """An evaluator that hides its system still solves, path by path."""
 
-        class Opaque:
-            def __init__(self, inner):
-                self._inner = inner
+class TestLadderRouting:
+    """Every rung tracks through the batched engine: a rung whose context
+    has no registered batch backend is refused before any path is tracked,
+    and a clean escalated solve records no degradation."""
 
-            def evaluate(self, point):
-                return self._inner.evaluate(point)
+    def test_solver_refuses_backendless_rung_before_tracking(self,
+                                                            monkeypatch):
+        import dataclasses
 
-        report = solve_system(decoupled_quadratics(),
-                              evaluator_factory=lambda s: Opaque(
-                                  CPUReferenceEvaluator(s)))
-        assert report.paths_converged == 4
-        assert len(report.solutions) == 4
-
-    def test_opaque_factory_with_escalation_is_rejected(self):
-        """An opaque evaluator is stuck in one arithmetic, so the wider
-        rungs could not actually widen the precision -- refuse loudly
-        instead of producing a lying escalated report."""
         from repro.errors import ConfigurationError
         from repro.tracking import EscalationPolicy
-
-        class Opaque:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def evaluate(self, point):
-                return self._inner.evaluate(point)
-
-        with pytest.raises(ConfigurationError):
-            solve_system(decoupled_quadratics(),
-                         evaluator_factory=lambda s: Opaque(
-                             CPUReferenceEvaluator(s)),
-                         escalation=EscalationPolicy())
-
-
-class TestScalarRouteCannotHonourCheckpoints:
-    """resume_from down a route that cannot honour it must fail loudly at
-    the tracking layer, and degrade *recorded* (never silent) at the solver
-    layer."""
-
-    @staticmethod
-    def _tracked_checkpoints(system):
         from repro.tracking.batch_tracker import BatchTracker
-        from repro.tracking.start_systems import (
-            start_solutions,
-            total_degree_start_system,
-        )
 
-        start = total_degree_start_system(system)
-        starts = list(start_solutions(system))
-        outcome = BatchTracker(start, system).track_batches(starts)
-        return start, starts, outcome.checkpoints()
+        def track_batches(self, *args, **kwargs):
+            raise AssertionError("a path was tracked")
 
-    def test_track_paths_raises_when_factory_hides_systems(self):
-        from repro.errors import ConfigurationError
-        from repro.tracking.solver import _track_paths
-
-        system = decoupled_quadratics()
-        start, starts, checkpoints = self._tracked_checkpoints(system)
-        with pytest.raises(ConfigurationError, match="cannot honour"):
-            _track_paths(start, system, starts, DOUBLE, None,
-                         None,  # exposed=None: the scalar route
-                         None, None, None, resume_from=checkpoints)
-
-    def test_track_paths_raises_when_context_has_no_backend(self):
-        import dataclasses
-
-        from repro.errors import ConfigurationError
-        from repro.tracking.solver import _track_paths
-
-        system = decoupled_quadratics()
-        start, starts, checkpoints = self._tracked_checkpoints(system)
+        monkeypatch.setattr(BatchTracker, "track_batches", track_batches)
         orphan = dataclasses.replace(DOUBLE_DOUBLE, name="dd-no-backend")
-        with pytest.raises(ConfigurationError, match="no registered"):
-            _track_paths(start, system, starts, orphan, None,
-                         (start, system), None, None, None,
-                         resume_from=checkpoints)
-
-    def test_skip_certified_endgame_alone_also_raises(self):
-        from repro.errors import ConfigurationError
-        from repro.tracking.solver import _track_paths
-
-        system = decoupled_quadratics()
-        start, starts, _ = self._tracked_checkpoints(system)
-        with pytest.raises(ConfigurationError):
-            _track_paths(start, system, starts, DOUBLE, None, None,
-                         None, None, None, skip_certified_endgame=True)
-
-    def test_solver_records_degradation_for_backendless_rung(self):
-        """A warm escalation onto a rung without the batched route must
-        cold re-track AND say so in SolveReport.degradations."""
-        import dataclasses
-
-        from repro.tracking import EscalationPolicy
-
-        # x^2 - 2: the irrational root's double residual sits just above a
-        # tolerance at the roundoff floor, so both paths fail at d; the
-        # second rung is double-double arithmetic under a name with no
-        # registered batch backend, forcing the scalar fallback.
-        system = decoupled_quadratics(values=(2.0,))
-        orphan = dataclasses.replace(DOUBLE_DOUBLE, name="dd-no-backend")
-        report = solve_system(
-            system,
-            options=TrackerOptions(end_tolerance=5e-17, end_iterations=12),
-            escalation=EscalationPolicy(ladder=(DOUBLE, orphan)))
-        assert report.paths_by_context.get("dd-no-backend", 0) > 0
-        assert len(report.degradations) == 1
-        assert "cold re-track" in report.degradations[0]
-        assert "dd-no-backend" in report.degradations[0]
-        # The degraded rung is accounted as restarted, never as resumed.
-        assert report.resumed_by_context["dd-no-backend"] == 0
-        assert report.restarted_by_context["dd-no-backend"] == \
-            report.paths_by_context["dd-no-backend"]
-        # The solve itself still succeeds -- degradation, not failure.
-        assert report.paths_converged == report.paths_tracked
+        with pytest.raises(ConfigurationError,
+                           match="'dd-no-backend'.*register_backend"):
+            solve_system(decoupled_quadratics(values=(2.0,)),
+                         escalation=EscalationPolicy(ladder=(DOUBLE, orphan)))
 
     def test_clean_escalated_solve_reports_no_degradations(self):
         from repro.bench.batch_tracking import cyclic_quadratic_system

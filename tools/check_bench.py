@@ -10,11 +10,13 @@ repository root.  Six layers of checks keep the perf trajectory honest:
    regenerated report cannot quietly drop the section an acceptance test
    reads;
 3. **floors** -- the numeric floors the test suite asserts against these
-   files (e.g. the eval-plan multiplication saving or the arena tracker
-   speedup) hold in the checked-in numbers too, so a regeneration that
-   regressed below an alarm floor fails here instead of at the next slow
-   test run; timing ratios too noisy to assert live in tier-1 (the
-   compiled-vs-reference per-op speedups) are gated only here, row by row;
+   files (e.g. the eval-plan multiplication saving or the plan-vs-walk
+   tracker speedup) hold in the checked-in numbers too, so a regeneration
+   that regressed below an alarm floor fails here instead of at the next
+   slow test run; timing ratios too noisy to assert live in tier-1 (the
+   compiled-vs-reference per-op speedups) are gated only here, row by row,
+   and recorded counts that must order one way (the plan tape allocating
+   fewer arrays per evaluation than the walk) are compared here;
 4. **scenarios** -- every solve-level report must carry the registry's
    per-scenario matrix (>= 4 named scenarios), each entry with the
    declared workload knobs, every identity verdict ``true`` (bit-for-bit
@@ -54,8 +56,8 @@ REQUIRED_KEYS = {
                               "paths_converged", "recovered_by_escalation",
                               "scenarios"),
     "BENCH_eval_plan.json": ("evaluation", "op_counts", "tracker",
-                             "qd_tracker_wall_speedup", "arena",
-                             "scenarios"),
+                             "qd_tracker_wall_speedup",
+                             "allocations_per_evaluation", "scenarios"),
     "BENCH_qd_arith.json": ("per_op", "kernels_loaded", "tracker",
                             "baseline_qd_paths_per_s_wall",
                             "wall_speedup_vs_baseline_at_batch_64"),
@@ -70,7 +72,6 @@ FLOORS = {
     "BENCH_eval_plan.json": {
         "op_counts.multiplication_saving_factor": 1.5,
         "qd_tracker_wall_speedup": 1.15,
-        "arena.qd_tracker_wall_speedup_vs_plans": 1.15,
     },
     "BENCH_qd_arith.json": {
         "wall_speedup_vs_baseline_at_batch_64": 1.15,
@@ -89,6 +90,16 @@ FLOORS = {
 #: replaces at every recorded batch size.
 ROW_FLOORS = {
     "BENCH_qd_arith.json": {"per_op": {"speedup": 1.5}},
+}
+
+#: Strict orderings: dotted path -> dotted path it must stay below.  The
+#: plan tape writes into its plan-owned slot buffer, so it must allocate
+#: fewer arrays per evaluation than the walk's fresh rows.
+LESS_THAN = {
+    "BENCH_eval_plan.json": {
+        "allocations_per_evaluation.tape":
+            "allocations_per_evaluation.walk",
+    },
 }
 
 #: Exact-value requirements (e.g. the shard crash drill must reproduce the
@@ -115,7 +126,7 @@ SCENARIO_REQUIRED_KEYS = {
     "BENCH_escalation.json": ("paths_total", "paths_converged",
                               "recovered_by_escalation"),
     "BENCH_eval_plan.json": ("multiplication_saving_factor",
-                             "plan_walk_identical", "arena_identical"),
+                             "plan_walk_identical"),
     "BENCH_shard.json": ("solutions", "sharded_solutions", "identical"),
     "BENCH_start.json": ("total_degree_paths", "total_degree_wall_s",
                          "diagonal_paths", "diagonal_wall_s", "solutions",
@@ -124,7 +135,7 @@ SCENARIO_REQUIRED_KEYS = {
 
 #: Identity verdicts: wherever a scenario entry records one of these keys
 #: it must be ``true`` -- the bit-for-bit contracts hold on every shape.
-SCENARIO_TRUE_KEYS = ("identical", "plan_walk_identical", "arena_identical")
+SCENARIO_TRUE_KEYS = ("identical", "plan_walk_identical")
 
 #: Per-scenario numeric floors.
 SCENARIO_FLOORS = {
@@ -362,6 +373,17 @@ def check_report(path: Path) -> list:
                         or isinstance(value, bool) or value < floor:
                     errors.append(f"{name}: {section}[{index}].{key} = "
                                   f"{value!r} below the floor {floor}")
+
+    for dotted, bound in LESS_THAN.get(name, {}).items():
+        values = [_lookup(report, key) for key in (dotted, bound)]
+        if not all(found and isinstance(value, (int, float))
+                   and not isinstance(value, bool)
+                   for found, value in values):
+            errors.append(f"{name}: {dotted} and {bound} must both be "
+                          "recorded numbers")
+        elif not values[0][1] < values[1][1]:
+            errors.append(f"{name}: {dotted} = {values[0][1]!r} is not "
+                          f"below {bound} = {values[1][1]!r}")
 
     for dotted, expected in EXACT.get(name, {}).items():
         found, value = _lookup(report, dotted)
