@@ -116,6 +116,58 @@ class TestCheckedInReport:
         assert allocs["tape"] < allocs["walk"]
 
 
+def load_bench_checker():
+    """``tools/check_bench.py`` loaded as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "tools" / "check_bench.py"
+    spec = importlib.util.spec_from_file_location("check_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAllocationGate:
+    """``tools/check_bench.py`` requires the checked-in tape to allocate
+    fewer arrays per evaluation than the walk."""
+
+    @staticmethod
+    def checked_in_report():
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "BENCH_eval_plan.json"
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    @staticmethod
+    def check(report, tmp_path):
+        import json
+
+        path = tmp_path / "BENCH_eval_plan.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        return load_bench_checker().check_report(path)
+
+    def test_checked_in_report_passes(self, tmp_path):
+        assert self.check(self.checked_in_report(), tmp_path) == []
+
+    def test_tape_not_below_walk_is_flagged(self, tmp_path):
+        report = self.checked_in_report()
+        walk = report["allocations_per_evaluation"]["walk"]
+        report["allocations_per_evaluation"]["tape"] = walk
+        errors = self.check(report, tmp_path)
+        assert len(errors) == 1
+        assert "allocations_per_evaluation.tape" in errors[0]
+        assert "is not below" in errors[0]
+
+    def test_missing_counts_are_flagged(self, tmp_path):
+        report = self.checked_in_report()
+        del report["allocations_per_evaluation"]["tape"]
+        errors = self.check(report, tmp_path)
+        assert any("must both be recorded numbers" in error
+                   for error in errors), errors
+
+
 class TestAllocationDrop:
     def test_tape_allocates_less_than_walk(self):
         """Steady-state allocations per batched evaluation must drop going

@@ -10,7 +10,7 @@ from repro.core import CPUReferenceEvaluator, HomotopyPlan
 from repro.multiprec import DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
 from repro.tracking import Homotopy, total_degree_start_system
-from repro.tracking.homotopy import BatchHomotopy
+from repro.tracking.homotopy import BatchHomotopy, BatchHomotopyEvaluation
 
 
 def target_system():
@@ -103,6 +103,18 @@ def batch_evaluate(route):
                          use_plan=route == "plan").evaluate_batch
 
 
+def evaluation_rows(result):
+    """The ``(values, jacobian, t_derivative)`` rows of one batched
+    evaluation as nested lists of complex numbers, copied out of the
+    buffers that the next evaluation of a plan overwrites."""
+    if isinstance(result, BatchHomotopyEvaluation):
+        result = (result.values, result.jacobian, result.t_derivative)
+    values, jacobian, t_derivative = result
+    return ([row.tolist() for row in values],
+            [[row.tolist() for row in rows] for rows in jacobian],
+            [row.tolist() for row in t_derivative])
+
+
 class TestInterface:
     def test_invalid_t_rejected(self, homotopy):
         with pytest.raises(ConfigurationError):
@@ -130,6 +142,16 @@ class TestInterface:
         with pytest.raises(ConfigurationError, match="broadcast"):
             evaluate(points, np.array([0.1, 0.2, 0.3]))
         evaluate(points, 0.5)  # one t broadcasts to every lane
+
+    @pytest.mark.parametrize("route", BATCH_ROUTES)
+    def test_batch_broadcasts_one_t_to_every_lane(self, route):
+        # A scalar t and a length-1 t evaluate as the per-lane vector of
+        # that t, bit for bit.
+        evaluate = batch_evaluate(route)
+        points = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [0.5j, -0.2 + 0j]])
+        expected = evaluation_rows(evaluate(points, np.array([0.25, 0.25])))
+        for t in (0.25, np.array([0.25])):
+            assert evaluation_rows(evaluate(points, t)) == expected
 
     def test_gamma_must_have_unit_modulus(self):
         target = target_system()
@@ -162,3 +184,58 @@ class TestInterface:
                          gamma=complex(0.6, 0.8)).evaluate_at([0.5 + 0.5j, -0.25 + 1j], 0.5)
         for a, b in zip(result.values, plain.values):
             assert a.to_complex() == pytest.approx(b, rel=1e-12)
+
+
+class TestRouteSelection:
+    """Each BatchHomotopy chooses its route itself: no process-global
+    switch lets one thread's evaluator change the route another thread's
+    takes."""
+
+    def test_concurrent_plan_and_walk_instances_keep_their_routes(
+            self, monkeypatch):
+        import threading
+
+        from repro.core.batch import VectorisedBatchEvaluator
+
+        callers = {"plan": set(), "walk": set()}
+        plan_execute = HomotopyPlan.execute
+        walk_evaluate = VectorisedBatchEvaluator.evaluate
+
+        def recorded_plan_execute(self, *args):
+            callers["plan"].add(threading.current_thread().name)
+            return plan_execute(self, *args)
+
+        def recorded_walk_evaluate(self, *args):
+            callers["walk"].add(threading.current_thread().name)
+            return walk_evaluate(self, *args)
+
+        monkeypatch.setattr(HomotopyPlan, "execute", recorded_plan_execute)
+        monkeypatch.setattr(VectorisedBatchEvaluator, "evaluate",
+                            recorded_walk_evaluate)
+
+        routes = ("plan", "walk")
+        evaluators = {route: batch_evaluate(route) for route in routes}
+        points = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [0.5j, -0.2 + 0j]])
+        t = np.array([0.25, 0.75])
+        expected = {route: evaluation_rows(evaluators[route](points, t))
+                    for route in routes}
+        for names in callers.values():
+            names.clear()
+
+        barrier = threading.Barrier(len(routes))
+        mismatches = {route: 0 for route in routes}
+
+        def run(route):
+            barrier.wait()
+            for _ in range(25):
+                rows = evaluation_rows(evaluators[route](points, t))
+                mismatches[route] += rows != expected[route]
+
+        threads = [threading.Thread(target=run, args=(route,), name=route)
+                   for route in routes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert mismatches == {"plan": 0, "walk": 0}
+        assert callers == {"plan": {"plan"}, "walk": {"walk"}}

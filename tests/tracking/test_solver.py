@@ -337,6 +337,24 @@ class TestLadderRouting:
             solve_system(decoupled_quadratics(values=(2.0,)),
                          escalation=EscalationPolicy(ladder=(DOUBLE, orphan)))
 
+    def test_solver_refuses_backendless_context_before_tracking(self,
+                                                               monkeypatch):
+        """Without escalation the one working context is the whole ladder,
+        and it is checked before a tracker is even built."""
+        import dataclasses
+
+        from repro.errors import ConfigurationError
+        from repro.tracking.batch_tracker import BatchTracker
+
+        def build(self, *args, **kwargs):
+            raise AssertionError("a tracker was built")
+
+        monkeypatch.setattr(BatchTracker, "__init__", build)
+        orphan = dataclasses.replace(DOUBLE_DOUBLE, name="dd-no-backend")
+        with pytest.raises(ConfigurationError,
+                           match="'dd-no-backend'.*register_backend"):
+            solve_system(decoupled_quadratics(), context=orphan)
+
     def test_clean_escalated_solve_reports_no_degradations(self):
         from repro.bench.batch_tracking import cyclic_quadratic_system
         from repro.tracking import EscalationPolicy
