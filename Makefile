@@ -5,11 +5,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 .PHONY: test test-all test-scenarios chaos docs kernels bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
 
 # Build (or confirm) the cached dd/qd plane kernels ahead of the first
-# import and print the contexts whose plan tapes run natively; fails when
-# no kernels could be built or the d tape was declined (a host whose NumPy
-# rounds complex products differently must fail loudly, not run slower).
+# import and print the contexts whose plan tapes and batched linear solves
+# run natively; fails when no kernels could be built or the d tape or the
+# d solve was declined (a host whose NumPy rounds complex products,
+# divisions or magnitudes differently must fail loudly, not run slower).
 kernels:
-	$(PY) -W error::RuntimeWarning -c "from repro.multiprec import compiled; print(compiled.KERNELS.__file__); print('tape contexts:', ' '.join(c for c in ('d', 'dd', 'qd') if c in compiled.TAPE_CONTEXTS)); assert 'd' in compiled.TAPE_CONTEXTS, 'd tape declined'"
+	$(PY) -W error::RuntimeWarning -c "from repro.multiprec import compiled; print(compiled.KERNELS.__file__); print('tape contexts:', ' '.join(c for c in ('d', 'dd', 'qd') if c in compiled.TAPE_CONTEXTS)); print('solve contexts:', ' '.join(c for c in ('d', 'dd', 'qd') if c in compiled.SOLVE_CONTEXTS)); assert 'd' in compiled.TAPE_CONTEXTS, 'd tape declined'; assert 'd' in compiled.SOLVE_CONTEXTS, 'd solve declined'"
 
 # Tier-1: the fast suite (pytest.ini deselects @pytest.mark.slow).
 test:

@@ -1,7 +1,8 @@
 /*
- * Element-wise double-double and quad-double plane kernels, and the
+ * Element-wise double-double and quad-double plane kernels, the
  * interpreters that run a lowered evaluation plan in one call (the
- * instruction tape, at the end of this file).
+ * instruction tape), and the batched linear solves of Newton's corrector
+ * (one small dense system per lane, at the end of this file).
  *
  * Every kernel replays, lane by lane, exactly the floating-point sequence
  * of the scalar DoubleDouble / QuadDouble arithmetic (the QD 2.3.9 library
@@ -17,17 +18,20 @@
  *
  * Calling convention (METH_FASTCALL): the read-write planes, then the
  * write-only planes, then the read-only planes, then (masked kernels only)
- * a bool mask -- each an object exporting the buffer protocol with one
- * common shape.  A plane is C-contiguous, one-dimensional with any stride
- * (a row of the column-major arrays NumPy returns for a lane gather
- * x[:, idx], which the batched Newton corrector evaluates), or (inputs
- * only) fully broadcast with every stride zero.  Each lane's inputs are
- * read before its outputs are written, so an output plane may be the very
- * same plane as an input; an output whose byte range overlaps another
- * plane in any other way is refused.  A kernel returns the number of lanes
- * with a zero denominator (always 0 outside the complex divisions), or
- * NotImplemented when a plane does not fit these rules; the caller then
- * runs the reference chain instead.
+ * a bool mask -- each an object exporting the buffer protocol.  The first
+ * plane's shape is the kernel's lane shape; every output has exactly that
+ * shape, and an input (or the mask) may broadcast to it NumPy-style (the
+ * (B,) per-lane weights of a (n, B) product).  A plane of at most two
+ * dimensions may have any strides (the column-major planes NumPy returns
+ * for a lane gather x[:, idx], which the batched Newton corrector and the
+ * secant predictor work on); a plane of more dimensions must collapse to
+ * two, as a C-contiguous one does.  Each lane's inputs are read before its
+ * outputs are written, so an output plane may be the very same plane as an
+ * input; an output whose byte range overlaps another plane in any other
+ * way is refused.  A kernel returns the number of lanes with a zero
+ * denominator (always 0 outside the complex divisions), or NotImplemented
+ * when a plane does not fit these rules; the caller then runs the
+ * reference chain instead.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -351,6 +355,73 @@ static inline T P##_div(T x, T y, int *zero)                                \
 COMPLEX_OPS(cdd_t, dd_t, cdd)
 COMPLEX_OPS(cqd_t, qd_t, cqd)
 
+/* ----------------------------------------------------- complex double */
+/* The d context's complex128 arithmetic, as NumPy's loops round it (the
+ * load-time probe of repro.multiprec.compiled checks every form against
+ * NumPy on this host).  On hosts with FMA, np.multiply (and np.square) is
+ * re = fma(ar, br, -(ai*bi)), im = fma(ar, bi, ai*br); np.power's integer
+ * ladder (npy_cpow) rounds twice; np.divide is Smith's algorithm without
+ * FMA; np.abs is the vectorised larger * sqrt(fma(r, r, 1)) below. */
+typedef struct { double re, im; } cd_t;
+
+static inline cd_t cd_mul(cd_t x, cd_t y)
+{
+    return (cd_t){fma(x.re, y.re, -(x.im * y.im)),
+                  fma(x.re, y.im, x.im * y.re)};
+}
+
+static inline cd_t cd_mul_twice(cd_t x, cd_t y)
+{
+    return (cd_t){x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re};
+}
+
+static inline cd_t cd_add(cd_t x, cd_t y)
+{
+    return (cd_t){x.re + y.re, x.im + y.im};
+}
+
+static inline cd_t cd_sub(cd_t x, cd_t y)
+{
+    return (cd_t){x.re - y.re, x.im - y.im};
+}
+
+/* np.divide: Smith's algorithm, as NumPy's complex divide loop. */
+static inline cd_t cd_div(cd_t x, cd_t y)
+{
+    double ar = fabs(y.re), ai = fabs(y.im), rat, scl;
+    if (ar >= ai) {
+        if (ar == 0.0 && ai == 0.0)
+            return (cd_t){x.re / ar, x.im / ar};
+        rat = y.im / y.re;
+        scl = 1.0 / (y.re + y.im * rat);
+        return (cd_t){(x.re + x.im * rat) * scl, (x.im - x.re * rat) * scl};
+    }
+    rat = y.re / y.im;
+    scl = 1.0 / (y.im + y.re * rat);
+    return (cd_t){(x.re * rat + x.im) * scl, (x.im * rat - x.re) * scl};
+}
+
+/* np.abs on a complex128 row with a positive stride: NumPy's vectorised
+ * loop, not libm hypot.  An infinite part makes both parts infinite, then
+ * a NaN part both NaN; the ratio of the smaller to the larger part is
+ * skipped (taken as 0) when the larger is 0 or the smaller infinite. */
+static inline double cd_abs(cd_t z)
+{
+    double re = fabs(z.re), im = fabs(z.im), larger, smaller, ratio = 0.0;
+    int re_inf = re == INFINITY, im_inf = im == INFINITY;
+    if (re_inf)
+        im = INFINITY;
+    if (im_inf)
+        re = INFINITY;
+    if (isnan(re) || isnan(im))
+        re = im = NAN;
+    larger = re > im ? re : im;
+    smaller = im < re ? im : re;
+    if (larger != 0.0 && smaller != INFINITY)
+        ratio = smaller / larger;
+    return sqrt(fma(ratio, ratio, 1.0)) * larger;
+}
+
 /* ------------------------------------------- lane loads and stores */
 static inline dd_t get_dd(const double *v) { return (dd_t){v[0], v[1]}; }
 static inline qd_t get_qd(const double *v)
@@ -437,91 +508,129 @@ static int lane_##T##_sub_mul(const double *in, double *out)                \
 COMPLEX_LANES(cdd, 4)
 COMPLEX_LANES(cqd, 8)
 
+/* The d division and magnitude, for the load-time probe against NumPy. */
+static int lane_cd_div(const double *in, double *out)
+{
+    cd_t q = cd_div((cd_t){in[0], in[1]}, (cd_t){in[2], in[3]});
+    out[0] = q.re;
+    out[1] = q.im;
+    return 0;
+}
+
+static int lane_cd_abs(const double *in, double *out)
+{
+    out[0] = cd_abs((cd_t){in[0], in[1]});
+    return 0;
+}
+
 /* ------------------------------------------------------ plane driver */
 #define MAX_PLANES 25
 
-/* Acquire one plane; on success set its base pointer and element step.
+/* Where a plane's lanes sit: lane (o, k) of the kernel's (outer, inner)
+ * lane space is at base + o * outer + k * inner (byte steps). */
+typedef struct { char *base; Py_ssize_t outer, inner; } place_t;
+
+/* Place an acquired plane in the lane space of `shape` (ndim dimensions;
+ * the leading ones collapse into the outer step).  An input broadcasts
+ * NumPy-style; an output must have the shape exactly, and no two of its
+ * lanes may share an element.  Returns 0 when the plane does not fit. */
+static int place(const Py_buffer *view, int ndim, const Py_ssize_t *shape,
+                 int output, place_t *at)
+{
+    Py_ssize_t step[PyBUF_MAX_NDIM], expect = 0, outer = 1, inner, o, k;
+    int lead = ndim - view->ndim, have = 0, d;
+
+    if (lead < 0 || (output && lead))
+        return 0;
+    for (d = 0; d < ndim; d++) {
+        Py_ssize_t extent = d < lead ? 1 : view->shape[d - lead];
+        if (extent != shape[d] && (extent != 1 || output))
+            return 0;
+        step[d] = extent == 1 || shape[d] == 1 ? 0 : view->strides[d - lead];
+        if (output && shape[d] > 1 && step[d] == 0)
+            return 0;
+    }
+    at->base = (char *)view->buf;
+    at->inner = 0;
+    at->outer = 0;
+    if (ndim > 0)
+        at->inner = step[ndim - 1];
+    for (d = ndim - 2; d >= 0; d--) {
+        outer *= shape[d];
+        if (shape[d] == 1)
+            continue;
+        if (!have)
+            at->outer = step[d];
+        else if (step[d] != expect)
+            return 0;
+        have = 1;
+        expect = step[d] * shape[d];
+    }
+    if (!output || outer < 2 || (inner = shape[ndim - 1]) < 2)
+        return 1;
+    o = at->outer < 0 ? -at->outer : at->outer;
+    k = at->inner < 0 ? -at->inner : at->inner;
+    return o >= k * inner || k >= o * outer;
+}
+
+/* Acquire one plane of item kind 'd' (float64) or '?' (bool mask) and
+ * place it; `like` is the first plane (NULL for the first plane itself).
  * Returns 0 (with no Python error set) when the plane does not fit. */
 static int acquire(PyObject *obj, Py_buffer *view, int writable, char kind,
-                   char **base, Py_ssize_t *step)
+                   const Py_buffer *like, place_t *at)
 {
-    Py_ssize_t itemsize = kind == 'd' ? 8 : 1, expect, d;
-    int contiguous = 1, broadcast = 1;
+    Py_ssize_t itemsize = kind == 'd' ? 8 : 1;
     int flags = PyBUF_STRIDES | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
 
     if (PyObject_GetBuffer(obj, view, flags) < 0) {
         PyErr_Clear();
         return 0;
     }
-    if (view->itemsize != itemsize || view->format == NULL
-            || view->format[0] != kind || view->format[1] != '\0')
-        goto reject;
-    expect = itemsize;
-    for (d = view->ndim - 1; d >= 0; d--) {
-        if (view->shape[d] > 1) {
-            if (view->strides[d] != expect)
-                contiguous = 0;
-            if (view->strides[d] != 0)
-                broadcast = 0;
-        }
-        expect *= view->shape[d];
-    }
-    *base = (char *)view->buf;
-    if (contiguous)
-        *step = itemsize;
-    else if (broadcast && !writable)
-        *step = 0;
-    else if (view->ndim == 1)
-        *step = view->strides[0];
-    else
-        goto reject;
-    return 1;
-reject:
+    if (like == NULL)
+        like = view;
+    if (view->itemsize == itemsize && view->format != NULL
+            && view->format[0] == kind && view->format[1] == '\0'
+            && place(view, like->ndim, like->shape, writable, at))
+        return 1;
     PyBuffer_Release(view);
     return 0;
 }
 
-static int same_shape(const Py_buffer *a, const Py_buffer *b)
-{
-    int d;
-    if (a->ndim != b->ndim)
-        return 0;
-    for (d = 0; d < a->ndim; d++)
-        if (a->shape[d] != b->shape[d])
-            return 0;
-    return 1;
-}
-
 /* Whether each output plane, against every other plane, either coincides
- * with it lane for lane (same base and step) or spans a disjoint byte
+ * with it lane for lane (same base and steps) or spans a disjoint byte
  * range.  Any other overlap could let a later lane read what an earlier
  * lane has already written. */
-static int outputs_separate(const Py_buffer *views, char *const *base,
-                            const Py_ssize_t *step, int n_out, int total,
-                            Py_ssize_t lanes)
+static int outputs_separate(const Py_buffer *views, const place_t *at,
+                            int n_out, int total, Py_ssize_t outer,
+                            Py_ssize_t inner)
 {
     char *lo[MAX_PLANES], *hi[MAX_PLANES];
     int i, j;
 
     for (j = 0; j < total; j++) {
-        char *last = base[j] + (lanes - 1) * step[j];
-        lo[j] = step[j] < 0 ? last : base[j];
-        hi[j] = (step[j] < 0 ? base[j] : last) + views[j].itemsize;
+        Py_ssize_t o = (outer - 1) * at[j].outer;
+        Py_ssize_t k = (inner - 1) * at[j].inner;
+        lo[j] = at[j].base + (o < 0 ? o : 0) + (k < 0 ? k : 0);
+        hi[j] = at[j].base + (o > 0 ? o : 0) + (k > 0 ? k : 0)
+            + views[j].itemsize;
     }
     for (i = 0; i < n_out; i++)
         for (j = 0; j < total; j++)
             if (j != i && lo[i] < hi[j] && lo[j] < hi[i]
-                    && (base[j] != base[i] || step[j] != step[i]))
+                    && (at[j].base != at[i].base || at[j].outer != at[i].outer
+                        || at[j].inner != at[i].inner))
                 return 0;
     return 1;
 }
+
+#define LANE_AT(p, o, k) ((p).base + (o) * (p).outer + (k) * (p).inner)
 
 static PyObject *run(PyObject *const *args, Py_ssize_t nargs, lane_fn lane,
                      int n_rw, int n_wo, int n_ro, int masked)
 {
     Py_buffer views[MAX_PLANES];
-    char *base[MAX_PLANES];
-    Py_ssize_t step[MAX_PLANES], lanes = 1, k, zeros = 0;
+    place_t at[MAX_PLANES];
+    Py_ssize_t outer = 1, inner = 1, o, k, zeros = 0;
     double in[MAX_PLANES], out[MAX_PLANES];
     int n_out = n_rw + n_wo, n_planes = n_out + n_ro;
     int total = n_planes + masked, held = 0, fits = 1, i, d;
@@ -533,30 +642,28 @@ static PyObject *run(PyObject *const *args, Py_ssize_t nargs, lane_fn lane,
     }
     for (i = 0; i < total && fits; i++) {
         fits = acquire(args[i], &views[i], i < n_out,
-                       i < n_planes ? 'd' : '?', &base[i], &step[i]);
-        if (fits) {
-            held++;
-            fits = same_shape(&views[0], &views[i]);
-        }
+                       i < n_planes ? 'd' : '?', i ? &views[0] : NULL, &at[i]);
+        held += fits;
     }
     if (fits) {
         for (d = 0; d < views[0].ndim; d++)
-            lanes *= views[0].shape[d];
-        fits = lanes == 0
-            || outputs_separate(views, base, step, n_out, total, lanes);
+            *(d == views[0].ndim - 1 ? &inner : &outer) *= views[0].shape[d];
+        fits = outer * inner == 0
+            || outputs_separate(views, at, n_out, total, outer, inner);
     }
     if (fits) {
-        for (k = 0; k < lanes; k++) {
-            if (masked && !*(base[n_planes] + k * step[n_planes]))
-                continue;
-            for (i = 0; i < n_rw; i++)
-                in[i] = *(double *)(base[i] + k * step[i]);
-            for (i = n_out; i < n_planes; i++)
-                in[i - n_wo] = *(double *)(base[i] + k * step[i]);
-            zeros += lane(in, out);
-            for (i = 0; i < n_out; i++)
-                *(double *)(base[i] + k * step[i]) = out[i];
-        }
+        for (o = 0; o < outer; o++)
+            for (k = 0; k < inner; k++) {
+                if (masked && !*LANE_AT(at[n_planes], o, k))
+                    continue;
+                for (i = 0; i < n_rw; i++)
+                    in[i] = *(double *)LANE_AT(at[i], o, k);
+                for (i = n_out; i < n_planes; i++)
+                    in[i - n_wo] = *(double *)LANE_AT(at[i], o, k);
+                zeros += lane(in, out);
+                for (i = 0; i < n_out; i++)
+                    *(double *)LANE_AT(at[i], o, k) = out[i];
+            }
     }
     for (i = 0; i < held; i++)
         PyBuffer_Release(&views[i]);
@@ -598,6 +705,8 @@ KERNEL(cqd_div, cqd_div, 0, 8, 16, 0)
 KERNEL(cqd_add_mul, cqd_add_mul, 8, 0, 16, 0)
 KERNEL(cqd_sub_mul, cqd_sub_mul, 8, 0, 16, 0)
 KERNEL(cqd_add_masked, cqd_add, 8, 0, 8, 1)
+KERNEL(cd_div, cd_div, 0, 2, 4, 0)
+KERNEL(cd_abs, cd_abs, 0, 1, 2, 0)
 
 /* ------------------------------------------------------ instruction tape */
 /*
@@ -629,29 +738,6 @@ KERNEL(cqd_add_masked, cqd_add, 8, 0, 8, 1)
  */
 enum { OP_COPY, OP_ZERO, OP_MUL, OP_ADD, OP_ADDMUL, OP_SUBMUL, OP_POW,
        OP_WEIGHTS, N_OPS };
-
-typedef struct { double re, im; } cd_t;
-
-static inline cd_t cd_mul(cd_t x, cd_t y)
-{
-    return (cd_t){fma(x.re, y.re, -(x.im * y.im)),
-                  fma(x.re, y.im, x.im * y.re)};
-}
-
-static inline cd_t cd_mul_twice(cd_t x, cd_t y)
-{
-    return (cd_t){x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re};
-}
-
-static inline cd_t cd_add(cd_t x, cd_t y)
-{
-    return (cd_t){x.re + y.re, x.im + y.im};
-}
-
-static inline cd_t cd_sub(cd_t x, cd_t y)
-{
-    return (cd_t){x.re - y.re, x.im - y.im};
-}
 
 /* np.power(x, n) for an integer 1 <= n < 100: NumPy's nc_pow ladder. */
 static inline cd_t cd_pow(cd_t x, int n)
@@ -839,7 +925,7 @@ static int get_view(PyObject *obj, Py_buffer *view, int flags,
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0)
         return 0;
     if (view->format == NULL || strcmp(view->format, format) != 0) {
-        PyErr_Format(PyExc_TypeError, "tape %s: expected format '%s'",
+        PyErr_Format(PyExc_TypeError, "%s: expected format '%s'",
                      what, format);
         PyBuffer_Release(view);
         return 0;
@@ -865,14 +951,16 @@ static PyObject *tape_run(PyObject *const *args, Py_ssize_t nargs,
                      4 + n_planes, nargs);
         return NULL;
     }
-    if (!get_view(args[0], &views[held], PyBUF_C_CONTIGUOUS, "i", "program"))
+    if (!get_view(args[0], &views[held], PyBUF_C_CONTIGUOUS, "i",
+                  "tape program"))
         goto done;
     held++;
-    if (!get_view(args[1], &views[held], PyBUF_C_CONTIGUOUS, "d", "consts"))
+    if (!get_view(args[1], &views[held], PyBUF_C_CONTIGUOUS, "d",
+                  "tape consts"))
         goto done;
     held++;
     if (!get_view(args[2], &views[held], PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
-                  plane_format, "slots"))
+                  plane_format, "tape slots"))
         goto done;
     held++;
     if (views[2].ndim != (interleaved ? 2 : 3)
@@ -887,7 +975,7 @@ static PyObject *tape_run(PyObject *const *args, Py_ssize_t nargs,
     tp.t = NULL;
     tp.t_step = 0;
     if (args[3] != Py_None) {
-        if (!get_view(args[3], &views[held], PyBUF_STRIDES, "d", "t"))
+        if (!get_view(args[3], &views[held], PyBUF_STRIDES, "d", "tape t"))
             goto done;
         held++;
         if (views[3].ndim != 1 || views[3].shape[0] != lanes) {
@@ -903,7 +991,8 @@ static PyObject *tape_run(PyObject *const *args, Py_ssize_t nargs,
     for (i = 0; i < n_planes; i++) {
         Py_buffer *v = &views[held];
         Py_ssize_t first = 0, last = 0;
-        if (!get_view(args[4 + i], v, PyBUF_STRIDES, plane_format, "points"))
+        if (!get_view(args[4 + i], v, PyBUF_STRIDES, plane_format,
+                      "tape points"))
             goto done;
         held++;
         if (v->ndim != 2 || v->shape[1] != lanes
@@ -970,11 +1059,360 @@ TAPE(tape_d, 2, cd)
 TAPE(tape_dd, 4, cdd)
 TAPE(tape_qd, 8, cqd)
 
+/* ------------------------------------------------------ linear solve */
+/*
+ * solve_P(rows, active, solution, singular) solves one small dense system
+ * per lane, B lanes in one call, replaying the Python elimination of
+ * repro.tracking.batch_linsolve bit for bit:
+ *
+ *   rows      a sequence of the component planes of the n*n + n entries:
+ *             the matrix row by row, then the right-hand side; one
+ *             complex128 plane per entry (d) or its 4 (dd) / 8 (qd) float64
+ *             planes, each one-dimensional with B lanes at any stride (d:
+ *             a positive one, the layouts whose np.abs and np.divide the
+ *             load-time probe checks);
+ *   active    None or a bool (B,) mask: a dead pivot flags its lane
+ *             singular only where it is set;
+ *   solution  the C-contiguous output: complex128 (n, B) for d, float64
+ *             (WIDTH, n, B) for dd/qd (component c of row i is
+ *             solution[c, i]);
+ *   singular  the C-contiguous bool (B,) output.
+ *
+ * Each lane eliminates its own copy of its system with partial pivoting,
+ * a row swap being an index swap.  The pivot is np.argmax's over the
+ * candidate magnitudes: the first maximum, or the first NaN outright.  A
+ * pivot whose squared magnitude is below DBL_MIN is dead (the Python
+ * _undividable): it flags its lane singular where active and divides as
+ * one.  Back substitution re-checks each diagonal the same way.  Products
+ * keep the Python operand order (factor * pivot row, then a[i][j] * x[j]).
+ * The d magnitude is np.abs (cd_abs); a dd/qd magnitude is np.abs of
+ * to_complex128(), re + 1j*im on the leading components, where 0 * NaN
+ * turns the real part NaN too.  The solution lands renormalised as
+ * backend.stack lands the Python elimination's rows (landed_P below).
+ *
+ * Returns None, or NotImplemented when the kernel declines: n is 0 or
+ * above SOLVE_MAX_N, a row plane or the mask does not fit, an output
+ * overlaps an input, or (dd/qd) a division meets a zero denominator in
+ * some lane.  The caller then runs the Python elimination, which raises
+ * DivisionByZeroError in that last case.  A malformed output, or a row
+ * count other than n*n + n for an n the kernel takes, raises.
+ */
+#define SOLVE_MAX_N 16
+
+typedef struct {
+    Py_buffer solution, singular, active, *rows;
+    int held;                /* solution, singular, active: views held */
+    Py_ssize_t rows_held, n, lanes;
+    PyObject *seq;           /* the rows as a fast sequence */
+    char **base;             /* per row plane: first lane, byte step */
+    Py_ssize_t *step;
+    const char *on;          /* the active mask, or NULL */
+    Py_ssize_t on_step;
+} system_t;
+
+static PyObject *solve_close(system_t *s, PyObject *result)
+{
+    Py_ssize_t i;
+    for (i = 0; i < s->rows_held; i++)
+        PyBuffer_Release(&s->rows[i]);
+    if (s->held > 2)
+        PyBuffer_Release(&s->active);
+    if (s->held > 1)
+        PyBuffer_Release(&s->singular);
+    if (s->held > 0)
+        PyBuffer_Release(&s->solution);
+    PyMem_Free(s->rows);
+    PyMem_Free(s->base);
+    PyMem_Free(s->step);
+    Py_XDECREF(s->seq);
+    return result;
+}
+
+/* The byte range a one-dimensional view spans. */
+static void span(const Py_buffer *v, char **lo, char **hi)
+{
+    Py_ssize_t extent = (v->shape[0] - 1) * v->strides[0];
+    *lo = (char *)v->buf + (extent < 0 ? extent : 0);
+    *hi = (char *)v->buf + (extent > 0 ? extent : 0) + v->itemsize;
+}
+
+static int disjoint(char *lo, char *hi, const Py_buffer *out)
+{
+    return hi <= (char *)out->buf || (char *)out->buf + out->len <= lo;
+}
+
+/* Validate and acquire a solve's arguments: 1 when the lanes may be
+ * solved, 0 to decline, -1 with a Python error set. */
+static int solve_open(PyObject *const *args, Py_ssize_t nargs, int width,
+                      system_t *s)
+{
+    int d = width == 2;
+    const char *format = d ? "Zd" : "d";
+    Py_ssize_t per = d ? 1 : width, count, i;
+    char *lo, *hi;
+
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "expected 4 arguments, got %zd", nargs);
+        return -1;
+    }
+    if (!get_view(args[2], &s->solution, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
+                  format, "solve solution"))
+        return -1;
+    s->held = 1;
+    if (s->solution.ndim != (d ? 2 : 3)
+            || (!d && s->solution.shape[0] != width)) {
+        PyErr_SetString(PyExc_ValueError, "solve solution: wrong layout");
+        return -1;
+    }
+    s->n = s->solution.shape[s->solution.ndim - 2];
+    s->lanes = s->solution.shape[s->solution.ndim - 1];
+    if (!get_view(args[3], &s->singular, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
+                  "?", "solve singular"))
+        return -1;
+    s->held = 2;
+    if (s->singular.ndim != 1 || s->singular.shape[0] != s->lanes) {
+        PyErr_SetString(PyExc_ValueError, "solve singular: expected (B,)");
+        return -1;
+    }
+    span(&s->singular, &lo, &hi);
+    if (s->lanes && !disjoint(lo, hi, &s->solution))
+        return 0;
+    if (s->n < 1 || s->n > SOLVE_MAX_N)
+        return 0;
+    s->seq = PySequence_Fast(args[0], "solve rows: expected a sequence");
+    if (s->seq == NULL)
+        return -1;
+    count = PySequence_Fast_GET_SIZE(s->seq);
+    if (count != per * (s->n * s->n + s->n)) {
+        PyErr_Format(PyExc_ValueError, "solve rows: expected %zd planes for "
+                     "n = %zd, got %zd", per * (s->n * s->n + s->n), s->n,
+                     count);
+        return -1;
+    }
+    s->on = NULL;
+    if (args[1] != Py_None) {
+        if (PyObject_GetBuffer(args[1], &s->active,
+                               PyBUF_STRIDES | PyBUF_FORMAT) < 0) {
+            PyErr_Clear();
+            return 0;
+        }
+        s->held = 3;
+        if (s->active.format == NULL || strcmp(s->active.format, "?") != 0
+                || s->active.ndim != 1 || s->active.shape[0] != s->lanes)
+            return 0;
+        s->on = s->active.buf;
+        s->on_step = s->active.strides[0];
+        span(&s->active, &lo, &hi);
+        if (s->lanes && (!disjoint(lo, hi, &s->solution)
+                         || !disjoint(lo, hi, &s->singular)))
+            return 0;
+    }
+    s->rows = PyMem_Calloc(count, sizeof(Py_buffer));
+    s->base = PyMem_Calloc(count, sizeof(char *));
+    s->step = PyMem_Calloc(count, sizeof(Py_ssize_t));
+    if (s->rows == NULL || s->base == NULL || s->step == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < count; i++) {
+        Py_buffer *v = &s->rows[i];
+        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(s->seq, i), v,
+                               PyBUF_STRIDES | PyBUF_FORMAT) < 0) {
+            PyErr_Clear();
+            return 0;
+        }
+        s->rows_held++;
+        if (v->format == NULL || strcmp(v->format, format) != 0
+                || v->ndim != 1 || v->shape[0] != s->lanes
+                || (d && (v->strides[0] <= 0 || v->strides[0] % 8 != 0)))
+            return 0;
+        s->base[i] = v->buf;
+        s->step[i] = v->strides[0];
+        span(v, &lo, &hi);
+        if (s->lanes && (!disjoint(lo, hi, &s->solution)
+                         || !disjoint(lo, hi, &s->singular)))
+            return 0;
+    }
+    return 1;
+}
+
+#define COMPONENT(s, p, k) \
+    (*(const double *)((s)->base[p] + (k) * (s)->step[p]))
+
+static inline cd_t entry_cd(const system_t *s, Py_ssize_t e, Py_ssize_t k)
+{
+    const double *z = (const double *)(s->base[e] + k * s->step[e]);
+    return (cd_t){z[0], z[1]};
+}
+static inline cdd_t entry_cdd(const system_t *s, Py_ssize_t e, Py_ssize_t k)
+{
+    Py_ssize_t p = 4 * e;
+    return (cdd_t){{COMPONENT(s, p, k), COMPONENT(s, p + 1, k)},
+                   {COMPONENT(s, p + 2, k), COMPONENT(s, p + 3, k)}};
+}
+static inline cqd_t entry_cqd(const system_t *s, Py_ssize_t e, Py_ssize_t k)
+{
+    cqd_t z;
+    int c;
+    for (c = 0; c < 4; c++) {
+        z.re.c[c] = COMPONENT(s, 8 * e + c, k);
+        z.im.c[c] = COMPONENT(s, 8 * e + 4 + c, k);
+    }
+    return z;
+}
+
+/* Row i of the solution output as a store operand. */
+static inline opnd_t solution_row(const system_t *s, int d, Py_ssize_t i)
+{
+    double *out = s->solution.buf;
+    if (d)
+        return (opnd_t){out + 2 * i * s->lanes, 2, 1};
+    return (opnd_t){out + i * s->lanes, 1, s->n * s->lanes};
+}
+
+/* Pivot magnitudes and divisions, per context (see above). */
+static inline double mag_cd(cd_t z) { return cd_abs(z); }
+static inline double lead_abs(double re, double im)
+{
+    return cd_abs((cd_t){isnan(im) ? NAN : re, im});
+}
+static inline double mag_cdd(cdd_t z) { return lead_abs(z.re.h, z.im.h); }
+static inline double mag_cqd(cqd_t z)
+{
+    return lead_abs(z.re.c[0], z.im.c[0]);
+}
+
+static inline cd_t quotient_cd(cd_t x, cd_t y, int *zero)
+{
+    (void)zero;
+    return cd_div(x, y);
+}
+static inline cdd_t quotient_cdd(cdd_t x, cdd_t y, int *zero)
+{
+    int z;
+    cdd_t q = cdd_div(x, y, &z);
+    *zero |= z;
+    return q;
+}
+static inline cqd_t quotient_cqd(cqd_t x, cqd_t y, int *zero)
+{
+    int z;
+    cqd_t q = cqd_div(x, y, &z);
+    *zero |= z;
+    return q;
+}
+
+/* A solution value as backend.stack lands the Python rows: renormalised
+ * by the DDArray constructor's two_sum or the QDArray constructor's
+ * renorm4 (which may flip a zero's sign or turn an inf lane's low part
+ * NaN). */
+static inline cd_t landed_cd(cd_t x) { return x; }
+static inline cdd_t landed_cdd(cdd_t x)
+{
+    two_sum(x.re.h, x.re.l, &x.re.h, &x.re.l);
+    two_sum(x.im.h, x.im.l, &x.im.h, &x.im.l);
+    return x;
+}
+static inline cqd_t landed_cqd(cqd_t x)
+{
+    x.re = renorm4(x.re.c[0], x.re.c[1], x.re.c[2], x.re.c[3]);
+    x.im = renorm4(x.im.c[0], x.im.c[1], x.im.c[2], x.im.c[3]);
+    return x;
+}
+
+/* One lane: a (n x n, row r stored at a + r*n) and b are overwritten, x
+ * receives the solution; returns nonzero after a zero denominator. */
+#define LANE_SOLVER(P, ONE)                                                 \
+static int solve_lane_##P(P##_t *a, P##_t *b, P##_t *x, int n,             \
+                          int considered, char *singular)                   \
+{                                                                           \
+    int perm[SOLVE_MAX_N], zero = 0, col, r, j, best, dead;                 \
+    double m, v;                                                            \
+    for (r = 0; r < n; r++)                                                 \
+        perm[r] = r;                                                        \
+    for (col = 0; col < n; col++) {                                         \
+        P##_t *pivot;                                                       \
+        best = col;                                                         \
+        m = mag_##P(a[perm[col] * n + col]);                                \
+        for (r = col + 1; r < n && !isnan(m); r++) {                        \
+            v = mag_##P(a[perm[r] * n + col]);                              \
+            if (!(v <= m)) {                                                \
+                m = v;                                                      \
+                best = r;                                                   \
+            }                                                               \
+        }                                                                   \
+        j = perm[col];                                                      \
+        perm[col] = perm[best];                                             \
+        perm[best] = j;                                                     \
+        pivot = a + perm[col] * n;                                          \
+        dead = m * m < DBL_MIN;                                             \
+        *singular |= dead && considered;                                    \
+        for (r = col + 1; r < n; r++) {                                     \
+            P##_t *row = a + perm[r] * n;                                   \
+            P##_t f = quotient_##P(row[col], dead ? ONE : pivot[col],       \
+                                   &zero);                                  \
+            for (j = col + 1; j < n; j++)                                   \
+                row[j] = P##_sub(row[j], P##_mul(f, pivot[j]));             \
+            b[perm[r]] = P##_sub(b[perm[r]], P##_mul(f, b[perm[col]]));     \
+        }                                                                   \
+    }                                                                       \
+    for (r = n - 1; r >= 0; r--) {                                          \
+        P##_t *row = a + perm[r] * n, acc = b[perm[r]];                     \
+        for (j = r + 1; j < n; j++)                                         \
+            acc = P##_sub(acc, P##_mul(row[j], x[j]));                      \
+        m = mag_##P(row[r]);                                                \
+        dead = m * m < DBL_MIN;                                             \
+        *singular |= dead && considered;                                    \
+        x[r] = quotient_##P(acc, dead ? ONE : row[r], &zero);               \
+    }                                                                       \
+    return zero;                                                            \
+}
+
+LANE_SOLVER(cd, ((cd_t){1.0, 0.0}))
+LANE_SOLVER(cdd, ((cdd_t){{1.0, 0.0}, {0.0, 0.0}}))
+LANE_SOLVER(cqd, ((cqd_t){{{1.0, 0.0, 0.0, 0.0}}, {{0.0, 0.0, 0.0, 0.0}}}))
+
+#define SOLVE(NAME, P, WIDTH)                                               \
+static PyObject *py_##NAME(PyObject *module, PyObject *const *args,         \
+                           Py_ssize_t nargs)                                \
+{                                                                           \
+    system_t s = {0};                                                       \
+    P##_t a[SOLVE_MAX_N * SOLVE_MAX_N], b[SOLVE_MAX_N], x[SOLVE_MAX_N];      \
+    Py_ssize_t k, e;                                                        \
+    int status = solve_open(args, nargs, WIDTH, &s), zero = 0, n, i;        \
+    char *singular;                                                         \
+    (void)module;                                                           \
+    if (status < 0)                                                         \
+        return solve_close(&s, NULL);                                       \
+    if (status == 0)                                                        \
+        return solve_close(&s, Py_NewRef(Py_NotImplemented));              \
+    n = (int)s.n;                                                           \
+    singular = s.singular.buf;                                              \
+    for (k = 0; k < s.lanes && !zero; k++) {                                \
+        for (e = 0; e < n * n; e++)                                         \
+            a[e] = entry_##P(&s, e, k);                                     \
+        for (i = 0; i < n; i++)                                             \
+            b[i] = entry_##P(&s, n * n + i, k);                             \
+        singular[k] = 0;                                                    \
+        zero = solve_lane_##P(a, b, x, n,                                   \
+                              s.on == NULL || s.on[k * s.on_step],          \
+                              &singular[k]);                                \
+        for (i = 0; i < n; i++)                                             \
+            st_##P(solution_row(&s, WIDTH == 2, i), k, landed_##P(x[i]));   \
+    }                                                                       \
+    return solve_close(&s, Py_NewRef(zero ? Py_NotImplemented : Py_None));  \
+}
+
+SOLVE(solve_d, cd, 2)
+SOLVE(solve_dd, cdd, 4)
+SOLVE(solve_qd, cqd, 8)
+
 #define ENTRY(NAME)                                                         \
     {#NAME, (PyCFunction)(void (*)(void))py_##NAME, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
     ENTRY(tape_d), ENTRY(tape_dd), ENTRY(tape_qd),
+    ENTRY(solve_d), ENTRY(solve_dd), ENTRY(solve_qd),
     ENTRY(dd_add), ENTRY(dd_sub), ENTRY(dd_mul), ENTRY(dd_div),
     ENTRY(qd_renorm), ENTRY(qd_add), ENTRY(qd_sub), ENTRY(qd_mul),
     ENTRY(qd_div),
@@ -982,17 +1420,23 @@ static PyMethodDef methods[] = {
     ENTRY(cdd_add_mul), ENTRY(cdd_sub_mul), ENTRY(cdd_add_masked),
     ENTRY(cqd_add), ENTRY(cqd_sub), ENTRY(cqd_mul), ENTRY(cqd_div),
     ENTRY(cqd_add_mul), ENTRY(cqd_sub_mul), ENTRY(cqd_add_masked),
+    ENTRY(cd_div), ENTRY(cd_abs),
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Element-wise double-double / quad-double plane kernels and plan tapes.",
+    "Element-wise double-double / quad-double plane kernels, plan "
+    "tapes and batched linear solves.",
     -1, methods,
     NULL, NULL, NULL, NULL
 };
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {
-    return PyModule_Create(&module_def);
+    PyObject *module = PyModule_Create(&module_def);
+    if (module != NULL
+            && PyModule_AddIntConstant(module, "SOLVE_MAX_N", SOLVE_MAX_N) < 0)
+        Py_CLEAR(module);
+    return module;
 }

@@ -28,6 +28,14 @@ once on a fixed probe set against ``np.multiply``, ``np.square`` and
 natively, and a host where any probe bit differs keeps ``d`` on the Python
 tape loop after one :class:`RuntimeWarning`.
 
+The extension's batched linear solves (``solve_d`` / ``solve_dd`` /
+``solve_qd``) replay the Python elimination of
+:mod:`repro.tracking.batch_linsolve`: they pivot on ``np.abs`` magnitudes
+in every context and, in ``d``, divide like ``np.divide`` and multiply
+like the ``d`` tape.  The same load-time probe checks ``np.divide`` and
+``np.abs`` on the row layouts the solves accept; :data:`SOLVE_CONTEXTS`
+names the contexts whose solves may run natively.
+
 :func:`run` calls one kernel on a tuple of planes, :func:`apply` runs an op
 through its kernel or else its reference chain, and :func:`complex_chains`
 composes the complex reference chains from the real ones.
@@ -50,9 +58,9 @@ import numpy as np
 
 from ..errors import DivisionByZeroError
 
-__all__ = ["FLAGS", "KERNELS", "SOURCE", "TAPE_CONTEXTS", "apply",
-           "cache_dir", "complex_chains", "load_kernels", "run",
-           "tape_contexts"]
+__all__ = ["FLAGS", "KERNELS", "SOLVE_CONTEXTS", "SOURCE", "TAPE_CONTEXTS",
+           "apply", "cache_dir", "complex_chains", "load_kernels", "run",
+           "solve_contexts", "tape_contexts"]
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -180,14 +188,19 @@ def _probe_d_tape(kernels, multiply, square, power) -> Optional[str]:
     slots = np.zeros((len(program) + 2, points.shape[1]), np.complex128)
     kernels.tape_d(np.array(program, np.int32),
                    np.array([scalar.real, scalar.imag]), slots, None, points)
+    # The Python tape loop and the linear solve also multiply contiguous
+    # rows, which NumPy runs through another loop than strided ones.
+    xc, yc = np.ascontiguousarray(x), np.ascontiguousarray(y)
     with np.errstate(all="ignore"):
-        references = [("np.multiply(x, y)", multiply(x, y)),
-                      ("np.multiply(scalar, y)", multiply(scalar, y)),
-                      ("np.multiply(x, scalar)", multiply(x, scalar)),
-                      ("np.square(x)", square(x))]
-        references += [(f"np.power(x, {e})", power(x, e))
-                       for e in _PROBE_EXPONENTS]
-    for slot, (name, want) in enumerate(references, start=2):
+        references = [(2, "np.multiply(x, y)", multiply(x, y)),
+                      (2, "np.multiply(x, y) on contiguous rows",
+                       multiply(xc, yc)),
+                      (3, "np.multiply(scalar, y)", multiply(scalar, y)),
+                      (4, "np.multiply(x, scalar)", multiply(x, scalar)),
+                      (5, "np.square(x)", square(x))]
+        references += [(6 + i, f"np.power(x, {e})", power(x, e))
+                       for i, e in enumerate(_PROBE_EXPONENTS)]
+    for slot, name, want in references:
         if not _same_bits(slots[slot], want):
             return name
     return None
@@ -214,6 +227,67 @@ def tape_contexts(kernels, multiply=np.multiply, square=np.square,
 
 #: Contexts whose compiled plan tapes run natively (see tape_contexts).
 TAPE_CONTEXTS = tape_contexts(KERNELS)
+
+
+def _probe_solve(kernels, divide, absolute):
+    """Run the solves' d division and pivot magnitude against the NumPy
+    references on strided and contiguous rows: the first mismatch of
+    each, or None."""
+    x, y = _probe_points()
+    parts = (np.empty(x.shape), np.empty(x.shape))
+    magnitude = np.empty(x.shape)
+    kernels.cd_div(*parts, x.real, x.imag, y.real, y.imag)
+    kernels.cd_abs(magnitude, x.real, x.imag)
+    quotient = np.empty(x.shape, np.complex128)
+    quotient.real, quotient.imag = parts
+    xc, yc = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    with np.errstate(all="ignore"):
+        division = _first_mismatch(quotient, [
+            ("np.divide(x, y)", divide(x, yc)),
+            ("np.divide(x, y) on contiguous rows", divide(xc, yc))])
+        pivot = _first_mismatch(magnitude, [
+            ("np.abs(x)", absolute(x)),
+            ("np.abs(x) on contiguous rows", absolute(xc))])
+    return division, pivot
+
+
+def _first_mismatch(got: np.ndarray, references) -> Optional[str]:
+    for name, want in references:
+        if not _same_bits(got, want):
+            return name
+    return None
+
+
+def solve_contexts(kernels, tapes: frozenset, divide=np.divide,
+                   absolute=np.abs) -> frozenset:
+    """The contexts whose batched linear solves may run in ``kernels``.
+
+    Every solve pivots on magnitudes that must round like ``np.abs`` (dd
+    and qd take them on ``to_complex128()``); d also divides like
+    ``np.divide`` and multiplies like its tape, so it needs ``"d"`` in
+    ``tapes``.  A probe mismatch emits one :class:`RuntimeWarning` naming
+    the first reference that differs: ``np.abs`` keeps every solve in
+    Python, ``np.divide`` the d solve.
+    """
+    if kernels is None:
+        return frozenset()
+    division, pivot = _probe_solve(kernels, divide, absolute)
+    if pivot is not None:
+        warnings.warn(f"compiled linear solves declined: pivot magnitudes "
+                      f"do not round like {pivot} on this host; every "
+                      f"batched solve runs the Python elimination",
+                      RuntimeWarning, stacklevel=2)
+        return frozenset()
+    if division is not None:
+        warnings.warn(f"compiled d solve declined: it does not round like "
+                      f"{division} on this host; d batched solves run the "
+                      f"Python elimination", RuntimeWarning, stacklevel=2)
+        return frozenset(("dd", "qd"))
+    return frozenset(("dd", "qd")) | (tapes & {"d"})
+
+
+#: Contexts whose batched linear solves run natively (see solve_contexts).
+SOLVE_CONTEXTS = solve_contexts(KERNELS, TAPE_CONTEXTS)
 
 
 def run(kernel: str, planes) -> Optional[int]:

@@ -592,7 +592,7 @@ class ComplexDDArray:
         """Masked in-place add: ``self = where(mask, self + other, self)``."""
         o = self._coerce(other)
         mask = np.asarray(mask, dtype=bool)
-        lanes = np.ascontiguousarray(np.broadcast_to(mask, self.shape))
+        lanes = np.broadcast_to(mask, self.shape)
         if compiled.run("cdd_add_masked",
                         _planes(self) + _planes(o) + (lanes,)) is None:
             self.real.iadd_where_(o.real, mask)

@@ -677,7 +677,7 @@ class ComplexQDArray:
         """Masked in-place add: ``self = where(mask, self + other, self)``."""
         o = self._coerce(other)
         mask = np.asarray(mask, dtype=bool)
-        lanes = np.ascontiguousarray(np.broadcast_to(mask, self.shape))
+        lanes = np.broadcast_to(mask, self.shape)
         if compiled.run("cqd_add_masked",
                         _planes(self) + _planes(o) + (lanes,)) is None:
             self.real.iadd_where_(o.real, mask)

@@ -608,7 +608,9 @@ class BatchTracker:
         The systems of the gamma-trick homotopy (evaluated with the
         structure-of-arrays evaluator; regularity is not required).
     context:
-        Scalar arithmetic; ``d`` and ``dd`` have batch backends.
+        Scalar arithmetic; ``d``, ``dd`` and ``qd`` have built-in batch
+        backends (:func:`~repro.multiprec.backend.register_backend` admits
+        more).
     options:
         The same :class:`~repro.tracking.tracker.TrackerOptions` the scalar
         tracker takes -- both engines share the step-control policy.

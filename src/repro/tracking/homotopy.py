@@ -229,15 +229,34 @@ class BatchHomotopy:
 
         def __init__(self, homotopy: "BatchHomotopy", t: np.ndarray):
             self._homotopy = homotopy
-            self._t = np.asarray(t, dtype=np.float64)
+            t = np.asarray(t, dtype=np.float64)
+            # A scalar or length-1 t holds for every lane.
+            self._t = t.reshape(()) if t.size == 1 else t
 
         def evaluate(self, points, lanes=None) -> BatchHomotopyEvaluation:
             """Evaluate ``points``; ``lanes`` selects the matching subset of
             the frozen per-lane parameters when the caller compressed the
-            batch (the Newton corrector retiring converged lanes)."""
-            t = self._t if lanes is None else self._t[lanes]
+            batch (the Newton corrector retiring converged lanes).
+
+            Raises
+            ------
+            ConfigurationError
+                When the frozen per-lane ``t`` has no entry for a lane.
+            """
+            t = self._t
+            if t.ndim == 0:
+                t = np.broadcast_to(t, getattr(points, "shape", ())[-1:])
+            elif lanes is not None:
+                try:
+                    t = t[lanes]
+                except IndexError:
+                    raise ConfigurationError(
+                        f"frozen continuation parameters of shape "
+                        f"{t.shape} have no entry for lane "
+                        f"{int(np.max(lanes))}") from None
             return self._homotopy.evaluate_batch(points, t)
 
     def at(self, t: np.ndarray) -> "BatchHomotopy._Frozen":
-        """Freeze the per-lane parameters for the batched Newton corrector."""
+        """Freeze the per-lane parameters for the batched Newton corrector;
+        a scalar or length-1 ``t`` applies to every lane."""
         return BatchHomotopy._Frozen(self, t)

@@ -201,11 +201,12 @@ class BatchNewtonCorrector:
         self.evaluation_log = evaluation_log
 
     def _residuals(self, values) -> np.ndarray:
-        """Per-lane infinity norm over the value rows, double-rounded."""
+        """Per-lane infinity norm over the value rows (a sequence of
+        ``(B,)`` rows or one ``(n, B)`` batch array), double-rounded."""
         backend = self.backend
         norms = backend.magnitude(values[0])
-        for row in values[1:]:
-            norms = np.maximum(norms, backend.magnitude(row))
+        for i in range(1, len(values)):
+            norms = np.maximum(norms, backend.magnitude(values[i]))
         return norms
 
     def correct(self, points, active: Optional[np.ndarray] = None) -> BatchNewtonResult:
@@ -269,7 +270,7 @@ class BatchNewtonCorrector:
                 update_norms = self._residuals(dx)
                 # x_live is a fresh gather of the live lanes, so the masked
                 # Newton update may fold into it in place.
-                x_live = backend.iadd_masked(x_live, backend.stack(dx), advance)
+                x_live = backend.iadd_masked(x_live, dx, advance)
                 x[:, idx] = x_live
 
                 # The scalar small-update exit, lane-wise and in this

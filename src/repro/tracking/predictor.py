@@ -144,7 +144,7 @@ class BatchTangentPredictor:
         # consume (mutate) its Jacobian and our negated derivative rows.
         tangent, singular = batched_solve(evaluation.jacobian, rhs, backend,
                                           copy=False)
-        step = backend.stack(tangent) * dt.astype(np.complex128)
+        step = tangent * dt.astype(np.complex128)
         predicted = points + step
         if singular.any():
             predicted = backend.where(singular, points, predicted)

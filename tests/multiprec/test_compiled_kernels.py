@@ -494,16 +494,54 @@ class TestPlaneLayouts:
         assert_identical(x * y, on_reference(lambda: x * y))
 
     def test_unfit_layouts_fall_back_to_the_reference(self):
-        x = QDArray(*(c.reshape(4, 6) for c in random_qd(30)._components()))
-        y = QDArray(*(c.reshape(4, 6) for c in random_qd(31)._components()))
-        strided, other = x[:, ::2], y[:, ::2]
-        assert not strided.c0.flags.c_contiguous
+        # Three dimensions whose leading two do not collapse into one step.
+        x = QDArray(*(c.reshape(2, 4, 3) for c in random_qd(30)._components()))
+        y = QDArray(*(c.reshape(2, 4, 3) for c in random_qd(31)._components()))
+        strided, other = x[:, :2], y[:, :2]
+        assert strided.c0.strides == (96, 24, 8)
         out = tuple(np.empty(strided.shape) for _ in range(4))
         assert compiled.run("qd_add", out + planes(strided)
                             + planes(other)) is None
         assert_identical(strided + other,
                          on_reference(lambda: strided + other))
-        row = y[0]
+        # An output must have the lane shape: (6,) does not broadcast up.
+        row = QDArray(*(c[:6] for c in random_qd(32)._components()))
+        flat = QDArray(*(c.reshape(4, 6) for c in random_qd(33)._components()))
+        out = tuple(np.empty(row.shape) for _ in range(4))
+        assert compiled.run("qd_add", out + planes(row) + planes(flat)) is None
+        assert_identical(row + flat, on_reference(lambda: row + flat))
+
+    def test_two_dimensional_strided_planes_run_the_kernels(self):
+        x = QDArray(*(c.reshape(4, 6) for c in random_qd(30)._components()))
+        y = QDArray(*(c.reshape(4, 6) for c in random_qd(31)._components()))
+        strided, other = x[:, ::2], y[:, ::2]
+        out = tuple(np.empty(strided.shape) for _ in range(4))
+        assert compiled.run("qd_add", out + planes(strided)
+                            + planes(other)) == 0
+        assert_identical(out, on_reference(lambda: strided + other))
+
+    def test_an_output_whose_lanes_share_elements_declines(self):
+        from numpy.lib.stride_tricks import as_strided
+
+        x = QDArray(*(c[:6].reshape(2, 3) for c in
+                      random_qd(36)._components()))
+        out = tuple(as_strided(np.zeros(4), shape=(2, 3), strides=(8, 8),
+                               writeable=True) for _ in range(4))
+        assert compiled.run("qd_add", out + planes(x) + planes(x)) is None
+
+    def test_inputs_broadcast_along_the_leading_axis(self):
+        # The secant predictor's (n, B) difference times its (B,) ratios.
+        x = ComplexQDArray(*(QDArray(*(c.reshape(4, 6) for c in
+                                       random_qd(seed)._components()))
+                             for seed in (34, 35)))
+        live = x[:, np.array([0, 2, 3, 5])]
+        ratio = np.linspace(0.1, 0.9, 4)
+        out = tuple(np.empty(live.shape) for _ in range(8))
+        assert compiled.run("cqd_mul", out + planes(live)
+                            + planes(ComplexQDArray.from_complex128(
+                                ratio.astype(np.complex128)))) == 0
+        assert_identical(out, on_reference(lambda: live * ratio))
+        row = x[0]
         assert_identical(x * row, on_reference(lambda: x * row))
 
     def test_rows_of_a_lane_gather_run_the_kernels(self):

@@ -11,6 +11,7 @@ from repro.multiprec import DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
 from repro.tracking import Homotopy, total_degree_start_system
 from repro.tracking.homotopy import BatchHomotopy, BatchHomotopyEvaluation
+from repro.tracking.newton import BatchNewtonCorrector
 
 
 def target_system():
@@ -103,6 +104,12 @@ def batch_evaluate(route):
                          use_plan=route == "plan").evaluate_batch
 
 
+def batch_homotopy(route):
+    target = target_system()
+    return BatchHomotopy(total_degree_start_system(target), target,
+                         gamma=complex(0.6, 0.8), use_plan=route == "plan")
+
+
 def evaluation_rows(result):
     """The ``(values, jacobian, t_derivative)`` rows of one batched
     evaluation as nested lists of complex numbers, copied out of the
@@ -152,6 +159,36 @@ class TestInterface:
         expected = evaluation_rows(evaluate(points, np.array([0.25, 0.25])))
         for t in (0.25, np.array([0.25])):
             assert evaluation_rows(evaluate(points, t)) == expected
+
+    @pytest.mark.parametrize("route", ["plan", "walk"])
+    @pytest.mark.parametrize("t", [0.5, [0.5]], ids=["scalar", "length-1"])
+    def test_frozen_t_applies_to_every_lane(self, route, t):
+        # at() with one t must serve the Newton corrector, which evaluates
+        # compressed lane subsets, exactly like the per-lane vector of t.
+        homotopy = batch_homotopy(route)
+        points = np.array([[1.2 + 0.1j, 0.3 - 0.1j, 1.0, -0.5j],
+                           [0.5j, 0.9 + 0j, 0.7, 0.4 + 0.1j]])
+        want = BatchNewtonCorrector(homotopy.at(np.full(4, 0.5)),
+                                    homotopy.backend).correct(points)
+        got = BatchNewtonCorrector(homotopy.at(t),
+                                   homotopy.backend).correct(points)
+        assert got.solution.tobytes() == want.solution.tobytes()
+        assert got.iterations.tolist() == want.iterations.tolist()
+        lanes = np.array([1, 3])
+        assert evaluation_rows(homotopy.at(t).evaluate(
+            points[:, lanes], lanes=lanes)) == evaluation_rows(
+                homotopy.evaluate_batch(points[:, lanes], 0.5))
+
+    @pytest.mark.parametrize("route", ["plan", "walk"])
+    def test_frozen_t_must_cover_every_lane(self, route):
+        homotopy = batch_homotopy(route)
+        points = np.array([[0.1 + 0.2j, 0.3 - 0.1j, 1.0],
+                           [0.5j, -0.2 + 0j, 0.7]])
+        frozen = homotopy.at(np.array([0.25, 0.75]))
+        with pytest.raises(ConfigurationError, match="broadcast"):
+            frozen.evaluate(points)
+        with pytest.raises(ConfigurationError, match="lane 2"):
+            frozen.evaluate(points[:, [0, 2]], lanes=np.array([0, 2]))
 
     def test_gamma_must_have_unit_modulus(self):
         target = target_system()

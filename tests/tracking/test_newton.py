@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConvergenceError
 from repro.core import CPUReferenceEvaluator, GPUEvaluator
-from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
+from repro.multiprec import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, compiled
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
 from repro.tracking import NewtonCorrector
 
@@ -265,3 +265,85 @@ class TestBatchCorrectorMatchesScalar:
         for lane, scalar in enumerate(scalar_outcomes):
             assert not batched.converged[lane]
             assert int(batched.iterations[lane]) == scalar.iterations, lane
+
+
+@pytest.mark.skipif(compiled.KERNELS is None,
+                    reason="compiled kernels could not be built")
+@pytest.mark.parametrize("context", [DOUBLE_DOUBLE, QUAD_DOUBLE],
+                         ids=lambda c: c.name)
+class TestLaneGathersRunNatively:
+    """The batched corrector and the secant predictor work on lane gathers
+    ``x[:, idx]``, whose planes NumPy lays out column-major.  Every dd/qd
+    kernel call on them, the masked Newton update and the predictor's
+    ``(n, B) * (B,)`` extrapolation included, runs natively: none falls
+    back to a reference chain."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        calls, declined = [], []
+        run = compiled.run
+
+        def recording(kernel, planes):
+            result = run(kernel, planes)
+            calls.append(kernel)
+            if result is None:
+                declined.append(kernel)
+            return result
+
+        monkeypatch.setattr(compiled, "run", recording)
+        return calls, declined
+
+    @staticmethod
+    def _batch(context):
+        import numpy as np
+
+        from repro.tracking import BatchHomotopy, total_degree_start_system
+
+        system = circle_line_system()
+        homotopy = BatchHomotopy(total_degree_start_system(system), system,
+                                 context=context)
+        points = homotopy.backend.from_points(
+            [[1.2 + 0.1j, 0.9 - 0.1j], [3.0, -2.0], [1.0 + 1e-9j, 1.0],
+             [0.8, 1.1 + 0.05j], [1.05, 0.95]])
+        return homotopy, points, np.array([4, 0, 3, 2])
+
+    def test_corrector(self, context, monkeypatch):
+        import numpy as np
+
+        from repro.tracking import BatchNewtonCorrector
+
+        homotopy, points, idx = self._batch(context)
+        gathered = points[:, idx]
+        corrector = BatchNewtonCorrector(homotopy.at(np.ones(idx.size)),
+                                         homotopy.backend, tolerance=1e-20)
+        calls, declined = self._recording(monkeypatch)
+        got = corrector.correct(gathered)
+        assert declined == []
+        assert f"c{context.name}_add_masked" in calls
+        monkeypatch.setattr(compiled, "KERNELS", None)
+        want = corrector.correct(gathered)
+        for a, b in zip(homotopy.backend.component_planes(got.solution),
+                        homotopy.backend.component_planes(want.solution)):
+            assert compiled._same_bits(a, b)
+        assert np.array_equal(got.iterations, want.iterations)
+
+    def test_secant_predictor(self, context, monkeypatch):
+        import numpy as np
+
+        from repro.tracking import BatchSecantPredictor
+
+        homotopy, points, idx = self._batch(context)
+        current, previous = points[:, idx], (points * 0.9)[:, idx]
+        t = np.array([0.5, 0.25, 0.75, 0.5])
+        predictor = BatchSecantPredictor(homotopy.backend)
+        args = (homotopy, current, previous, t, t - 0.1,
+                np.full(idx.size, 0.05), np.array([True, True, False, True]))
+        calls, declined = self._recording(monkeypatch)
+        got = predictor.predict(*args)
+        assert declined == []
+        assert f"c{context.name}_mul" in calls
+        monkeypatch.setattr(compiled, "KERNELS", None)
+        want = predictor.predict(*args)
+        for a, b in zip(homotopy.backend.component_planes(got),
+                        homotopy.backend.component_planes(want)):
+            assert compiled._same_bits(a, b)
