@@ -646,8 +646,12 @@ static PyObject *run(PyObject *const *args, Py_ssize_t nargs, lane_fn lane,
         held += fits;
     }
     if (fits) {
-        for (d = 0; d < views[0].ndim; d++)
-            *(d == views[0].ndim - 1 ? &inner : &outer) *= views[0].shape[d];
+        for (d = 0; d < views[0].ndim; d++) {
+            if (d < views[0].ndim - 1)
+                outer *= views[0].shape[d];
+            else
+                inner = views[0].shape[d];
+        }
         fits = outer * inner == 0
             || outputs_separate(views, at, n_out, total, outer, inner);
     }
