@@ -733,10 +733,8 @@ KERNEL(cd_abs, cd_abs, 0, 1, 2, 0)
  * NotImplemented when a point plane overlaps the slot buffer (the caller
  * then runs the tape in Python).
  *
- * d must round like NumPy's complex128 loops: on hosts with FMA its
- * multiply (and np.square) is re = fma(ar, br, -(ai*bi)), im = fma(ar, bi,
- * ai*br), while np.power's integer ladder (npy_cpow) rounds twice.
- * repro.multiprec.compiled checks both against NumPy at load.  dd/qd
+ * d must round like NumPy's complex128 loops (cd_mul, and cd_pow's
+ * twice-rounded ladder; see the complex double section above).  dd/qd
  * reuse the element sequences above, with constants embedded by the
  * Python side exactly as the backends coerce them.
  */
