@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-all test-scenarios chaos docs kernels bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
+.PHONY: test test-all test-scenarios chaos docs kernels fingerprints bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
 
 # Build (or confirm) the cached dd/qd plane kernels ahead of the first
 # import and print the contexts whose plan tapes and batched linear solves
@@ -11,6 +11,13 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # divisions or magnitudes differently must fail loudly, not run slower).
 kernels:
 	$(PY) -W error::RuntimeWarning -c "from repro.multiprec import compiled; print(compiled.KERNELS.__file__); print('tape contexts:', ' '.join(c for c in ('d', 'dd', 'qd') if c in compiled.TAPE_CONTEXTS)); print('solve contexts:', ' '.join(c for c in ('d', 'dd', 'qd') if c in compiled.SOLVE_CONTEXTS)); assert 'd' in compiled.TAPE_CONTEXTS, 'd tape declined'; assert 'd' in compiled.SOLVE_CONTEXTS, 'd solve declined'"
+
+# One sha256 line per SolveReport over the repository benchmark's seed-0
+# inputs (the 14 scenarios at d, the 7 tier-1 scenarios up the default
+# ladder).  A change that must not move any answer prints the same lines as
+# its parent; tools/fingerprint_reports.py --help lists the route switches.
+fingerprints:
+	$(PY) tools/fingerprint_reports.py
 
 # Tier-1: the fast suite (pytest.ini deselects @pytest.mark.slow).
 test:

@@ -92,6 +92,7 @@ __all__ = [
     "HomotopyPlan",
     "PlanExecutionStats",
     "PlanOpCounts",
+    "checked_lane_parameters",
     "homotopy_compile_cache_stats",
     "homotopy_walk_op_counts",
     "pow_chain_multiplications",
@@ -172,12 +173,46 @@ def require_lane_batch(points, dimension: int) -> None:
         )
 
 
+class _CheckedParameters(np.ndarray):
+    """Continuation parameters that passed the range check.  Any subset or
+    broadcast of them (``t[lanes]``) is still in range, so
+    :func:`require_lane_parameters` does not check them again."""
+
+
+def _in_unit_interval(t) -> np.ndarray:
+    """``t`` as float64, every value in ``[0, 1]``."""
+    t = np.asarray(t, dtype=np.float64)
+    # Written so NaN fails too, as in the scalar Homotopy.evaluate_at.
+    if not ((t >= 0.0) & (t <= 1.0)).all():
+        raise ConfigurationError(
+            "all continuation parameters must lie in [0, 1]")
+    return t
+
+
+def checked_lane_parameters(t) -> np.ndarray:
+    """A float64 copy of ``t``, range-checked once for many evaluations.
+
+    The copy, its lane subsets and its broadcasts pass
+    :func:`require_lane_parameters` without a second range check (the
+    frozen ``t`` of :meth:`repro.tracking.homotopy.BatchHomotopy.at`).
+
+    Raises
+    ------
+    ConfigurationError
+        When any ``t`` lies outside ``[0, 1]`` or is NaN.
+    """
+    return _in_unit_interval(np.array(t, dtype=np.float64)).view(
+        _CheckedParameters)
+
+
 def require_lane_parameters(t, lanes: int) -> np.ndarray:
     """The continuation parameters ``t`` of a homotopy evaluation as one
     float64 value per lane.
 
     The one check of both homotopy routes, the plan and the walk: a scalar
-    ``t`` broadcasts to every lane.
+    ``t`` broadcasts to every lane.  Parameters from
+    :func:`checked_lane_parameters` skip the range check and come back as
+    a plain ndarray view.
 
     Raises
     ------
@@ -185,11 +220,10 @@ def require_lane_parameters(t, lanes: int) -> np.ndarray:
         When any ``t`` lies outside ``[0, 1]`` or is NaN, or ``t`` does not
         broadcast to ``lanes`` values.
     """
-    t = np.asarray(t, dtype=np.float64)
-    # Written so NaN fails too, as in the scalar Homotopy.evaluate_at.
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ConfigurationError(
-            "all continuation parameters must lie in [0, 1]")
+    if type(t) is _CheckedParameters:
+        t = t.view(np.ndarray)
+    else:
+        t = _in_unit_interval(t)
     if t.shape == (lanes,):
         return t
     try:

@@ -2,7 +2,8 @@
  * Element-wise double-double and quad-double plane kernels, the
  * interpreters that run a lowered evaluation plan in one call (the
  * instruction tape), and the batched linear solves of Newton's corrector
- * (one small dense system per lane, at the end of this file).
+ * (one small dense system per lane) with the Newton updates built on them
+ * (at the end of this file).
  *
  * Every kernel replays, lane by lane, exactly the floating-point sequence
  * of the scalar DoubleDouble / QuadDouble arithmetic (the QD 2.3.9 library
@@ -138,6 +139,11 @@ static inline dd_t dd_mul(dd_t x, dd_t y)
     p2 = p2 + (x.h * y.l + x.l * y.h);
     quick_two_sum(p1, p2, &r.h, &r.l);
     return r;
+}
+
+static inline dd_t dd_neg(dd_t x)
+{
+    return (dd_t){-x.h, -x.l};
 }
 
 static inline dd_t dd_div(dd_t x, dd_t y)
@@ -323,6 +329,10 @@ static inline T P##_sub(T x, T y)                                           \
 {                                                                           \
     return (T){P##_r_sub(x.re, y.re), P##_r_sub(x.im, y.im)};               \
 }                                                                           \
+static inline T P##_neg(T x)                                                \
+{                                                                           \
+    return (T){P##_r_neg(x.re), P##_r_neg(x.im)};                           \
+}                                                                           \
 static inline T P##_mul(T x, T y)                                           \
 {                                                                           \
     return (T){P##_r_sub(P##_r_mul(x.re, y.re), P##_r_mul(x.im, y.im)),     \
@@ -343,11 +353,13 @@ static inline T P##_div(T x, T y, int *zero)                                \
 
 #define cdd_r_add dd_add
 #define cdd_r_sub dd_sub
+#define cdd_r_neg dd_neg
 #define cdd_r_mul dd_mul
 #define cdd_r_div dd_div
 #define cdd_r_lead(v) ((v).h)
 #define cqd_r_add qd_add
 #define cqd_r_sub qd_sub
+#define cqd_r_neg qd_neg
 #define cqd_r_mul qd_mul
 #define cqd_r_div qd_div
 #define cqd_r_lead(v) ((v).c[0])
@@ -383,6 +395,11 @@ static inline cd_t cd_add(cd_t x, cd_t y)
 static inline cd_t cd_sub(cd_t x, cd_t y)
 {
     return (cd_t){x.re - y.re, x.im - y.im};
+}
+
+static inline cd_t cd_neg(cd_t x)
+{
+    return (cd_t){-x.re, -x.im};
 }
 
 /* np.divide: Smith's algorithm, as NumPy's complex divide loop. */
@@ -423,6 +440,7 @@ static inline double cd_abs(cd_t z)
 }
 
 /* ------------------------------------------- lane loads and stores */
+static inline cd_t get_cd(const double *v) { return (cd_t){v[0], v[1]}; }
 static inline dd_t get_dd(const double *v) { return (dd_t){v[0], v[1]}; }
 static inline qd_t get_qd(const double *v)
 {
@@ -436,6 +454,7 @@ static inline cqd_t get_cqd(const double *v)
 {
     return (cqd_t){get_qd(v), get_qd(v + 4)};
 }
+static inline void put_cd(double *v, cd_t x) { v[0] = x.re; v[1] = x.im; }
 static inline void put_dd(double *v, dd_t x) { v[0] = x.h; v[1] = x.l; }
 static inline void put_qd(double *v, qd_t x)
 {
@@ -935,6 +954,22 @@ static int get_view(PyObject *obj, Py_buffer *view, int flags,
     return 1;
 }
 
+/* The byte range a non-empty view spans, at any strides. */
+static void span(const Py_buffer *v, char **lo, char **hi)
+{
+    Py_ssize_t first = 0, last = 0, extent;
+    int d;
+    for (d = 0; d < v->ndim; d++) {
+        extent = (v->shape[d] - 1) * v->strides[d];
+        if (extent < 0)
+            first += extent;
+        else
+            last += extent;
+    }
+    *lo = (char *)v->buf + first;
+    *hi = (char *)v->buf + last + v->itemsize;
+}
+
 static PyObject *tape_run(PyObject *const *args, Py_ssize_t nargs,
                           int width, interpret_fn interpret)
 {
@@ -946,7 +981,7 @@ static PyObject *tape_run(PyObject *const *args, Py_ssize_t nargs,
     int held = 0, i, overlap = 0;
     tape_t tp;
     PyObject *result = NULL;
-    char *lo, *hi;
+    char *lo, *hi, *first, *last;
 
     if (nargs != 4 + n_planes) {
         PyErr_Format(PyExc_TypeError, "expected %d arguments, got %zd",
@@ -992,7 +1027,6 @@ static PyObject *tape_run(PyObject *const *args, Py_ssize_t nargs,
     hi = lo + views[2].len;
     for (i = 0; i < n_planes; i++) {
         Py_buffer *v = &views[held];
-        Py_ssize_t first = 0, last = 0;
         if (!get_view(args[4 + i], v, PyBUF_STRIDES, plane_format,
                       "tape points"))
             goto done;
@@ -1003,13 +1037,10 @@ static PyObject *tape_run(PyObject *const *args, Py_ssize_t nargs,
             goto done;
         }
         inputs = v->shape[0];
-        for (c = 0; c < 2; c++) {
-            Py_ssize_t span = (v->shape[c] - 1) * v->strides[c];
-            if (span < 0) first += span; else last += span;
-        }
-        if (v->shape[0] && lanes
-                && (char *)v->buf + first < hi
-                && lo < (char *)v->buf + last + v->itemsize)
+        if (!v->shape[0] || !lanes)
+            continue;
+        span(v, &first, &last);
+        if (first < hi && lo < last)
             overlap = 1;
     }
     if (inputs > nslots) {
@@ -1130,34 +1161,24 @@ static PyObject *solve_close(system_t *s, PyObject *result)
     return result;
 }
 
-/* The byte range a one-dimensional view spans. */
-static void span(const Py_buffer *v, char **lo, char **hi)
-{
-    Py_ssize_t extent = (v->shape[0] - 1) * v->strides[0];
-    *lo = (char *)v->buf + (extent < 0 ? extent : 0);
-    *hi = (char *)v->buf + (extent > 0 ? extent : 0) + v->itemsize;
-}
-
 static int disjoint(char *lo, char *hi, const Py_buffer *out)
 {
     return hi <= (char *)out->buf || (char *)out->buf + out->len <= lo;
 }
 
 /* Validate and acquire a solve's arguments: 1 when the lanes may be
- * solved, 0 to decline, -1 with a Python error set. */
-static int solve_open(PyObject *const *args, Py_ssize_t nargs, int width,
-                      system_t *s)
+ * solved, 0 to decline, -1 with a Python error set.  The solution and the
+ * singular mask are validated before any decline, so s->n and s->lanes
+ * hold whenever the result is not -1. */
+static int solve_open(PyObject *rows, PyObject *active, PyObject *solution,
+                      PyObject *singular, int width, system_t *s)
 {
     int d = width == 2;
     const char *format = d ? "Zd" : "d";
     Py_ssize_t per = d ? 1 : width, count, i;
     char *lo, *hi;
 
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "expected 4 arguments, got %zd", nargs);
-        return -1;
-    }
-    if (!get_view(args[2], &s->solution, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
+    if (!get_view(solution, &s->solution, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
                   format, "solve solution"))
         return -1;
     s->held = 1;
@@ -1168,7 +1189,7 @@ static int solve_open(PyObject *const *args, Py_ssize_t nargs, int width,
     }
     s->n = s->solution.shape[s->solution.ndim - 2];
     s->lanes = s->solution.shape[s->solution.ndim - 1];
-    if (!get_view(args[3], &s->singular, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
+    if (!get_view(singular, &s->singular, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
                   "?", "solve singular"))
         return -1;
     s->held = 2;
@@ -1181,7 +1202,7 @@ static int solve_open(PyObject *const *args, Py_ssize_t nargs, int width,
         return 0;
     if (s->n < 1 || s->n > SOLVE_MAX_N)
         return 0;
-    s->seq = PySequence_Fast(args[0], "solve rows: expected a sequence");
+    s->seq = PySequence_Fast(rows, "solve rows: expected a sequence");
     if (s->seq == NULL)
         return -1;
     count = PySequence_Fast_GET_SIZE(s->seq);
@@ -1192,8 +1213,8 @@ static int solve_open(PyObject *const *args, Py_ssize_t nargs, int width,
         return -1;
     }
     s->on = NULL;
-    if (args[1] != Py_None) {
-        if (PyObject_GetBuffer(args[1], &s->active,
+    if (active != Py_None) {
+        if (PyObject_GetBuffer(active, &s->active,
                                PyBUF_STRIDES | PyBUF_FORMAT) < 0) {
             PyErr_Clear();
             return 0;
@@ -1381,9 +1402,13 @@ static PyObject *py_##NAME(PyObject *module, PyObject *const *args,         \
     system_t s = {0};                                                       \
     P##_t a[SOLVE_MAX_N * SOLVE_MAX_N], b[SOLVE_MAX_N], x[SOLVE_MAX_N];      \
     Py_ssize_t k, e;                                                        \
-    int status = solve_open(args, nargs, WIDTH, &s), zero = 0, n, i;        \
+    int status, zero = 0, n, i;                                             \
     char *singular;                                                         \
     (void)module;                                                           \
+    if (nargs != 4)                                                         \
+        return PyErr_Format(PyExc_TypeError,                                \
+                            "expected 4 arguments, got %zd", nargs);        \
+    status = solve_open(args[0], args[1], args[2], args[3], WIDTH, &s);     \
     if (status < 0)                                                         \
         return solve_close(&s, NULL);                                       \
     if (status == 0)                                                        \
@@ -1409,12 +1434,207 @@ SOLVE(solve_d, cd, 2)
 SOLVE(solve_dd, cdd, 4)
 SOLVE(solve_qd, cqd, 8)
 
+/* ----------------------------------------------------- Newton update */
+/*
+ * newton_P(rows, solution, singular, x, residual, update, tolerance) runs
+ * all of a batched Newton iteration that follows the evaluation, B lanes in
+ * one call, replaying the Python route of repro.tracking.batch_linsolve
+ * (the NewtonUpdate request) bit for bit:
+ *
+ *   rows, solution, singular  as for solve_P, except that the last n
+ *             entries of rows hold the values f, not the right-hand side;
+ *   x         the iterate, a sequence of its component planes (one
+ *             complex128 plane for d, the 4 / 8 float64 planes for dd / qd),
+ *             each writable, (n, B), at any strides;
+ *   residual, update  C-contiguous float64 (B,) outputs;
+ *   tolerance a float.
+ *
+ * Per lane: the residual folds np.maximum over the magnitudes of f (a NaN
+ * wins), and the lane is done when residual <= tolerance.  The lane solves
+ * -f (every component's sign flipped, as -value does), considered for
+ * singular only when not done, and lands its solution as solve_P does.
+ * The update folds np.maximum over the landed solution's magnitudes.  The
+ * magnitudes are the solve's (mag_P).  Where the lane is neither done nor
+ * singular, x += solution with the backend's add (cd_add, cdd_add or
+ * cqd_add, as iadd_masked adds).  x is written only after every lane has
+ * solved, so a call that declines leaves it as it was.
+ *
+ * Returns None, or NotImplemented when the kernel declines: whatever
+ * solve_P declines, or x or a norm output sharing bytes with any other
+ * argument.  A malformed x, norm output or tolerance raises, as a
+ * malformed solve output does.
+ */
+typedef struct {
+    system_t s;
+    Py_buffer x[8], norms[2];  /* norms: residual, update */
+    int x_held, norms_held;
+    PyObject *planes;          /* x as a fast sequence */
+    double tolerance;
+} newton_t;
+
+static PyObject *newton_close(newton_t *w, PyObject *result)
+{
+    while (w->x_held > 0)
+        PyBuffer_Release(&w->x[--w->x_held]);
+    while (w->norms_held > 0)
+        PyBuffer_Release(&w->norms[--w->norms_held]);
+    Py_XDECREF(w->planes);
+    return solve_close(&w->s, result);
+}
+
+/* Validate and acquire a Newton update's arguments; as solve_open. */
+static int newton_open(PyObject *const *args, Py_ssize_t nargs, int width,
+                       newton_t *w)
+{
+    static const char *norm_names[2] = {"newton residual", "newton update"};
+    system_t *s = &w->s;
+    int d = width == 2, per = d ? 1 : width, status, i, j;
+    char *lo[8 + 2], *hi[8 + 2], *row_lo, *row_hi;
+    Py_ssize_t r;
+
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "expected 7 arguments, got %zd", nargs);
+        return -1;
+    }
+    w->tolerance = PyFloat_AsDouble(args[6]);
+    if (w->tolerance == -1.0 && PyErr_Occurred())
+        return -1;
+    status = solve_open(args[0], Py_None, args[1], args[2], width, s);
+    if (status < 0)
+        return -1;
+    w->planes = PySequence_Fast(args[3], "newton x: expected a sequence");
+    if (w->planes == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(w->planes) != per) {
+        PyErr_Format(PyExc_ValueError, "newton x: expected %d planes", per);
+        return -1;
+    }
+    for (i = 0; i < per; i++) {
+        Py_buffer *v = &w->x[i];
+        if (!get_view(PySequence_Fast_GET_ITEM(w->planes, i), v,
+                      PyBUF_STRIDES | PyBUF_WRITABLE, d ? "Zd" : "d",
+                      "newton x"))
+            return -1;
+        w->x_held++;
+        if (v->ndim != 2 || v->shape[0] != s->n || v->shape[1] != s->lanes) {
+            PyErr_SetString(PyExc_ValueError, "newton x: expected (n, B)");
+            return -1;
+        }
+    }
+    for (i = 0; i < 2; i++) {
+        Py_buffer *v = &w->norms[i];
+        if (!get_view(args[4 + i], v, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE,
+                      "d", norm_names[i]))
+            return -1;
+        w->norms_held++;
+        if (v->ndim != 1 || v->shape[0] != s->lanes) {
+            PyErr_Format(PyExc_ValueError, "%s: expected (B,)", norm_names[i]);
+            return -1;
+        }
+    }
+    if (status == 0 || s->lanes == 0)
+        return status;
+    /* Each written plane against every other argument. */
+    for (i = 0; i < per + 2; i++)
+        span(i < per ? &w->x[i] : &w->norms[i - per], &lo[i], &hi[i]);
+    for (i = 0; i < per + 2; i++) {
+        for (j = i + 1; j < per + 2; j++)
+            if (lo[i] < hi[j] && lo[j] < hi[i])
+                return 0;
+        if (!disjoint(lo[i], hi[i], &s->solution)
+                || !disjoint(lo[i], hi[i], &s->singular))
+            return 0;
+        for (r = 0; r < s->rows_held; r++) {
+            span(&s->rows[r], &row_lo, &row_hi);
+            if (row_lo < hi[i] && lo[i] < row_hi)
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* np.maximum(acc, m) on magnitudes: a NaN in either operand wins. */
+static inline double fold_max(double acc, double m)
+{
+    return isnan(acc) || isnan(m) ? NAN : m > acc ? m : acc;
+}
+
+/* Component c of x's element (i, k); d keeps re and im in one plane. */
+static inline double *x_part(const newton_t *w, int d, int c, Py_ssize_t i,
+                             Py_ssize_t k)
+{
+    const Py_buffer *v = &w->x[d ? 0 : c];
+    return (double *)((char *)v->buf + i * v->strides[0]
+                      + k * v->strides[1]) + (d ? c : 0);
+}
+
+#define NEWTON(NAME, P, WIDTH)                                              \
+static PyObject *py_##NAME(PyObject *module, PyObject *const *args,         \
+                           Py_ssize_t nargs)                                \
+{                                                                           \
+    newton_t w = {0};                                                       \
+    P##_t a[SOLVE_MAX_N * SOLVE_MAX_N], b[SOLVE_MAX_N], dx[SOLVE_MAX_N], f; \
+    double part[WIDTH], *residual, *update, r, u;                           \
+    Py_ssize_t k, e;                                                        \
+    int status = newton_open(args, nargs, WIDTH, &w), zero = 0, n, i, c;    \
+    char *singular;                                                         \
+    (void)module;                                                           \
+    if (status <= 0)                                                        \
+        return newton_close(&w, status < 0 ? NULL                           \
+                                : Py_NewRef(Py_NotImplemented));            \
+    n = (int)w.s.n;                                                         \
+    singular = w.s.singular.buf;                                            \
+    residual = w.norms[0].buf;                                              \
+    update = w.norms[1].buf;                                                \
+    for (k = 0; k < w.s.lanes && !zero; k++) {                              \
+        for (e = 0; e < n * n; e++)                                         \
+            a[e] = entry_##P(&w.s, e, k);                                   \
+        r = 0.0;                                                            \
+        for (i = 0; i < n; i++) {                                           \
+            f = entry_##P(&w.s, n * n + i, k);                              \
+            r = fold_max(r, mag_##P(f));                                    \
+            b[i] = P##_neg(f);                                              \
+        }                                                                   \
+        residual[k] = r;                                                    \
+        singular[k] = 0;                                                    \
+        zero = solve_lane_##P(a, b, dx, n, !(r <= w.tolerance),             \
+                              &singular[k]);                                \
+        u = 0.0;                                                            \
+        for (i = 0; i < n; i++) {                                           \
+            dx[i] = landed_##P(dx[i]);                                      \
+            u = fold_max(u, mag_##P(dx[i]));                                \
+            st_##P(solution_row(&w.s, WIDTH == 2, i), k, dx[i]);            \
+        }                                                                   \
+        update[k] = u;                                                      \
+    }                                                                       \
+    if (zero)                                                               \
+        return newton_close(&w, Py_NewRef(Py_NotImplemented));              \
+    for (k = 0; k < w.s.lanes; k++) {                                       \
+        if (residual[k] <= w.tolerance || singular[k])                      \
+            continue;                                                       \
+        for (i = 0; i < n; i++) {                                           \
+            for (c = 0; c < WIDTH; c++)                                     \
+                part[c] = *x_part(&w, WIDTH == 2, c, i, k);                 \
+            put_##P(part, P##_add(get_##P(part),                            \
+                    ld_##P(solution_row(&w.s, WIDTH == 2, i), k)));         \
+            for (c = 0; c < WIDTH; c++)                                     \
+                *x_part(&w, WIDTH == 2, c, i, k) = part[c];                 \
+        }                                                                   \
+    }                                                                       \
+    return newton_close(&w, Py_NewRef(Py_None));                            \
+}
+
+NEWTON(newton_d, cd, 2)
+NEWTON(newton_dd, cdd, 4)
+NEWTON(newton_qd, cqd, 8)
+
 #define ENTRY(NAME)                                                         \
     {#NAME, (PyCFunction)(void (*)(void))py_##NAME, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
     ENTRY(tape_d), ENTRY(tape_dd), ENTRY(tape_qd),
     ENTRY(solve_d), ENTRY(solve_dd), ENTRY(solve_qd),
+    ENTRY(newton_d), ENTRY(newton_dd), ENTRY(newton_qd),
     ENTRY(dd_add), ENTRY(dd_sub), ENTRY(dd_mul), ENTRY(dd_div),
     ENTRY(qd_renorm), ENTRY(qd_add), ENTRY(qd_sub), ENTRY(qd_mul),
     ENTRY(qd_div),
@@ -1429,7 +1649,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_kernels",
     "Element-wise double-double / quad-double plane kernels, plan "
-    "tapes and batched linear solves.",
+    "tapes, batched linear solves and Newton updates.",
     -1, methods,
     NULL, NULL, NULL, NULL
 };

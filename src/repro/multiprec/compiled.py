@@ -34,7 +34,10 @@ The extension's batched linear solves (``solve_d`` / ``solve_dd`` /
 in every context and, in ``d``, divide like ``np.divide`` and multiply
 like the ``d`` tape.  The same load-time probe checks ``np.divide`` and
 ``np.abs`` on the row layouts the solves accept; :data:`SOLVE_CONTEXTS`
-names the contexts whose solves may run natively.
+names the contexts whose solves may run natively.  The Newton updates
+(``newton_d`` / ``newton_dd`` / ``newton_qd``) wrap a solve in the
+corrector's residual and update norms, a negation and a masked add: no
+rounding the probe has not checked, so they run for the same contexts.
 
 :func:`run` calls one kernel on a tuple of planes, :func:`apply` runs an op
 through its kernel or else its reference chain, and :func:`complex_chains`

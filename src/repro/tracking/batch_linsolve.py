@@ -26,20 +26,30 @@ The algorithm is Gaussian elimination with per-lane partial pivoting:
   :class:`~repro.errors.SingularMatrixError`, reported as a mask instead of
   an exception so one bad path cannot stall its batch.
 
+A :class:`NewtonUpdate` request finishes the batched corrector's
+iteration in the same call: the per-lane residual norm of the values
+``f`` and its convergence test, the right-hand side ``-f``, the solve on
+the lanes that are not done, the update norm and the masked update
+``x += dx`` on the lanes that are neither done nor singular.  With the
+evaluation, an iteration is then two calls.
+
 For the built-in backends the whole elimination runs as one call of the
-compiled ``solve_d`` / ``solve_dd`` / ``solve_qd`` kernel
+compiled ``solve_d`` / ``solve_dd`` / ``solve_qd`` kernel, and a Newton
+update as one call of ``newton_d`` / ``newton_dd`` / ``newton_qd``
 (:mod:`repro.multiprec.compiled`), where each lane eliminates its own
 system and a row swap is an index swap.  The kernels replay the Python
-elimination below bit for bit; it stays as their fallback and test oracle
-and runs when no kernels are loaded, the backend is third-party or patched
+routes below bit for bit; those stay as their fallback and test oracle
+and run when no kernels are loaded, the backend is third-party or patched
 on the instance, the context is not in
 :data:`~repro.multiprec.compiled.SOLVE_CONTEXTS`, or the kernel declines
-the call (an entry layout it does not take, ``n`` above its bound, a dd/qd
-zero denominator -- which the Python elimination then raises).
+the call (an entry layout it does not take, ``n`` above its bound, a
+Newton iterate or norm output that shares memory with another argument,
+a dd/qd zero denominator -- which the Python elimination then raises).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,13 +61,58 @@ from ..multiprec.backend import (COMPLEX128_BACKEND, COMPLEX_DD_BACKEND,
 from ..multiprec.ddarray import ComplexDDArray, complex_dd_from_planes
 from ..multiprec.qdarray import ComplexQDArray, complex_qd_from_planes
 
-__all__ = ["batched_solve"]
+__all__ = ["NewtonUpdate", "batched_solve", "lane_norms"]
+
+
+@dataclass
+class NewtonUpdate:
+    """A request to finish one batched Newton iteration in
+    :func:`batched_solve`.
+
+    Passed as ``batched_solve(jacobian, values, backend, newton=request)``,
+    with the evaluation's values ``f`` where the plain call takes the
+    right-hand side.  Per lane ``b``, the call then computes the residual
+    ``|f_b|_inf``, solves ``J_b dx_b = -f_b``, computes the update
+    ``|dx_b|_inf`` and adds ``dx_b`` to ``x_b`` where the lane is neither
+    done (residual ``<= tolerance``) nor singular.  Only lanes that are not
+    done are reported singular.  Norms are infinity norms over
+    double-rounded magnitudes; a NaN anywhere in a lane's rows makes its
+    norm NaN.
+
+    Attributes
+    ----------
+    points:
+        The ``(n, B)`` iterate ``x``.  After the call it holds the updated
+        iterate.  Read it back from the request: a backend without an
+        in-place masked add returns a new array.
+    tolerance:
+        The residual tolerance of the convergence test.
+    residual / update:
+        Set by the call: the ``(B,)`` float64 residual and update norms.
+    """
+
+    points: object
+    tolerance: float
+    residual: Optional[np.ndarray] = None
+    update: Optional[np.ndarray] = None
+
+
+def lane_norms(rows, backend: ComplexBatchBackend) -> np.ndarray:
+    """Per-lane infinity norms over ``rows`` (a sequence of ``(B,)`` rows
+    or one ``(n, B)`` batch array): ``np.maximum`` folded over the
+    double-rounded magnitudes, so a NaN magnitude makes the lane's norm
+    NaN."""
+    norms = backend.magnitude(rows[0])
+    for i in range(1, len(rows)):
+        norms = np.maximum(norms, backend.magnitude(rows[i]))
+    return norms
 
 
 def batched_solve(matrix: Sequence[Sequence], rhs: Sequence,
                   backend: ComplexBatchBackend,
                   active: Optional[np.ndarray] = None,
-                  copy: bool = True
+                  copy: bool = True, *,
+                  newton: Optional[NewtonUpdate] = None
                   ) -> Tuple[object, np.ndarray]:
     """Solve ``A_b x_b = rhs_b`` for every lane ``b``.
 
@@ -67,12 +122,15 @@ def batched_solve(matrix: Sequence[Sequence], rhs: Sequence,
         ``n x n`` nested sequence of ``(B,)`` batch arrays (consumed, not
         modified: the function works on a copy unless ``copy=False``).
     rhs:
-        Length-``n`` sequence of ``(B,)`` batch arrays.
+        Length-``n`` sequence of ``(B,)`` batch arrays.  With ``newton``
+        it holds the values ``f``, not ``-f``: the call solves for
+        ``-f`` itself.
     backend:
         The batch array backend of the entries.
     active:
         Optional ``(B,)`` bool mask; inactive lanes are never reported
         singular and their (meaningless) results should be discarded.
+        Not taken with ``newton``, whose inactive lanes are the done ones.
     copy:
         The Python elimination updates rows in place through the backend
         (:meth:`~repro.multiprec.backend.ComplexBatchBackend.isub_mul`), so
@@ -80,21 +138,65 @@ def batched_solve(matrix: Sequence[Sequence], rhs: Sequence,
         freshly built, never-reused matrices (the batched corrector and the
         tangent predictor) set ``copy=False`` and donate their entries.
         The compiled kernels never write the entries.
+    newton:
+        A :class:`NewtonUpdate` request: finish a Newton iteration around
+        the solve, filling in the request (see there).
 
     Returns
     -------
     (solution, singular):
         ``solution`` is one ``(n, B)`` batch array, ``solution[i]`` the
-        lanes' ``x_i``; ``singular`` a ``(B,)`` bool mask of lanes that met
-        a zero pivot.
+        lanes' ``x_i`` (with ``newton``, the update ``dx``); ``singular`` a
+        ``(B,)`` bool mask of lanes that met a zero pivot.
+
+    Raises
+    ------
+    ValueError
+        When the matrix is not square, ``rhs`` does not match it,
+        ``active`` does not hold one entry per lane, or ``newton`` comes
+        with an ``active`` mask or an empty system.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("batched_solve expects a square matrix and matching rhs")
-    native = _solve_natively(matrix, rhs, backend, active)
+    if active is not None:
+        if newton is not None:
+            raise ValueError("a Newton update takes its active lanes from "
+                             "its residual test, not from an active mask")
+        active = np.asarray(active, dtype=bool)
+        if n and active.shape != np.shape(backend.magnitude(rhs[0])):
+            raise ValueError(f"batched_solve expects a (B,) active mask, one "
+                             f"entry per lane; got shape {active.shape}")
+    if newton is not None and not n:
+        raise ValueError("a Newton update needs at least one equation")
+    native = _solve_natively(matrix, rhs, backend, active, newton)
     if native is not None:
         return native
+    if newton is not None:
+        return _newton_update(matrix, rhs, backend, newton, copy)
+    return _eliminate(matrix, rhs, backend, active, copy)
 
+
+def _newton_update(matrix, values, backend: ComplexBatchBackend,
+                   newton: NewtonUpdate, copy: bool):
+    """The Newton update without the kernels: the corrector's sequence."""
+    with masked_lane_errstate():
+        residual = lane_norms(values, backend)
+        done = residual <= newton.tolerance
+        dx, singular = _eliminate(matrix, [-value for value in values],
+                                  backend, ~done, copy)
+        update = lane_norms(dx, backend)
+        # Rebind: the base-class iadd_masked returns a new array.
+        newton.points = backend.iadd_masked(newton.points, dx,
+                                            ~done & ~singular)
+    newton.residual = residual
+    newton.update = update
+    return dx, singular
+
+
+def _eliminate(matrix, rhs, backend: ComplexBatchBackend, active, copy: bool):
+    """The Python elimination (see the module docstring)."""
+    n = len(matrix)
     # Dead lanes legitimately carry inf/NaN through the arithmetic, so the
     # whole solve runs inside the masked-lane errstate scope instead of
     # spraying RuntimeWarnings.
@@ -108,7 +210,7 @@ def batched_solve(matrix: Sequence[Sequence], rhs: Sequence,
         lanes = np.shape(backend.magnitude(b[0]))[0] if n else 0
         singular = np.zeros(lanes, dtype=bool)
         considered = np.ones(lanes, dtype=bool) if active is None \
-            else np.asarray(active, dtype=bool)
+            else active
         ones = backend.ones((lanes,))
 
         for col in range(n):
@@ -189,38 +291,54 @@ def _solution_qd(n: int, lanes: int):
     return out, complex_qd_from_planes(out)
 
 
-#: Per built-in backend type: the kernel, the entry type it reads, and the
-#: solution buffer it writes with that buffer's (n, B) batch-array view.
+#: Per built-in backend type: the solve and Newton kernels, the entry type
+#: they read, and the solution buffer they write with that buffer's (n, B)
+#: batch-array view.
 _NATIVE = {
-    type(COMPLEX128_BACKEND): ("solve_d", np.ndarray, _solution_d),
-    type(COMPLEX_DD_BACKEND): ("solve_dd", ComplexDDArray, _solution_dd),
-    type(COMPLEX_QD_BACKEND): ("solve_qd", ComplexQDArray, _solution_qd),
+    type(COMPLEX128_BACKEND): ("solve_d", "newton_d", np.ndarray,
+                               _solution_d),
+    type(COMPLEX_DD_BACKEND): ("solve_dd", "newton_dd", ComplexDDArray,
+                               _solution_dd),
+    type(COMPLEX_QD_BACKEND): ("solve_qd", "newton_qd", ComplexQDArray,
+                               _solution_qd),
 }
 
 
-def _solve_natively(matrix, rhs, backend: ComplexBatchBackend, active):
+def _solve_natively(matrix, rhs, backend: ComplexBatchBackend, active,
+                    newton: Optional[NewtonUpdate]):
     """``(solution, singular)`` from the compiled kernel, or None when the
-    Python elimination must run (see the module docstring)."""
+    Python route must run (see the module docstring)."""
     native = _NATIVE.get(type(backend))
     if (native is None or compiled.KERNELS is None or vars(backend)
             or backend.name not in compiled.SOLVE_CONTEXTS or not rhs):
         return None
-    kernel, entry_type, allocate = native
+    solve, update, entry_type, allocate = native
+    if type(rhs[0]) is not entry_type or len(rhs[0].shape) != 1:
+        return None
+    shape = rhs[0].shape
     entries = [entry for row in matrix for entry in row]
     entries.extend(rhs)
-    if any(type(entry) is not entry_type for entry in entries):
+    if entry_type is np.ndarray:
+        planes = entries  # the kernel checks each plane's layout
+    elif any(type(entry) is not entry_type for entry in entries):
         return None
-    shape = entries[0].shape
-    if len(shape) != 1:
-        return None
-    planes = entries if entry_type is np.ndarray else \
-        [plane for entry in entries
-         for plane in backend.component_planes(entry)]
+    else:
+        planes = [plane for entry in entries
+                  for plane in backend.component_planes(entry)]
     out, solution = allocate(len(rhs), shape[0])
     singular = np.empty(shape[0], dtype=bool)
-    if active is not None:
-        active = np.asarray(active, dtype=bool)
-    if getattr(compiled.KERNELS, kernel)(planes, active, out,
-                                         singular) is NotImplemented:
+    if newton is None:
+        status = getattr(compiled.KERNELS, solve)(planes, active, out,
+                                                  singular)
+    elif type(newton.points) is not entry_type:
+        return None
+    else:
+        norms = np.empty((2, shape[0]))
+        status = getattr(compiled.KERNELS, update)(
+            planes, out, singular, backend.component_planes(newton.points),
+            norms[0], norms[1], newton.tolerance)
+        if status is not NotImplemented:
+            newton.residual, newton.update = norms
+    if status is NotImplemented:
         return None
     return solution, singular

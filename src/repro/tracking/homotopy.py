@@ -30,8 +30,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..core.batch import VectorisedBatchEvaluator
-from ..core.evalplan import (HomotopyPlan, require_lane_batch,
-                             require_lane_parameters)
+from ..core.evalplan import (HomotopyPlan, checked_lane_parameters,
+                             require_lane_batch, require_lane_parameters)
 from ..errors import ConfigurationError
 from ..multiprec.backend import ComplexBatchBackend, backend_for_context
 from ..multiprec.numeric import DOUBLE, NumericContext
@@ -225,11 +225,15 @@ class BatchHomotopy:
                                        t_derivative=t_derivative)
 
     class _Frozen:
-        """Adapter exposing a batched evaluator interface for fixed ``t``."""
+        """Adapter exposing a batched evaluator interface for fixed ``t``.
+
+        ``t`` is copied and range-checked once, here; the evaluations of
+        its lane subsets do not check it again.
+        """
 
         def __init__(self, homotopy: "BatchHomotopy", t: np.ndarray):
             self._homotopy = homotopy
-            t = np.asarray(t, dtype=np.float64)
+            t = checked_lane_parameters(t)
             # A scalar or length-1 t holds for every lane.
             self._t = t.reshape(()) if t.size == 1 else t
 
@@ -245,7 +249,8 @@ class BatchHomotopy:
             """
             t = self._t
             if t.ndim == 0:
-                t = np.broadcast_to(t, getattr(points, "shape", ())[-1:])
+                t = np.broadcast_to(t, getattr(points, "shape", ())[-1:],
+                                    subok=True)
             elif lanes is not None:
                 try:
                     t = t[lanes]
@@ -258,5 +263,11 @@ class BatchHomotopy:
 
     def at(self, t: np.ndarray) -> "BatchHomotopy._Frozen":
         """Freeze the per-lane parameters for the batched Newton corrector;
-        a scalar or length-1 ``t`` applies to every lane."""
+        a scalar or length-1 ``t`` applies to every lane.
+
+        Raises
+        ------
+        ConfigurationError
+            When any ``t`` lies outside ``[0, 1]`` or is NaN.
+        """
         return BatchHomotopy._Frozen(self, t)

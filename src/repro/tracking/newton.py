@@ -18,10 +18,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import ConfigurationError, ConvergenceError
 from ..multiprec.backend import ComplexBatchBackend, masked_lane_errstate
 from ..multiprec.numeric import DOUBLE, NumericContext
-from .batch_linsolve import batched_solve
+from .batch_linsolve import NewtonUpdate, batched_solve, lane_norms
 from .linsolve import solve, vector_norm
 
 __all__ = [
@@ -171,6 +171,13 @@ class BatchNewtonCorrector:
     failures with an infinite residual, matching how the scalar tracker
     converts :class:`~repro.errors.SingularMatrixError` into non-convergence.
 
+    An iteration is two calls: the evaluation, and one
+    :func:`~repro.tracking.batch_linsolve.batched_solve` with a
+    :class:`~repro.tracking.batch_linsolve.NewtonUpdate` request, which
+    takes the residual norms and the convergence test, solves for the
+    update, takes the update norms and moves the lanes that advance (one
+    native kernel call for the built-in backends).
+
     Parameters
     ----------
     evaluator:
@@ -200,15 +207,6 @@ class BatchNewtonCorrector:
         self.max_iterations = int(max_iterations)
         self.evaluation_log = evaluation_log
 
-    def _residuals(self, values) -> np.ndarray:
-        """Per-lane infinity norm over the value rows (a sequence of
-        ``(B,)`` rows or one ``(n, B)`` batch array), double-rounded."""
-        backend = self.backend
-        norms = backend.magnitude(values[0])
-        for i in range(1, len(values)):
-            norms = np.maximum(norms, backend.magnitude(values[i]))
-        return norms
-
     def correct(self, points, active: Optional[np.ndarray] = None) -> BatchNewtonResult:
         """Run the lock-step Newton loop from the batch ``points``.
 
@@ -225,11 +223,25 @@ class BatchNewtonCorrector:
         lane retires -- converged when the relaxed residual test passes,
         failed otherwise.  Either way it stops iterating, matching
         :meth:`NewtonCorrector.correct`.
+
+        Raises
+        ------
+        ConfigurationError
+            When ``active`` is not a ``(B,)`` mask over the lanes of
+            ``points``.
         """
         backend = self.backend
+        tolerance = self.tolerance
+        log = self.evaluation_log
         lanes = points.shape[-1]
-        working = (np.ones(lanes, dtype=bool) if active is None
-                   else np.array(active, dtype=bool))
+        if active is None:
+            working = np.ones(lanes, dtype=bool)
+        else:
+            working = np.array(active, dtype=bool)
+            if working.shape != (lanes,):
+                raise ConfigurationError(
+                    f"active must be a ({lanes},) lane mask over the batch, "
+                    f"got shape {working.shape}")
         converged = np.zeros(lanes, dtype=bool)
         iterations = np.zeros(lanes, dtype=np.int64)
         residuals = np.full(lanes, np.inf)
@@ -240,55 +252,44 @@ class BatchNewtonCorrector:
         # masked-lane errstate scope so they stay silent.
         with masked_lane_errstate():
             for _ in range(self.max_iterations):
-                if not working.any():
+                idx = working.nonzero()[0]
+                if not idx.size:
                     break
-                idx = np.flatnonzero(working)
-                x_live = x[:, idx]
-                if self.evaluation_log is not None:
-                    self.evaluation_log.append(len(idx))
-                evaluation = self.evaluator.evaluate(x_live, lanes=idx)
-                norms = self._residuals(evaluation.values)
-                residuals[idx] = norms
-                iterations[idx] += 1
-
-                done = norms <= self.tolerance
-                converged[idx[done]] = True
-                working[idx[done]] = False
-                if done.all():
-                    continue
-
-                rhs = [-value for value in evaluation.values]
+                # A fresh gather of the live lanes, so the update may move
+                # it in place.
+                step = NewtonUpdate(x[:, idx], tolerance)
+                if log is not None:
+                    log.append(idx.size)
+                evaluation = self.evaluator.evaluate(step.points, lanes=idx)
+                iterations += working
                 # The evaluation is rebuilt from scratch next iteration, so
-                # the solver may consume (mutate) its Jacobian and our rhs.
-                dx, singular = batched_solve(evaluation.jacobian, rhs, backend,
-                                             active=~done, copy=False)
-                failed = singular & ~done
-                residuals[idx[failed]] = np.inf
-                working[idx[failed]] = False
-
-                advance = ~done & ~singular
-                update_norms = self._residuals(dx)
-                # x_live is a fresh gather of the live lanes, so the masked
-                # Newton update may fold into it in place.
-                x_live = backend.iadd_masked(x_live, dx, advance)
-                x[:, idx] = x_live
+                # the solver may consume (mutate) its Jacobian.
+                _, singular = batched_solve(evaluation.jacobian,
+                                            evaluation.values, backend,
+                                            copy=False, newton=step)
+                done = step.residual <= tolerance
+                advance = ~(done | singular)
+                small = advance & (step.update <= tolerance)
+                residuals[idx] = np.where(singular, np.inf, step.residual)
+                converged[idx] = done
+                working[idx] = advance & ~small
+                x[:, idx] = step.points
 
                 # The scalar small-update exit, lane-wise and in this
                 # iteration: re-evaluate the freshly updated small-update
                 # lanes and settle them for good (the iteration counter does
                 # not advance for this final check, matching the scalar
                 # corrector).
-                small = advance & (update_norms <= self.tolerance)
                 if small.any():
                     small_idx = idx[small]
-                    if self.evaluation_log is not None:
-                        self.evaluation_log.append(len(small_idx))
-                    final = self.evaluator.evaluate(x[:, small_idx], lanes=small_idx)
-                    final_norms = self._residuals(final.values)
+                    if log is not None:
+                        log.append(small_idx.size)
+                    final = self.evaluator.evaluate(x[:, small_idx],
+                                                    lanes=small_idx)
+                    final_norms = lane_norms(final.values, backend)
                     residuals[small_idx] = final_norms
                     converged[small_idx] = residual_accepted_after_update(
-                        final_norms, self.tolerance)
-                    working[small_idx] = False
+                        final_norms, tolerance)
 
         return BatchNewtonResult(solution=x, converged=converged,
                                  iterations=iterations, residual_norm=residuals)

@@ -14,7 +14,8 @@ the engine identities the repository's perf work depends on:
   on *which* paths fail;
 * **solve acceptance** -- :func:`repro.tracking.solve_system` finds
   exactly the classically known number of roots with endgame-tight
-  residuals;
+  residuals, and the same report bit for bit whether its linear solves
+  and Newton updates run natively or in Python;
 * **irregular fallback** -- irregular scenarios must run through the
   padded (unpacked) GPU layout and match the naive analytic evaluation,
   and the packed encoding must keep refusing to pad.
@@ -32,7 +33,7 @@ from repro.bench.eval_plan import _evaluations_identical, _lane_points
 from repro.bench.scenarios import get_scenario, tier1_scenarios
 from repro.core import CPUReferenceEvaluator, GPUEvaluator, SystemLayout
 from repro.errors import ConfigurationError
-from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
+from repro.multiprec import DOUBLE, DOUBLE_DOUBLE, compiled
 from repro.multiprec.backend import backend_for_context
 from repro.polynomials import evaluate_naive
 from repro.tracking import (
@@ -156,6 +157,32 @@ class TestSolveAcceptance:
         assert all(s.residual <= END_TOLERANCE for s in report.solutions)
         if scenario.all_paths_converge:
             assert report.paths_converged == report.paths_tracked
+
+    def test_native_and_python_solves_agree_bit_for_bit(self, scenario,
+                                                         monkeypatch):
+        if "d" not in compiled.SOLVE_CONTEXTS:
+            pytest.skip("the compiled d solve does not run on this host")
+        options = TrackerOptions(end_tolerance=END_TOLERANCE,
+                                 end_iterations=12)
+        native = solve_system(scenario.build_system(), options=options)
+        monkeypatch.setattr(compiled, "SOLVE_CONTEXTS", frozenset())
+        python = solve_system(scenario.build_system(), options=options)
+        assert report_bits(native) == report_bits(python)
+
+
+def report_bits(report):
+    """A report's answers and counts, floats as their exact hex form."""
+    def point(values):
+        return [(complex(z).real.hex(), complex(z).imag.hex())
+                for z in values]
+
+    return (report.paths_tracked, report.paths_converged,
+            [(point(s.point), s.residual.hex(), s.multiplicity)
+             for s in report.solutions],
+            [(point(f.solution), float(f.residual).hex(), f.failure_reason,
+              f.steps_accepted, f.steps_rejected, f.newton_iterations)
+             for f in report.failures],
+            report.paths_by_context, report.converged_by_context)
 
 
 class TestIrregularFallback:

@@ -5,7 +5,9 @@ routes: the compiled ``solve_d`` / ``solve_dd`` / ``solve_qd`` kernel, and
 the Python elimination with the kernels forced off.  The differential
 suite then holds the kernel to the Python elimination bit for bit, under
 the NaN contract of ``compiled._same_bits`` (NaN positions match, a NaN's
-sign and payload may not), and checks when the kernel declines.
+sign and payload may not), and checks when the kernel declines.  The
+Newton update (``newton=NewtonUpdate(...)``, the ``newton_d`` /
+``newton_dd`` / ``newton_qd`` kernels) gets the same treatment.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.multiprec.backend import (COMPLEX128_BACKEND, COMPLEX_DD_BACKEND,
 from repro.multiprec.ddarray import ComplexDDArray, complex_dd_from_planes
 from repro.multiprec.qdarray import ComplexQDArray, complex_qd_from_planes
 from repro.tracking import batched_solve
+from repro.tracking.batch_linsolve import NewtonUpdate
 
 BACKENDS = [COMPLEX128_BACKEND, COMPLEX_DD_BACKEND, COMPLEX_QD_BACKEND]
 by_backend = pytest.mark.parametrize("backend", BACKENDS,
@@ -113,6 +116,41 @@ class TestBatchedSolve:
         assert singular.tolist() == [False, True]
         assert np.isnan(backend.to_complex128(solution)[:, 0]).all()
 
+    @pytest.mark.parametrize("active", [[True], [True] * 3, [[True, True]]],
+                             ids=["short", "long", "2-D"])
+    def test_an_active_mask_must_cover_every_lane(self, backend, route,
+                                                  active):
+        # Both routes refuse it alike: the kernel declined such a mask and
+        # the Python elimination then broadcast a length-1 mask silently.
+        matrix = [[_rows([1.0, 0.0], backend)]]
+        with pytest.raises(ValueError, match="active mask"):
+            batched_solve(matrix, [_rows([1.0, 1.0], backend)], backend,
+                          active=np.array(active))
+
+    def test_a_newton_update_takes_no_active_mask(self, backend, route):
+        matrix = [[_rows([1.0, 2.0], backend)]]
+        step = NewtonUpdate(_rows([[0.0, 0.0]], backend), 1e-12)
+        with pytest.raises(ValueError, match="active mask"):
+            batched_solve(matrix, [_rows([1.0, 1.0], backend)], backend,
+                          active=np.ones(2, dtype=bool), newton=step)
+        with pytest.raises(ValueError, match="one equation"):
+            batched_solve([], [], backend, newton=step)
+
+    def test_a_newton_update(self, backend, route):
+        # Lane 0 is done (|f| <= tolerance), lane 1 moves by -f / J, lane 2
+        # is singular.  Only lane 1 moves; the residual and update norms
+        # are the lanes' |f| and |dx|.
+        matrix = [[_rows([2.0, 4.0, 0.0], backend)]]
+        values = [_rows([1e-13, 2.0 - 2.0j, 1.0], backend)]
+        step = NewtonUpdate(_rows([[1.0, 1.0, 1.0]], backend), 1e-12)
+        dx, singular = batched_solve(matrix, values, backend, newton=step)
+        assert singular.tolist() == [False, False, True]
+        got = backend.to_complex128(step.points)[0]
+        assert got.tolist() == [1.0, 0.5 + 0.5j, 1.0]
+        assert step.residual.tolist() == [1e-13, abs(2.0 - 2.0j), 1.0]
+        assert step.update[1] == abs(0.5 - 0.5j)
+        assert backend.to_complex128(dx)[0, 1] == -0.5 + 0.5j
+
 
 def nan_pivot_system(backend):
     nan = complex(np.nan, 0.0)
@@ -125,20 +163,24 @@ def nan_pivot_system(backend):
 # the compiled solve against the Python elimination
 # ----------------------------------------------------------------------
 class KernelSpy:
-    """The loaded kernels, recording what every solve call returned."""
+    """The loaded kernels, recording what every solve and Newton update
+    call returned."""
 
     def __init__(self, kernels):
         self._kernels = kernels
         self.solves = []
+        self.updates = []
 
     def __getattr__(self, name):
         kernel = getattr(self._kernels, name)
-        if not name.startswith("solve_"):
+        calls = {"solve": self.solves,
+                 "newton": self.updates}.get(name.partition("_")[0])
+        if calls is None:
             return kernel
 
         def recorded(*args):
             result = kernel(*args)
-            self.solves.append(result)
+            calls.append(result)
             return result
         return recorded
 
@@ -334,6 +376,242 @@ def test_zero_denominator_declines_to_the_python_error(backend, monkeypatch):
     with pytest.raises(DivisionByZeroError):
         batched_solve([[pivot]], [_rows([1.0, 2.0], backend)], backend)
     assert spy.solves == [NotImplemented]
+
+
+# ----------------------------------------------------------------------
+# the compiled Newton update against its Python route
+# ----------------------------------------------------------------------
+def update_both_ways(monkeypatch, matrix, values, points, tolerance,
+                     backend):
+    """``(compiled, python, spy)``: the Newton update with the kernels
+    spied on and with the kernels off, each on a fresh iterate
+    ``points()``, as ``(request, dx, singular)``."""
+    outcomes = []
+    spy = KernelSpy(compiled.KERNELS)
+    for kernels in (spy, None):
+        with monkeypatch.context() as patch:
+            patch.setattr(compiled, "KERNELS", kernels)
+            step = NewtonUpdate(points(), tolerance)
+            outcomes.append((step, *batched_solve(matrix, values, backend,
+                                                  newton=step)))
+    return outcomes[0], outcomes[1], spy
+
+
+def assert_same_update(got, want, backend):
+    (got_step, got_dx, got_singular) = got
+    (want_step, want_dx, want_singular) = want
+    assert np.array_equal(got_singular, want_singular), "singular lanes differ"
+    assert compiled._same_bits(got_step.residual, want_step.residual)
+    assert compiled._same_bits(got_step.update, want_step.update)
+    planes = backend.component_planes
+    for a, b in zip(planes(got_dx), planes(want_dx)):
+        assert compiled._same_bits(a, b), "update bits differ"
+    for a, b in zip(planes(got_step.points), planes(want_step.points)):
+        assert compiled._same_bits(a, b), "iterate bits differ"
+
+
+def iterate(backend, rng, n, lanes, gather=False):
+    """A factory of fresh ``(n, lanes)`` iterates: C-contiguous copies, or
+    the column-major lane gathers ``x[:, idx]`` of the corrector."""
+    full = _rows(rng.normal(size=(n, 2 * lanes))
+                 + 1j * rng.normal(size=(n, 2 * lanes)), backend)
+    idx = rng.permutation(2 * lanes)[:lanes]
+    if gather:
+        return lambda: full[:, idx]
+    return lambda: backend.copy(full[:, :lanes])
+
+
+def residual_norms(values, n):
+    """The lanes' |f|_inf over the complex128 value rows."""
+    return np.abs(values[n * n:]).max(axis=0)
+
+
+@by_backend
+class TestNewtonUpdateMatchesPython:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_systems(self, backend, monkeypatch, n):
+        _native_or_skip(backend)
+        rng = np.random.default_rng(200 + n)
+        for lanes in (1, int(rng.integers(2, 33)), 32):
+            values = random_values(rng, n, lanes)
+            matrix, f = system(backend, values, n)
+            matrix = [[entry / 3.0 for entry in row] for row in matrix]
+            # One lane's residual is the tolerance exactly: that lane is
+            # done, and the lanes above it move.
+            tolerance = float(residual_norms(values, n)[
+                rng.integers(lanes)])
+            got, want, spy = update_both_ways(
+                monkeypatch, matrix, f, iterate(backend, rng, n, lanes),
+                tolerance, backend)
+            assert spy.updates == [None], "the compiled update declined"
+            assert_same_update(got, want, backend)
+            assert (got[0].residual == tolerance).any()
+
+    def test_every_lane_done(self, backend, monkeypatch):
+        _native_or_skip(backend)
+        rng = np.random.default_rng(21)
+        values = random_values(rng, 3, 7)
+        values[[0, 3, 6], 2] = 0.0  # a singular lane, but done
+        points = iterate(backend, rng, 3, 7)
+        got, want, spy = update_both_ways(
+            monkeypatch, *system(backend, values, 3), points,
+            float(residual_norms(values, 3).max()), backend)
+        assert spy.updates == [None]
+        assert_same_update(got, want, backend)
+        assert not got[2].any()
+        for a, b in zip(backend.component_planes(got[0].points),
+                        backend.component_planes(points())):
+            assert compiled._same_bits(a, b), "a done lane moved"
+
+    def test_singular_and_non_finite_lanes(self, backend, monkeypatch):
+        _native_or_skip(backend)
+        rng = np.random.default_rng(22)
+        values = random_values(rng, 3, 10)
+        values[[0, 3, 6], 1] = 0.0                       # exact-zero column
+        values[[0, 3, 6], 2] *= 1e-170                   # underflowed square
+        values[0, 3] = complex(np.inf, 0.0)              # inf in J
+        values[4, 4] = complex(np.nan, 1.0)              # NaN in J
+        values[9, 5] = complex(np.inf, 0.0)              # inf residual
+        values[10, 6] = complex(0.0, np.nan)             # NaN residual
+        values[[0, 3, 6], 7] = 0.0                       # singular, but done
+        values[9:, 7] = 1e-9
+        values[9:, 8] = 0.0                              # an exact root
+        with np.errstate(all="ignore"):
+            matrix, f = system(backend, values, 3)
+        got, want, spy = update_both_ways(
+            monkeypatch, matrix, f, iterate(backend, rng, 3, 10), 1e-6,
+            backend)
+        assert spy.updates == [None]
+        assert_same_update(got, want, backend)
+        assert np.flatnonzero(got[2]).tolist() == [1, 2]
+        assert np.isnan(got[0].residual[6]) and got[0].residual[5] == np.inf
+        done = got[0].residual <= 1e-6
+        assert np.flatnonzero(done).tolist() == [7, 8]
+
+    def test_a_lane_gather(self, backend, monkeypatch):
+        # The corrector's iterate is a column-major gather x[:, idx], and
+        # any caller may hand in gathered rows too.
+        _native_or_skip(backend)
+        n, rng = 3, np.random.default_rng(23)
+        full = _rows(random_values(rng, n, 9), backend)
+        gathered = full[:, np.array([8, 1, 4, 0, 6])]
+        rows = [gathered[i] for i in range(n * n + n)]
+        matrix = [rows[i * n:(i + 1) * n] for i in range(n)]
+        got, want, spy = update_both_ways(
+            monkeypatch, matrix, rows[n * n:],
+            iterate(backend, rng, n, 5, gather=True), 1.0, backend)
+        assert spy.updates == [None]
+        assert_same_update(got, want, backend)
+
+    def test_above_the_kernel_bound_declines(self, backend, monkeypatch):
+        _native_or_skip(backend)
+        n = compiled.KERNELS.SOLVE_MAX_N + 1
+        rng = np.random.default_rng(24)
+        got, want, spy = update_both_ways(
+            monkeypatch, *system(backend, random_values(rng, n, 3), n),
+            iterate(backend, rng, n, 3), 1e-3, backend)
+        assert spy.updates == [NotImplemented]
+        assert_same_update(got, want, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS[1:], ids=lambda b: b.name)
+def test_a_zero_denominator_leaves_the_iterate_to_the_python_error(
+        backend, monkeypatch):
+    # Lane 0 solves and would move; lane 1 meets a zero denominator.  The
+    # kernel declines without having moved lane 0, and the Python route
+    # raises before its update.
+    _native_or_skip(backend)
+    one, zero = np.ones(2), np.zeros(2)
+    if backend is COMPLEX_DD_BACKEND:
+        pivot = complex_dd_from_planes((one, np.array([0.0, -0.5]),
+                                        zero, zero))
+    else:
+        pivot = complex_qd_from_planes((one, np.array([0.0, -1.0]), zero,
+                                        zero, zero, zero, zero, zero))
+    points = _rows([[1.0, 1.0]], backend)
+    step = NewtonUpdate(backend.copy(points), 1e-12)
+    spy = KernelSpy(compiled.KERNELS)
+    monkeypatch.setattr(compiled, "KERNELS", spy)
+    with pytest.raises(DivisionByZeroError):
+        batched_solve([[pivot]], [_rows([1.0, 2.0], backend)], backend,
+                      newton=step)
+    assert spy.updates == [NotImplemented]
+    for a, b in zip(backend.component_planes(step.points),
+                    backend.component_planes(points)):
+        assert compiled._same_bits(a, b)
+
+
+class TestNewtonKernelArguments:
+    """``newton_d`` validates its arguments as ``solve_d`` does, raises on
+    a malformed iterate or norm output, and declines when the iterate or
+    a norm output shares memory with another argument."""
+
+    @staticmethod
+    def _call(rows=None, solution=None, singular=None, x=None,
+              residual=None, update=None, tolerance=1e-8, n=2, lanes=3):
+        _native_or_skip(COMPLEX128_BACKEND)
+        if rows is None:
+            rows = list(random_values(np.random.default_rng(16), n, lanes))
+        if solution is None:
+            solution = np.empty((n, lanes), np.complex128)
+        if singular is None:
+            singular = np.empty(lanes, dtype=bool)
+        if x is None:
+            x = (np.zeros((n, lanes), np.complex128),)
+        if residual is None:
+            residual = np.empty(lanes)
+        if update is None:
+            update = np.empty(lanes)
+        return compiled.KERNELS.newton_d(rows, solution, singular, x,
+                                         residual, update, tolerance)
+
+    def test_a_fitting_call_updates(self):
+        x = np.zeros((2, 3), np.complex128, order="F")
+        assert self._call(x=(x,)) is None
+        assert x.any()
+
+    def test_malformed_arguments_raise(self):
+        plane = np.zeros((2, 3), np.complex128)
+        readonly = plane.copy()
+        readonly.flags.writeable = False
+        with pytest.raises(ValueError, match="newton x"):
+            self._call(x=(np.zeros((2, 4), np.complex128),))
+        with pytest.raises(ValueError, match="newton x"):
+            self._call(x=(plane, plane.copy()))
+        with pytest.raises(TypeError, match="newton x"):
+            self._call(x=(np.zeros((2, 3)),))
+        with pytest.raises(ValueError, match="read-only"):
+            self._call(x=(readonly,))
+        with pytest.raises(ValueError, match="newton residual"):
+            self._call(residual=np.empty(4))
+        with pytest.raises(TypeError, match="newton update"):
+            self._call(update=np.empty(3, np.float32))
+        with pytest.raises(TypeError):
+            self._call(tolerance="tight")
+        with pytest.raises(ValueError, match="solve singular"):
+            self._call(singular=np.empty(4, dtype=bool))
+        with pytest.raises(TypeError, match="7 arguments"):
+            compiled.KERNELS.newton_d([], None)
+
+    def test_overlaps_and_bounds_decline(self):
+        rows = list(random_values(np.random.default_rng(3), 2, 3))
+        x = np.zeros((2, 3), np.complex128)
+        solution = np.empty((2, 3), np.complex128)
+        norms = np.empty((2, 3))
+        bound = compiled.KERNELS.SOLVE_MAX_N + 1
+        for kwargs in (dict(rows=rows[:5] + [x[1]], x=(x,)),
+                       dict(x=(solution,), solution=solution),
+                       dict(x=(x,), residual=x.view(np.float64)[0, :3]),
+                       dict(rows=rows,
+                            residual=rows[0].view(np.float64)[:3]),
+                       dict(residual=norms[0], update=norms[0]),
+                       dict(solution=solution,
+                            update=solution.view(np.float64)[1, 2:5]),
+                       dict(rows=[np.zeros(3, np.complex128)] * (
+                           bound * bound + bound),
+                            x=(np.zeros((bound, 3), np.complex128),),
+                            n=bound)):
+            assert self._call(**kwargs) is NotImplemented, kwargs
 
 
 # ----------------------------------------------------------------------

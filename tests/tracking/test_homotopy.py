@@ -190,6 +190,44 @@ class TestInterface:
         with pytest.raises(ConfigurationError, match="lane 2"):
             frozen.evaluate(points[:, [0, 2]], lanes=np.array([0, 2]))
 
+    @pytest.mark.parametrize("route", ["plan", "walk"])
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_a_bad_frozen_t_is_rejected(self, route, bad):
+        homotopy = batch_homotopy(route)
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            homotopy.at(np.array([0.5, bad, 0.25]))
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            homotopy.at(bad)
+
+    @pytest.mark.parametrize("route", ["plan", "walk"])
+    def test_a_frozen_t_is_range_checked_once(self, route, monkeypatch):
+        # The corrector evaluates lane subsets of its frozen t many times;
+        # they are checked once, at at().  Any other t is checked on every
+        # evaluation.
+        from repro.core import evalplan
+
+        checks = []
+        check = evalplan._in_unit_interval
+        monkeypatch.setattr(evalplan, "_in_unit_interval",
+                            lambda t: checks.append(1) or check(t))
+        homotopy = batch_homotopy(route)
+        points = np.array([[0.1 + 0.2j, 0.3 - 0.1j, 1.0],
+                           [0.5j, -0.2 + 0j, 0.7]])
+        t = np.array([0.25, 0.5, 0.75])
+        frozen = homotopy.at(t)
+        want = evaluation_rows(homotopy.evaluate_batch(points[:, [0, 2]],
+                                                       t[[0, 2]]))
+        assert len(checks) == 2
+        for lanes in (np.array([0, 2]), np.array([1]), None):
+            sub = points if lanes is None else points[:, lanes]
+            frozen.evaluate(sub, lanes=lanes)
+        assert len(checks) == 2
+        assert evaluation_rows(frozen.evaluate(
+            points[:, [0, 2]], lanes=np.array([0, 2]))) == want
+        t[1] = np.nan  # the frozen parameters are a copy
+        frozen.evaluate(points)
+        assert len(checks) == 2
+
     def test_gamma_must_have_unit_modulus(self):
         target = target_system()
         start = total_degree_start_system(target)

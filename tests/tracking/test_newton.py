@@ -274,9 +274,9 @@ class TestBatchCorrectorMatchesScalar:
 class TestLaneGathersRunNatively:
     """The batched corrector and the secant predictor work on lane gathers
     ``x[:, idx]``, whose planes NumPy lays out column-major.  Every dd/qd
-    kernel call on them, the masked Newton update and the predictor's
+    kernel call on them, the corrector's Newton update and the predictor's
     ``(n, B) * (B,)`` extrapolation included, runs natively: none falls
-    back to a reference chain."""
+    back to a reference chain or the Python route."""
 
     @staticmethod
     def _recording(monkeypatch):
@@ -317,9 +317,14 @@ class TestLaneGathersRunNatively:
         corrector = BatchNewtonCorrector(homotopy.at(np.ones(idx.size)),
                                          homotopy.backend, tolerance=1e-20)
         calls, declined = self._recording(monkeypatch)
+        name = f"newton_{context.name}"
+        kernel, updates = getattr(compiled.KERNELS, name), []
+        monkeypatch.setattr(compiled.KERNELS, name,
+                            lambda *args: updates.append(kernel(*args))
+                            or updates[-1])
         got = corrector.correct(gathered)
         assert declined == []
-        assert f"c{context.name}_add_masked" in calls
+        assert updates and all(result is None for result in updates)
         monkeypatch.setattr(compiled, "KERNELS", None)
         want = corrector.correct(gathered)
         for a, b in zip(homotopy.backend.component_planes(got.solution),
@@ -347,3 +352,151 @@ class TestLaneGathersRunNatively:
         for a, b in zip(homotopy.backend.component_planes(got),
                         homotopy.backend.component_planes(want)):
             assert compiled._same_bits(a, b)
+
+
+def _circle_line_homotopy():
+    from repro.tracking import BatchHomotopy, total_degree_start_system
+
+    system = circle_line_system()
+    return BatchHomotopy(total_degree_start_system(system), system)
+
+
+class TestBatchCorrectorArguments:
+    @pytest.mark.parametrize("active", [[True], [True] * 6, [[True] * 4]],
+                             ids=["short", "long", "2-D"])
+    def test_active_must_hold_one_flag_per_lane(self, active):
+        # A short mask used to correct only its lanes and report the rest
+        # unconverged; a long one raised IndexError from inside the loop.
+        import numpy as np
+
+        from repro.errors import ConfigurationError
+        from repro.multiprec.backend import COMPLEX128_BACKEND
+        from repro.tracking import BatchNewtonCorrector
+
+        homotopy = _circle_line_homotopy()
+        points = COMPLEX128_BACKEND.from_points(
+            [[1.2, 0.9], [1.1, 1.0], [-1.1, -0.9], [0.9, 1.05]])
+        corrector = BatchNewtonCorrector(homotopy.at(np.ones(4)),
+                                         COMPLEX128_BACKEND)
+        with pytest.raises(ConfigurationError, match=r"\(4,\) lane mask"):
+            corrector.correct(points, np.array(active))
+
+    def test_a_backend_with_the_default_masked_add_corrects_alike(self):
+        # The base class's iadd_masked returns a new array; the Python
+        # route must rebind it, or such a backend never moves its lanes.
+        import numpy as np
+
+        from repro.multiprec.backend import (COMPLEX128_BACKEND,
+                                             Complex128Backend,
+                                             ComplexBatchBackend)
+        from repro.tracking import BatchNewtonCorrector
+
+        class Allocating(Complex128Backend):
+            iadd_masked = ComplexBatchBackend.iadd_masked
+
+        _, homotopy, points = TestBatchCorrectorMatchesScalar._fixture()
+        batch = COMPLEX128_BACKEND.from_points(points)
+        want, got = (BatchNewtonCorrector(
+            homotopy.at(np.ones(len(points))), backend, tolerance=1e-14,
+            max_iterations=8).correct(batch)
+            for backend in (COMPLEX128_BACKEND, Allocating()))
+        assert want.converged.sum() >= 3
+        assert got.solution.tobytes() == want.solution.tobytes()
+        assert got.converged.tolist() == want.converged.tolist()
+        assert got.iterations.tolist() == want.iterations.tolist()
+        assert got.residual_norm.tobytes() == want.residual_norm.tobytes()
+
+
+class TestOneSolveCallPerIteration:
+    """The calls an iteration makes, as the benchmark's hooks see them:
+    one ``BatchHomotopy.evaluate_batch`` and one
+    ``repro.tracking.newton.batched_solve`` (the backend its third
+    positional argument, a ``(live,)`` bool mask its ``result[1]``), plus
+    one evaluation per small-update exit."""
+
+    @staticmethod
+    def _calls(monkeypatch, homotopy, points, tolerance, max_iterations):
+        import numpy as np
+
+        from repro.multiprec.backend import COMPLEX128_BACKEND
+        from repro.tracking import BatchHomotopy, BatchNewtonCorrector
+        from repro.tracking import newton as newton_module
+
+        calls = []
+        solve = newton_module.batched_solve
+        evaluate = BatchHomotopy.evaluate_batch
+
+        def spied_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            calls.append(("solve", args, result))
+            return result
+
+        def spied_evaluate(self, points, t):
+            calls.append(("evaluate", len(t)))
+            return evaluate(self, points, t)
+
+        monkeypatch.setattr(newton_module, "batched_solve", spied_solve)
+        monkeypatch.setattr(BatchHomotopy, "evaluate_batch", spied_evaluate)
+        batch = COMPLEX128_BACKEND.from_points(points)
+        result = BatchNewtonCorrector(
+            homotopy.at(np.ones(len(points))), COMPLEX128_BACKEND,
+            tolerance=tolerance, max_iterations=max_iterations
+        ).correct(batch)
+        return calls, result
+
+    @staticmethod
+    def _small_update_exits(calls):
+        """Check the pattern; the number of small-update evaluations."""
+        import numpy as np
+
+        from repro.multiprec.backend import COMPLEX128_BACKEND
+
+        exits = 0
+        for i, call in enumerate(calls):
+            if call[0] == "solve":
+                _, args, result = call
+                assert calls[i - 1][0] == "evaluate"
+                assert args[2] is COMPLEX128_BACKEND
+                assert result[1].dtype == np.bool_
+                assert result[1].shape == (calls[i - 1][1],)
+            elif i + 1 == len(calls) or calls[i + 1][0] != "solve":
+                assert calls[i - 1][0] == "solve"
+                exits += 1
+        return exits
+
+    def test_iterations_up_to_the_cap(self, monkeypatch):
+        calls, result = self._calls(
+            monkeypatch, _circle_line_homotopy(),
+            [[2.5, -1.5], [3.0, 0.5j], [-2.0, 1.0]], 1e-300, 3)
+        assert [call[0] for call in calls] == ["evaluate", "solve"] * 3
+        assert self._small_update_exits(calls) == 0
+        assert result.iterations.tolist() == [3, 3, 3]
+
+    def test_an_iteration_where_every_lane_is_done(self, monkeypatch):
+        calls, result = self._calls(
+            monkeypatch, _circle_line_homotopy(),
+            [[1.0, 1.0], [-1.0, -1.0]], 1e-12, 8)
+        assert [call[0] for call in calls] == ["evaluate", "solve"]
+        assert result.converged.all()
+
+    def test_small_update_exits(self, monkeypatch):
+        # The scaled sqrt(2) system of the small-update test above: the
+        # updates fall below tolerance while the residual cannot.
+        from repro.tracking import BatchHomotopy, total_degree_start_system
+
+        scale = 1e6
+        system = PolynomialSystem([
+            Polynomial([(scale + 0j, Monomial((0,), (2,))),
+                        (-2 * scale + 0j, Monomial((), ()))]),
+            Polynomial([(1 + 0j, Monomial((0,), (1,))),
+                        (-1 + 0j, Monomial((1,), (1,)))]),
+        ])
+        homotopy = BatchHomotopy(total_degree_start_system(system), system)
+        calls, result = self._calls(
+            monkeypatch, homotopy,
+            [[1.4, 1.4], [1.41421356, 1.41421356], [3.0, 3.0]], 1e-14, 20)
+        solves = sum(call[0] == "solve" for call in calls)
+        exits = self._small_update_exits(calls)
+        assert exits >= 1
+        assert len(calls) == 2 * solves + exits
+        assert solves == result.iterations.max()
