@@ -200,7 +200,6 @@ def solve_system_sharded(system: PolynomialSystem, *,
                          escalation: Optional[EscalationPolicy] = None,
                          start: Optional[StartStrategy] = None,
                          max_retries: int = 2,
-                         backoff: Optional[BackoffPolicy] = None,
                          backoff_seconds: float = 0.05,
                          timeout: Optional[float] = None,
                          heartbeat_timeout: float = 30.0,
@@ -245,14 +244,12 @@ def solve_system_sharded(system: PolynomialSystem, *,
         How many times one shard-rung task may be rescheduled after a
         crash/hang/deadline/worker error before the solve gives up with
         :class:`~repro.errors.ShardFailedError`.
-    backoff:
-        The capped, jittered :class:`~repro.service.backoff.BackoffPolicy`
-        scheduled (never slept on the coordinator thread) before each
-        reschedule.  Defaults to
-        ``BackoffPolicy.from_legacy_seconds(backoff_seconds)``.
     backoff_seconds:
-        Legacy base-seconds knob, honoured when ``backoff`` is omitted;
-        0 disables waiting.
+        Base wait before the first reschedule of a shard task; each
+        further attempt doubles it, capped at 16x the base, without
+        jitter (:meth:`~repro.service.backoff.BackoffPolicy.
+        from_legacy_seconds`).  The wait is scheduled, never slept on the
+        coordinator thread; 0 disables waiting.
     timeout:
         Per-task deadline in seconds: a worker past it receives a
         cooperative cancel between tracker rounds and is killed only if it
@@ -325,8 +322,6 @@ def solve_system_sharded(system: PolynomialSystem, *,
                 f"the sharded service ships contexts by name across the "
                 f"process boundary"
             )
-    warm = escalation is None or escalation.warm_restart
-    residual_aware = escalation is not None and escalation.residual_aware
 
     if store is None:
         store = InMemoryCheckpointStore()
@@ -337,8 +332,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
         flaky = _FaultyReadStore(store)
         store = flaky
 
-    retry_backoff = backoff if backoff is not None \
-        else BackoffPolicy.from_legacy_seconds(backoff_seconds)
+    retry_backoff = BackoffPolicy.from_legacy_seconds(backoff_seconds)
 
     owns_pool = pool is None
     if owns_pool:
@@ -372,7 +366,6 @@ def solve_system_sharded(system: PolynomialSystem, *,
             "starts": None if resume is not None
             else [starts[i] for i in lane_indices],
             "resume": resume,
-            "skip_certified_endgame": resume is not None and residual_aware,
         }
         if (fault_injection is not None and fault_budget[0] > 0
                 and shard == fault_injection.shard
@@ -406,7 +399,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
         for tid in sorted(active):
             lane_indices = active[tid]
             resume = ([checkpoints_by_index[i] for i in lane_indices]
-                      if warm and level > 0 else None)
+                      if level > 0 else None)
             resume_by_task[tid] = resume
             payloads[tid] = build_payload(tid, level, rung, lane_indices,
                                           resume)
@@ -456,7 +449,6 @@ def solve_system_sharded(system: PolynomialSystem, *,
             if tid in cold_tasks:
                 payload["resume"] = None
                 payload["starts"] = [starts[i] for i in active[tid]]
-                payload["skip_certified_endgame"] = False
             if (fault_injection is not None and fault_budget[0] > 0
                     and tid == fault_injection.shard
                     and level == fault_injection.level):
@@ -560,7 +552,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
             checkpoints=[checkpoints_this_rung[index]
                          for index in pending_indices],
             endgame_skips=endgame_skips,
-            resumed_mid_ts=resume_ts if warm and level > 0 else None)
+            resumed_mid_ts=resume_ts)
 
     try:
         state = run_escalation_ladder(ladder, starts, run_rung)
@@ -573,8 +565,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
 
     converged = state.converged_results()
     failures = state.failed_results()
-    final_context = ladder[-1] if escalation is not None else context
-    solutions = _deduplicate(converged, final_context, deduplication_tolerance)
+    solutions = _deduplicate(converged, ladder[-1], deduplication_tolerance)
     return SolveReport(
         system=system,
         bezout_number=bezout,

@@ -231,8 +231,7 @@ def _tracker_for(payload: Dict[str, object],
     start_system, target_system = systems[token]
 
     key = (token, str(payload["context"]), _options_key(payload["options"]),
-           payload["gamma"], payload["batch_size"],
-           bool(payload["skip_certified_endgame"]))
+           payload["gamma"], payload["batch_size"])
     tracker = trackers.get(key)
     if tracker is None:
         tracker = BatchTracker(
@@ -241,7 +240,6 @@ def _tracker_for(payload: Dict[str, object],
             options=payload["options"],
             batch_size=payload["batch_size"],
             gamma=payload["gamma"],
-            skip_certified_endgame=bool(payload["skip_certified_endgame"]),
         )
         trackers[key] = tracker
     trackers.move_to_end(key)

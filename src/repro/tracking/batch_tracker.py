@@ -21,12 +21,12 @@ lock step:
   one per path (see
   :meth:`repro.gpusim.costmodel.GPUCostModel.batched_kernel_time`);
 * every lane's final state is exportable as a :class:`LaneCheckpoint` -- the
-  last accepted ``(x, t)``, the step size, the consecutive-success counter
-  and the failure cause -- and :meth:`BatchTracker.track_batches` accepts
+  last accepted ``(x, t)``, the step size, the work counters and the
+  failure cause -- and :meth:`BatchTracker.track_batches` accepts
   ``resume_from=`` checkpoints so a batch can start *mid-path*.  Checkpoints
   convert between arithmetics through the backend registry
   (:func:`repro.multiprec.backend.convert_batch`), which is what lets the
-  escalation pipeline warm-restart a failed path one precision rung wider
+  escalation pipeline resume a failed path one precision rung wider
   instead of re-tracking it from ``t = 0``.
 
 The tracker reports plain :class:`~repro.tracking.tracker.PathResult`
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -186,13 +186,6 @@ class LaneCheckpoint:
     steps_accepted / steps_rejected / newton_iterations:
         The lane's work counters, carried into the resumed batch so path
         results accumulate across rungs.
-    consecutive_successes:
-        Accepted steps since the last rejection.  Diagnostic state: the
-        current :class:`~repro.tracking.tracker.StepControl` grows the step
-        on every acceptance, so nothing reads the streak yet, but it is
-        maintained and checkpointed so a streak-gated growth policy (the
-        classic "grow only after N consecutive successes") can resume
-        without losing its state.
     """
 
     context_name: str
@@ -207,7 +200,6 @@ class LaneCheckpoint:
     steps_accepted: int
     steps_rejected: int
     newton_iterations: int
-    consecutive_successes: int
 
     @property
     def failed(self) -> bool:
@@ -255,7 +247,6 @@ class LaneCheckpoint:
             "steps_accepted": int(self.steps_accepted),
             "steps_rejected": int(self.steps_rejected),
             "newton_iterations": int(self.newton_iterations),
-            "consecutive_successes": int(self.consecutive_successes),
         }
 
     @classmethod
@@ -284,7 +275,6 @@ class LaneCheckpoint:
             steps_accepted=int(state["steps_accepted"]),
             steps_rejected=int(state["steps_rejected"]),
             newton_iterations=int(state["newton_iterations"]),
-            consecutive_successes=int(state["consecutive_successes"]),
         )
 
 
@@ -293,9 +283,12 @@ class PathBatch:
     """Structure-of-arrays state of ``B`` homotopy paths.
 
     ``points`` and ``prev_points`` are ``(n, B)`` batch arrays; every other
-    field is a ``(B,)`` NumPy array.  Lane ``b`` of every array belongs to
-    path ``b``, so selecting a lane subset is one fancy-indexing operation
-    per array -- no per-path objects are ever materialised.
+    array field is a ``(B,)`` NumPy array.  Lane ``b`` of every array belongs
+    to path ``b``, so selecting a lane subset is one fancy-indexing operation
+    per array -- no per-path objects are ever materialised.  ``rounds``
+    counts the lock-step rounds the tracker ran on this batch and
+    ``endgame_skipped`` the resumed lanes that retired without re-entering
+    the endgame (both stay 0 on lane subsets).
 
     A batch is constructed either fresh at ``t = 0``
     (:meth:`from_start_solutions`) or mid-path from per-lane
@@ -318,7 +311,8 @@ class PathBatch:
     steps_accepted: np.ndarray
     steps_rejected: np.ndarray
     newton_iterations: np.ndarray
-    consecutive_successes: np.ndarray
+    rounds: int = 0
+    endgame_skipped: int = 0
 
     @classmethod
     def from_start_solutions(cls, backend: ComplexBatchBackend,
@@ -358,7 +352,6 @@ class PathBatch:
             steps_accepted=np.zeros(lanes, dtype=np.int64),
             steps_rejected=np.zeros(lanes, dtype=np.int64),
             newton_iterations=np.zeros(lanes, dtype=np.int64),
-            consecutive_successes=np.zeros(lanes, dtype=np.int64),
         )
 
     @classmethod
@@ -459,8 +452,6 @@ class PathBatch:
                                     dtype=np.int64),
             newton_iterations=np.array([cp.newton_iterations for cp in checkpoints],
                                        dtype=np.int64),
-            consecutive_successes=np.array([cp.consecutive_successes
-                                            for cp in checkpoints], dtype=np.int64),
         )
 
     @property
@@ -488,7 +479,6 @@ class PathBatch:
             steps_accepted=self.steps_accepted[lanes].copy(),
             steps_rejected=self.steps_rejected[lanes].copy(),
             newton_iterations=self.newton_iterations[lanes].copy(),
-            consecutive_successes=self.consecutive_successes[lanes].copy(),
         )
 
     def scatter(self, lanes: np.ndarray, sub: "PathBatch") -> None:
@@ -506,7 +496,6 @@ class PathBatch:
         self.steps_accepted[lanes] = sub.steps_accepted
         self.steps_rejected[lanes] = sub.steps_rejected
         self.newton_iterations[lanes] = sub.newton_iterations
-        self.consecutive_successes[lanes] = sub.consecutive_successes
 
     def retire(self, mask: np.ndarray, status: PathStatus) -> None:
         """Mark lanes under ``mask`` finished with the given status."""
@@ -541,7 +530,6 @@ class PathBatch:
             steps_accepted=int(self.steps_accepted[lane]),
             steps_rejected=int(self.steps_rejected[lane]),
             newton_iterations=int(self.newton_iterations[lane]),
-            consecutive_successes=int(self.consecutive_successes[lane]),
         )
 
     def checkpoints(self) -> List[LaneCheckpoint]:
@@ -563,8 +551,7 @@ class BatchTrackResult:
     evaluation_log: List[int] = field(default_factory=list)
     rounds: int = 0
     #: resumed lanes whose checkpointed residual already certified the
-    #: endgame tolerance, so their endgame re-entry round was skipped
-    #: (only nonzero under ``skip_certified_endgame``).
+    #: endgame tolerance, so their endgame re-entry round was skipped.
     endgame_reentries_skipped: int = 0
 
     @property
@@ -619,34 +606,15 @@ class BatchTracker:
         tracks all paths in one batch.
     gamma:
         Accessibility constant, defaulted like the scalar homotopy.
-    skip_certified_endgame:
-        Residual-aware resume policy (off by default, so same-arithmetic
-        resumes stay bit-for-bit with the cold run): when resuming from
-        checkpoints, a lane checkpointed at ``t >= 1`` whose stored
-        residual already satisfies ``end_tolerance`` retires as a success
-        immediately instead of re-entering the endgame corrector -- its
-        residual was *measured* at that point by the capturing run, so the
-        re-entry round would only re-derive a certificate the checkpoint
-        already carries.  Certificates exist for lanes that converged (or
-        are resumed under a looser tolerance than they were captured with);
-        endgame *failures* carry residuals above the tolerance by
-        construction and always re-enter, so the skip is conservative.  The
-        payoff case is resuming a full checkpoint set -- replaying or
-        continuing an interrupted run -- where the converged lanes would
-        otherwise each pay a pointless endgame evaluation round.  Skipped
-        re-entries are counted in
-        :attr:`BatchTrackResult.endgame_reentries_skipped`.
     """
 
     def __init__(self, start_system, target_system, *,
                  context: NumericContext = DOUBLE,
                  options: Optional[TrackerOptions] = None,
                  batch_size: Optional[int] = None,
-                 gamma: Optional[complex] = None,
-                 skip_certified_endgame: bool = False):
+                 gamma: Optional[complex] = None):
         self.context = context
         self.options = options or TrackerOptions()
-        self.skip_certified_endgame = bool(skip_certified_endgame)
         self.backend = backend_for_context(context)
         self.homotopy = BatchHomotopy(start_system, target_system,
                                       gamma=gamma, context=context,
@@ -678,7 +646,12 @@ class BatchTracker:
             :class:`LaneCheckpoint` list to continue mid-path instead;
             mutually exclusive with ``start_solutions``.  Checkpoints
             captured in a different arithmetic are converted through the
-            backend registry on entry.
+            backend registry on entry.  A lane checkpointed at ``t >= 1``
+            whose measured residual already meets ``end_tolerance`` retires
+            as a success without re-entering the endgame, so resuming a
+            finished run in the same arithmetic returns it unchanged at
+            zero evaluations; endgame failures always re-enter.  Skips are
+            counted in :attr:`BatchTrackResult.endgame_reentries_skipped`.
 
         Returns
         -------
@@ -723,22 +696,14 @@ class BatchTracker:
                 batch = self._track_one_batch(piece)
             else:
                 batch = self._track_one_batch(checkpoints=piece)
-            rounds += batch_rounds_of(batch)
+            rounds += batch.rounds
             results.extend(self._lane_results(batch))
             batches.append(batch)
         return BatchTrackResult(batches=batches, results=results,
                                 evaluation_log=list(self.evaluation_log),
                                 rounds=rounds,
                                 endgame_reentries_skipped=sum(
-                                    getattr(b, "endgame_skipped", 0)
-                                    for b in batches))
-
-    # ------------------------------------------------------------------
-    @property
-    def plan_execution_stats(self):
-        """Execution counters of the homotopy's compiled plan.  Compiles
-        the plan on first access; counters accumulate across runs."""
-        return self.homotopy.plan.exec_stats
+                                    b.endgame_skipped for b in batches))
 
     # ------------------------------------------------------------------
     def _corrector(self, t: np.ndarray, tolerance: float,
@@ -767,7 +732,6 @@ class BatchTracker:
         if checkpoints is not None:
             batch = PathBatch.from_checkpoints(backend, checkpoints,
                                                opts.initial_step)
-            batch.rounds = 0  # dynamic attribute: lock-step rounds of this batch
             # Checkpointed lanes already sit on the path at their t -- a cold
             # run corrected them there -- so re-correcting would both waste
             # evaluations and break bit-for-bit same-arithmetic resumes.
@@ -787,20 +751,17 @@ class BatchTracker:
                                              batch.points)
                 batch.retire(needs_start & ~started.converged,
                              PathStatus.START_FAILED)
-            if self.skip_certified_endgame:
-                # Residual-aware resume: lanes parked at t >= 1 whose
-                # checkpointed residual already certifies the endgame
-                # tolerance retire as successes without the re-entry round.
-                certified = ((batch.t >= 1.0)
-                             & (batch.status == int(PathStatus.TRACKING))
-                             & (batch.residual <= opts.end_tolerance))
-                if certified.any():
-                    batch.retire(certified, PathStatus.SUCCESS)
-                    batch.endgame_skipped = int(certified.sum())
+            # A finished lane's checkpointed residual is its endgame
+            # certificate: re-entering would only measure it again.
+            certified = ((batch.t >= 1.0)
+                         & (batch.status == int(PathStatus.TRACKING))
+                         & (batch.residual <= opts.end_tolerance))
+            if certified.any():
+                batch.retire(certified, PathStatus.SUCCESS)
+                batch.endgame_skipped = int(certified.sum())
         else:
             batch = PathBatch.from_start_solutions(backend, starts,
                                                    opts.initial_step)
-            batch.rounds = 0  # dynamic attribute: lock-step rounds of this batch
 
             # Make sure the start points actually lie on the path at t = 0.
             start_corrector = self._corrector(batch.t, opts.corrector_tolerance,
@@ -852,7 +813,6 @@ class BatchTracker:
             sub.points = backend.where(accepted, corrected.solution, sub.points)
             sub.t = np.where(accepted, next_t, sub.t)
             sub.steps_accepted += accepted
-            sub.consecutive_successes += accepted
             sub.dt = np.where(accepted, control.grown(sub.dt, sub.t), sub.dt)
             # Lanes that reached t = 1 leave the main loop; the endgame
             # sharpens them together afterwards.
@@ -861,7 +821,6 @@ class BatchTracker:
 
         if rejected.any():
             sub.steps_rejected += rejected
-            sub.consecutive_successes[rejected] = 0
             sub.dt = np.where(rejected, control.shrunk(sub.dt), sub.dt)
             sub.retire(rejected & control.underflowed(sub.dt),
                        PathStatus.STEP_UNDERFLOW)
@@ -900,8 +859,3 @@ class BatchTracker:
                 failure_reason=_FAILURE_REASONS.get(status),
             ))
         return results
-
-
-def batch_rounds_of(batch: PathBatch) -> int:
-    """Lock-step rounds a batch ran (tolerant of hand-built batches)."""
-    return int(getattr(batch, "rounds", 0))

@@ -21,7 +21,7 @@ previously duplicated inline loops produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __all__ = ["LadderState", "RungOutcome", "run_escalation_ladder"]
 
@@ -32,15 +32,15 @@ class RungOutcome:
 
     ``results`` and ``checkpoints`` are aligned with the pending list the
     callback received.  ``resumed_mid_ts`` carries the resume ``t`` of
-    every warm-resumed mid-path lane when the rung ran from checkpoints,
-    and is ``None`` for a cold rung -- the distinction the
-    restarted/resumed accounting is built on.
+    every lane the rung continued mid-path from a checkpoint; every other
+    pending path counts as restarted from ``t = 0``.  The first rung
+    resumes nothing and leaves it empty.
     """
 
     results: List[object]
     checkpoints: List[object]
     endgame_skips: int = 0
-    resumed_mid_ts: Optional[List[float]] = None
+    resumed_mid_ts: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -81,9 +81,9 @@ def run_escalation_ladder(
 
     ``run_rung(level, rung, pending, checkpoints_by_index)`` tracks the
     pending ``(path_index, start)`` pairs at ``rung`` however the caller
-    likes (in process, sharded, with or without warm resume -- the
-    checkpoint map holds every path's last known checkpoint for it to
-    draw on) and returns a :class:`RungOutcome` aligned with ``pending``.
+    likes (in process or sharded; past the first rung it resumes them from
+    the checkpoint map, which holds every path's last known checkpoint)
+    and returns a :class:`RungOutcome` aligned with ``pending``.
     The loop folds each outcome into a :class:`LadderState`: per-rung path
     and convergence counts, resumed/restarted splits, checkpoint rollover,
     and the solved/failing partition that decides what the next rung sees.
@@ -99,15 +99,10 @@ def run_escalation_ladder(
         state.converged_by_context[name] = sum(
             1 for r in outcome.results if r.success)
         state.endgame_skips_by_context[name] = outcome.endgame_skips
-        if outcome.resumed_mid_ts is not None:
-            mid_path = list(outcome.resumed_mid_ts)
-            state.resumed_by_context[name] = len(mid_path)
-            state.restarted_by_context[name] = len(pending) - len(mid_path)
-            state.resume_t_by_context[name] = mid_path
-        else:
-            state.resumed_by_context[name] = 0
-            state.restarted_by_context[name] = len(pending)
-            state.resume_t_by_context[name] = []
+        mid_path = list(outcome.resumed_mid_ts)
+        state.resumed_by_context[name] = len(mid_path)
+        state.restarted_by_context[name] = len(pending) - len(mid_path)
+        state.resume_t_by_context[name] = mid_path
         next_pending: List[Tuple[int, object]] = []
         for position, ((index, start), result) in enumerate(
                 zip(pending, outcome.results)):

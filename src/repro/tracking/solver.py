@@ -51,31 +51,22 @@ class EscalationPolicy:
     """How :func:`solve_system` widens the arithmetic for failed paths.
 
     The ladder is walked front to back: all paths start in ``ladder[0]``;
-    whatever fails there is re-tracked in ``ladder[1]``, and so on.  The
-    entries must be ordered from cheapest to widest arithmetic.
+    whatever fails there is resumed in ``ladder[1]``, and so on.  The
+    entries must be distinct contexts ordered from cheapest to widest
+    arithmetic.
 
-    With ``warm_restart`` (the default) a failed path is *resumed* at the
-    wider rung from its :class:`~repro.tracking.batch_tracker.LaneCheckpoint`
-    -- the last accepted ``(x, t)`` of the cheaper run, converted into the
-    wider arithmetic through the backend registry -- instead of being
-    re-tracked from ``t = 0``.  Failed lanes typically fail near ``t = 1``
-    (a tightening endgame or a final sharpening that double precision cannot
-    certify), so the warm restart reuses almost all of the cheap-rung work.
-    Set ``warm_restart=False`` to restart failed paths from scratch (the
-    pre-checkpoint behaviour, kept for comparison benchmarks).
-
-    ``residual_aware`` (default on) makes warm restarts *residual-aware*:
-    a resumed lane checkpointed at ``t >= 1`` whose stored residual already
-    certifies the endgame tolerance skips the endgame re-entry round
-    entirely -- the wider rung would only re-measure a certificate the
-    checkpoint carries.  Skipped re-entries are reported per rung in
-    :attr:`SolveReport.endgame_skips_by_context`.  Note the certificate is
-    conservative: a lane that *failed* the endgame carries a residual above
-    the tolerance by construction, so in the usual failed-residue
-    escalation (one shared tolerance across rungs) the counter stays 0 and
-    the skip acts purely as a guard; it pays off when checkpoint sets that
-    include certified lanes are resumed -- replaying an interrupted run, or
-    a ladder whose resumed rung runs with a looser ``end_tolerance``.
+    A failed path is *resumed* at the wider rung from its
+    :class:`~repro.tracking.batch_tracker.LaneCheckpoint` -- the last
+    accepted ``(x, t)`` of the cheaper run, converted into the wider
+    arithmetic through the backend registry -- instead of being re-tracked
+    from ``t = 0``.  Failed lanes typically fail near ``t = 1`` (a
+    tightening endgame or a final sharpening that double precision cannot
+    certify), so the resume reuses almost all of the cheap-rung work.  A
+    resumed lane parked at ``t >= 1`` whose checkpointed residual already
+    meets the endgame tolerance retires without re-entering the endgame
+    (see :meth:`~repro.tracking.batch_tracker.BatchTracker.track_batches`);
+    such skips are reported per rung in
+    :attr:`SolveReport.endgame_skips_by_context`.
 
     Use :meth:`from_speedup` to let the quality-up analysis pick the starting
     rung: with enough parallel speedup the wider arithmetic is free in
@@ -85,22 +76,27 @@ class EscalationPolicy:
     Raises
     ------
     ConfigurationError
-        When the ladder is empty or not ordered from cheapest to widest.
+        When the ladder is empty, repeats a context or is not ordered from
+        cheapest to widest.
     """
 
     ladder: Tuple[NumericContext, ...] = DEFAULT_LADDER
-    warm_restart: bool = True
-    residual_aware: bool = True
 
     def __post_init__(self):
         ladder = tuple(self.ladder)
         if not ladder:
             raise ConfigurationError("an escalation ladder needs at least one context")
+        names = [ctx.name for ctx in ladder]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigurationError(
+                    f"escalation ladder repeats context {name!r}, got "
+                    f"{names}; each rung's accounting is keyed by its name")
         factors = [ctx.mul_cost_factor for ctx in ladder]
         if factors != sorted(factors):
             raise ConfigurationError(
                 "escalation ladder must be ordered from cheapest to widest "
-                f"arithmetic, got {[ctx.name for ctx in ladder]}"
+                f"arithmetic, got {names}"
             )
         object.__setattr__(self, "ladder", ladder)
 
@@ -110,8 +106,8 @@ class EscalationPolicy:
 
     @classmethod
     def from_speedup(cls, speedup: float,
-                     ladder: Optional[Sequence[NumericContext]] = None,
-                     *, warm_restart: bool = True) -> "EscalationPolicy":
+                     ladder: Optional[Sequence[NumericContext]] = None
+                     ) -> "EscalationPolicy":
         """Start the ladder at the widest arithmetic the speedup pays for.
 
         Parameters
@@ -126,8 +122,6 @@ class EscalationPolicy:
         ladder:
             Candidate rungs, cheapest first; :data:`DEFAULT_LADDER` if
             omitted.
-        warm_restart:
-            Forwarded to the policy (see the class docstring).
 
         Returns
         -------
@@ -138,7 +132,7 @@ class EscalationPolicy:
         start = affordable_precision(speedup, rungs)
         names = [ctx.name for ctx in rungs]
         index = names.index(start.name) if start.name in names else 0
-        return cls(ladder=rungs[index:], warm_restart=warm_restart)
+        return cls(ladder=rungs[index:])
 
 
 @dataclass(frozen=True)
@@ -164,19 +158,19 @@ class SolveReport:
     ``recovered_by_escalation`` counts paths that failed at the starting
     arithmetic but converged at a wider one.
 
-    The warm-restart accounting splits every escalated rung's attempts into
+    The resume accounting splits every rung's attempts into
     ``resumed_by_context`` (paths continued mid-path from a cheaper rung's
     checkpoint, i.e. with ``t > 0`` of tracked progress reused) and
     ``restarted_by_context`` (paths tracked from ``t = 0``: the first rung,
-    cold restarts under ``warm_restart=False`` and start-correction
-    failures).
+    start-correction failures and, in the sharded service, shards
+    cold-restarted after a checkpoint reload failed).
     ``resume_t_by_context`` records, per rung, the continuation parameter
     each resumed path continued from -- on typical workloads these cluster
     at ``t = 1.0``, which is exactly why warm restarts win: the wide
     arithmetic only replays the endgame.  ``endgame_skips_by_context``
     counts, per rung, the resumed lanes whose checkpointed residual already
-    certified the endgame tolerance, so even that replay was skipped (the
-    residual-aware policy, see :class:`EscalationPolicy`).
+    certified the endgame tolerance, so even that replay was skipped (see
+    :class:`EscalationPolicy`).
 
     ``degradations`` lists, human-readably, every place the solve did
     something weaker than asked.  Only the sharded service records any
@@ -420,9 +414,9 @@ def solve_system(system: PolynomialSystem, *,
         paths in one batch.
     escalation:
         Optional :class:`EscalationPolicy`.  Paths that fail at one rung of
-        the ladder are re-tracked at the next wider arithmetic -- by default
-        *warm-restarted* from their last accepted ``(x, t)`` checkpoint
-        rather than from ``t = 0`` (see the policy's ``warm_restart`` flag).
+        the ladder are resumed at the next wider arithmetic from their last
+        accepted ``(x, t)`` checkpoint rather than re-tracked from
+        ``t = 0``.
         The report's ``paths_by_context`` / ``converged_by_context`` /
         ``recovered_by_escalation`` fields record the outcome per rung, and
         ``resumed_by_context`` / ``restarted_by_context`` /
@@ -455,39 +449,32 @@ def solve_system(system: PolynomialSystem, *,
     else:
         starts = list(plan.solutions())
 
-    warm = escalation is not None and escalation.warm_restart
-
     def run_rung(level: int, rung: NumericContext,
                  pending: List[Tuple[int, Sequence]],
                  checkpoints_by_index: Dict[int, object]) -> RungOutcome:
-        # Warm-restart the residue from the checkpoints the cheaper rung
-        # left for every path it tracked.
-        resume = None
-        if warm and level > 0:
-            resume = [checkpoints_by_index[index] for index, _ in pending]
         tracker = BatchTracker(start_system, system, context=rung,
                                options=options, batch_size=batch_size,
-                               gamma=gamma,
-                               skip_certified_endgame=(
-                                   resume is not None
-                                   and escalation.residual_aware))
-        if resume is not None:
-            outcome = tracker.track_batches(resume_from=resume)
-        else:
+                               gamma=gamma)
+        if level == 0:
             outcome = tracker.track_batches([s for _, s in pending])
+            resumed_mid_ts = []
+        else:
+            # Resume the residue from the checkpoints the cheaper rung left
+            # for every path it tracked.
+            resume = [checkpoints_by_index[index] for index, _ in pending]
+            outcome = tracker.track_batches(resume_from=resume)
+            resumed_mid_ts = [cp.t for cp in resume if cp.resumes_mid_path]
         return RungOutcome(
             results=outcome.results, checkpoints=outcome.checkpoints(),
             endgame_skips=outcome.endgame_reentries_skipped,
-            resumed_mid_ts=(None if resume is None else
-                            [cp.t for cp in resume if cp.resumes_mid_path]))
+            resumed_mid_ts=resumed_mid_ts)
 
     state = run_escalation_ladder(ladder, starts, run_rung)
 
     converged = state.converged_results()
     failures = state.failed_results()
 
-    final_context = ladder[-1] if escalation is not None else context
-    solutions = _deduplicate(converged, final_context, deduplication_tolerance)
+    solutions = _deduplicate(converged, ladder[-1], deduplication_tolerance)
     return SolveReport(
         system=system,
         bezout_number=bezout,

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, PathTrackingError, SingularMatrixError
+from ..errors import SingularMatrixError
 from ..multiprec.numeric import DOUBLE, NumericContext
 from .homotopy import Homotopy
 from .newton import NewtonCorrector, NewtonResult
@@ -223,35 +223,11 @@ class PathTracker:
                           newton_iterations=newton_total, path=path,
                           failure_reason=None if final.converged else "end game did not converge")
 
-    def track_many(self, start_solutions: Sequence[Sequence], *,
-                   batch_size: Optional[int] = None) -> List[PathResult]:
-        """Track several paths.
+    def track_many(self, start_solutions: Sequence[Sequence]) -> List[PathResult]:
+        """Track several paths, one after another.
 
-        Without ``batch_size`` the paths run sequentially (the per-path jobs
-        the manager/worker parallel trackers of the paper's introduction
-        distribute).  With ``batch_size`` the work is delegated to the
-        structure-of-arrays :class:`~repro.tracking.batch_tracker.
-        BatchTracker`, which requires the homotopy's evaluators to expose
-        their underlying :class:`~repro.polynomials.system.PolynomialSystem`
-        (the CPU reference and GPU evaluators both do).  Batched results
-        carry end points, residuals and counters but no per-step
-        :class:`PathPoint` trace: ``PathResult.path`` is empty, as the
-        structure-of-arrays engine does not materialise per-path histories.
+        These are the per-path jobs the manager/worker parallel trackers of
+        the paper's introduction distribute.  To track many paths in lock
+        step, use :class:`~repro.tracking.batch_tracker.BatchTracker`.
         """
-        if batch_size is None:
-            return [self.track(s) for s in start_solutions]
-
-        from .batch_tracker import BatchTracker  # local import: cycle
-
-        start_system = getattr(self.homotopy.start_evaluator, "system", None)
-        target_system = getattr(self.homotopy.target_evaluator, "system", None)
-        if start_system is None or target_system is None:
-            raise ConfigurationError(
-                "batched tracking needs evaluators that expose their "
-                "polynomial system; track sequentially instead"
-            )
-        batch_tracker = BatchTracker(start_system, target_system,
-                                     context=self.context, options=self.options,
-                                     batch_size=batch_size,
-                                     gamma=self.homotopy.gamma)
-        return batch_tracker.track_many(start_solutions)
+        return [self.track(s) for s in start_solutions]

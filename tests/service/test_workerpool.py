@@ -84,6 +84,34 @@ class TestPersistentPool:
         assert solution_key(report) == solution_key(reference)
 
 
+class TestTrackerCache:
+    def test_fresh_and_resumed_payloads_share_one_tracker(self):
+        """A worker keys its tracker cache by system, rung and options
+        only: resuming a rung from checkpoints reuses the tracker (and its
+        compiled plan) that tracked the rung from its starts."""
+        from collections import OrderedDict
+
+        from repro.service.workerpool import execute_payload
+        from repro.tracking import start_solutions, total_degree_start_system
+
+        system = decoupled_quadratics()
+        start = total_degree_start_system(system)
+        fresh = {"token": "sys", "systems": (start, system), "context": "d",
+                 "options": None, "gamma": None, "batch_size": None,
+                 "starts": [tuple(s) for s in start_solutions(system)],
+                 "resume": None}
+        systems, trackers = OrderedDict(), OrderedDict()
+        first = execute_payload(fresh, systems, trackers)
+        (tracker,) = trackers.values()
+
+        resumed = dict(fresh, starts=None, resume=first["checkpoints"])
+        second = execute_payload(resumed, systems, trackers)
+        assert list(trackers.values()) == [tracker]
+        # A resume of the finished rung retires every lane unchanged.
+        assert second["endgame_skips"] == 4
+        assert second["results"] == first["results"]
+
+
 class TestPoolDegradation:
     def test_unspawnable_pool_falls_back_inprocess(self):
         """Every spawn attempt fails -> slots retire -> the shard tasks

@@ -139,16 +139,6 @@ class TestDifferentialAgainstScalarTracker:
         chunked = batch_results(system, DOUBLE, batch_size=2)
         assert_same_solution_sets(whole, chunked, DOUBLE)
 
-    def test_track_many_delegation(self):
-        system = decoupled_quadratic_system()
-        start = total_degree_start_system(system)
-        homotopy = Homotopy(CPUReferenceEvaluator(start), CPUReferenceEvaluator(system))
-        tracker = PathTracker(homotopy)
-        starts = list(start_solutions(system))
-        delegated = tracker.track_many(starts, batch_size=2)
-        sequential = tracker.track_many(starts)
-        assert_same_solution_sets(sequential, delegated, DOUBLE)
-
 
 class TestLaneRetirement:
     def test_bad_start_lane_retires_without_stalling_batch(self):
@@ -297,7 +287,6 @@ class TestCheckpoints:
             assert len(cp.point) == 2
             assert cp.steps_accepted == result.steps_accepted
             assert cp.newton_iterations == result.newton_iterations
-            assert cp.consecutive_successes > 0
 
     def test_failure_cause_recorded(self):
         system = decoupled_quadratic_system()
@@ -375,7 +364,7 @@ class TestCheckpoints:
                            t=0.0, prev_t=0.0, has_prev=False,
                            status=PathStatus.START_FAILED,
                            steps_accepted=0, steps_rejected=0,
-                           newton_iterations=0, consecutive_successes=0)
+                           newton_iterations=0)
         resumed = self.tracked(system, DOUBLE, None, resume_from=[doctored])
         assert resumed.results[0].success
 
@@ -442,14 +431,6 @@ class TestCheckpoints:
         cps = self.tracked(system, DOUBLE, None).checkpoints()
         with pytest.raises(ConfigurationError):
             tracker.track_batches(starts, resume_from=cps)
-
-    def test_consecutive_success_streak_tracks_step_control(self):
-        system = decoupled_quadratic_system()
-        outcome = self.tracked(system, DOUBLE, None)
-        for cp, r in zip(outcome.checkpoints(), outcome.results):
-            assert cp.consecutive_successes <= cp.steps_accepted
-            if r.steps_rejected == 0:
-                assert cp.consecutive_successes == cp.steps_accepted
 
 
 @pytest.mark.slow

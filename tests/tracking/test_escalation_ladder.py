@@ -26,7 +26,7 @@ def scripted_rungs(successes, resumed_mid_ts=None):
             results=[SimpleNamespace(success=index in successes[level])
                      for index, _ in pending],
             checkpoints=[(level, index) for index, _ in pending],
-            resumed_mid_ts=None if resumed_mid_ts is None
+            resumed_mid_ts=[] if resumed_mid_ts is None
             else resumed_mid_ts[level])
 
     return run_rung, calls
@@ -52,7 +52,7 @@ class TestLadderLoop:
 
     def test_resumed_and_restarted_paths_are_counted_per_rung(self):
         run_rung, _ = scripted_rungs({0: set(), 1: {0, 1}},
-                                     resumed_mid_ts={0: None, 1: [0.375]})
+                                     resumed_mid_ts={0: [], 1: [0.375]})
         state = run_escalation_ladder(LADDER, "pq", run_rung)
 
         assert state.resumed_by_context == {"cheap": 0, "wide": 1}

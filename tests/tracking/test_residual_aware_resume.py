@@ -1,20 +1,19 @@
-"""Residual-aware warm restart: certified checkpoints skip the endgame
-re-entry round.
+"""Residual-aware resume: certified checkpoints skip the endgame re-entry
+round.
 
 A lane checkpointed at ``t >= 1`` whose stored residual already satisfies
 the endgame tolerance carries its own convergence certificate -- the
 capturing run *measured* that residual at that point -- so re-entering the
-endgame corrector only spends an evaluation round re-deriving it.  With
-``skip_certified_endgame`` the lane retires as a success immediately; the
-count surfaces in :attr:`BatchTrackResult.endgame_reentries_skipped` and,
-through :func:`solve_system`, in
-:attr:`SolveReport.endgame_skips_by_context`.
+endgame corrector only spends an evaluation round re-deriving it.
+``BatchTracker.track_batches(resume_from=...)`` therefore retires such a
+lane as a success immediately; the count surfaces in
+:attr:`BatchTrackResult.endgame_reentries_skipped` and, through
+:func:`solve_system`, in :attr:`SolveReport.endgame_skips_by_context`.
 
-The flag defaults off at the tracker level, preserving PR 3's bit-for-bit
-same-arithmetic resume guarantee; :func:`solve_system` switches it on for
-warm escalation unless the policy says ``residual_aware=False``.  The
-certificate is conservative: endgame *failures* checkpoint with residuals
-above the tolerance by construction, so the escalated failed-residue flow
+A same-arithmetic resume of a finished run is thus a no-op: every lane
+comes back bit-for-bit unchanged, at zero evaluations.  The certificate is
+conservative: endgame *failures* checkpoint with residuals above the
+tolerance by construction, so the escalated failed-residue flow
 legitimately records 0 skips -- the payoff case is resuming full
 checkpoint sets (interrupted-run replays), exercised directly below.
 """
@@ -23,12 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.bench.batch_tracking import cyclic_quadratic_system
-from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE
-from repro.tracking.batch_tracker import BatchTracker, PathStatus
+from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE
+from repro.tracking.batch_tracker import (BatchTracker, PathStatus,
+                                          scalar_to_planes)
 from repro.tracking.solver import EscalationPolicy, solve_system
 from repro.tracking.start_systems import start_solutions, total_degree_start_system
 from repro.tracking.tracker import TrackerOptions
@@ -59,7 +58,7 @@ class TestSkipCertifiedEndgame:
         assert all(cp.residual <= opts.end_tolerance for cp in checkpoints)
 
         resumer = BatchTracker(start, target, context=DOUBLE_DOUBLE,
-                               options=opts, skip_certified_endgame=True)
+                               options=opts)
         resumed = resumer.track_batches(resume_from=checkpoints)
         assert resumed.endgame_reentries_skipped == len(checkpoints)
         assert resumed.batched_evaluations == 0  # no re-entry round at all
@@ -69,25 +68,15 @@ class TestSkipCertifiedEndgame:
             assert result.residual == cp.residual
             assert result.steps_accepted == cp.steps_accepted
 
-    def test_default_resume_still_reenters(self, workload):
-        start, target, _ = workload
-        opts = TrackerOptions(end_tolerance=1e-12)
-        _, checkpoints = tracked_checkpoints(workload, opts)
-        resumer = BatchTracker(start, target, context=DOUBLE_DOUBLE,
-                               options=opts)
-        resumed = resumer.track_batches(resume_from=checkpoints)
-        assert resumed.endgame_reentries_skipped == 0
-        assert resumed.batched_evaluations >= 1  # the endgame round ran
-
     def test_uncertified_residual_still_reenters(self, workload):
         start, target, _ = workload
         opts = TrackerOptions(end_tolerance=1e-12)
         _, checkpoints = tracked_checkpoints(workload, opts)
         # Degrade the stored residuals above the tolerance: the certificates
-        # are void, so the endgame must run even with the skip enabled.
+        # are void, so the endgame must run.
         stale = [dataclasses.replace(cp, residual=1e-6) for cp in checkpoints]
         resumer = BatchTracker(start, target, context=DOUBLE_DOUBLE,
-                               options=opts, skip_certified_endgame=True)
+                               options=opts)
         resumed = resumer.track_batches(resume_from=stale)
         assert resumed.endgame_reentries_skipped == 0
         assert resumed.batched_evaluations >= 1
@@ -100,7 +89,7 @@ class TestSkipCertifiedEndgame:
         poisoned = [dataclasses.replace(cp, residual=float("nan"))
                     for cp in checkpoints]
         resumer = BatchTracker(start, target, context=DOUBLE_DOUBLE,
-                               options=opts, skip_certified_endgame=True)
+                               options=opts)
         resumed = resumer.track_batches(resume_from=poisoned)
         assert resumed.endgame_reentries_skipped == 0
 
@@ -113,10 +102,34 @@ class TestSkipCertifiedEndgame:
         rewound = list(checkpoints)
         rewound[0] = dataclasses.replace(rewound[0], t=0.5, prev_t=0.4)
         resumer = BatchTracker(start, target, context=DOUBLE_DOUBLE,
-                               options=opts, skip_certified_endgame=True)
+                               options=opts)
         resumed = resumer.track_batches(resume_from=rewound)
         assert resumed.endgame_reentries_skipped == len(checkpoints) - 1
         assert all(r.success for r in resumed.results)
+
+    @pytest.mark.parametrize("context", [DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE],
+                             ids=lambda context: context.name)
+    def test_same_arithmetic_resume_of_a_finished_run_is_a_noop(
+            self, workload, context):
+        start, target, starts = workload
+        tracker = BatchTracker(start, target, context=context)
+        finished = tracker.track_batches(starts)
+        assert all(r.success for r in finished.results)
+
+        resumed = tracker.track_batches(resume_from=finished.checkpoints())
+        assert resumed.batched_evaluations == 0
+        assert resumed.endgame_reentries_skipped == len(starts)
+        for before, after in zip(finished.results, resumed.results):
+            assert after.success
+            assert [[p.hex() for p in scalar_to_planes(x, context.name)]
+                    for x in after.solution] == \
+                [[p.hex() for p in scalar_to_planes(x, context.name)]
+                 for x in before.solution]
+            assert after.residual == before.residual
+            assert (after.steps_accepted, after.steps_rejected,
+                    after.newton_iterations) == \
+                (before.steps_accepted, before.steps_rejected,
+                 before.newton_iterations)
 
 
 class TestSolverAccounting:
@@ -134,11 +147,6 @@ class TestSolverAccounting:
         # dd resumed the d failures; the accounting key must exist either way.
         if "dd" in report.paths_by_context:
             assert "dd" in report.endgame_skips_by_context
-
-    def test_residual_aware_flag_defaults_on(self):
-        assert EscalationPolicy().residual_aware
-        off = EscalationPolicy(residual_aware=False)
-        assert not off.residual_aware
 
 
 class TestPortableCheckpointState:
@@ -164,7 +172,6 @@ class TestPortableCheckpointState:
             dt=2.0 ** -13, residual=3.5e-17,
             status=PathStatus.TRACKING,
             steps_accepted=17, steps_rejected=3, newton_iterations=41,
-            consecutive_successes=5,
         )
         fields.update(overrides)
         return LaneCheckpoint(**fields)
@@ -194,9 +201,8 @@ class TestPortableCheckpointState:
         assert back.residual == cp.residual
         assert back.status is cp.status
         assert (back.steps_accepted, back.steps_rejected,
-                back.newton_iterations, back.consecutive_successes) == \
-            (cp.steps_accepted, cp.steps_rejected,
-             cp.newton_iterations, cp.consecutive_successes)
+                back.newton_iterations) == \
+            (cp.steps_accepted, cp.steps_rejected, cp.newton_iterations)
 
     @pytest.mark.parametrize("context_name", CONTEXTS)
     def test_inf_and_nan_lanes_survive(self, context_name):
@@ -247,8 +253,6 @@ class TestPortableCheckpointState:
             checkpoints_from_portable,
             portable_checkpoints,
         )
-        from repro.multiprec.backend import backend_for_context
-        from repro.tracking.batch_tracker import scalar_to_planes
 
         start, target, starts = workload
         opts = TrackerOptions(end_tolerance=5e-17, end_iterations=12)

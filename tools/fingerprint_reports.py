@@ -6,6 +6,9 @@ the scenario and a sha256 over the report.  The inputs are perfbench's
 
 * ``solve-d``: the 14 registry scenarios solved at d;
 * ``escalate-qd``: the 7 tier-1 scenarios escalated up the default
+  ladder to 1e-40;
+* ``ladder-all``: the 14 registry scenarios of ``solve-d`` with the
+  options and policy of ``escalate-qd``, i.e. all 14 up the default
   ladder to 1e-40.
 
 A change that must not move any answer prints the same lines as its
@@ -21,6 +24,7 @@ and Newton updates run their Python routes; ``--kernels-off`` sets
 Usage::
 
     python tools/fingerprint_reports.py [--workload solve-d] [--solve-off]
+                                        [--kernels-off]
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from perfbench.workloads import SolveWorkload  # noqa: E402
 from repro.multiprec import compiled  # noqa: E402
 from repro.tracking import solver  # noqa: E402
 
-WORKLOADS = ("solve-d", "escalate-qd")
+WORKLOADS = ("solve-d", "escalate-qd", "ladder-all")
 
 
 def floats(value) -> list:
@@ -89,11 +93,22 @@ def report_digest(report) -> str:
     return digest.hexdigest()
 
 
+def line_set(name: str):
+    """The cases, tracker options and escalation policy of one line set."""
+    if name == "ladder-all":
+        cases, _, _ = line_set("solve-d")
+        _, options, escalation = line_set("escalate-qd")
+        return cases, options, escalation
+    workload = SolveWorkload(name, 0, trace=False)
+    workload.setup()
+    return workload.cases, workload.options, workload.escalation
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
-                        help="workload to fingerprint (repeatable; "
-                             "default: both)")
+                        help="line set to fingerprint (repeatable; "
+                             "default: all three)")
     parser.add_argument("--solve-off", action="store_true",
                         help="run the linear solves and Newton updates in "
                              "Python")
@@ -105,12 +120,11 @@ def main(argv=None) -> int:
     if args.kernels_off:
         compiled.KERNELS = None
     for name in args.workload or WORKLOADS:
-        workload = SolveWorkload(name, 0, trace=False)
-        workload.setup()
-        for case in workload.cases:
+        cases, options, escalation = line_set(name)
+        for case in cases:
             report = solver.solve_system(
-                case.system, options=workload.options, start=case.start,
-                escalation=workload.escalation)
+                case.system, options=options, start=case.start,
+                escalation=escalation)
             print(f"{name} {case.kind} {report_digest(report)}", flush=True)
     return 0
 
