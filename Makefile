@@ -14,7 +14,8 @@ kernels:
 
 # One sha256 line per SolveReport over the repository benchmark's seed-0
 # inputs (the 14 scenarios at d, the 7 tier-1 scenarios up the default
-# ladder, and all 14 up the default ladder).  A change that must not move any
+# ladder, all 14 up the default ladder, and the 14 at d with the tangent
+# predictor).  A change that must not move any
 # answer prints the same lines as its parent; tools/fingerprint_reports.py
 # --help lists the route switches.
 fingerprints:

@@ -13,9 +13,10 @@ lock step:
 * :class:`BatchTracker` runs the predictor -> Newton-corrector -> step
   control loop for the whole batch at once.  Every lane carries its own
   continuation parameter ``t`` and step ``dt``; per-lane boolean masks let
-  converged, failed and finished paths *retire* without stalling the rest,
-  and each round the live lanes are compressed so retired lanes cost
-  nothing;
+  converged, failed and finished paths *retire* without stalling the rest.
+  A round runs on the whole batch under its live-lane mask, and the Newton
+  corrector compresses to the lanes still working before every evaluation
+  and solve, so retired lanes cost no evaluation;
 * one batched homotopy evaluation replaces ``B`` scalar evaluations, which
   is what lets the cost model price one kernel launch per batch instead of
   one per path (see
@@ -284,11 +285,12 @@ class PathBatch:
 
     ``points`` and ``prev_points`` are ``(n, B)`` batch arrays; every other
     array field is a ``(B,)`` NumPy array.  Lane ``b`` of every array belongs
-    to path ``b``, so selecting a lane subset is one fancy-indexing operation
-    per array -- no per-path objects are ever materialised.  ``rounds``
-    counts the lock-step rounds the tracker ran on this batch and
-    ``endgame_skipped`` the resumed lanes that retired without re-entering
-    the endgame (both stay 0 on lane subsets).
+    to path ``b`` for the batch's whole life: the tracker runs every round
+    on these arrays under the :attr:`active` mask, and no per-path objects
+    or lane subsets are ever materialised.  A lane retires by its ``status``
+    alone.  ``rounds`` counts the lock-step rounds the tracker ran on this
+    batch and ``endgame_skipped`` the resumed lanes that retired without
+    re-entering the endgame.
 
     A batch is constructed either fresh at ``t = 0``
     (:meth:`from_start_solutions`) or mid-path from per-lane
@@ -305,7 +307,6 @@ class PathBatch:
     prev_t: np.ndarray
     dt: np.ndarray
     has_prev: np.ndarray
-    active: np.ndarray
     status: np.ndarray
     residual: np.ndarray
     steps_accepted: np.ndarray
@@ -346,7 +347,6 @@ class PathBatch:
             prev_t=np.zeros(lanes),
             dt=np.full(lanes, float(initial_step)),
             has_prev=np.zeros(lanes, dtype=bool),
-            active=np.ones(lanes, dtype=bool),
             status=np.full(lanes, int(PathStatus.TRACKING), dtype=np.int8),
             residual=np.full(lanes, np.inf),
             steps_accepted=np.zeros(lanes, dtype=np.int64),
@@ -394,8 +394,9 @@ class PathBatch:
         Raises
         ------
         ConfigurationError
-            When ``checkpoints`` is empty or the checkpoint dimensions
-            disagree.
+            When ``checkpoints`` is empty, the checkpoint dimensions
+            disagree, or a lane's ``t`` lies outside ``[0, 1]`` or its
+            resumed ``dt`` is not positive (NaN included).
         """
         if not checkpoints:
             raise ConfigurationError("a path batch needs at least one checkpoint")
@@ -403,6 +404,20 @@ class PathBatch:
         if any(len(cp.point) != n for cp in checkpoints):
             raise ConfigurationError("all checkpoints must share a dimension")
         lanes = len(checkpoints)
+        t = np.array([cp.t for cp in checkpoints], dtype=np.float64)
+        dt = StepControl.resumed(
+            np.array([cp.dt for cp in checkpoints], dtype=np.float64),
+            np.array([cp.status is PathStatus.STEP_UNDERFLOW
+                      for cp in checkpoints], dtype=bool),
+            float(initial_step))
+        # Every round range-checks each lane's next parameter min(1, t + dt),
+        # retired lanes included.
+        bad = np.flatnonzero(~((t >= 0.0) & (t <= 1.0) & (dt > 0.0)))
+        if bad.size:
+            lane = int(bad[0])
+            raise ConfigurationError(
+                f"checkpoint {lane} cannot resume: t = {t[lane]!r} must lie "
+                f"in [0, 1] and dt = {dt[lane]!r} must be positive")
 
         # Convert lane points per capturing context, whole groups at a time.
         points = backend.zeros((n, lanes))
@@ -429,12 +444,6 @@ class PathBatch:
             points[idx] = converted
             prev_points[idx] = converted_prev
 
-        t = np.array([cp.t for cp in checkpoints], dtype=np.float64)
-        dt = StepControl.resumed(
-            np.array([cp.dt for cp in checkpoints], dtype=np.float64),
-            np.array([cp.status is PathStatus.STEP_UNDERFLOW
-                      for cp in checkpoints], dtype=bool),
-            float(initial_step))
         return cls(
             backend=backend,
             points=points,
@@ -443,7 +452,6 @@ class PathBatch:
             prev_t=np.array([cp.prev_t for cp in checkpoints], dtype=np.float64),
             dt=dt,
             has_prev=np.array([cp.has_prev for cp in checkpoints], dtype=bool),
-            active=t < 1.0,
             status=np.full(lanes, int(PathStatus.TRACKING), dtype=np.int8),
             residual=np.array([cp.residual for cp in checkpoints], dtype=np.float64),
             steps_accepted=np.array([cp.steps_accepted for cp in checkpoints],
@@ -459,49 +467,13 @@ class PathBatch:
         return int(self.t.shape[0])
 
     @property
-    def dimension(self) -> int:
-        return int(self.points.shape[0])
-
-    def select(self, lanes: np.ndarray) -> "PathBatch":
-        """A compressed copy holding only the given lanes."""
-        idx = (slice(None), lanes)
-        return PathBatch(
-            backend=self.backend,
-            points=self.points[idx],
-            prev_points=self.prev_points[idx],
-            t=self.t[lanes].copy(),
-            prev_t=self.prev_t[lanes].copy(),
-            dt=self.dt[lanes].copy(),
-            has_prev=self.has_prev[lanes].copy(),
-            active=self.active[lanes].copy(),
-            status=self.status[lanes].copy(),
-            residual=self.residual[lanes].copy(),
-            steps_accepted=self.steps_accepted[lanes].copy(),
-            steps_rejected=self.steps_rejected[lanes].copy(),
-            newton_iterations=self.newton_iterations[lanes].copy(),
-        )
-
-    def scatter(self, lanes: np.ndarray, sub: "PathBatch") -> None:
-        """Write a compressed sub-batch back into the given lanes."""
-        idx = (slice(None), lanes)
-        self.points[idx] = sub.points
-        self.prev_points[idx] = sub.prev_points
-        self.t[lanes] = sub.t
-        self.prev_t[lanes] = sub.prev_t
-        self.dt[lanes] = sub.dt
-        self.has_prev[lanes] = sub.has_prev
-        self.active[lanes] = sub.active
-        self.status[lanes] = sub.status
-        self.residual[lanes] = sub.residual
-        self.steps_accepted[lanes] = sub.steps_accepted
-        self.steps_rejected[lanes] = sub.steps_rejected
-        self.newton_iterations[lanes] = sub.newton_iterations
+    def active(self) -> np.ndarray:
+        """The live lanes: still tracking and short of ``t = 1``."""
+        return (self.status == int(PathStatus.TRACKING)) & (self.t < 1.0)
 
     def retire(self, mask: np.ndarray, status: PathStatus) -> None:
         """Mark lanes under ``mask`` finished with the given status."""
-        mask = np.asarray(mask, dtype=bool)
-        self.status[mask] = int(status)
-        self.active &= ~mask
+        self.status[np.asarray(mask, dtype=bool)] = int(status)
 
     def status_counts(self) -> dict:
         """Histogram of lane statuses (for reporting)."""
@@ -511,11 +483,12 @@ class PathBatch:
     def checkpoint(self, lane: int) -> LaneCheckpoint:
         """Export one lane's state as a :class:`LaneCheckpoint`.
 
-        Retired lanes are never touched again by the tracker (the advance
-        loop compresses to active lanes and the endgame only sharpens
-        pending ones), so a checkpoint taken after tracking finished is
-        exactly the lane's state at retirement: the last accepted point, the
-        step size the step control had earned, and the failure cause.
+        Retired lanes are never touched again by the tracker (a round
+        writes only the lanes under its live-lane mask, and the endgame
+        only those that reached ``t = 1``), so a checkpoint taken after
+        tracking finished is exactly the lane's state at retirement: the
+        last accepted point, the step size the step control had earned, and
+        the failure cause.
         """
         return LaneCheckpoint(
             context_name=self.backend.context.name,
@@ -664,7 +637,9 @@ class BatchTracker:
         ------
         ConfigurationError
             When both or neither of ``start_solutions`` / ``resume_from``
-            are given.
+            are given, a checkpoint's dimension is not the system's, or a
+            checkpoint's ``t`` or ``dt`` is out of range
+            (:meth:`PathBatch.from_checkpoints`).
         """
         return self.track_batches(start_solutions,
                                   resume_from=resume_from).results
@@ -681,6 +656,12 @@ class BatchTracker:
             )
         checkpoints = None if resume_from is None else list(resume_from)
         items = list(start_solutions) if checkpoints is None else checkpoints
+        foreign = sorted({len(cp.point) for cp in checkpoints or ()}
+                         - {self.homotopy.dimension})
+        if foreign:
+            raise ConfigurationError(
+                f"cannot resume checkpoints of dimension {foreign[0]} on a "
+                f"system of dimension {self.homotopy.dimension}")
         if not items:
             return BatchTrackResult(batches=[], results=[], evaluation_log=[])
         # clear() rather than rebinding: the predictor and correctors hold
@@ -716,133 +697,124 @@ class BatchTracker:
     def _track_one_batch(self, starts: Optional[Sequence[Sequence]] = None,
                          checkpoints: Optional[Sequence[LaneCheckpoint]] = None
                          ) -> PathBatch:
+        opts = self.options
         # Lanes that diverge or retire carry inf/NaN through the masked
         # batch arithmetic (predictor, corrector, endgame); the errstate
         # scope keeps them from spraying RuntimeWarnings while the status
         # masks report the failures.
         with masked_lane_errstate():
-            return self._track_one_batch_inner(starts, checkpoints)
-
-    def _track_one_batch_inner(self,
-                               starts: Optional[Sequence[Sequence]] = None,
-                               checkpoints: Optional[Sequence[LaneCheckpoint]] = None
-                               ) -> PathBatch:
-        opts = self.options
-        backend = self.backend
-        if checkpoints is not None:
-            batch = PathBatch.from_checkpoints(backend, checkpoints,
-                                               opts.initial_step)
-            # Checkpointed lanes already sit on the path at their t -- a cold
-            # run corrected them there -- so re-correcting would both waste
-            # evaluations and break bit-for-bit same-arithmetic resumes.
-            # The exception is a lane whose *start correction* failed: its
-            # point is the raw start solution, so retry the correction (in
-            # this batch's possibly wider arithmetic).
-            needs_start = np.array([cp.status is PathStatus.START_FAILED
-                                    for cp in checkpoints], dtype=bool)
-            if needs_start.any():
-                start_corrector = self._corrector(batch.t, opts.corrector_tolerance,
-                                                  opts.end_iterations)
-                started = start_corrector.correct(batch.points, needs_start)
-                batch.newton_iterations += started.iterations
-                batch.residual = np.where(needs_start, started.residual_norm,
-                                          batch.residual)
-                batch.points = backend.where(started.converged, started.solution,
-                                             batch.points)
-                batch.retire(needs_start & ~started.converged,
-                             PathStatus.START_FAILED)
-            # A finished lane's checkpointed residual is its endgame
-            # certificate: re-entering would only measure it again.
-            certified = ((batch.t >= 1.0)
-                         & (batch.status == int(PathStatus.TRACKING))
-                         & (batch.residual <= opts.end_tolerance))
-            if certified.any():
-                batch.retire(certified, PathStatus.SUCCESS)
-                batch.endgame_skipped = int(certified.sum())
-        else:
-            batch = PathBatch.from_start_solutions(backend, starts,
+            if checkpoints is None:
+                batch = PathBatch.from_start_solutions(self.backend, starts,
+                                                       opts.initial_step)
+                # Make sure the start points actually lie on the path at
+                # t = 0.
+                self._correct_and_land(batch, batch.active, batch.t,
+                                       opts.corrector_tolerance,
+                                       PathStatus.START_FAILED)
+            else:
+                batch = PathBatch.from_checkpoints(self.backend, checkpoints,
                                                    opts.initial_step)
+                # Checkpointed lanes already sit on the path at their t -- a
+                # cold run corrected them there -- so re-correcting would
+                # both waste evaluations and break bit-for-bit
+                # same-arithmetic resumes.  The exception is a lane whose
+                # *start correction* failed: its point is the raw start
+                # solution, so retry the correction (in this batch's
+                # possibly wider arithmetic).
+                needs_start = np.array([cp.status is PathStatus.START_FAILED
+                                        for cp in checkpoints], dtype=bool)
+                if needs_start.any():
+                    self._correct_and_land(batch, needs_start, batch.t,
+                                           opts.corrector_tolerance,
+                                           PathStatus.START_FAILED)
+                # A finished lane's checkpointed residual is its endgame
+                # certificate: re-entering would only measure it again.
+                certified = ((batch.t >= 1.0)
+                             & (batch.status == int(PathStatus.TRACKING))
+                             & (batch.residual <= opts.end_tolerance))
+                if certified.any():
+                    batch.retire(certified, PathStatus.SUCCESS)
+                    batch.endgame_skipped = int(certified.sum())
 
-            # Make sure the start points actually lie on the path at t = 0.
-            start_corrector = self._corrector(batch.t, opts.corrector_tolerance,
-                                              opts.end_iterations)
-            started = start_corrector.correct(batch.points, batch.active)
-            batch.newton_iterations += started.iterations
-            batch.residual = started.residual_norm
-            batch.points = backend.where(started.converged, started.solution,
-                                         batch.points)
-            batch.retire(batch.active & ~started.converged, PathStatus.START_FAILED)
+            while batch.active.any() and batch.rounds < opts.max_steps:
+                batch.rounds += 1
+                self._advance(batch)
 
-        while batch.active.any() and batch.rounds < opts.max_steps:
-            batch.rounds += 1
-            lanes = np.flatnonzero(batch.active)
-            sub = batch.select(lanes)
-            self._advance(sub)
-            batch.scatter(lanes, sub)
-
-        batch.retire(batch.active, PathStatus.MAX_STEPS)
-        self._endgame(batch)
+            batch.retire(batch.active, PathStatus.MAX_STEPS)
+            self._endgame(batch)
         return batch
 
-    def _advance(self, sub: PathBatch) -> None:
-        """One predictor-corrector-stepcontrol round on live lanes only."""
+    def _correct_and_land(self, batch: PathBatch, lanes: np.ndarray, t,
+                          tolerance: float, failure: PathStatus) -> np.ndarray:
+        """Correct the ``lanes`` of ``batch`` at ``t`` with the end Newton
+        budget, move the converged ones onto their corrected points and
+        retire the rest with ``failure``; returns the converged mask."""
+        corrector = self._corrector(t, tolerance, self.options.end_iterations)
+        corrected = corrector.correct(batch.points, lanes)
+        batch.newton_iterations += corrected.iterations
+        batch.residual = np.where(lanes, corrected.residual_norm,
+                                  batch.residual)
+        batch.points = self.backend.where(corrected.converged,
+                                          corrected.solution, batch.points)
+        batch.retire(lanes & ~corrected.converged, failure)
+        return corrected.converged
+
+    def _advance(self, batch: PathBatch) -> None:
+        """One predictor-corrector-stepcontrol round on the live lanes.
+
+        The round runs on the whole batch and writes only the lanes under
+        its masks; the corrector compresses to the live lanes itself.
+        """
         opts = self.options
         backend = self.backend
         control = self._step_control
+        live = batch.active
 
-        next_t = np.minimum(1.0, sub.t + sub.dt)
+        next_t = np.minimum(1.0, batch.t + batch.dt)
         predicted = self._predictor.predict(
-            self.homotopy, sub.points, sub.prev_points,
-            sub.t, sub.prev_t, next_t - sub.t, sub.has_prev)
+            self.homotopy, batch.points, batch.prev_points,
+            batch.t, batch.prev_t, next_t - batch.t, batch.has_prev, live)
 
         corrector = self._corrector(next_t, opts.corrector_tolerance,
                                     opts.corrector_iterations)
-        corrected = corrector.correct(predicted, sub.active)
-        sub.newton_iterations += corrected.iterations
-        sub.residual = np.where(sub.active, corrected.residual_norm, sub.residual)
+        corrected = corrector.correct(predicted, live)
+        batch.newton_iterations += corrected.iterations
+        batch.residual = np.where(live, corrected.residual_norm,
+                                  batch.residual)
 
-        accepted = sub.active & corrected.converged
-        rejected = sub.active & ~corrected.converged
+        accepted = live & corrected.converged
+        rejected = live & ~corrected.converged
 
         if accepted.any():
             # The scalar tracker remembers the pre-step point for the secant
-            # predictor before moving; do the same lane-wise.
-            sub.prev_points = backend.where(accepted, sub.points, sub.prev_points)
-            sub.prev_t = np.where(accepted, sub.t, sub.prev_t)
-            sub.has_prev |= accepted
-            sub.points = backend.where(accepted, corrected.solution, sub.points)
-            sub.t = np.where(accepted, next_t, sub.t)
-            sub.steps_accepted += accepted
-            sub.dt = np.where(accepted, control.grown(sub.dt, sub.t), sub.dt)
-            # Lanes that reached t = 1 leave the main loop; the endgame
-            # sharpens them together afterwards.
-            finished = accepted & (sub.t >= 1.0)
-            sub.active &= ~finished
+            # predictor before moving; do the same lane-wise.  Lanes that
+            # reach t = 1 leave the live mask; the endgame sharpens them
+            # together afterwards.
+            batch.prev_points = backend.where(accepted, batch.points,
+                                              batch.prev_points)
+            batch.prev_t = np.where(accepted, batch.t, batch.prev_t)
+            batch.has_prev |= accepted
+            batch.points = backend.where(accepted, corrected.solution,
+                                         batch.points)
+            batch.t = np.where(accepted, next_t, batch.t)
+            batch.steps_accepted += accepted
+            batch.dt = np.where(accepted, control.grown(batch.dt, batch.t),
+                                batch.dt)
 
         if rejected.any():
-            sub.steps_rejected += rejected
-            sub.dt = np.where(rejected, control.shrunk(sub.dt), sub.dt)
-            sub.retire(rejected & control.underflowed(sub.dt),
-                       PathStatus.STEP_UNDERFLOW)
+            batch.steps_rejected += rejected
+            batch.dt = np.where(rejected, control.shrunk(batch.dt), batch.dt)
+            batch.retire(rejected & control.underflowed(batch.dt),
+                         PathStatus.STEP_UNDERFLOW)
 
     def _endgame(self, batch: PathBatch) -> None:
         """Sharpen every lane that reached t = 1 with a batched end Newton."""
-        opts = self.options
-        backend = self.backend
         pending = (batch.status == int(PathStatus.TRACKING)) & (batch.t >= 1.0)
-        if not pending.any():
-            return
-        lanes = np.flatnonzero(pending)
-        sub = batch.select(lanes)
-        corrector = self._corrector(np.ones(sub.n_paths), opts.end_tolerance,
-                                    opts.end_iterations)
-        final = corrector.correct(sub.points, np.ones(sub.n_paths, dtype=bool))
-        sub.newton_iterations += final.iterations
-        sub.residual = final.residual_norm
-        sub.points = backend.where(final.converged, final.solution, sub.points)
-        sub.status = np.where(final.converged, int(PathStatus.SUCCESS),
-                              int(PathStatus.ENDGAME_FAILED)).astype(np.int8)
-        batch.scatter(lanes, sub)
+        if pending.any():
+            converged = self._correct_and_land(batch, pending, 1.0,
+                                               self.options.end_tolerance,
+                                               PathStatus.ENDGAME_FAILED)
+            batch.retire(converged, PathStatus.SUCCESS)
 
     # ------------------------------------------------------------------
     def _lane_results(self, batch: PathBatch) -> List[PathResult]:

@@ -11,10 +11,11 @@ Two standard predictors are provided:
   better prediction, allowing larger steps).
 
 The batched variants at the bottom apply the same formulas to ``(n, B)``
-lane batches: :class:`BatchSecantPredictor` keeps the previous accepted
-points as a second structure-of-arrays and extrapolates every lane with its
-own step ratio; :class:`BatchTangentPredictor` obtains all tangents from one
-batched linear solve.
+lane batches under the tracker's live-lane mask ``active``:
+:class:`BatchSecantPredictor` keeps the previous accepted points as a
+second structure-of-arrays and extrapolates every lane with its own step
+ratio; :class:`BatchTangentPredictor` obtains the live lanes' tangents from
+one batched linear solve.
 """
 
 from __future__ import annotations
@@ -104,8 +105,13 @@ class BatchSecantPredictor:
 
     def predict(self, batch_homotopy, points, prev_points, t: np.ndarray,
                 prev_t: np.ndarray, dt: np.ndarray,
-                has_prev: np.ndarray):
-        """Extrapolate each lane to ``t + dt``; identity without history."""
+                has_prev: np.ndarray, active: np.ndarray):
+        """Extrapolate each lane to ``t + dt``; identity without history.
+
+        The formula runs on every lane, ``active`` or not: it is
+        elementwise, so each live lane gets the bits it would get alone,
+        and the corrector never reads the others.
+        """
         span = t - prev_t
         usable = np.asarray(has_prev, dtype=bool) & (span > 0.0)
         ratio = np.divide(dt, span, out=np.zeros_like(dt), where=usable)
@@ -117,8 +123,8 @@ class BatchSecantPredictor:
 class BatchTangentPredictor:
     """Euler step along each lane's tangent ``dx/dt = -H_x^{-1} H_t``.
 
-    One batched linear solve produces every lane's tangent at once; lanes
-    with a singular Jacobian fall back to the identity prediction (the
+    One batched linear solve produces every live lane's tangent at once;
+    lanes with a singular Jacobian fall back to the identity prediction (the
     corrector will reject and shrink their step).  The extra batched
     homotopy evaluation per prediction is recorded in ``evaluation_log``
     (when given) so the cost-model pricing covers predictor work too.
@@ -134,18 +140,24 @@ class BatchTangentPredictor:
 
     def predict(self, batch_homotopy, points, prev_points, t: np.ndarray,
                 prev_t: np.ndarray, dt: np.ndarray,
-                has_prev: np.ndarray):
+                has_prev: np.ndarray, active: np.ndarray):
+        """Step the ``active`` lanes along their tangents; the others come
+        back as they are.  Only the active lanes are evaluated and solved."""
         backend = self.backend
+        lanes = np.flatnonzero(active)
+        x = points[:, lanes]
         if self.evaluation_log is not None:
-            self.evaluation_log.append(int(points.shape[-1]))
-        evaluation = batch_homotopy.evaluate_batch(points, t)
+            self.evaluation_log.append(int(lanes.size))
+        evaluation = batch_homotopy.evaluate_batch(x, t[lanes])
         rhs = [-v for v in evaluation.t_derivative]
         # The evaluation is local to this prediction, so the solver may
         # consume (mutate) its Jacobian and our negated derivative rows.
         tangent, singular = batched_solve(evaluation.jacobian, rhs, backend,
                                           copy=False)
-        step = tangent * dt.astype(np.complex128)
-        predicted = points + step
+        step = tangent * dt[lanes].astype(np.complex128)
+        moved = x + step
         if singular.any():
-            predicted = backend.where(singular, points, predicted)
+            moved = backend.where(singular, x, moved)
+        predicted = backend.copy(points)
+        predicted[:, lanes] = moved
         return predicted

@@ -158,13 +158,20 @@ class TestLaneRetirement:
         assert all(r.failure_reason == "maximum number of steps exceeded"
                    for r in results)
 
-    def test_evaluation_log_counts_shrink_as_lanes_retire(self):
+    @pytest.mark.parametrize("predictor", ["secant", "tangent"])
+    def test_evaluation_log_counts_shrink_as_lanes_retire(self, predictor):
         system = decoupled_quadratic_system()
         start = total_degree_start_system(system)
-        tracker = BatchTracker(start, system, context=DOUBLE)
-        outcome = tracker.track_batches(list(start_solutions(system)))
+        tracker = BatchTracker(start, system, context=DOUBLE,
+                               options=TrackerOptions(predictor=predictor))
+        # The dead start lane fails its start correction, the one
+        # evaluation of all five lanes; no predictor or corrector
+        # evaluation covers it again.
+        starts = [[0j, 0j]] + list(start_solutions(system))
+        outcome = tracker.track_batches(starts)
         assert outcome.batched_evaluations == len(outcome.evaluation_log)
-        assert max(outcome.evaluation_log) == 4  # full batch at the start
+        assert outcome.evaluation_log[0] == 5
+        assert max(outcome.evaluation_log[1:]) <= 4
         assert min(outcome.evaluation_log) >= 1
         # the per-lane total is what a scalar tracker would have paid
         assert outcome.lane_evaluations >= outcome.batched_evaluations
@@ -189,23 +196,64 @@ class TestLaneRetirement:
         assert counts.get("success") == 4
 
 
+def lane_bits(batch, lane):
+    """A lane's exported state, every float as its bit pattern."""
+    state = batch.checkpoint(lane).to_portable()
+    floats = [*np.ravel(state.pop("point")), *np.ravel(state.pop("prev_point")),
+              *(state.pop(key) for key in ("t", "prev_t", "dt", "residual"))]
+    return np.array(floats, dtype=np.float64).view(np.uint64).tolist(), state
+
+
+@pytest.mark.parametrize("context", [DOUBLE, DOUBLE_DOUBLE],
+                         ids=lambda c: c.name)
+class TestRetiredLanesStayPut:
+    """The rounds and the endgame run on the whole batch under its lane
+    masks.  A lane retired early keeps its state bit for bit through every
+    later round and the endgame: after the full run it equals the same
+    run's lane cut off by ``max_steps`` right after the lane retired."""
+
+    @staticmethod
+    def tracked(context, max_steps, **inputs):
+        system = decoupled_quadratic_system()
+        tracker = BatchTracker(total_degree_start_system(system), system,
+                               context=context,
+                               options=TrackerOptions(max_steps=max_steps))
+        (batch,) = tracker.track_batches(**inputs).batches
+        return batch
+
+    def test_start_failed_lane(self, context):
+        starts = [[0j, 0j]] + list(start_solutions(decoupled_quadratic_system()))
+        full = self.tracked(context, 500, start_solutions=starts)
+        cut = self.tracked(context, 0, start_solutions=starts)
+        assert full.status[0] == cut.status[0] == int(PathStatus.START_FAILED)
+        assert (full.status[1:] == int(PathStatus.SUCCESS)).all()
+        assert full.rounds > 1
+        assert lane_bits(full, 0) == lane_bits(cut, 0)
+
+    def test_start_failed_and_step_underflow_lanes_of_a_resumed_batch(
+            self, context):
+        from dataclasses import replace
+
+        healthy = self.tracked(context, 3, start_solutions=list(
+            start_solutions(decoupled_quadratic_system()))).checkpoints()
+        dead = replace(healthy[0], point=(0j, 0j), prev_point=(0j, 0j),
+                       t=0.0, prev_t=0.0, has_prev=False,
+                       status=PathStatus.START_FAILED)
+        # Far off its path and one step shrink from the 1e-6 minimum.
+        stuck = replace(healthy[1], point=(40 + 3j, -25 + 1j), dt=1.5e-6)
+        lanes = [dead, stuck, *healthy]
+        full = self.tracked(context, 500, resume_from=lanes)
+        assert full.status[:2].tolist() == [int(PathStatus.START_FAILED),
+                                            int(PathStatus.STEP_UNDERFLOW)]
+        assert (full.status[2:] == int(PathStatus.SUCCESS)).all()
+        assert full.rounds > 1
+        for lane, retired_after in ((0, 0), (1, 1)):
+            cut = self.tracked(context, retired_after, resume_from=lanes)
+            assert cut.status[lane] == full.status[lane]
+            assert lane_bits(full, lane) == lane_bits(cut, lane)
+
+
 class TestPathBatchStructure:
-    def test_select_and_scatter_round_trip(self):
-        from repro.multiprec.backend import COMPLEX128_BACKEND
-
-        batch = PathBatch.from_start_solutions(
-            COMPLEX128_BACKEND, [[1 + 0j, 2 + 0j], [3 + 0j, 4 + 0j],
-                                 [5 + 0j, 6 + 0j]], initial_step=0.1)
-        lanes = np.array([0, 2])
-        sub = batch.select(lanes)
-        assert sub.n_paths == 2 and sub.dimension == 2
-        sub.t[:] = 0.5
-        sub.points[0, 0] = 9 + 0j
-        batch.scatter(lanes, sub)
-        assert batch.t.tolist() == [0.5, 0.0, 0.5]
-        assert batch.points[0, 0] == 9 + 0j
-        assert batch.points[0, 1] == 3 + 0j
-
     def test_retire_masks_lanes(self):
         from repro.multiprec.backend import COMPLEX128_BACKEND
 
@@ -420,6 +468,37 @@ class TestCheckpoints:
                                              initial_step=0.1)
         assert np.array_equal(widened.points.real.hi, batch.points.real)
         assert not widened.points.real.lo.any()
+
+    def test_resume_refuses_checkpoints_of_another_dimension(self):
+        """Finished checkpoints of a 3-variable system would otherwise retire
+        as certified successes on a 2-variable tracker, unevaluated."""
+        from repro.bench.batch_tracking import cyclic_quadratic_system
+
+        finished = self.tracked(cyclic_quadratic_system(3), DOUBLE,
+                                None).checkpoints()
+        assert len(finished) == 8
+        system = cyclic_quadratic_system(2)
+        tracker = BatchTracker(total_degree_start_system(system), system,
+                               context=DOUBLE)
+        with pytest.raises(ConfigurationError,
+                           match="dimension 3 on a system of dimension 2"):
+            tracker.track_batches(resume_from=finished)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", float("nan")), ("t", -0.25), ("dt", float("nan")), ("dt", 0.0)])
+    def test_resume_refuses_a_lane_without_a_valid_next_parameter(
+            self, field, value):
+        """A NaN t would leave its lane TRACKING with no failure reason, and
+        a NaN dt would fail the range check of every round the rest of the
+        batch runs."""
+        from dataclasses import replace
+
+        system = decoupled_quadratic_system()
+        cps = self.tracked(system, DOUBLE,
+                           TrackerOptions(max_steps=2)).checkpoints()
+        cps[0] = replace(cps[0], **{field: value})
+        with pytest.raises(ConfigurationError, match="checkpoint 0 cannot resume"):
+            self.tracked(system, DOUBLE, None, resume_from=cps)
 
     def test_both_or_neither_inputs_rejected(self):
         system = decoupled_quadratic_system()

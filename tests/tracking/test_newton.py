@@ -342,7 +342,8 @@ class TestLaneGathersRunNatively:
         t = np.array([0.5, 0.25, 0.75, 0.5])
         predictor = BatchSecantPredictor(homotopy.backend)
         args = (homotopy, current, previous, t, t - 0.1,
-                np.full(idx.size, 0.05), np.array([True, True, False, True]))
+                np.full(idx.size, 0.05), np.array([True, True, False, True]),
+                np.array([True, False, True, True]))
         calls, declined = self._recording(monkeypatch)
         got = predictor.predict(*args)
         assert declined == []

@@ -9,7 +9,9 @@ the scenario and a sha256 over the report.  The inputs are perfbench's
   ladder to 1e-40;
 * ``ladder-all``: the 14 registry scenarios of ``solve-d`` with the
   options and policy of ``escalate-qd``, i.e. all 14 up the default
-  ladder to 1e-40.
+  ladder to 1e-40;
+* ``tangent``: the 14 cases of ``solve-d`` tracked with
+  ``predictor="tangent"``.
 
 A change that must not move any answer prints the same lines as its
 parent; compare the two outputs with ``diff``.  Each hash covers, as
@@ -30,6 +32,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import struct
 import sys
@@ -42,7 +45,7 @@ from perfbench.workloads import SolveWorkload  # noqa: E402
 from repro.multiprec import compiled  # noqa: E402
 from repro.tracking import solver  # noqa: E402
 
-WORKLOADS = ("solve-d", "escalate-qd", "ladder-all")
+WORKLOADS = ("solve-d", "escalate-qd", "ladder-all", "tangent")
 
 
 def floats(value) -> list:
@@ -99,6 +102,10 @@ def line_set(name: str):
         cases, _, _ = line_set("solve-d")
         _, options, escalation = line_set("escalate-qd")
         return cases, options, escalation
+    if name == "tangent":
+        cases, options, escalation = line_set("solve-d")
+        return (cases, dataclasses.replace(options, predictor="tangent"),
+                escalation)
     workload = SolveWorkload(name, 0, trace=False)
     workload.setup()
     return workload.cases, workload.options, workload.escalation
@@ -108,7 +115,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
                         help="line set to fingerprint (repeatable; "
-                             "default: all three)")
+                             "default: all four)")
     parser.add_argument("--solve-off", action="store_true",
                         help="run the linear solves and Newton updates in "
                              "Python")
