@@ -12,12 +12,13 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 kernels:
 	$(PY) -W error::RuntimeWarning -c "from repro.multiprec import compiled; print(compiled.KERNELS.__file__); print('tape contexts:', ' '.join(c for c in ('d', 'dd', 'qd') if c in compiled.TAPE_CONTEXTS)); print('solve contexts:', ' '.join(c for c in ('d', 'dd', 'qd') if c in compiled.SOLVE_CONTEXTS)); assert 'd' in compiled.TAPE_CONTEXTS, 'd tape declined'; assert 'd' in compiled.SOLVE_CONTEXTS, 'd solve declined'"
 
-# One sha256 line per SolveReport over the repository benchmark's seed-0
-# inputs (the 14 scenarios at d, the 7 tier-1 scenarios up the default
-# ladder, all 14 up the default ladder, and the 14 at d with the tangent
-# predictor).  A change that must not move any
-# answer prints the same lines as its parent; tools/fingerprint_reports.py
-# --help lists the route switches.
+# One line per SolveReport over the repository benchmark's seed-0 inputs
+# (the 14 scenarios at d, the 7 tier-1 scenarios up the default ladder,
+# all 14 up the default ladder, and the 14 at d with the tangent
+# predictor): a sha256 over the whole report, then one over its solutions
+# alone.  A change that must not move any answer prints the same lines as
+# its parent; one that only reclassifies failed paths keeps the second
+# hash.  tools/fingerprint_reports.py --help lists the route switches.
 fingerprints:
 	$(PY) tools/fingerprint_reports.py
 

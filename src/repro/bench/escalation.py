@@ -10,13 +10,13 @@ replaying the whole path.  This benchmark measures what the policy buys under
 the calibrated GPU cost model:
 
 1. all paths of the benchmark system are batch-tracked at each rung of the
-   ladder, each rung receiving only the previous rung's failures (the
-   tolerance is chosen so plain double precision genuinely fails).  The
-   escalated rungs run twice from the shared first-rung outcome: once
-   *warm* (resumed from the failed lanes'
-   :class:`~repro.tracking.batch_tracker.LaneCheckpoint` state) and once
-   *cold* (re-tracked from ``t = 0``), so the warm restart's saving is a
-   measured difference, not a model;
+   ladder, each rung receiving only the previous rung's failures, paths at
+   infinity excepted as in the solver (the tolerance is chosen so plain
+   double precision genuinely fails).  The escalated rungs run twice from
+   the shared first-rung outcome: once *warm* (resumed from the failed
+   lanes' :class:`~repro.tracking.batch_tracker.LaneCheckpoint` state) and
+   once *cold* (re-tracked from ``t = 0``), so the warm restart's saving is
+   a measured difference, not a model;
 2. every rung's *measured* evaluation log is priced as batched kernel
    launches in that rung's arithmetic -- start and target system stats are
    both measured (the irregular start system through the padded layout);
@@ -349,9 +349,10 @@ def run_escalation_bench(dimension: int = 4,
     # ------------------------------------------------------------------
     warm_pending = [(s, cp) for (s, cp, r)
                     in zip(starts, first.outcome.checkpoints(),
-                           first.outcome.results) if not r.success]
+                           first.outcome.results)
+                    if not (r.success or r.at_infinity)]
     cold_pending = [s for s, r in zip(starts, first.outcome.results)
-                    if not r.success]
+                    if not (r.success or r.at_infinity)]
 
     for context in ladder[1:]:
         stats = stats_by_context[context.name]
@@ -389,7 +390,8 @@ def run_escalation_bench(dimension: int = 4,
             warm_pending = [
                 (s, cp) for ((s, _), cp, r)
                 in zip(warm_pending, run.outcome.checkpoints(),
-                       run.outcome.results) if not r.success]
+                       run.outcome.results)
+                if not (r.success or r.at_infinity)]
 
         if cold_pending:
             run = _tracked(start, target, context, opts, batch_size, model,
@@ -399,7 +401,7 @@ def run_escalation_bench(dimension: int = 4,
             cold_wall += run.wall_seconds
             cold_lane_evals += run.outcome.lane_evaluations
             cold_pending = [s for s, r in zip(cold_pending, run.outcome.results)
-                            if not r.success]
+                            if not (r.success or r.at_infinity)]
 
     # ------------------------------------------------------------------
     # the conservative baseline, measured: every path tracked at the widest
@@ -444,8 +446,9 @@ def run_scenario_escalation_bench(scenarios=None,
     how many paths the wider rungs recovered, and both saving factors.  On
     scenarios with divergent paths (the noon family) the converged count
     must equal the classically known root count, not the Bezout number --
-    the divergent residue re-fails at every rung, which is exactly the
-    failure-accounting shape the single cyclic workload never exercised.
+    the divergent residue retires at infinity on the first rung and never
+    escalates, which is exactly the failure-accounting shape the single
+    cyclic workload never exercised.
     """
     from .scenarios import bench_scenarios
 

@@ -60,7 +60,14 @@ from .start_systems import (
     total_degree,
     total_degree_start_system,
 )
-from .tracker import PathPoint, PathResult, PathTracker, StepControl, TrackerOptions
+from .tracker import (
+    DivergenceTest,
+    PathPoint,
+    PathResult,
+    PathTracker,
+    StepControl,
+    TrackerOptions,
+)
 
 __all__ = [
     "BatchHomotopy",
@@ -77,6 +84,7 @@ __all__ = [
     "PathBatch",
     "PathStatus",
     "StepControl",
+    "DivergenceTest",
     "batched_solve",
     "DiagonalStart",
     "EscalationPolicy",

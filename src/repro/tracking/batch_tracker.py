@@ -13,7 +13,9 @@ lock step:
 * :class:`BatchTracker` runs the predictor -> Newton-corrector -> step
   control loop for the whole batch at once.  Every lane carries its own
   continuation parameter ``t`` and step ``dt``; per-lane boolean masks let
-  converged, failed and finished paths *retire* without stalling the rest.
+  converged, failed and finished paths *retire* without stalling the rest,
+  among them paths that diverge to infinity, named in the endgame zone by
+  :class:`~repro.tracking.tracker.DivergenceTest` (``AT_INFINITY``).
   A round runs on the whole batch under its live-lane mask, and the Newton
   corrector compresses to the lanes still working before every evaluation
   and solve, so retired lanes cost no evaluation;
@@ -37,6 +39,7 @@ directly with the scalar engine's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict, List, Optional, Sequence
@@ -55,10 +58,12 @@ from ..multiprec.complex_dd import ComplexDD
 from ..multiprec.double_double import DoubleDouble
 from ..multiprec.numeric import DOUBLE, ComplexQD, NumericContext
 from ..multiprec.quad_double import QuadDouble
+from .batch_linsolve import lane_norms
 from .homotopy import BatchHomotopy
 from .newton import BatchNewtonCorrector
 from .predictor import BatchSecantPredictor, BatchTangentPredictor
-from .tracker import PathResult, StepControl, TrackerOptions
+from .tracker import (AT_INFINITY_REASON, DivergenceTest, PathResult,
+                      StepControl, TrackerOptions)
 
 __all__ = ["PathStatus", "LaneCheckpoint", "PathBatch", "BatchTrackResult",
            "BatchTracker", "scalar_to_planes", "scalar_from_planes"]
@@ -141,6 +146,7 @@ class PathStatus(IntEnum):
     STEP_UNDERFLOW = 3
     MAX_STEPS = 4
     ENDGAME_FAILED = 5
+    AT_INFINITY = 6
 
 
 _FAILURE_REASONS = {
@@ -148,6 +154,7 @@ _FAILURE_REASONS = {
     PathStatus.STEP_UNDERFLOW: "step size underflow",
     PathStatus.MAX_STEPS: "maximum number of steps exceeded",
     PathStatus.ENDGAME_FAILED: "end game did not converge",
+    PathStatus.AT_INFINITY: AT_INFINITY_REASON,
 }
 
 
@@ -187,6 +194,11 @@ class LaneCheckpoint:
     steps_accepted / steps_rejected / newton_iterations:
         The lane's work counters, carried into the resumed batch so path
         results accumulate across rungs.
+    growth_exponent:
+        The lane's last in-zone growth-exponent estimate of
+        :class:`~repro.tracking.tracker.DivergenceTest`, NaN before the
+        first one; a same-arithmetic resume compares its next estimate
+        with it, as the uninterrupted run would.
     """
 
     context_name: str
@@ -201,6 +213,7 @@ class LaneCheckpoint:
     steps_accepted: int
     steps_rejected: int
     newton_iterations: int
+    growth_exponent: float = math.nan
 
     @property
     def failed(self) -> bool:
@@ -248,6 +261,7 @@ class LaneCheckpoint:
             "steps_accepted": int(self.steps_accepted),
             "steps_rejected": int(self.steps_rejected),
             "newton_iterations": int(self.newton_iterations),
+            "growth_exponent": float(self.growth_exponent),
         }
 
     @classmethod
@@ -276,6 +290,7 @@ class LaneCheckpoint:
             steps_accepted=int(state["steps_accepted"]),
             steps_rejected=int(state["steps_rejected"]),
             newton_iterations=int(state["newton_iterations"]),
+            growth_exponent=float(state["growth_exponent"]),
         )
 
 
@@ -288,7 +303,9 @@ class PathBatch:
     to path ``b`` for the batch's whole life: the tracker runs every round
     on these arrays under the :attr:`active` mask, and no per-path objects
     or lane subsets are ever materialised.  A lane retires by its ``status``
-    alone.  ``rounds`` counts the lock-step rounds the tracker ran on this
+    alone.  ``growth_exponent`` holds each lane's last in-zone estimate of
+    :class:`~repro.tracking.tracker.DivergenceTest` (NaN before the first
+    one).  ``rounds`` counts the lock-step rounds the tracker ran on this
     batch and ``endgame_skipped`` the resumed lanes that retired without
     re-entering the endgame.
 
@@ -312,6 +329,7 @@ class PathBatch:
     steps_accepted: np.ndarray
     steps_rejected: np.ndarray
     newton_iterations: np.ndarray
+    growth_exponent: np.ndarray
     rounds: int = 0
     endgame_skipped: int = 0
 
@@ -352,6 +370,7 @@ class PathBatch:
             steps_accepted=np.zeros(lanes, dtype=np.int64),
             steps_rejected=np.zeros(lanes, dtype=np.int64),
             newton_iterations=np.zeros(lanes, dtype=np.int64),
+            growth_exponent=np.full(lanes, np.nan),
         )
 
     @classmethod
@@ -460,6 +479,8 @@ class PathBatch:
                                     dtype=np.int64),
             newton_iterations=np.array([cp.newton_iterations for cp in checkpoints],
                                        dtype=np.int64),
+            growth_exponent=np.array([cp.growth_exponent for cp in checkpoints],
+                                     dtype=np.float64),
         )
 
     @property
@@ -503,6 +524,7 @@ class PathBatch:
             steps_accepted=int(self.steps_accepted[lane]),
             steps_rejected=int(self.steps_rejected[lane]),
             newton_iterations=int(self.newton_iterations[lane]),
+            growth_exponent=float(self.growth_exponent[lane]),
         )
 
     def checkpoints(self) -> List[LaneCheckpoint]:
@@ -800,12 +822,30 @@ class BatchTracker:
             batch.steps_accepted += accepted
             batch.dt = np.where(accepted, control.grown(batch.dt, batch.t),
                                 batch.dt)
+            near = accepted & DivergenceTest.near_end(batch.t)
+            if near.any():
+                self._retire_divergent(batch, near)
 
         if rejected.any():
             batch.steps_rejected += rejected
             batch.dt = np.where(rejected, control.shrunk(batch.dt), batch.dt)
             batch.retire(rejected & control.underflowed(batch.dt),
                          PathStatus.STEP_UNDERFLOW)
+
+    def _retire_divergent(self, batch: PathBatch, near: np.ndarray) -> None:
+        """Estimate the growth exponent of the ``near`` lanes that just
+        accepted a point in the endgame zone and retire those
+        :class:`~repro.tracking.tracker.DivergenceTest` names divergent."""
+        zone = near & DivergenceTest.in_zone(batch.t)
+        if not zone.any():
+            return
+        rate = DivergenceTest.estimate(
+            lane_norms(batch.points, self.backend),
+            lane_norms(batch.prev_points, self.backend),
+            batch.t, batch.prev_t)
+        batch.retire(zone & DivergenceTest.diverges(rate, batch.growth_exponent),
+                     PathStatus.AT_INFINITY)
+        batch.growth_exponent = np.where(zone, rate, batch.growth_exponent)
 
     def _endgame(self, batch: PathBatch) -> None:
         """Sharpen every lane that reached t = 1 with a batched end Newton."""

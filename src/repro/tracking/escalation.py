@@ -5,10 +5,14 @@
 track every pending path at the current rung, fold the outcomes into the
 per-context accounting (``paths_by_context`` / ``converged_by_context`` /
 resume statistics / endgame skips), move failures to the next rung with
-their checkpoints, and count recoveries.  Only *how a rung is run* differs
--- in process versus fanned out over a shard pool with crash retries -- so
-that part stays with the caller as a callback and everything else lives
-here, once.  Both callers track every rung with the batched tracker, so
+their checkpoints, and count recoveries.  A path retired as diverging to
+infinity stays among the failures but never moves up: no wider arithmetic
+brings it back.  The decision reads the rung's
+:class:`~repro.tracking.tracker.PathResult`, which both callers return
+(the sharded one rebuilt from its portable record).  Only *how a rung is
+run* differs -- in process versus fanned out over a shard pool with crash
+retries -- so that part stays with the caller as a callback and everything
+else lives here, once.  Both callers track every rung with the batched tracker, so
 every rung hands back one checkpoint per path for the next rung to resume
 from.
 
@@ -86,7 +90,8 @@ def run_escalation_ladder(
     and returns a :class:`RungOutcome` aligned with ``pending``.
     The loop folds each outcome into a :class:`LadderState`: per-rung path
     and convergence counts, resumed/restarted splits, checkpoint rollover,
-    and the solved/failing partition that decides what the next rung sees.
+    and the solved/failing partition that decides what the next rung sees:
+    every failed path except those at infinity.
     """
     state = LadderState()
     pending: List[Tuple[int, object]] = list(enumerate(starts))
@@ -114,6 +119,7 @@ def run_escalation_ladder(
                     state.still_failing.pop(index, None)
             else:
                 state.still_failing[index] = result
-                next_pending.append((index, start))
+                if not result.at_infinity:
+                    next_pending.append((index, start))
         pending = next_pending
     return state

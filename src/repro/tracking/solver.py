@@ -16,7 +16,8 @@ computational engine inside them.  :func:`solve_system` wires the pieces of
    structure-of-arrays :class:`~repro.tracking.batch_tracker.BatchTracker`,
    which needs a registered batch backend for every rung's context;
 4. optionally *escalate*: re-track the failed-path residue at the next wider
-   arithmetic of an :class:`EscalationPolicy` ladder (d -> dd -> qd), the
+   arithmetic of an :class:`EscalationPolicy` ladder (d -> dd -> qd),
+   except the paths retired as diverging to infinity, the
    operational form of the paper's quality-up argument -- parallel batching
    pays for the software-arithmetic overhead, so precision is raised only
    where double precision actually fails;
@@ -51,7 +52,8 @@ class EscalationPolicy:
     """How :func:`solve_system` widens the arithmetic for failed paths.
 
     The ladder is walked front to back: all paths start in ``ladder[0]``;
-    whatever fails there is resumed in ``ladder[1]``, and so on.  The
+    whatever fails there is resumed in ``ladder[1]``, and so on, except the
+    paths retired as diverging to infinity, which stay failed.  The
     entries must be distinct contexts ordered from cheapest to widest
     arithmetic.
 
@@ -156,7 +158,9 @@ class SolveReport:
     the same path are visible in ``paths_by_context`` (paths *attempted* per
     arithmetic) and ``converged_by_context`` (how many of those succeeded).
     ``recovered_by_escalation`` counts paths that failed at the starting
-    arithmetic but converged at a wider one.
+    arithmetic but converged at a wider one.  ``failures`` holds every path
+    that did not converge; :attr:`paths_at_infinity` counts those retired as
+    diverging to infinity, which the ladder never escalates.
 
     The resume accounting splits every rung's attempts into
     ``resumed_by_context`` (paths continued mid-path from a cheaper rung's
@@ -229,6 +233,11 @@ class SolveReport:
         if self.paths_tracked == 0:
             return 0.0
         return self.paths_converged / self.paths_tracked
+
+    @property
+    def paths_at_infinity(self) -> int:
+        """Failed paths retired as diverging to infinity."""
+        return sum(1 for failure in self.failures if failure.at_infinity)
 
     @property
     def contexts_used(self) -> List[str]:
@@ -416,7 +425,7 @@ def solve_system(system: PolynomialSystem, *,
         Optional :class:`EscalationPolicy`.  Paths that fail at one rung of
         the ladder are resumed at the next wider arithmetic from their last
         accepted ``(x, t)`` checkpoint rather than re-tracked from
-        ``t = 0``.
+        ``t = 0``; paths retired as diverging to infinity stay failed.
         The report's ``paths_by_context`` / ``converged_by_context`` /
         ``recovered_by_escalation`` fields record the outcome per rung, and
         ``resumed_by_context`` / ``restarted_by_context`` /

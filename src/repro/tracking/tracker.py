@@ -8,7 +8,8 @@ track a solution of the start system ``g(x) = 0`` along the homotopy
 1. predict the solution at ``t + dt`` (secant or tangent predictor);
 2. correct with a few Newton iterations at the new ``t``;
 3. accept and possibly enlarge the step on success, or shrink the step and
-   retry on failure;
+   retry on failure; close to ``t = 1``, give up on a path whose growth
+   says it diverges to infinity (:class:`DivergenceTest`);
 4. finish with a sharpened Newton run at ``t = 1``.
 
 Everything is generic over the numeric context, so the same tracker runs in
@@ -26,10 +27,15 @@ import numpy as np
 from ..errors import SingularMatrixError
 from ..multiprec.numeric import DOUBLE, NumericContext
 from .homotopy import Homotopy
+from .linsolve import vector_norm
 from .newton import NewtonCorrector, NewtonResult
 from .predictor import SecantPredictor, TangentPredictor
 
-__all__ = ["TrackerOptions", "StepControl", "PathPoint", "PathResult", "PathTracker"]
+__all__ = ["TrackerOptions", "StepControl", "DivergenceTest", "PathPoint",
+           "PathResult", "PathTracker", "AT_INFINITY_REASON"]
+
+#: Failure reason of a path that :class:`DivergenceTest` retired.
+AT_INFINITY_REASON = "path diverges to infinity"
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,57 @@ class StepControl:
         return np.where(collapsed, initial_step, dt)
 
 
+class DivergenceTest:
+    """The endgame test that names a path diverging to infinity, shared by
+    the scalar and batch engines.
+
+    Near ``t = 1`` a path to infinity grows like ``|x| ~ (1 - t)^-a`` with
+    ``a > 0``, while a path to a finite root levels off (``a -> 0``): the
+    growth exponent of polyhedral end games (Huber & Verschelde, Numerical
+    Algorithms 18, 1998).  After every accepted step inside the endgame
+    zone ``1 - ZONE <= t < 1`` the engines estimate
+
+        ``a = log(|x|_inf / |x_prev|_inf) / log((1 - t_prev) / (1 - t))``
+
+    from the two accepted points they already keep, on double-rounded
+    magnitudes, and retire the path when ``a >= MIN_RATE`` and ``a`` lies
+    within ``AGREEMENT`` (relative) of the path's previous in-zone
+    estimate.  A single estimate, or two large ones that disagree, also
+    fit a finite path still growing into its root; the stored previous
+    estimate is NaN until the first one, so that never agrees.  Like
+    :class:`StepControl`, the rules operate equally on Python floats and
+    on per-lane NumPy arrays.
+    """
+
+    ZONE = 1e-2
+    MIN_RATE = 0.25
+    AGREEMENT = 0.2
+
+    @classmethod
+    def near_end(cls, t):
+        """Whether ``t >= 1 - ZONE``, ``t = 1`` included: one comparison,
+        the only test a batch round takes of every lane."""
+        return t >= 1.0 - cls.ZONE
+
+    @classmethod
+    def in_zone(cls, t):
+        """Whether an accepted point at ``t`` lies in the endgame zone."""
+        return cls.near_end(t) & (t < 1.0)
+
+    @staticmethod
+    def estimate(norm, prev_norm, t, prev_t):
+        """The growth exponent ``a`` between two accepted points."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(norm / prev_norm) / np.log((1.0 - prev_t) / (1.0 - t))
+
+    @classmethod
+    def diverges(cls, estimate, previous):
+        """Whether ``estimate`` and the ``previous`` in-zone estimate agree
+        on a path to infinity."""
+        return ((estimate >= cls.MIN_RATE)
+                & (np.abs(estimate - previous) <= cls.AGREEMENT * previous))
+
+
 @dataclass(frozen=True)
 class PathPoint:
     """One accepted point along a path."""
@@ -119,6 +176,12 @@ class PathResult:
     newton_iterations: int
     path: List[PathPoint] = field(default_factory=list)
     failure_reason: Optional[str] = None
+
+    @property
+    def at_infinity(self) -> bool:
+        """Whether the path was retired as diverging to infinity: no wider
+        arithmetic brings it back."""
+        return self.failure_reason == AT_INFINITY_REASON
 
 
 class PathTracker:
@@ -175,6 +238,7 @@ class PathTracker:
         point = start_result.solution
         self._predictor.remember(point, t)
 
+        growth_exponent = float("nan")
         steps = 0
         while t < 1.0 and steps < opts.max_steps:
             steps += 1
@@ -188,6 +252,7 @@ class PathTracker:
 
             if result.converged:
                 self._predictor.remember(point, t)
+                prev_point, prev_t = point, t
                 point = result.solution
                 t = next_t
                 accepted += 1
@@ -195,6 +260,19 @@ class PathTracker:
                                       residual=result.residual_norm,
                                       corrector_iterations=result.iterations))
                 dt = float(self._step_control.grown(dt, t))
+                if DivergenceTest.in_zone(t):
+                    rate = DivergenceTest.estimate(
+                        vector_norm(point, ctx), vector_norm(prev_point, ctx),
+                        t, prev_t)
+                    if DivergenceTest.diverges(rate, growth_exponent):
+                        return PathResult(success=False, solution=point,
+                                          residual=result.residual_norm,
+                                          steps_accepted=accepted,
+                                          steps_rejected=rejected,
+                                          newton_iterations=newton_total,
+                                          path=path,
+                                          failure_reason=AT_INFINITY_REASON)
+                    growth_exponent = rate
             else:
                 rejected += 1
                 dt = self._step_control.shrunk(dt)

@@ -137,8 +137,11 @@ class TestBatchedVersusScalar:
         scalar = scalar_results(system, DOUBLE)
         batched = batch_results(system, DOUBLE)
         # Divergent-path families (noon): both engines must fail the same
-        # number of paths, and the survivors must be the known roots.
+        # paths for the same reason, and the survivors must be the known
+        # roots.
         assert sum(r.success for r in batched) >= scenario.known_root_count
+        assert [r.failure_reason for r in scalar] == \
+            [r.failure_reason for r in batched]
         assert_same_solution_sets(scalar, batched, DOUBLE)
 
 

@@ -200,7 +200,8 @@ def lane_bits(batch, lane):
     """A lane's exported state, every float as its bit pattern."""
     state = batch.checkpoint(lane).to_portable()
     floats = [*np.ravel(state.pop("point")), *np.ravel(state.pop("prev_point")),
-              *(state.pop(key) for key in ("t", "prev_t", "dt", "residual"))]
+              *(state.pop(key) for key in ("t", "prev_t", "dt", "residual",
+                                           "growth_exponent"))]
     return np.array(floats, dtype=np.float64).view(np.uint64).tolist(), state
 
 

@@ -14,16 +14,18 @@ from repro.tracking.escalation import RungOutcome, run_escalation_ladder
 LADDER = (SimpleNamespace(name="cheap"), SimpleNamespace(name="wide"))
 
 
-def scripted_rungs(successes, resumed_mid_ts=None):
+def scripted_rungs(successes, resumed_mid_ts=None, at_infinity=()):
     """A rung callback that succeeds on the path indices in
-    ``successes[level]``, leaves checkpoint ``(level, index)`` for every
-    path it ran, and records what each call received."""
+    ``successes[level]``, retires those in ``at_infinity`` as diverging,
+    leaves checkpoint ``(level, index)`` for every path it ran, and
+    records what each call received."""
     calls = []
 
     def run_rung(level, rung, pending, checkpoints_by_index):
         calls.append((level, list(pending), dict(checkpoints_by_index)))
         return RungOutcome(
-            results=[SimpleNamespace(success=index in successes[level])
+            results=[SimpleNamespace(success=index in successes[level],
+                                     at_infinity=index in at_infinity)
                      for index, _ in pending],
             checkpoints=[(level, index) for index, _ in pending],
             resumed_mid_ts=[] if resumed_mid_ts is None
@@ -70,3 +72,15 @@ class TestLadderLoop:
         assert state.recovered == 0
         assert [result.success for result in state.converged_results()] \
             == [True, True]
+
+    def test_paths_at_infinity_stay_failed_and_never_move_up(self):
+        run_rung, calls = scripted_rungs({0: {0}, 1: {2}}, at_infinity={1, 3})
+        state = run_escalation_ladder(LADDER, "pqrs", run_rung)
+
+        _, pending, _ = calls[1]
+        assert pending == [(2, "r")]
+        assert sorted(state.solved) == [0, 2]
+        assert sorted(state.still_failing) == [1, 3]
+        assert all(result.at_infinity for result in state.failed_results())
+        assert state.paths_by_context == {"cheap": 4, "wide": 1}
+        assert state.checkpoints_by_index[3] == (0, 3)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.bench.batch_tracking import cyclic_quadratic_system
@@ -230,6 +231,26 @@ class TestPortableCheckpointState:
         # The im(-inf) plane of the first coordinate survives too.
         stride = len(first) // 2
         assert first[stride] == float("-inf")
+
+    @pytest.mark.parametrize("context_name", CONTEXTS)
+    @pytest.mark.parametrize("growth", [0.5078125, float("nan")],
+                             ids=["estimate", "nan"])
+    def test_at_infinity_status_and_growth_exponent_survive(
+            self, context_name, growth):
+        import json
+
+        from repro.tracking.batch_tracker import LaneCheckpoint
+
+        cp = self._synthetic_checkpoint(
+            context_name, [complex(360.0, -2.5), complex(8e-6, 0.0)],
+            status=PathStatus.AT_INFINITY, growth_exponent=growth)
+        wire = json.loads(json.dumps(cp.to_portable()))
+        back = LaneCheckpoint.from_portable(wire)
+        assert back.status is PathStatus.AT_INFINITY
+        assert back.failed
+        assert back.failure_reason == "path diverges to infinity"
+        assert np.float64(back.growth_exponent).view(np.uint64) == \
+            np.float64(growth).view(np.uint64)
 
     def test_unknown_context_and_bad_plane_counts_are_rejected(self):
         from repro.errors import ConfigurationError

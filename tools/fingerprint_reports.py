@@ -1,7 +1,8 @@
 """Fingerprint the solver's answers on the repository benchmark's inputs.
 
 ``make fingerprints`` prints one line per ``SolveReport``: the workload,
-the scenario and a sha256 over the report.  The inputs are perfbench's
+the scenario, a sha256 over the report and a sha256 over its solutions
+alone.  The inputs are perfbench's
 (``perfbench/workloads.py``, read only) at seed 0:
 
 * ``solve-d``: the 14 registry scenarios solved at d;
@@ -14,10 +15,12 @@ the scenario and a sha256 over the report.  The inputs are perfbench's
   ``predictor="tangent"``.
 
 A change that must not move any answer prints the same lines as its
-parent; compare the two outputs with ``diff``.  Each hash covers, as
+parent; compare the two outputs with ``diff``.  The full hash covers, as
 float bits, every solution's point, residual and multiplicity, every
 failed path (its end point, residual, step and Newton counts, reason),
-and the report's path counts per rung.
+and the report's path counts per rung.  The solutions hash covers the
+solutions' points, residuals and multiplicities only, so a change that
+only reclassifies or stops failed paths can show that no root moved.
 
 ``--solve-off`` empties ``compiled.SOLVE_CONTEXTS``, so the linear solves
 and Newton updates run their Python routes; ``--kernels-off`` sets
@@ -61,39 +64,51 @@ def floats(value) -> list:
     return floats(value.real) + floats(value.imag)
 
 
-def report_digest(report) -> str:
-    """sha256 over a report's answers and per-rung counts."""
-    digest = hashlib.sha256()
+class Digest:
+    """A sha256 fed floats as their bits and everything else as repr."""
 
-    def put(*items):
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def put(self, *items):
         for item in items:
             if isinstance(item, float):
-                digest.update(struct.pack("<d", item))
+                self.sha.update(struct.pack("<d", item))
             else:
-                digest.update(repr(item).encode() + b"\0")
+                self.sha.update(repr(item).encode() + b"\0")
 
-    def put_point(point):
-        put(len(point))
+    def put_point(self, point):
+        self.put(len(point))
         for coordinate in point:
-            put(*floats(coordinate))
+            self.put(*floats(coordinate))
 
-    put(report.paths_tracked, report.paths_converged,
-        report.recovered_by_escalation)
-    for solution in report.solutions:
-        put_point(solution.point)
-        put(float(solution.residual), solution.multiplicity)
+    def put_solutions(self, report):
+        for solution in report.solutions:
+            self.put_point(solution.point)
+            self.put(float(solution.residual), solution.multiplicity)
+
+
+def report_digests(report):
+    """sha256 over a report's answers and per-rung counts, and sha256
+    over its solutions alone."""
+    full = Digest()
+    full.put(report.paths_tracked, report.paths_converged,
+             report.recovered_by_escalation)
+    full.put_solutions(report)
     for failure in report.failures:
-        put_point(failure.solution)
-        put(float(failure.residual), failure.success, failure.steps_accepted,
-            failure.steps_rejected, failure.newton_iterations,
-            failure.failure_reason)
+        full.put_point(failure.solution)
+        full.put(float(failure.residual), failure.success,
+                 failure.steps_accepted, failure.steps_rejected,
+                 failure.newton_iterations, failure.failure_reason)
     for counts in (report.paths_by_context, report.converged_by_context,
                    report.resumed_by_context, report.restarted_by_context,
                    report.endgame_skips_by_context):
-        put(sorted(counts.items()))
+        full.put(sorted(counts.items()))
     for context, values in sorted(report.resume_t_by_context.items()):
-        put(context, *map(float, values))
-    return digest.hexdigest()
+        full.put(context, *map(float, values))
+    solutions = Digest()
+    solutions.put_solutions(report)
+    return full.sha.hexdigest(), solutions.sha.hexdigest()
 
 
 def line_set(name: str):
@@ -132,7 +147,8 @@ def main(argv=None) -> int:
             report = solver.solve_system(
                 case.system, options=options, start=case.start,
                 escalation=escalation)
-            print(f"{name} {case.kind} {report_digest(report)}", flush=True)
+            full, solutions = report_digests(report)
+            print(f"{name} {case.kind} {full} {solutions}", flush=True)
     return 0
 
 
