@@ -11,12 +11,14 @@ the calibrated GPU cost model:
 
 1. all paths of the benchmark system are batch-tracked at each rung of the
    ladder, each rung receiving only the previous rung's failures, paths at
-   infinity excepted as in the solver (the tolerance is chosen so plain
-   double precision genuinely fails).  The escalated rungs run twice from
-   the shared first-rung outcome: once *warm* (resumed from the failed
-   lanes' :class:`~repro.tracking.batch_tracker.LaneCheckpoint` state) and
-   once *cold* (re-tracked from ``t = 0``), so the warm restart's saving is
-   a measured difference, not a model;
+   infinity excepted: the solver's own walk
+   (:func:`~repro.tracking.escalation.run_escalation_ladder` over
+   :func:`~repro.tracking.escalation.track_rung`).  The tolerance is
+   chosen so plain double precision genuinely fails.  The escalated rungs
+   run twice from the shared first-rung outcome: once *warm* (resumed from
+   the failed lanes' :class:`~repro.tracking.batch_tracker.LaneCheckpoint`
+   state) and once *cold* (re-tracked from ``t = 0``), so the warm
+   restart's saving is a measured difference, not a model;
 2. every rung's *measured* evaluation log is priced as batched kernel
    launches in that rung's arithmetic -- start and target system stats are
    both measured (the irregular start system through the padded layout);
@@ -44,7 +46,9 @@ from ..errors import ConfigurationError
 from ..gpusim.costmodel import GPUCostModel
 from ..multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, NumericContext
 from ..polynomials.system import PolynomialSystem
-from ..tracking.batch_tracker import BatchTracker, BatchTrackResult, LaneCheckpoint
+from ..tracking.batch_tracker import BatchTracker, BatchTrackResult
+from ..tracking.escalation import (RungOutcome, run_escalation_ladder,
+                                   track_rung)
 from ..tracking.start_systems import start_solutions, total_degree_start_system
 from ..tracking.tracker import TrackerOptions
 from .batch_tracking import cyclic_quadratic_system, measured_homotopy_stats
@@ -240,6 +244,7 @@ class _MeasuredRun:
     """One tracked-and-priced rung: the outcome plus its pricing."""
 
     context: NumericContext
+    rung: RungOutcome
     outcome: BatchTrackResult
     wall_seconds: float
     device_seconds: float
@@ -249,21 +254,20 @@ class _MeasuredRun:
 def _tracked(start: PolynomialSystem, target: PolynomialSystem,
              context: NumericContext, opts: TrackerOptions,
              batch_size: Optional[int], model: GPUCostModel, stats,
-             starts: Optional[Sequence] = None,
-             resume_from: Optional[Sequence[LaneCheckpoint]] = None
+             pending: Sequence[Tuple[int, object]],
+             checkpoints_by_index: Optional[Dict[int, object]] = None
              ) -> _MeasuredRun:
-    """Track one rung (cold or resumed) and price its evaluation log."""
+    """Track one rung (from the starts or resumed) and price its
+    evaluation log."""
     tracker = BatchTracker(start, target, context=context, options=opts,
                            batch_size=batch_size)
     began = time.perf_counter()
-    if resume_from is not None:
-        outcome = tracker.track_batches(resume_from=resume_from)
-    else:
-        outcome = tracker.track_batches(starts)
+    rung, outcome = track_rung(tracker, pending, checkpoints_by_index)
     wall = time.perf_counter() - began
     device, arith = _priced_log(model, stats, outcome.evaluation_log, context)
-    return _MeasuredRun(context=context, outcome=outcome, wall_seconds=wall,
-                        device_seconds=device, arithmetic_seconds=arith)
+    return _MeasuredRun(context=context, rung=rung, outcome=outcome,
+                        wall_seconds=wall, device_seconds=device,
+                        arithmetic_seconds=arith)
 
 
 def run_escalation_bench(dimension: int = 4,
@@ -296,7 +300,6 @@ def run_escalation_bench(dimension: int = 4,
         )
     model = cost_model or GPUCostModel()
     target = system or cyclic_quadratic_system(dimension)
-    dimension = target.dimension
     start = total_degree_start_system(target)
     opts = options or TrackerOptions(end_tolerance=end_tolerance,
                                      end_iterations=12)
@@ -306,123 +309,79 @@ def run_escalation_bench(dimension: int = 4,
     # target plus padded start system, one measurement per rung.
     stats_by_context = {ctx.name: measured_homotopy_stats(target, start, ctx)
                         for ctx in ladder}
-
     starts = list(start_solutions(target))
-    total_paths = len(starts)
-    widest = ladder[-1]
+    runs: Dict[str, List[_MeasuredRun]] = {"warm": [], "cold": []}
 
-    # ------------------------------------------------------------------
-    # first rung: shared by the warm and cold pipelines
-    # ------------------------------------------------------------------
-    first = _tracked(start, target, ladder[0], opts, batch_size, model,
-                     stats_by_context[ladder[0].name], starts=starts)
+    def walk(arm: str):
+        """The ladder walk of one arm; the cold one re-tracks every
+        escalated rung from ``t = 0`` and shares the warm first rung."""
+        def run_rung(level, rung, pending, checkpoints_by_index):
+            if arm == "cold" and level == 0:
+                run = runs["warm"][0]
+            else:
+                run = _tracked(start, target, rung, opts, batch_size, model,
+                               stats_by_context[rung.name], pending,
+                               checkpoints_by_index
+                               if arm == "warm" and level else None)
+            runs[arm].append(run)
+            return run.rung
+        return run_escalation_ladder(ladder, starts, run_rung)
 
-    rows: List[EscalationRow] = [EscalationRow(
-        context=ladder[0].name,
-        overhead_factor=model.arithmetic_cost_factor(ladder[0]),
-        paths_attempted=total_paths,
-        paths_converged=first.outcome.paths_converged,
-        recovered=0,
-        batched_evaluations=first.outcome.batched_evaluations,
-        lane_evaluations=first.outcome.lane_evaluations,
-        predicted_device_seconds=first.device_seconds,
-        arithmetic_seconds=first.arithmetic_seconds,
-        paths_per_second=(total_paths / first.device_seconds
-                          if first.device_seconds else float("inf")),
-        tracker_wall_seconds=first.wall_seconds,
-        resumed=0,
-        restarted=total_paths,
-    )]
-    total_converged = first.outcome.paths_converged
-    recovered_total = 0
-    warm_device = first.device_seconds
-    warm_arith = first.arithmetic_seconds
-    warm_wall = first.wall_seconds
-    warm_lane_evals = first.outcome.lane_evaluations
-    cold_device = first.device_seconds
-    cold_arith = first.arithmetic_seconds
-    cold_wall = first.wall_seconds
-    cold_lane_evals = first.outcome.lane_evaluations
+    warm = walk("warm")
+    walk("cold")
 
-    # ------------------------------------------------------------------
-    # escalated rungs: warm (checkpoint-resumed) and cold (from scratch)
-    # ------------------------------------------------------------------
-    warm_pending = [(s, cp) for (s, cp, r)
-                    in zip(starts, first.outcome.checkpoints(),
-                           first.outcome.results)
-                    if not (r.success or r.at_infinity)]
-    cold_pending = [s for s, r in zip(starts, first.outcome.results)
-                    if not (r.success or r.at_infinity)]
-
-    for context in ladder[1:]:
-        stats = stats_by_context[context.name]
-        if warm_pending:
-            checkpoints = [cp for _, cp in warm_pending]
-            run = _tracked(start, target, context, opts, batch_size, model,
-                           stats, resume_from=checkpoints)
-            resumed = sum(1 for cp in checkpoints if cp.resumes_mid_path)
-            resume_ts = [cp.t for cp in checkpoints if cp.resumes_mid_path]
-            converged = run.outcome.paths_converged
-            rows.append(EscalationRow(
-                context=context.name,
-                overhead_factor=model.arithmetic_cost_factor(context),
-                paths_attempted=len(checkpoints),
-                paths_converged=converged,
-                recovered=converged,
-                batched_evaluations=run.outcome.batched_evaluations,
-                lane_evaluations=run.outcome.lane_evaluations,
-                predicted_device_seconds=run.device_seconds,
-                arithmetic_seconds=run.arithmetic_seconds,
-                paths_per_second=(len(checkpoints) / run.device_seconds
-                                  if run.device_seconds else float("inf")),
-                tracker_wall_seconds=run.wall_seconds,
-                resumed=resumed,
-                restarted=len(checkpoints) - resumed,
-                mean_resume_t=(sum(resume_ts) / len(resume_ts)
-                               if resume_ts else 0.0),
-            ))
-            total_converged += converged
-            recovered_total += converged
-            warm_device += run.device_seconds
-            warm_arith += run.arithmetic_seconds
-            warm_wall += run.wall_seconds
-            warm_lane_evals += run.outcome.lane_evaluations
-            warm_pending = [
-                (s, cp) for ((s, _), cp, r)
-                in zip(warm_pending, run.outcome.checkpoints(),
-                       run.outcome.results)
-                if not (r.success or r.at_infinity)]
-
-        if cold_pending:
-            run = _tracked(start, target, context, opts, batch_size, model,
-                           stats, starts=cold_pending)
-            cold_device += run.device_seconds
-            cold_arith += run.arithmetic_seconds
-            cold_wall += run.wall_seconds
-            cold_lane_evals += run.outcome.lane_evaluations
-            cold_pending = [s for s, r in zip(cold_pending, run.outcome.results)
-                            if not (r.success or r.at_infinity)]
+    rows: List[EscalationRow] = []
+    for level, run in enumerate(runs["warm"]):
+        name = run.context.name
+        attempted = warm.paths_by_context[name]
+        converged = warm.converged_by_context[name]
+        resume_ts = warm.resume_t_by_context[name]
+        rows.append(EscalationRow(
+            context=name,
+            overhead_factor=model.arithmetic_cost_factor(run.context),
+            paths_attempted=attempted,
+            paths_converged=converged,
+            recovered=converged if level else 0,
+            batched_evaluations=run.outcome.batched_evaluations,
+            lane_evaluations=run.outcome.lane_evaluations,
+            predicted_device_seconds=run.device_seconds,
+            arithmetic_seconds=run.arithmetic_seconds,
+            paths_per_second=(attempted / run.device_seconds
+                              if run.device_seconds else float("inf")),
+            tracker_wall_seconds=run.wall_seconds,
+            resumed=warm.resumed_by_context[name],
+            restarted=warm.restarted_by_context[name],
+            mean_resume_t=(sum(resume_ts) / len(resume_ts)
+                           if resume_ts else 0.0),
+        ))
 
     # ------------------------------------------------------------------
     # the conservative baseline, measured: every path tracked at the widest
     # arithmetic from the start, priced on its own evaluation log
     # ------------------------------------------------------------------
+    widest = ladder[-1]
     baseline = _tracked(start, target, widest, opts, batch_size, model,
-                        stats_by_context[widest.name], starts=starts)
+                        stats_by_context[widest.name],
+                        list(enumerate(starts)))
+
+    def total(arm: str, attribute: str):
+        return sum(getattr(run, attribute) for run in runs[arm])
 
     return EscalationSummary(
         rows=rows,
-        paths_total=total_paths,
-        paths_converged=total_converged,
-        recovered_by_escalation=recovered_total,
-        escalated_device_seconds=warm_device,
-        escalated_arithmetic_seconds=warm_arith,
-        escalated_wall_seconds=warm_wall,
-        escalated_lane_evaluations=warm_lane_evals,
-        cold_device_seconds=cold_device,
-        cold_arithmetic_seconds=cold_arith,
-        cold_wall_seconds=cold_wall,
-        cold_lane_evaluations=cold_lane_evals,
+        paths_total=len(starts),
+        paths_converged=len(warm.solved),
+        recovered_by_escalation=warm.recovered,
+        escalated_device_seconds=total("warm", "device_seconds"),
+        escalated_arithmetic_seconds=total("warm", "arithmetic_seconds"),
+        escalated_wall_seconds=total("warm", "wall_seconds"),
+        escalated_lane_evaluations=sum(run.outcome.lane_evaluations
+                                       for run in runs["warm"]),
+        cold_device_seconds=total("cold", "device_seconds"),
+        cold_arithmetic_seconds=total("cold", "arithmetic_seconds"),
+        cold_wall_seconds=total("cold", "wall_seconds"),
+        cold_lane_evaluations=sum(run.outcome.lane_evaluations
+                                  for run in runs["cold"]),
         widest_only_device_seconds=baseline.device_seconds,
         widest_only_arithmetic_seconds=baseline.arithmetic_seconds,
         widest_only_wall_seconds=baseline.wall_seconds,

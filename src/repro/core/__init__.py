@@ -35,10 +35,8 @@ from .layout import (
 )
 from .multicore import (
     MulticoreEvaluator,
-    checkpoints_from_portable,
     partition_lanes,
     partition_monomials,
-    portable_checkpoints,
 )
 from .packed_kernels import PackedCommonFactorKernel, PackedSpeelpenningKernel
 from .opcounts import (
@@ -88,10 +86,8 @@ __all__ = [
     "expected_counts",
     "kernel1_multiplications_per_thread",
     "kernel2_multiplications_per_thread",
-    "checkpoints_from_portable",
     "partition_lanes",
     "partition_monomials",
-    "portable_checkpoints",
     "shared_memory_budget",
     "sharing_report",
     "speelpenning_multiplications",

@@ -11,9 +11,7 @@ can be hidden, which they call *quality up*.  This module provides
 * :func:`partition_monomials` -- the static work partition it uses;
 * :func:`partition_lanes` -- the static *lane* partition the sharded solve
   service uses to split a batch of homotopy paths over worker processes
-  (:mod:`repro.service.sharded`), plus the checkpoint-serialisation helpers
-  :func:`portable_checkpoints` / :func:`checkpoints_from_portable` that move
-  per-lane tracker state across the process boundary.
+  (:mod:`repro.service.sharded`).
 
 The evaluator is functionally exact (its results equal the sequential
 reference).  True wall-clock scaling is not the point here -- CPython threads
@@ -27,8 +25,7 @@ code path rather than a formula.
 from __future__ import annotations
 
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, WorkerExecutionError
 from ..multiprec.numeric import DOUBLE, NumericContext
@@ -38,8 +35,7 @@ from ..polynomials.speelpenning import OperationCount
 from ..polynomials.system import PolynomialSystem
 from .cpu_reference import CPUEvaluation
 
-__all__ = ["MulticoreEvaluator", "partition_monomials", "partition_lanes",
-           "portable_checkpoints", "checkpoints_from_portable"]
+__all__ = ["MulticoreEvaluator", "partition_monomials", "partition_lanes"]
 
 
 def partition_monomials(system: PolynomialSystem, workers: int
@@ -89,42 +85,6 @@ def partition_lanes(count: int, shards: int) -> List[List[int]]:
         out.append(list(range(begin, begin + size)))
         begin += size
     return out
-
-
-def portable_checkpoints(checkpoints: Sequence) -> List[Dict[str, object]]:
-    """Serialise lane checkpoints to their portable (plain-data) form.
-
-    One :meth:`~repro.tracking.batch_tracker.LaneCheckpoint.to_portable`
-    dict per checkpoint, in lane order -- the form the checkpoint stores
-    persist and the process-pool workers ship across the pickle boundary.
-    """
-    return [cp.to_portable() for cp in checkpoints]
-
-
-def checkpoints_from_portable(states: Sequence[Dict[str, object]]) -> List:
-    """Rebuild :class:`~repro.tracking.batch_tracker.LaneCheckpoint` objects
-    from their portable form (inverse of :func:`portable_checkpoints`,
-    bit-for-bit).
-
-    A state that fails to revive -- missing keys, truncated planes, wrong
-    types -- raises :class:`~repro.errors.CheckpointCorruptError` (a
-    :class:`~repro.errors.ConfigurationError`, e.g. an unknown context
-    name, passes through unchanged): the caller must treat the whole
-    record as poison and restart cold rather than resume from it.
-    """
-    from ..errors import CheckpointCorruptError
-    from ..tracking.batch_tracker import LaneCheckpoint  # local: layering
-    revived = []
-    for lane, state in enumerate(states):
-        try:
-            revived.append(LaneCheckpoint.from_portable(state))
-        except ConfigurationError:
-            raise
-        except Exception as exc:
-            raise CheckpointCorruptError(
-                f"portable checkpoint for lane {lane} does not revive "
-                f"({type(exc).__name__}: {exc})") from exc
-    return revived
 
 
 def _evaluate_chunk(chunk, dimension: int, point, context):

@@ -29,7 +29,7 @@ are reported as failed paths, the rest of the solve completes exactly.
 Determinism is the load-bearing property: lane trajectories of the batched
 tracker are independent of batch composition (elementwise arithmetic,
 per-lane pivoted elimination, masked updates), the lane partition is a
-contiguous slice of the global path order, the portable checkpoint/result
+contiguous slice of the global path order, the portable checkpoint
 encoding round-trips every float exactly, and the default gamma is a fixed
 constant.  A sharded solve's distinct solutions are therefore **bit-for-bit
 identical** to the single-process :func:`~repro.tracking.solver.solve_system`
@@ -51,7 +51,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.multicore import checkpoints_from_portable, partition_lanes
+from ..core.multicore import partition_lanes
 from ..errors import (
     CheckpointCorruptError,
     ConfigurationError,
@@ -60,18 +60,20 @@ from ..errors import (
 from ..multiprec.backend import backend_for_context
 from ..multiprec.numeric import DOUBLE, CONTEXTS, NumericContext
 from ..polynomials.system import PolynomialSystem
+from ..tracking.batch_tracker import LaneCheckpoint
 from ..tracking.escalation import RungOutcome, run_escalation_ladder
-from ..tracking.solver import EscalationPolicy, SolveReport, _deduplicate
-from ..tracking.start_systems import (
-    StartStrategy,
-    TotalDegreeStart,
-    total_degree,
+from ..tracking.solver import (
+    EscalationPolicy,
+    SolveReport,
+    assemble_report,
+    prepare_starts,
 )
+from ..tracking.start_systems import StartStrategy
 from ..tracking.tracker import PathResult, TrackerOptions
 from .backoff import BackoffPolicy
 from .store import CheckpointStore, InMemoryCheckpointStore
 from .supervisor import Supervisor
-from .workerpool import WorkerPool, _result_from_portable
+from .workerpool import WorkerPool
 
 __all__ = ["FaultInjection", "solve_system_sharded"]
 
@@ -294,16 +296,6 @@ def solve_system_sharded(system: PolynomialSystem, *,
         When one shard's retries are exhausted (and quarantine did not
         intervene).
     """
-    strategy = start if start is not None else TotalDegreeStart()
-    plan = strategy.prepare(system)
-    start_system = plan.start_system
-    bezout = total_degree(system)
-    if max_paths is not None and max_paths < plan.path_count:
-        starts = plan.sample_solutions(max_paths, seed=seed)
-    else:
-        starts = list(plan.solutions())
-    starts = [tuple(complex(x) for x in s) for s in starts]
-
     ladder = list(escalation.ladder) if escalation is not None else [context]
     for rung in ladder:
         try:
@@ -322,6 +314,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
                 f"the sharded service ships contexts by name across the "
                 f"process boundary"
             )
+    plan, starts = prepare_starts(system, start, max_paths, seed)
+    starts = [tuple(complex(x) for x in s) for s in starts]
 
     if store is None:
         store = InMemoryCheckpointStore()
@@ -341,9 +335,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
             mp_context=mp_context)
     supervisor = Supervisor(pool, heartbeat_timeout=heartbeat_timeout,
                             cancel_grace=cancel_grace)
-    token = pool.register_systems(start_system, system)
+    token = pool.register_systems(plan.start_system, system)
 
-    results_portable: Dict[int, Dict[str, object]] = {}
     degradations: List[str] = []
     quarantined_lanes: set = set()
     quarantined_shards: List[int] = []
@@ -353,11 +346,21 @@ def solve_system_sharded(system: PolynomialSystem, *,
     fault_budget = [fault_injection.times if fault_injection is not None else 0]
     level0_shards = [0]
 
+    def arm_fault(payload: Dict[str, object], shard: int,
+                  level: int) -> Dict[str, object]:
+        """Attach the drill's worker fault while its budget lasts."""
+        if (fault_injection is not None and fault_budget[0] > 0
+                and shard == fault_injection.shard
+                and level == fault_injection.level):
+            fault_budget[0] -= 1
+            payload["fault"] = fault_injection.worker_fault()
+        return payload
+
     def build_payload(shard: int, level: int, rung: NumericContext,
                       lane_indices: List[int],
                       resume: Optional[List[Dict[str, object]]]
                       ) -> Dict[str, object]:
-        payload = {
+        return arm_fault({
             "token": token,
             "context": rung.name,
             "options": options,
@@ -366,13 +369,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
             "starts": None if resume is not None
             else [starts[i] for i in lane_indices],
             "resume": resume,
-        }
-        if (fault_injection is not None and fault_budget[0] > 0
-                and shard == fault_injection.shard
-                and level == fault_injection.level):
-            fault_budget[0] -= 1
-            payload["fault"] = fault_injection.worker_fault()
-        return payload
+        }, shard, level)
 
     def run_rung(level: int, rung: NumericContext,
                  pending: List[Tuple[int, Sequence]],
@@ -426,15 +423,21 @@ def solve_system_sharded(system: PolynomialSystem, *,
                     flaky.fail_reads = 1
             if resume_by_task[tid] is not None and tid not in cold_tasks:
                 try:
+                    # Lanes move between shards from rung to rung, and a
+                    # shard idle at the last rung keeps an older record:
+                    # merge in rung order, so each lane's latest wins.
+                    records = [store.get(job_id, s) or {}
+                               for s in store.shards(job_id)]
                     merged: Dict[str, object] = {}
-                    for s in store.shards(job_id):
-                        record = store.get(job_id, s)
-                        merged.update((record or {}).get("checkpoints", {}))
+                    for record in sorted(records,
+                                         key=lambda r: r.get("level", -1)):
+                        merged.update(record.get("checkpoints", {}))
                     reloaded = [merged.get(str(i), resume_by_task[tid][k])
                                 for k, i in enumerate(active[tid])]
                     # Revive now, so a poisoned record surfaces here as
                     # CheckpointCorruptError, not in the worker.
-                    checkpoints_from_portable(reloaded)
+                    for state in reloaded:
+                        LaneCheckpoint.from_portable(state)
                     payload["resume"] = reloaded
                     stats["resumed_after_crash"] += 1
                 except (CheckpointCorruptError, OSError) as exc:
@@ -449,13 +452,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
             if tid in cold_tasks:
                 payload["resume"] = None
                 payload["starts"] = [starts[i] for i in active[tid]]
-            if (fault_injection is not None and fault_budget[0] > 0
-                    and tid == fault_injection.shard
-                    and level == fault_injection.level):
-                fault_budget[0] -= 1
-                payload["fault"] = fault_injection.worker_fault()
-            payloads[tid] = payload
-            return payload
+            payloads[tid] = arm_fault(payload, tid, level)
+            return payloads[tid]
 
         run = supervisor.run(
             payloads, deadline=timeout, max_retries=max_retries,
@@ -496,26 +494,21 @@ def solve_system_sharded(system: PolynomialSystem, *,
         # -- merge shard outcomes back into global pending order, persist --
         results_by_index: Dict[int, PathResult] = {}
         checkpoints_this_rung: Dict[int, Optional[Dict[str, object]]] = {}
-        endgame_skips = 0
         resume_ts: List[float] = []
         for tid in sorted(active):
             outcome = run.outcomes[tid]
             if outcome.status == "quarantined":
                 continue
             lane_indices = active[tid]
-            result = outcome.result
             resume = resume_by_task[tid]
             if resume is not None and tid not in cold_tasks:
                 resume_ts.extend(float(st["t"]) for st in resume
                                  if float(st["t"]) > 0.0)
-            endgame_skips += result["endgame_skips"]
             shard_pending: List[int] = []
-            for position, index in enumerate(lane_indices):
-                portable = result["results"][position]
-                results_portable[index] = portable
-                checkpoints_this_rung[index] = \
-                    result["checkpoints"][position]
-                results_by_index[index] = _result_from_portable(portable)
+            for index, portable in zip(lane_indices, outcome.result):
+                checkpoints_this_rung[index] = portable
+                results_by_index[index] = \
+                    LaneCheckpoint.from_portable(portable).result()
                 if not results_by_index[index].success:
                     shard_pending.append(index)
             store.put(job_id, tid, {
@@ -525,15 +518,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
                 "context": rung.name,
                 "lanes": list(lane_indices),
                 "pending": shard_pending,
-                "checkpoints": {
-                    str(i): checkpoints_this_rung.get(
-                        i, checkpoints_by_index.get(i))
-                    for i in lane_indices
-                    if checkpoints_this_rung.get(i) is not None
-                    or checkpoints_by_index.get(i) is not None},
-                "results": {str(i): results_portable[i]
-                            for i in lane_indices
-                            if i in results_portable},
+                "checkpoints": {str(i): checkpoints_this_rung[i]
+                                for i in lane_indices},
             })
 
         # Quarantined lanes (this rung's and earlier ones') are excluded
@@ -551,7 +537,6 @@ def solve_system_sharded(system: PolynomialSystem, *,
             results=[results_by_index[index] for index in pending_indices],
             checkpoints=[checkpoints_this_rung[index]
                          for index in pending_indices],
-            endgame_skips=endgame_skips,
             resumed_mid_ts=resume_ts)
 
     try:
@@ -563,23 +548,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
     if cleanup:
         store.delete_job(job_id)
 
-    converged = state.converged_results()
-    failures = state.failed_results()
-    solutions = _deduplicate(converged, ladder[-1], deduplication_tolerance)
-    return SolveReport(
-        system=system,
-        bezout_number=bezout,
-        paths_tracked=len(starts),
-        paths_converged=len(converged),
-        solutions=solutions,
-        failures=failures,
-        paths_by_context=state.paths_by_context,
-        converged_by_context=state.converged_by_context,
-        recovered_by_escalation=state.recovered,
-        resumed_by_context=state.resumed_by_context,
-        restarted_by_context=state.restarted_by_context,
-        resume_t_by_context=state.resume_t_by_context,
-        endgame_skips_by_context=state.endgame_skips_by_context,
+    return assemble_report(
+        system, plan, starts, state, ladder, deduplication_tolerance,
         degradations=degradations,
         shards=level0_shards[0],
         worker_retries=stats["worker_retries"],
@@ -589,5 +559,4 @@ def solve_system_sharded(system: PolynomialSystem, *,
         deadline_cancels=stats["deadline_cancels"],
         cold_restarts_after_corruption=stats["cold_restarts"],
         inprocess_fallbacks=stats["inprocess"],
-        start_strategy=plan.strategy,
     )

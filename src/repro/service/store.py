@@ -17,10 +17,12 @@ than cold-restarting its shard from ``t = 0``.  The store is pluggable:
   tokens) and ``"npz"`` (a compressed NumPy archive carrying the same
   payload, for artifact stores that want binary blobs).
 
-Shard state is *portable*: plain dicts of floats/ints produced by
-:meth:`LaneCheckpoint.to_portable` (see
-:func:`repro.core.multicore.portable_checkpoints`), never pickled objects,
-so a store written by one process can be read by any other.
+Shard state is *portable*: each lane's checkpoint is the plain dict of
+floats/ints that :meth:`LaneCheckpoint.to_portable` produces (and
+:meth:`LaneCheckpoint.from_portable` revives), never a pickled object, so
+a store written by one process can be read by any other.  The checkpoint
+is the whole per-path record: the coordinator rebuilds each path's result
+from it.
 
 Writes are atomic per shard record (rename-into-place for the file store),
 because the whole point is being readable mid-crash.

@@ -66,7 +66,8 @@ class TaskOutcome:
     """Terminal state of one task after supervision."""
 
     status: str  # done | quarantined | failed
-    result: Optional[Dict[str, object]] = None
+    #: the worker's portable lane checkpoints (see ``execute_payload``)
+    result: Optional[List[Dict[str, object]]] = None
     failures: List[TaskFailure] = field(default_factory=list)
     attempts: int = 0
     ran_inprocess: bool = False

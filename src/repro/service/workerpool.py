@@ -42,9 +42,8 @@ import traceback
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..core.multicore import checkpoints_from_portable, portable_checkpoints
 from ..errors import ReproError
-from ..tracking.tracker import PathResult
+from ..tracking.batch_tracker import LaneCheckpoint
 
 __all__ = ["WorkerPool", "execute_payload"]
 
@@ -65,48 +64,6 @@ class MissingSystemsError(ReproError):
 
 class _CancelledJob(Exception):
     """Internal: the current job was cooperatively cancelled mid-round."""
-
-
-# ----------------------------------------------------------------------
-# portable PathResult: the worker -> coordinator wire format
-# ----------------------------------------------------------------------
-def _portable_result(result: PathResult, context_name: str) -> Dict[str, object]:
-    """Flatten one :class:`PathResult` to plain JSON-friendly data.
-
-    The solution scalars go through the same exact plane encoding as
-    checkpoints (:func:`~repro.tracking.batch_tracker.scalar_to_planes`),
-    so the coordinator-side rebuild is bit-for-bit and the final
-    de-duplication sees exactly the coordinates a single-process solve
-    would.  The per-point ``path`` trace is empty on the batched route and
-    is not carried.
-    """
-    from ..tracking.batch_tracker import scalar_to_planes
-    return {
-        "context": context_name,
-        "success": bool(result.success),
-        "solution": [scalar_to_planes(x, context_name) for x in result.solution],
-        "residual": float(result.residual),
-        "steps_accepted": int(result.steps_accepted),
-        "steps_rejected": int(result.steps_rejected),
-        "newton_iterations": int(result.newton_iterations),
-        "failure_reason": result.failure_reason,
-    }
-
-
-def _result_from_portable(state: Dict[str, object]) -> PathResult:
-    """Inverse of :func:`_portable_result` (``path`` trace excepted)."""
-    from ..tracking.batch_tracker import scalar_from_planes
-    name = str(state["context"])
-    return PathResult(
-        success=bool(state["success"]),
-        solution=[scalar_from_planes(planes, name)
-                  for planes in state["solution"]],
-        residual=float(state["residual"]),
-        steps_accepted=int(state["steps_accepted"]),
-        steps_rejected=int(state["steps_rejected"]),
-        newton_iterations=int(state["newton_iterations"]),
-        failure_reason=state.get("failure_reason"),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -251,21 +208,23 @@ def _tracker_for(payload: Dict[str, object],
 def execute_payload(payload: Dict[str, object],
                     systems: Optional["OrderedDict"] = None,
                     trackers: Optional["OrderedDict"] = None,
-                    hooks: Optional[_RoundHooks] = None) -> Dict[str, object]:
-    """Track one shard-rung job; returns the portable result record.
+                    hooks: Optional[_RoundHooks] = None
+                    ) -> List[Dict[str, object]]:
+    """Track one shard-rung job; returns its lanes' portable checkpoints.
 
     This is the single execution path shared by worker processes and the
     coordinator's in-process fallback: the payload is plain picklable data
     (context shipped by *name*, portable checkpoints, a system-cache
-    token), and the return value is portable again so the coordinator can
-    persist it as-is.
+    token), and the return value is one
+    :meth:`~repro.tracking.batch_tracker.LaneCheckpoint.to_portable` state
+    per lane, in lane order -- portable again, so the coordinator can
+    persist it as-is and rebuild each path's result from it.
     """
     if systems is None:
         systems = OrderedDict()
     if trackers is None:
         trackers = OrderedDict()
     tracker = _tracker_for(payload, systems, trackers)
-    context_name = str(payload["context"])
 
     original = (tracker._advance, tracker._endgame)
     if hooks is not None:
@@ -278,18 +237,13 @@ def execute_payload(payload: Dict[str, object],
     try:
         resume = payload.get("resume")
         if resume is not None:
-            outcome = tracker.track_batches(
-                resume_from=checkpoints_from_portable(resume))
+            outcome = tracker.track_batches(resume_from=[
+                LaneCheckpoint.from_portable(state) for state in resume])
         else:
             outcome = tracker.track_batches(payload["starts"])
     finally:
         tracker._advance, tracker._endgame = original
-    return {
-        "results": [_portable_result(r, context_name)
-                    for r in outcome.results],
-        "checkpoints": portable_checkpoints(outcome.checkpoints()),
-        "endgame_skips": int(outcome.endgame_reentries_skipped),
-    }
+    return [cp.to_portable() for cp in outcome.checkpoints()]
 
 
 def _worker_main(conn, heartbeat_interval: float) -> None:

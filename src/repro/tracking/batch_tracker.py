@@ -32,9 +32,11 @@ lock step:
   escalation pipeline resume a failed path one precision rung wider
   instead of re-tracking it from ``t = 0``.
 
-The tracker reports plain :class:`~repro.tracking.tracker.PathResult`
-objects, so callers (and the differential tests) can compare its roots
-directly with the scalar engine's.
+The checkpoint is the one per-path record of a run: the tracker reports
+each path as :meth:`LaneCheckpoint.result`, a plain
+:class:`~repro.tracking.tracker.PathResult`, so callers (and the
+differential tests) can compare its roots directly with the scalar
+engine's.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import CheckpointCorruptError, ConfigurationError
 from ..multiprec.backend import (
     ComplexBatchBackend,
     backend_for_context,
@@ -231,6 +233,19 @@ class LaneCheckpoint:
         (``t > 0``) rather than restarting the path from scratch."""
         return self.t > 0.0
 
+    def result(self) -> PathResult:
+        """The lane's outcome: its point, measured residual, work counters
+        and failure cause as a :class:`~repro.tracking.tracker.PathResult`."""
+        return PathResult(
+            success=self.status is PathStatus.SUCCESS,
+            solution=list(self.point),
+            residual=self.residual,
+            steps_accepted=self.steps_accepted,
+            steps_rejected=self.steps_rejected,
+            newton_iterations=self.newton_iterations,
+            failure_reason=self.failure_reason,
+        )
+
     # ------------------------------------------------------------------
     # portable state: plain floats/ints, exact across d/dd/qd
     # ------------------------------------------------------------------
@@ -270,28 +285,39 @@ class LaneCheckpoint:
 
         Raises
         ------
+        CheckpointCorruptError
+            When the state does not revive -- a missing key, planes that
+            are not lists of numbers, a non-numeric entry.  The record is
+            poison: resume nothing from it.
         ConfigurationError
             When the state names a context without a plane encoding or the
             plane counts are inconsistent.
         """
-        name = str(state["context"])
-        return cls(
-            context_name=name,
-            point=tuple(scalar_from_planes(planes, name)
-                        for planes in state["point"]),
-            t=float(state["t"]),
-            prev_point=tuple(scalar_from_planes(planes, name)
-                             for planes in state["prev_point"]),
-            prev_t=float(state["prev_t"]),
-            has_prev=bool(state["has_prev"]),
-            dt=float(state["dt"]),
-            residual=float(state["residual"]),
-            status=PathStatus(int(state["status"])),
-            steps_accepted=int(state["steps_accepted"]),
-            steps_rejected=int(state["steps_rejected"]),
-            newton_iterations=int(state["newton_iterations"]),
-            growth_exponent=float(state["growth_exponent"]),
-        )
+        try:
+            name = str(state["context"])
+            return cls(
+                context_name=name,
+                point=tuple(scalar_from_planes(planes, name)
+                            for planes in state["point"]),
+                t=float(state["t"]),
+                prev_point=tuple(scalar_from_planes(planes, name)
+                                 for planes in state["prev_point"]),
+                prev_t=float(state["prev_t"]),
+                has_prev=bool(state["has_prev"]),
+                dt=float(state["dt"]),
+                residual=float(state["residual"]),
+                status=PathStatus(int(state["status"])),
+                steps_accepted=int(state["steps_accepted"]),
+                steps_rejected=int(state["steps_rejected"]),
+                newton_iterations=int(state["newton_iterations"]),
+                growth_exponent=float(state["growth_exponent"]),
+            )
+        except ConfigurationError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointCorruptError(
+                f"portable checkpoint does not revive "
+                f"({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass
@@ -537,17 +563,23 @@ class BatchTrackResult:
     """Outcome of a tracking run, per-lane and aggregate.
 
     ``batches`` holds one :class:`PathBatch` per chunk the start set was
-    split into; ``results``, ``rounds`` and ``evaluation_log`` aggregate
-    over all of them.
+    split into; :meth:`checkpoints`, ``results``, ``rounds`` and
+    ``evaluation_log`` aggregate over all of them.  ``results[i]`` is
+    ``checkpoints()[i].result()``.
     """
 
     batches: List[PathBatch]
-    results: List[PathResult]
     evaluation_log: List[int] = field(default_factory=list)
     rounds: int = 0
     #: resumed lanes whose checkpointed residual already certified the
     #: endgame tolerance, so their endgame re-entry round was skipped.
     endgame_reentries_skipped: int = 0
+
+    def __post_init__(self):
+        self._checkpoints = [cp for batch in self.batches
+                             for cp in batch.checkpoints()]
+        self.results: List[PathResult] = [cp.result()
+                                          for cp in self._checkpoints]
 
     @property
     def paths_converged(self) -> int:
@@ -575,10 +607,7 @@ class BatchTrackResult:
         """Per-path checkpoints across every tracked batch, aligned with
         ``results`` -- ``checkpoints()[i]`` is the final lane state of the
         path behind ``results[i]``."""
-        out: List[LaneCheckpoint] = []
-        for batch in self.batches:
-            out.extend(batch.checkpoints())
-        return out
+        return list(self._checkpoints)
 
 
 class BatchTracker:
@@ -685,26 +714,21 @@ class BatchTracker:
                 f"cannot resume checkpoints of dimension {foreign[0]} on a "
                 f"system of dimension {self.homotopy.dimension}")
         if not items:
-            return BatchTrackResult(batches=[], results=[], evaluation_log=[])
+            return BatchTrackResult(batches=[])
         # clear() rather than rebinding: the predictor and correctors hold
         # a reference to this very list.
         self.evaluation_log.clear()
         chunk = self.batch_size or len(items)
-        results: List[PathResult] = []
         batches: List[PathBatch] = []
-        rounds = 0
         for offset in range(0, len(items), chunk):
             piece = items[offset:offset + chunk]
             if checkpoints is None:
-                batch = self._track_one_batch(piece)
+                batches.append(self._track_one_batch(piece))
             else:
-                batch = self._track_one_batch(checkpoints=piece)
-            rounds += batch.rounds
-            results.extend(self._lane_results(batch))
-            batches.append(batch)
-        return BatchTrackResult(batches=batches, results=results,
+                batches.append(self._track_one_batch(checkpoints=piece))
+        return BatchTrackResult(batches=batches,
                                 evaluation_log=list(self.evaluation_log),
-                                rounds=rounds,
+                                rounds=sum(b.rounds for b in batches),
                                 endgame_reentries_skipped=sum(
                                     b.endgame_skipped for b in batches))
 
@@ -743,12 +767,16 @@ class BatchTracker:
                 # *start correction* failed: its point is the raw start
                 # solution, so retry the correction (in this batch's
                 # possibly wider arithmetic).
-                needs_start = np.array([cp.status is PathStatus.START_FAILED
-                                        for cp in checkpoints], dtype=bool)
+                status = np.array([cp.status for cp in checkpoints])
+                needs_start = status == PathStatus.START_FAILED
                 if needs_start.any():
                     self._correct_and_land(batch, needs_start, batch.t,
                                            opts.corrector_tolerance,
                                            PathStatus.START_FAILED)
+                # A path at infinity stays there: no arithmetic brings it
+                # back, so its checkpoint is already its final state.
+                batch.retire(status == PathStatus.AT_INFINITY,
+                             PathStatus.AT_INFINITY)
                 # A finished lane's checkpointed residual is its endgame
                 # certificate: re-entering would only measure it again.
                 certified = ((batch.t >= 1.0)
@@ -855,19 +883,3 @@ class BatchTracker:
                                                self.options.end_tolerance,
                                                PathStatus.ENDGAME_FAILED)
             batch.retire(converged, PathStatus.SUCCESS)
-
-    # ------------------------------------------------------------------
-    def _lane_results(self, batch: PathBatch) -> List[PathResult]:
-        results = []
-        for lane in range(batch.n_paths):
-            status = PathStatus(int(batch.status[lane]))
-            results.append(PathResult(
-                success=status is PathStatus.SUCCESS,
-                solution=self.backend.lane_scalars(batch.points, lane),
-                residual=float(batch.residual[lane]),
-                steps_accepted=int(batch.steps_accepted[lane]),
-                steps_rejected=int(batch.steps_rejected[lane]),
-                newton_iterations=int(batch.newton_iterations[lane]),
-                failure_reason=_FAILURE_REASONS.get(status),
-            ))
-        return results

@@ -1,33 +1,38 @@
-"""The escalation rung loop shared by the solver and the sharded service.
+"""The escalation rung loop shared by the solver, the sharded service and
+the escalation benchmark.
 
-:func:`repro.tracking.solver.solve_system` and
-:func:`repro.service.sharded.solve_system_sharded` walk the same ladder:
+:func:`repro.tracking.solver.solve_system`,
+:func:`repro.service.sharded.solve_system_sharded` and
+:func:`repro.bench.escalation.run_escalation_bench` walk the same ladder:
 track every pending path at the current rung, fold the outcomes into the
 per-context accounting (``paths_by_context`` / ``converged_by_context`` /
-resume statistics / endgame skips), move failures to the next rung with
-their checkpoints, and count recoveries.  A path retired as diverging to
+resume statistics), move failures to the next rung with their
+checkpoints, and count recoveries.  A path retired as diverging to
 infinity stays among the failures but never moves up: no wider arithmetic
 brings it back.  The decision reads the rung's
-:class:`~repro.tracking.tracker.PathResult`, which both callers return
-(the sharded one rebuilt from its portable record).  Only *how a rung is
-run* differs -- in process versus fanned out over a shard pool with crash
+:class:`~repro.tracking.tracker.PathResult`, the view
+:meth:`~repro.tracking.batch_tracker.LaneCheckpoint.result` of each
+path's checkpoint (the sharded service revives the checkpoints from their
+portable form first).  Only *how a rung is run* differs -- in process
+(:func:`track_rung`) versus fanned out over a shard pool with crash
 retries -- so that part stays with the caller as a callback and everything
-else lives here, once.  Both callers track every rung with the batched tracker, so
+else lives here, once.  Every rung tracks with the batched tracker, so
 every rung hands back one checkpoint per path for the next rung to resume
 from.
 
 The bookkeeping is deliberately order-preserving: pending paths are kept
 in ascending path-index order and rung names are inserted in ladder order,
-so a report built from :class:`LadderState` is bit-for-bit what the two
-previously duplicated inline loops produced.
+so a report built from :class:`LadderState` is bit-for-bit the same
+whichever route ran the rungs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["LadderState", "RungOutcome", "run_escalation_ladder"]
+__all__ = ["LadderState", "RungOutcome", "run_escalation_ladder",
+           "track_rung"]
 
 
 @dataclass
@@ -43,7 +48,6 @@ class RungOutcome:
 
     results: List[object]
     checkpoints: List[object]
-    endgame_skips: int = 0
     resumed_mid_ts: List[float] = field(default_factory=list)
 
 
@@ -63,7 +67,6 @@ class LadderState:
     resumed_by_context: Dict[str, int] = field(default_factory=dict)
     restarted_by_context: Dict[str, int] = field(default_factory=dict)
     resume_t_by_context: Dict[str, List[float]] = field(default_factory=dict)
-    endgame_skips_by_context: Dict[str, int] = field(default_factory=dict)
     recovered: int = 0
 
     def converged_results(self) -> List[object]:
@@ -103,7 +106,6 @@ def run_escalation_ladder(
         state.paths_by_context[name] = len(pending)
         state.converged_by_context[name] = sum(
             1 for r in outcome.results if r.success)
-        state.endgame_skips_by_context[name] = outcome.endgame_skips
         mid_path = list(outcome.resumed_mid_ts)
         state.resumed_by_context[name] = len(mid_path)
         state.restarted_by_context[name] = len(pending) - len(mid_path)
@@ -123,3 +125,22 @@ def run_escalation_ladder(
                     next_pending.append((index, start))
         pending = next_pending
     return state
+
+
+def track_rung(tracker, pending: List[Tuple[int, object]],
+               checkpoints_by_index: Optional[Dict[int, object]] = None):
+    """One rung in process on ``tracker``, the rung's
+    :class:`~repro.tracking.batch_tracker.BatchTracker`: the pending paths
+    resume from ``checkpoints_by_index`` when given and start at ``t = 0``
+    otherwise.  Returns the :class:`RungOutcome` and the tracker's
+    :class:`~repro.tracking.batch_tracker.BatchTrackResult`."""
+    if checkpoints_by_index is None:
+        outcome = tracker.track_batches([start for _, start in pending])
+        resumed_mid_ts: List[float] = []
+    else:
+        resume = [checkpoints_by_index[index] for index, _ in pending]
+        outcome = tracker.track_batches(resume_from=resume)
+        resumed_mid_ts = [cp.t for cp in resume if cp.resumes_mid_path]
+    return RungOutcome(results=outcome.results,
+                       checkpoints=outcome.checkpoints(),
+                       resumed_mid_ts=resumed_mid_ts), outcome

@@ -35,9 +35,10 @@ from ..multiprec.backend import backend_for_context
 from ..multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, NumericContext
 from ..polynomials.system import PolynomialSystem
 from .batch_tracker import BatchTracker
-from .escalation import RungOutcome, run_escalation_ladder
+from .escalation import LadderState, run_escalation_ladder, track_rung
 from .quality_up import affordable_precision
-from .start_systems import (StartStrategy, TotalDegreeStart, total_degree)
+from .start_systems import (StartPlan, StartStrategy, TotalDegreeStart,
+                            total_degree)
 from .tracker import PathResult, TrackerOptions
 
 __all__ = ["EscalationPolicy", "Solution", "SolveReport", "solve_system"]
@@ -64,11 +65,10 @@ class EscalationPolicy:
     from ``t = 0``.  Failed lanes typically fail near ``t = 1`` (a
     tightening endgame or a final sharpening that double precision cannot
     certify), so the resume reuses almost all of the cheap-rung work.  A
-    resumed lane parked at ``t >= 1`` whose checkpointed residual already
-    meets the endgame tolerance retires without re-entering the endgame
-    (see :meth:`~repro.tracking.batch_tracker.BatchTracker.track_batches`);
-    such skips are reported per rung in
-    :attr:`SolveReport.endgame_skips_by_context`.
+    path reaches a wider rung only short of ``t = 1`` or after an endgame
+    whose measured residual exceeded ``end_tolerance``, so a resumed lane
+    parked at ``t >= 1`` always re-enters the endgame in the wider
+    arithmetic.
 
     Use :meth:`from_speedup` to let the quality-up analysis pick the starting
     rung: with enough parallel speedup the wider arithmetic is free in
@@ -171,10 +171,7 @@ class SolveReport:
     ``resume_t_by_context`` records, per rung, the continuation parameter
     each resumed path continued from -- on typical workloads these cluster
     at ``t = 1.0``, which is exactly why warm restarts win: the wide
-    arithmetic only replays the endgame.  ``endgame_skips_by_context``
-    counts, per rung, the resumed lanes whose checkpointed residual already
-    certified the endgame tolerance, so even that replay was skipped (see
-    :class:`EscalationPolicy`).
+    arithmetic only replays the endgame.
 
     ``degradations`` lists, human-readably, every place the solve did
     something weaker than asked.  Only the sharded service records any
@@ -216,7 +213,6 @@ class SolveReport:
     resumed_by_context: Dict[str, int] = field(default_factory=dict)
     restarted_by_context: Dict[str, int] = field(default_factory=dict)
     resume_t_by_context: Dict[str, List[float]] = field(default_factory=dict)
-    endgame_skips_by_context: Dict[str, int] = field(default_factory=dict)
     degradations: List[str] = field(default_factory=list)
     shards: int = 1
     worker_retries: int = 0
@@ -374,6 +370,48 @@ def _deduplicate(solutions: Sequence[PathResult], context: NumericContext,
     return found
 
 
+def prepare_starts(system: PolynomialSystem, start: Optional[StartStrategy],
+                   max_paths: Optional[int], seed: Optional[int]
+                   ) -> Tuple[StartPlan, List[Sequence]]:
+    """Prepare the start system of ``start`` (total degree by default) and
+    the start solutions to track: all of them, or a seeded sample of
+    ``max_paths``.  Shared by :func:`solve_system` and the sharded
+    service."""
+    plan = (start if start is not None else TotalDegreeStart()).prepare(system)
+    if max_paths is not None and max_paths < plan.path_count:
+        return plan, plan.sample_solutions(max_paths, seed=seed)
+    return plan, list(plan.solutions())
+
+
+def assemble_report(system: PolynomialSystem, plan: StartPlan,
+                    starts: Sequence, state: LadderState,
+                    ladder: Sequence[NumericContext],
+                    deduplication_tolerance: float,
+                    **service) -> SolveReport:
+    """The :class:`SolveReport` of a finished ladder walk: de-duplicated
+    roots, failures and per-rung accounting.  ``service`` carries the
+    sharded service's own fields.  Shared by :func:`solve_system` and the
+    sharded service."""
+    converged = state.converged_results()
+    return SolveReport(
+        system=system,
+        bezout_number=total_degree(system),
+        paths_tracked=len(starts),
+        paths_converged=len(converged),
+        solutions=_deduplicate(converged, ladder[-1],
+                               deduplication_tolerance),
+        failures=state.failed_results(),
+        paths_by_context=state.paths_by_context,
+        converged_by_context=state.converged_by_context,
+        recovered_by_escalation=state.recovered,
+        resumed_by_context=state.resumed_by_context,
+        restarted_by_context=state.restarted_by_context,
+        resume_t_by_context=state.resume_t_by_context,
+        start_strategy=plan.strategy,
+        **service,
+    )
+
+
 def solve_system(system: PolynomialSystem, *,
                  context: NumericContext = DOUBLE,
                  options: Optional[TrackerOptions] = None,
@@ -447,56 +485,17 @@ def solve_system(system: PolynomialSystem, *,
     ladder = list(escalation.ladder) if escalation is not None else [context]
     for rung in ladder:
         backend_for_context(rung)  # refuse a backendless rung up front
+    plan, starts = prepare_starts(system, start, max_paths, seed)
 
-    strategy = start if start is not None else TotalDegreeStart()
-    plan = strategy.prepare(system)
-    start_system = plan.start_system
-    bezout = total_degree(system)
-
-    if max_paths is not None and max_paths < plan.path_count:
-        starts = plan.sample_solutions(max_paths, seed=seed)
-    else:
-        starts = list(plan.solutions())
-
-    def run_rung(level: int, rung: NumericContext,
-                 pending: List[Tuple[int, Sequence]],
-                 checkpoints_by_index: Dict[int, object]) -> RungOutcome:
-        tracker = BatchTracker(start_system, system, context=rung,
+    def run_rung(level, rung, pending, checkpoints_by_index):
+        tracker = BatchTracker(plan.start_system, system, context=rung,
                                options=options, batch_size=batch_size,
                                gamma=gamma)
-        if level == 0:
-            outcome = tracker.track_batches([s for _, s in pending])
-            resumed_mid_ts = []
-        else:
-            # Resume the residue from the checkpoints the cheaper rung left
-            # for every path it tracked.
-            resume = [checkpoints_by_index[index] for index, _ in pending]
-            outcome = tracker.track_batches(resume_from=resume)
-            resumed_mid_ts = [cp.t for cp in resume if cp.resumes_mid_path]
-        return RungOutcome(
-            results=outcome.results, checkpoints=outcome.checkpoints(),
-            endgame_skips=outcome.endgame_reentries_skipped,
-            resumed_mid_ts=resumed_mid_ts)
+        # Past the first rung, resume the residue from the checkpoints the
+        # cheaper rung left for every path it tracked.
+        return track_rung(tracker, pending,
+                          checkpoints_by_index if level else None)[0]
 
     state = run_escalation_ladder(ladder, starts, run_rung)
-
-    converged = state.converged_results()
-    failures = state.failed_results()
-
-    solutions = _deduplicate(converged, ladder[-1], deduplication_tolerance)
-    return SolveReport(
-        system=system,
-        bezout_number=bezout,
-        paths_tracked=len(starts),
-        paths_converged=len(converged),
-        solutions=solutions,
-        failures=failures,
-        paths_by_context=state.paths_by_context,
-        converged_by_context=state.converged_by_context,
-        recovered_by_escalation=state.recovered,
-        resumed_by_context=state.resumed_by_context,
-        restarted_by_context=state.restarted_by_context,
-        resume_t_by_context=state.resume_t_by_context,
-        endgame_skips_by_context=state.endgame_skips_by_context,
-        start_strategy=plan.strategy,
-    )
+    return assemble_report(system, plan, starts, state, ladder,
+                           deduplication_tolerance)

@@ -9,7 +9,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import run_escalation_bench
+from repro.bench.batch_tracking import cyclic_quadratic_system
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
+from repro.tracking import EscalationPolicy, TrackerOptions, solve_system
 
 
 class TestEscalationBench:
@@ -29,6 +31,28 @@ class TestEscalationBench:
         assert d_row.paths_attempted == 16
         assert dd_row.paths_attempted == 16 - d_row.paths_converged
         assert dd_row.recovered == dd_row.paths_converged
+
+    def test_rungs_count_what_the_solver_reports(self, summary):
+        # The bench walks the solver's ladder: on its own system and ladder
+        # every per-rung count is the SolveReport's.
+        report = solve_system(
+            cyclic_quadratic_system(4),
+            options=TrackerOptions(end_tolerance=5e-17, end_iterations=12),
+            escalation=EscalationPolicy(ladder=(DOUBLE, DOUBLE_DOUBLE)))
+        assert [row.context for row in summary.rows] == report.contexts_used
+        for level, row in enumerate(summary.rows):
+            name = row.context
+            assert (row.paths_attempted, row.paths_converged, row.resumed,
+                    row.restarted) == \
+                (report.paths_by_context[name],
+                 report.converged_by_context[name],
+                 report.resumed_by_context[name],
+                 report.restarted_by_context[name])
+            assert row.recovered == \
+                (report.converged_by_context[name] if level else 0)
+        assert summary.recovered_by_escalation == \
+            report.recovered_by_escalation
+        assert summary.paths_converged == report.paths_converged
 
     def test_arithmetic_saving_over_all_widest(self, summary):
         # Paths converged at d never pay the ~8x double-double factor.

@@ -11,7 +11,9 @@ import dataclasses
 
 import pytest
 
+import repro.service.sharded as sharded_module
 from repro.bench.batch_tracking import cyclic_quadratic_system
+from repro.bench.scenarios import get_scenario
 from repro.errors import ConfigurationError, ShardFailedError
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
@@ -131,6 +133,38 @@ class TestCrashRecovery:
                 backoff_seconds=0.0,
                 fault_injection=FaultInjection(shard=0, level=0,
                                                kill_after_rounds=0))
+
+    @pytest.mark.parametrize("shard", [1, 2])
+    def test_retry_resumes_from_the_latest_rung(self, monkeypatch, shard):
+        """Lanes are repartitioned every rung, so a shard idle at the last
+        rung keeps an older record in the store.  noon-2 at 1e-40 tracks 9
+        lanes at d and its 3 uncertified roots at dd and qd; a killed qd
+        task must reload its lane's dd checkpoint, not the stale d record
+        of the shard that held the lane at d."""
+        retried = []
+
+        class RecordingSupervisor(sharded_module.Supervisor):
+            def run(self, payloads, *, on_retry, **kwargs):
+                def recording(tid, attempt, kind):
+                    payload = on_retry(tid, attempt, kind)
+                    retried.append(payload)
+                    return payload
+                return super().run(payloads, on_retry=recording, **kwargs)
+
+        monkeypatch.setattr(sharded_module, "Supervisor", RecordingSupervisor)
+        system = get_scenario("noon-2").build_system()
+        options = TrackerOptions(end_tolerance=1e-40, end_iterations=12)
+        report = solve_system_sharded(
+            system, shards=9, max_workers=2, options=options,
+            escalation=EscalationPolicy(), backoff_seconds=0.0,
+            fault_injection=FaultInjection(shard=shard, level=2,
+                                           kill_after_rounds=0))
+        assert report.resumed_after_crash == 1
+        (payload,) = retried
+        assert [state["context"] for state in payload["resume"]] == ["dd"]
+        reference = solve_system(system, options=options,
+                                 escalation=EscalationPolicy())
+        assert solution_key(report) == solution_key(reference)
 
     @pytest.mark.slow
     def test_killed_worker_resumes_from_persisted_checkpoints(

@@ -337,6 +337,39 @@ class TestCheckpoints:
             assert cp.steps_accepted == result.steps_accepted
             assert cp.newton_iterations == result.newton_iterations
 
+    @pytest.mark.parametrize("context", [DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE],
+                             ids=lambda c: c.name)
+    def test_results_are_views_of_the_checkpoints(self, context):
+        """``results[i]`` is ``checkpoints()[i].result()`` field for field,
+        for every status the tracker produces: on noon-2 with a lane that
+        cannot start, cut by ``max_steps``, at an end tolerance no
+        arithmetic reaches, and with a corrector tolerance no step
+        meets."""
+        from repro.bench.scenarios import get_scenario
+        from repro.tracking.batch_tracker import scalar_to_planes
+
+        def fields(result):
+            return ([[p.hex() for p in scalar_to_planes(x, context.name)]
+                     for x in result.solution],
+                    float(result.residual).hex(), result.success,
+                    result.steps_accepted, result.steps_rejected,
+                    result.newton_iterations, result.failure_reason,
+                    result.path)
+
+        system = get_scenario("noon-2").build_system()
+        starts = [[0j, 0j]] + list(start_solutions(system))
+        seen = set()
+        for options in (TrackerOptions(), TrackerOptions(max_steps=5),
+                        TrackerOptions(end_tolerance=1e-80,
+                                       end_iterations=2),
+                        TrackerOptions(corrector_tolerance=1e-300)):
+            outcome = self.tracked(system, context, options, starts=starts)
+            checkpoints = outcome.checkpoints()
+            assert [fields(r) for r in outcome.results] == \
+                [fields(cp.result()) for cp in checkpoints]
+            seen.update(cp.status for cp in checkpoints)
+        assert seen == set(PathStatus) - {PathStatus.TRACKING}
+
     def test_failure_cause_recorded(self):
         system = decoupled_quadratic_system()
         options = TrackerOptions(max_steps=2, initial_step=1e-3, max_step=1e-3)

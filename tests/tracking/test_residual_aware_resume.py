@@ -7,15 +7,15 @@ capturing run *measured* that residual at that point -- so re-entering the
 endgame corrector only spends an evaluation round re-deriving it.
 ``BatchTracker.track_batches(resume_from=...)`` therefore retires such a
 lane as a success immediately; the count surfaces in
-:attr:`BatchTrackResult.endgame_reentries_skipped` and, through
-:func:`solve_system`, in :attr:`SolveReport.endgame_skips_by_context`.
+:attr:`BatchTrackResult.endgame_reentries_skipped`.  A lane retired at
+infinity is retired again on entry, unchanged.
 
 A same-arithmetic resume of a finished run is thus a no-op: every lane
 comes back bit-for-bit unchanged, at zero evaluations.  The certificate is
 conservative: endgame *failures* checkpoint with residuals above the
-tolerance by construction, so the escalated failed-residue flow
-legitimately records 0 skips -- the payoff case is resuming full
-checkpoint sets (interrupted-run replays), exercised directly below.
+tolerance by construction, so the escalation ladder never skips an
+endgame -- the payoff case is resuming full checkpoint sets
+(interrupted-run replays), exercised directly below.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import numpy as np
 import pytest
 
 from repro.bench.batch_tracking import cyclic_quadratic_system
+from repro.bench.scenarios import get_scenario
+from repro.errors import CheckpointCorruptError, ConfigurationError
 from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE
-from repro.tracking.batch_tracker import (BatchTracker, PathStatus,
-                                          scalar_to_planes)
-from repro.tracking.solver import EscalationPolicy, solve_system
+from repro.tracking.batch_tracker import (BatchTracker, LaneCheckpoint,
+                                          PathStatus, scalar_to_planes)
 from repro.tracking.start_systems import start_solutions, total_degree_start_system
 from repro.tracking.tracker import TrackerOptions
 
@@ -110,18 +111,24 @@ class TestSkipCertifiedEndgame:
 
     @pytest.mark.parametrize("context", [DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE],
                              ids=lambda context: context.name)
+    @pytest.mark.parametrize("name", ["cyclic-3", "noon-2"])
     def test_same_arithmetic_resume_of_a_finished_run_is_a_noop(
-            self, workload, context):
-        start, target, starts = workload
-        tracker = BatchTracker(start, target, context=context)
-        finished = tracker.track_batches(starts)
-        assert all(r.success for r in finished.results)
+            self, name, context):
+        # noon-2 adds four lanes retired at infinity, which stay retired.
+        target = (cyclic_quadratic_system(3) if name == "cyclic-3"
+                  else get_scenario(name).build_system())
+        tracker = BatchTracker(total_degree_start_system(target), target,
+                               context=context)
+        finished = tracker.track_batches(list(start_solutions(target)))
+        assert all(r.success or r.at_infinity for r in finished.results)
 
         resumed = tracker.track_batches(resume_from=finished.checkpoints())
         assert resumed.batched_evaluations == 0
-        assert resumed.endgame_reentries_skipped == len(starts)
+        assert resumed.rounds == 0
+        assert resumed.endgame_reentries_skipped == finished.paths_converged
         for before, after in zip(finished.results, resumed.results):
-            assert after.success
+            assert (after.success, after.failure_reason) == \
+                (before.success, before.failure_reason)
             assert [[p.hex() for p in scalar_to_planes(x, context.name)]
                     for x in after.solution] == \
                 [[p.hex() for p in scalar_to_planes(x, context.name)]
@@ -131,23 +138,6 @@ class TestSkipCertifiedEndgame:
                     after.newton_iterations) == \
                 (before.steps_accepted, before.steps_rejected,
                  before.newton_iterations)
-
-
-class TestSolverAccounting:
-    def test_solve_report_records_skips_per_rung(self):
-        # A tolerance at the double roundoff floor: some paths genuinely
-        # fail at d and escalate to dd.
-        target = cyclic_quadratic_system(4)
-        opts = TrackerOptions(end_tolerance=5e-17, end_iterations=12)
-        report = solve_system(target, options=opts,
-                              escalation=EscalationPolicy(
-                                  ladder=(DOUBLE, DOUBLE_DOUBLE)))
-        field_names = {f.name for f in dataclasses.fields(report)}
-        assert "endgame_skips_by_context" in field_names
-        assert report.endgame_skips_by_context.get("d", 0) == 0  # first rung
-        # dd resumed the d failures; the accounting key must exist either way.
-        if "dd" in report.paths_by_context:
-            assert "dd" in report.endgame_skips_by_context
 
 
 class TestPortableCheckpointState:
@@ -252,8 +242,21 @@ class TestPortableCheckpointState:
         assert np.float64(back.growth_exponent).view(np.uint64) == \
             np.float64(growth).view(np.uint64)
 
+    @pytest.mark.parametrize("damage", ["missing-key", "truncated-planes",
+                                        "non-numeric"])
+    def test_a_state_that_does_not_revive_is_corrupt(self, damage):
+        state = self._synthetic_checkpoint(
+            "dd", [complex(1 / 3, -2 / 7), complex(0.5, 0.25)]).to_portable()
+        if damage == "missing-key":
+            del state["residual"]
+        elif damage == "truncated-planes":
+            state["point"] = [planes[0] for planes in state["point"]]
+        else:
+            state["prev_point"][1][2] = "0.25?"
+        with pytest.raises(CheckpointCorruptError, match="does not revive"):
+            LaneCheckpoint.from_portable(state)
+
     def test_unknown_context_and_bad_plane_counts_are_rejected(self):
-        from repro.errors import ConfigurationError
         from repro.tracking.batch_tracker import (
             scalar_from_planes,
             scalar_to_planes,
@@ -263,6 +266,15 @@ class TestPortableCheckpointState:
             scalar_to_planes(1 + 2j, "octuple")
         with pytest.raises(ConfigurationError):
             scalar_from_planes([1.0, 2.0, 3.0], "dd")  # dd needs 4 planes
+        # Reviving a whole checkpoint lets both through, not wrapped as
+        # CheckpointCorruptError.
+        state = self._synthetic_checkpoint(
+            "dd", [complex(1 / 3, -2 / 7), complex(0.5, 0.25)]).to_portable()
+        with pytest.raises(ConfigurationError, match="octuple"):
+            LaneCheckpoint.from_portable(dict(state, context="octuple"))
+        three_planes = [planes[:3] for planes in state["point"]]
+        with pytest.raises(ConfigurationError, match="plane components"):
+            LaneCheckpoint.from_portable(dict(state, point=three_planes))
 
     def test_resumed_tracking_bit_for_bit_vs_in_memory_resume(self, workload):
         """Resuming from portable (JSON round-tripped) checkpoints must
@@ -270,18 +282,13 @@ class TestPortableCheckpointState:
         sharded service's crash recovery stands on."""
         import json
 
-        from repro.core.multicore import (
-            checkpoints_from_portable,
-            portable_checkpoints,
-        )
-
         start, target, starts = workload
         opts = TrackerOptions(end_tolerance=5e-17, end_iterations=12)
         first = BatchTracker(start, target, options=opts).track_batches(starts)
         checkpoints = first.checkpoints()
 
-        wire = json.loads(json.dumps(portable_checkpoints(checkpoints)))
-        restored = checkpoints_from_portable(wire)
+        wire = json.loads(json.dumps([cp.to_portable() for cp in checkpoints]))
+        restored = [LaneCheckpoint.from_portable(state) for state in wire]
 
         resumed_memory = BatchTracker(
             start, target, context=DOUBLE_DOUBLE, options=opts,

@@ -25,17 +25,22 @@ only reclassifies or stops failed paths can show that no root moved.
 ``--solve-off`` empties ``compiled.SOLVE_CONTEXTS``, so the linear solves
 and Newton updates run their Python routes; ``--kernels-off`` sets
 ``compiled.KERNELS`` to None (slow: keep it to ``--workload solve-d``).
+``--sharded N`` solves every case through ``solve_system_sharded`` with
+``N`` shards on one two-worker ``WorkerPool``; the service promises the
+in-process answers, so it prints the same lines.
 
 Usage::
 
     python tools/fingerprint_reports.py [--workload solve-d] [--solve-off]
-                                        [--kernels-off]
+                                        [--kernels-off] [--sharded N]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import struct
 import sys
@@ -46,6 +51,7 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from perfbench.workloads import SolveWorkload  # noqa: E402
 from repro.multiprec import compiled  # noqa: E402
+from repro.service import WorkerPool, solve_system_sharded  # noqa: E402
 from repro.tracking import solver  # noqa: E402
 
 WORKLOADS = ("solve-d", "escalate-qd", "ladder-all", "tangent")
@@ -101,8 +107,7 @@ def report_digests(report):
                  failure.steps_accepted, failure.steps_rejected,
                  failure.newton_iterations, failure.failure_reason)
     for counts in (report.paths_by_context, report.converged_by_context,
-                   report.resumed_by_context, report.restarted_by_context,
-                   report.endgame_skips_by_context):
+                   report.resumed_by_context, report.restarted_by_context):
         full.put(sorted(counts.items()))
     for context, values in sorted(report.resume_t_by_context.items()):
         full.put(context, *map(float, values))
@@ -136,19 +141,27 @@ def main(argv=None) -> int:
                              "Python")
     parser.add_argument("--kernels-off", action="store_true",
                         help="run without the compiled kernels")
+    parser.add_argument("--sharded", type=int, metavar="N",
+                        help="solve through solve_system_sharded with N "
+                             "shards on one two-worker pool")
     args = parser.parse_args(argv)
     if args.solve_off:
         compiled.SOLVE_CONTEXTS = frozenset()
     if args.kernels_off:
         compiled.KERNELS = None
-    for name in args.workload or WORKLOADS:
-        cases, options, escalation = line_set(name)
-        for case in cases:
-            report = solver.solve_system(
-                case.system, options=options, start=case.start,
-                escalation=escalation)
-            full, solutions = report_digests(report)
-            print(f"{name} {case.kind} {full} {solutions}", flush=True)
+    with contextlib.ExitStack() as stack:
+        solve = solver.solve_system
+        if args.sharded:
+            pool = stack.enter_context(WorkerPool(2))
+            solve = functools.partial(solve_system_sharded,
+                                      shards=args.sharded, pool=pool)
+        for name in args.workload or WORKLOADS:
+            cases, options, escalation = line_set(name)
+            for case in cases:
+                report = solve(case.system, options=options,
+                               start=case.start, escalation=escalation)
+                full, solutions = report_digests(report)
+                print(f"{name} {case.kind} {full} {solutions}", flush=True)
     return 0
 
 
