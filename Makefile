@@ -18,9 +18,12 @@ kernels:
 # predictor): a sha256 over the whole report, then one over its solutions
 # alone.  A change that must not move any answer prints the same lines as
 # its parent; one that only reclassifies failed paths keeps the second
-# hash.  tools/fingerprint_reports.py --help lists the route switches;
-# --sharded N solves every case through solve_system_sharded with N shards
-# on one two-worker pool and must print the in-process lines.
+# hash.  tools/fingerprint_reports.py --help lists the route switches:
+# --solve-off and --kernels-off print the same lines through the Python
+# solves and the dd/qd reference chains (run them on all four line sets;
+# only the two ladder sets reach dd/qd), and --sharded N solves every case
+# through solve_system_sharded with N shards on one two-worker pool and
+# must print the in-process lines.
 fingerprints:
 	$(PY) tools/fingerprint_reports.py
 

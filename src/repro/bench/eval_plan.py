@@ -215,10 +215,7 @@ def _component_planes(array, context: NumericContext):
     """The raw float64 planes of one backend array (d/dd/qd)."""
     if context.name == "d":
         return [array.real, array.imag]
-    if context.name == "dd":
-        return [array.real.hi, array.real.lo, array.imag.hi, array.imag.lo]
-    return ([getattr(array.real, f"c{c}") for c in range(4)]
-            + [getattr(array.imag, f"c{c}") for c in range(4)])
+    return array._planes()
 
 
 def _bit_identical(a, b, context: NumericContext) -> bool:

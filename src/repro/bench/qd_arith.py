@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..multiprec import compiled, ddarray, qdarray
+from ..multiprec import compiled
 from ..multiprec.ddarray import ComplexDDArray, DDArray
 from ..multiprec.numeric import QUAD_DOUBLE
 from ..multiprec.qdarray import ComplexQDArray, QDArray
@@ -144,18 +144,20 @@ def _operations(batch: int) -> Dict[str, Tuple[Callable[[], object],
     cda = ComplexDDArray(_rand_dd(batch, 9), _rand_dd(batch, 10))
     cdb = ComplexDDArray(_rand_dd(batch, 11), _rand_dd(batch, 12))
     qa, qb = a._components(), b._components()
-    pa, pb = qdarray._planes(ca), qdarray._planes(cb)
-    ha, hb = (da.hi, da.lo), (db.hi, db.lo)
-    dpa, dpb = ddarray._planes(cda), ddarray._planes(cdb)
+    pa, pb = ca._planes(), cb._planes()
+    ha, hb = da._components(), db._components()
+    dpa, dpb = cda._planes(), cdb._planes()
+    qd, cqd = QDArray.reference_chains, ComplexQDArray.reference_chains
+    dd, cdd = DDArray.reference_chains, ComplexDDArray.reference_chains
     return {
-        "qd_add": (lambda: a + b, lambda: qdarray._add_planes_ref(qa, qb)),
-        "qd_mul": (lambda: a * b, lambda: qdarray._mul_planes_ref(qa, qb)),
-        "qd_div": (lambda: a / b, lambda: qdarray._div_planes_ref(qa, qb)),
-        "cqd_mul": (lambda: ca * cb, lambda: qdarray._complex_mul(pa, pb)),
-        "cqd_div": (lambda: ca / cb, lambda: qdarray._complex_div(pa, pb)),
-        "dd_add": (lambda: da + db, lambda: ddarray._dd_add_ref(ha, hb)),
-        "dd_mul": (lambda: da * db, lambda: ddarray._dd_mul_ref(ha, hb)),
-        "cdd_mul": (lambda: cda * cdb, lambda: ddarray._complex_mul(dpa, dpb)),
+        "qd_add": (lambda: a + b, lambda: qd["add"](qa, qb)),
+        "qd_mul": (lambda: a * b, lambda: qd["mul"](qa, qb)),
+        "qd_div": (lambda: a / b, lambda: qd["div"](qa, qb)),
+        "cqd_mul": (lambda: ca * cb, lambda: cqd["mul"](pa, pb)),
+        "cqd_div": (lambda: ca / cb, lambda: cqd["div"](pa, pb)),
+        "dd_add": (lambda: da + db, lambda: dd["add"](ha, hb)),
+        "dd_mul": (lambda: da * db, lambda: dd["mul"](ha, hb)),
+        "cdd_mul": (lambda: cda * cdb, lambda: cdd["mul"](dpa, dpb)),
     }
 
 

@@ -32,11 +32,11 @@ Execution (:class:`TapeRunner`, one per plan instance) tries, in order:
    :data:`repro.multiprec.compiled.TAPE_CONTEXTS` (``d`` only where the
    load-time probe showed the tape rounds like NumPy).  Products keep the
    operand order the backend uses, and constants are embedded by the
-   backends' own coercions (``dd_mul_operand`` / ``qd_mul_operand`` for
+   backends' own coercions (the plane arrays' ``mul_operand`` for
    multipliers, ``backend.full`` for constant rows);
 2. the **Python tape loop**: the same instructions through the backend's
-   ``*_into`` / ``iadd*`` methods -- the route of third-party backends, of
-   hosts without a compiler and of a declined ``d`` probe.
+   ``*_into`` / ``iadd*`` methods -- the route of substituted or patched
+   backends, of hosts without a compiler and of a declined ``d`` probe.
 
 Both routes give the same bits (NaN sign bits aside, see
 ``docs/compiled_kernels.md``).  The slot buffer belongs to the plan
@@ -61,10 +61,6 @@ from ..multiprec.backend import (
 )
 from ..multiprec.compiled import (ADD, ADDMUL, COPY, MUL, POW, SUBMUL,
                                   WEIGHTS, ZERO)
-from ..multiprec.ddarray import (ComplexDDArray, complex_dd_from_planes,
-                                 dd_mul_operand)
-from ..multiprec.qdarray import (ComplexQDArray, complex_qd_from_planes,
-                                 qd_mul_operand)
 
 __all__ = ["Tape", "TapeRunner", "lower"]
 
@@ -283,15 +279,12 @@ class _Native:
     """How one built-in context runs tapes natively: its kernel, its slot
     layout, and its backend's constant embeddings."""
 
-    def __init__(self, backend: ComplexBatchBackend, width: int,
-                 array_type, scalar_operand, view):
+    def __init__(self, backend: ComplexBatchBackend, width: int):
         self.backend = backend
         self.name = backend.name
         self.kernel = f"tape_{backend.name}"
         self.width = width
-        self.array_type = array_type
-        self._scalar_operand = scalar_operand
-        self.view = view
+        self.array_type = backend.array_type
 
     def _embed(self, array) -> List[float]:
         if self.width == 2:
@@ -300,11 +293,10 @@ class _Native:
 
     def scalar(self, value: complex) -> List[float]:
         """A multiplier as the backend coerces the scalar operand of a
-        product (dd/qd: ``dd_mul_operand`` / ``qd_mul_operand``)."""
-        if self._scalar_operand is None:
+        product (dd/qd: the plane array's ``mul_operand``)."""
+        if self.width == 2:
             return [value.real, value.imag]
-        template = self.backend.zeros((1,))
-        return self._embed(self._scalar_operand(template, value))
+        return self._embed(self.backend.zeros((1,)).mul_operand(value))
 
     def full(self, value: complex) -> List[float]:
         """A constant row as ``backend.full`` builds it."""
@@ -314,6 +306,12 @@ class _Native:
         if self.width == 2:
             return np.zeros((slots, lanes), np.complex128)
         return np.zeros((slots, self.width, lanes))
+
+    def view(self, buffer: np.ndarray, s: int):
+        """Slot ``s`` of the slot buffer as a backend array."""
+        if self.width == 2:
+            return buffer[s]
+        return self.array_type.from_planes(buffer[s])
 
     def planes(self, points):
         """The point planes the kernel reads, or None for foreign arrays."""
@@ -385,26 +383,10 @@ def _ladder(dst: int, base: int, exponent: int, square: int) -> List[tuple]:
     return ops
 
 
-def _row_d(buffer: np.ndarray, s: int):
-    return buffer[s]
-
-
-def _row_dd(buffer: np.ndarray, s: int):
-    return complex_dd_from_planes(buffer[s])
-
-
-def _row_qd(buffer: np.ndarray, s: int):
-    return complex_qd_from_planes(buffer[s])
-
-
-# Plain functions, not lambdas: plans holding a sized buffer stay picklable.
 _NATIVE = {
-    type(COMPLEX128_BACKEND): _Native(COMPLEX128_BACKEND, 2, np.ndarray,
-                                      None, _row_d),
-    type(COMPLEX_DD_BACKEND): _Native(COMPLEX_DD_BACKEND, 4, ComplexDDArray,
-                                      dd_mul_operand, _row_dd),
-    type(COMPLEX_QD_BACKEND): _Native(COMPLEX_QD_BACKEND, 8, ComplexQDArray,
-                                      qd_mul_operand, _row_qd),
+    type(COMPLEX128_BACKEND): _Native(COMPLEX128_BACKEND, 2),
+    type(COMPLEX_DD_BACKEND): _Native(COMPLEX_DD_BACKEND, 4),
+    type(COMPLEX_QD_BACKEND): _Native(COMPLEX_QD_BACKEND, 8),
 }
 
 

@@ -18,7 +18,12 @@ provides:
   double-double and quad-double arrays for the bulk benchmarks and the
   batched path tracker, whose element-wise arithmetic runs through the
   compiled plane kernels of :mod:`~repro.multiprec.compiled` (built and
-  cached on first import);
+  cached on first import).  Both precisions share one implementation,
+  :mod:`~repro.multiprec.planearray`; the two modules hold only their
+  per-precision parts;
+* :mod:`~repro.multiprec.backend` -- the batch backends of the ``d``,
+  ``dd`` and ``qd`` contexts (one :class:`~repro.multiprec.backend.
+  PlaneBackend` implementation for ``dd`` and ``qd``);
 * :class:`~repro.multiprec.numeric.NumericContext` -- the arithmetic
   abstraction that makes the kernels generic over precision and feeds the
   cost model the relative multiplication cost (the paper's "factor of 8").

@@ -16,26 +16,23 @@ scalar :class:`~repro.multiprec.complex_dd.ComplexDD` /
 All support ``+ - * /``, unary minus, NumPy-style indexing and broadcasting
 against ``(B,)`` weight vectors, so the batched evaluator, linear solver and
 tracker are written once against this small :class:`ComplexBatchBackend`
-interface.  Backends live in a registry keyed by the context name:
-:func:`register_backend` admits new arithmetics without touching the engine,
-and :func:`backend_for_context` raises
-:class:`~repro.errors.ConfigurationError` for contexts with no registered
-vectorised array type.
+interface.  The two multiprecision backends are one implementation,
+:class:`PlaneBackend`, over their complex plane array types.  The set of
+backends is fixed: :func:`backend_for_context` returns the one for a
+context and raises :class:`~repro.errors.ConfigurationError` for any other,
+so no caller can swap the arithmetic another solve runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .complex_dd import ComplexDD
-from .ddarray import ComplexDDArray, DDArray, complex_dd_mul_into, dd_mul_operand
-from .double_double import DoubleDouble
-from .numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, ComplexQD, NumericContext
-from .qdarray import ComplexQDArray, QDArray, complex_qd_mul_into, qd_mul_operand
-from .quad_double import QuadDouble
+from .ddarray import ComplexDDArray, DDArray
+from .numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, NumericContext
+from .qdarray import ComplexQDArray
 
 __all__ = [
     "ComplexBatchBackend",
@@ -45,11 +42,11 @@ __all__ = [
     "COMPLEX128_BACKEND",
     "COMPLEX_DD_BACKEND",
     "COMPLEX_QD_BACKEND",
+    "PlaneBackend",
     "backend_for_context",
+    "backend_named",
     "convert_batch",
     "masked_lane_errstate",
-    "register_backend",
-    "registered_backends",
 ]
 
 BatchArray = Union[np.ndarray, ComplexDDArray, ComplexQDArray]
@@ -226,14 +223,40 @@ class ComplexBatchBackend:
         """
         raise NotImplementedError
 
+    # -- the portable scalar codec --------------------------------------
+    #: Float planes per complex scalar of this context.
+    planes_per_scalar: int
+
+    def scalar_to_planes(self, x) -> tuple:
+        """One scalar as this context's float planes, exactly as
+        :meth:`from_points` packs it: a scalar of this context or a
+        narrower one keeps every bit, a wider one is rounded."""
+        raise NotImplementedError
+
+    def scalar_from_planes(self, planes: Sequence[float]):
+        """The context scalar whose planes are ``planes``, bit for bit
+        (:meth:`lane_scalars` exports lanes through it)."""
+        raise NotImplementedError
+
+
+def _dimension(points: Sequence[Sequence]) -> int:
+    """The one dimension every point shares (0 for no points)."""
+    n = len(points[0]) if points else 0
+    if any(len(point) != n for point in points):
+        raise ConfigurationError("all start solutions must have the same dimension")
+    return n
+
 
 class Complex128Backend(ComplexBatchBackend):
     """Hardware complex doubles: plain ``complex128`` ndarrays."""
 
     name = "d"
     context = DOUBLE
+    array_type = np.ndarray
+    planes_per_scalar = 2
 
     def from_points(self, points: Sequence[Sequence]) -> np.ndarray:
+        _dimension(points)
         columns = [[complex(x) for x in point] for point in points]
         return np.array(columns, dtype=np.complex128).T
 
@@ -299,299 +322,175 @@ class Complex128Backend(ComplexBatchBackend):
     def lane_scalars(self, array: np.ndarray, lane: int) -> List[complex]:
         return [complex(z) for z in array[:, lane]]
 
+    def scalar_to_planes(self, x) -> tuple:
+        z = complex(x)
+        return z.real, z.imag
 
-class ComplexDDBackend(ComplexBatchBackend):
+    def scalar_from_planes(self, planes: Sequence[float]) -> complex:
+        return complex(planes[0], planes[1])
+
+
+class PlaneBackend(ComplexBatchBackend):
+    """Complex multiprecision numbers stored as float64 planes (SoA).
+
+    One implementation for double-double and quad-double: a subclass names
+    its context and its :class:`~repro.multiprec.planearray.
+    ComplexPlaneArray` type as class attributes, so a backend instance holds
+    no state of its own.
+    """
+
+    array_type: type
+
+    @property
+    def planes_per_scalar(self) -> int:
+        return self.array_type.plane_count
+
+    def from_points(self, points: Sequence[Sequence]):
+        n = _dimension(points)
+        encode = self.array_type.scalar_to_planes
+        packed = np.array([[encode(x) for x in point] for point in points],
+                          dtype=np.float64).reshape(
+                              len(points), n, self.array_type.plane_count)
+        return self.array_type.from_planes(
+            np.ascontiguousarray(packed.transpose(2, 1, 0)))
+
+    def zeros(self, shape):
+        return self.array_type.zeros(shape)
+
+    def ones(self, shape):
+        return self.array_type.ones(shape)
+
+    def full(self, shape, value: complex):
+        value = complex(value)
+        kind = self.array_type.real_type
+        return self.array_type._wrap(kind(np.full(shape, value.real)),
+                                     kind(np.full(shape, value.imag)))
+
+    def stack(self, rows: Sequence):
+        rows = [r if isinstance(r, self.array_type)
+                else self.array_type.from_complex128(r) for r in rows]
+        planes = [np.stack(plane) for plane in zip(*(r._planes() for r in rows))]
+        half = len(planes) // 2
+        kind = self.array_type.real_type
+        return self.array_type._wrap(kind(*planes[:half]), kind(*planes[half:]))
+
+    def copy(self, array):
+        return array.copy()
+
+    def where(self, mask, a, b):
+        return self.array_type.where(mask, a, b)
+
+    def iadd(self, acc, value):
+        return acc.iadd_(value)
+
+    def isub_mul(self, acc, factor, value):
+        # Multiply and subtract in one kernel pass; the product's bits are
+        # exactly ``acc.mul_operand(factor) * value``'s (the walk expression).
+        return acc.isub_mul_(factor, value)
+
+    def iadd_mul(self, acc, a, b):
+        if isinstance(a, self.array_type):
+            return acc.iadd_mul_(a, b)
+        if isinstance(b, self.array_type):
+            return acc.iadd_mul_(b, a)
+        return acc.iadd_(a * b)
+
+    def iadd_masked(self, acc, value, mask):
+        return acc.iadd_where_(value, mask)
+
+    def mul_into(self, out, a, b):
+        if isinstance(a, self.array_type):
+            return out.assign_mul_(a, a.mul_operand(b))
+        return out.assign_mul_(b, b.mul_operand(a))
+
+    def copy_into(self, out, src):
+        for dst, plane in zip(out._planes(), src._planes()):
+            np.copyto(dst, plane)
+        return out
+
+    def full_into(self, out, value: complex):
+        # Replay full()'s constructor renormalisation on one element, then
+        # broadcast the resulting components (renorm is element-wise).
+        for dst, plane in zip(out._planes(), self.full((1,), value)._planes()):
+            dst[...] = plane[0]
+        return out
+
+    def zero_into(self, out):
+        for plane in out._planes():
+            plane[...] = 0.0
+        return out
+
+    def component_planes(self, array):
+        return array._planes()
+
+    def embed_complex128(self, values: np.ndarray):
+        # What the array's _coerce does with an ndarray operand.
+        return self.array_type.from_complex128(values)
+
+    def magnitude(self, array) -> np.ndarray:
+        return array.abs_double()
+
+    def to_complex128(self, array) -> np.ndarray:
+        return array.to_complex128()
+
+    def lane_scalars(self, array, lane: int) -> List:
+        decode = self.array_type.scalar_from_planes
+        column = np.array([plane[:, lane] for plane in array._planes()])
+        return [decode(planes) for planes in column.T.tolist()]
+
+    def scalar_to_planes(self, x) -> tuple:
+        return self.array_type.scalar_to_planes(x)
+
+    def scalar_from_planes(self, planes: Sequence[float]):
+        return self.array_type.scalar_from_planes(planes)
+
+
+class ComplexDDBackend(PlaneBackend):
     """Complex double-doubles stored as four float64 planes (SoA)."""
 
     name = "dd"
     context = DOUBLE_DOUBLE
-
-    def from_points(self, points: Sequence[Sequence]) -> ComplexDDArray:
-        n = len(points[0]) if points else 0
-        b = len(points)
-        re_hi = np.zeros((n, b))
-        re_lo = np.zeros((n, b))
-        im_hi = np.zeros((n, b))
-        im_lo = np.zeros((n, b))
-        for lane, point in enumerate(points):
-            if len(point) != n:
-                raise ConfigurationError("all start solutions must have the same dimension")
-            for i, x in enumerate(point):
-                if isinstance(x, ComplexDD):
-                    re_hi[i, lane], re_lo[i, lane] = x.real.hi, x.real.lo
-                    im_hi[i, lane], im_lo[i, lane] = x.imag.hi, x.imag.lo
-                elif isinstance(x, DoubleDouble):
-                    re_hi[i, lane], re_lo[i, lane] = x.hi, x.lo
-                else:
-                    z = complex(x)
-                    re_hi[i, lane], im_hi[i, lane] = z.real, z.imag
-        return ComplexDDArray(DDArray(re_hi, re_lo), DDArray(im_hi, im_lo))
-
-    def zeros(self, shape) -> ComplexDDArray:
-        return ComplexDDArray.zeros(shape)
-
-    def ones(self, shape) -> ComplexDDArray:
-        return ComplexDDArray(DDArray.ones(shape), DDArray.zeros(shape))
-
-    def full(self, shape, value: complex) -> ComplexDDArray:
-        value = complex(value)
-        return ComplexDDArray(DDArray(np.full(shape, value.real)),
-                              DDArray(np.full(shape, value.imag)))
-
-    def stack(self, rows: Sequence[ComplexDDArray]) -> ComplexDDArray:
-        rows = [r if isinstance(r, ComplexDDArray)
-                else ComplexDDArray.from_complex128(np.asarray(r, dtype=np.complex128))
-                for r in rows]
-        real = DDArray(np.stack([r.real.hi for r in rows]),
-                       np.stack([r.real.lo for r in rows]))
-        imag = DDArray(np.stack([r.imag.hi for r in rows]),
-                       np.stack([r.imag.lo for r in rows]))
-        return ComplexDDArray(real, imag)
-
-    def copy(self, array: ComplexDDArray) -> ComplexDDArray:
-        return array.copy()
-
-    def where(self, mask, a, b) -> ComplexDDArray:
-        return ComplexDDArray.where(mask, a, b)
-
-    def iadd(self, acc: ComplexDDArray, value) -> ComplexDDArray:
-        return acc.iadd_(value)
-
-    def isub_mul(self, acc: ComplexDDArray, factor, value) -> ComplexDDArray:
-        # Multiply and subtract in one kernel pass; the product's bits are
-        # exactly ``acc._coerce(factor) * value``'s (the walk expression).
-        return acc.isub_mul_(factor, value)
-
-    def iadd_mul(self, acc: ComplexDDArray, a, b) -> ComplexDDArray:
-        if isinstance(a, ComplexDDArray):
-            return acc.iadd_mul_(a, b)
-        if isinstance(b, ComplexDDArray):
-            return acc.iadd_mul_(b, a)
-        return acc.iadd_(a * b)
-
-    def iadd_masked(self, acc: ComplexDDArray, value, mask) -> ComplexDDArray:
-        return acc.iadd_where_(value, mask)
-
-    def mul_into(self, out: ComplexDDArray, a, b) -> ComplexDDArray:
-        if isinstance(a, ComplexDDArray):
-            return complex_dd_mul_into(out, a, dd_mul_operand(a, b))
-        return complex_dd_mul_into(out, b, dd_mul_operand(b, a))
-
-    def copy_into(self, out: ComplexDDArray, src: ComplexDDArray
-                  ) -> ComplexDDArray:
-        np.copyto(out.real.hi, src.real.hi)
-        np.copyto(out.real.lo, src.real.lo)
-        np.copyto(out.imag.hi, src.imag.hi)
-        np.copyto(out.imag.lo, src.imag.lo)
-        return out
-
-    def full_into(self, out: ComplexDDArray, value: complex) -> ComplexDDArray:
-        # Replay full()'s constructor renormalisation on one element, then
-        # broadcast the resulting components (renorm is element-wise).
-        value = complex(value)
-        re = DDArray(np.full((1,), value.real))
-        im = DDArray(np.full((1,), value.imag))
-        out.real.hi[...] = re.hi[0]
-        out.real.lo[...] = re.lo[0]
-        out.imag.hi[...] = im.hi[0]
-        out.imag.lo[...] = im.lo[0]
-        return out
-
-    def zero_into(self, out: ComplexDDArray) -> ComplexDDArray:
-        for plane in (out.real.hi, out.real.lo, out.imag.hi, out.imag.lo):
-            plane[...] = 0.0
-        return out
-
-    def component_planes(self, array: ComplexDDArray):
-        return (array.real.hi, array.real.lo, array.imag.hi, array.imag.lo)
-
-    def embed_complex128(self, values: np.ndarray) -> ComplexDDArray:
-        # What ComplexDDArray._coerce does with an ndarray operand.
-        return ComplexDDArray.from_complex128(
-            np.asarray(values, dtype=np.complex128))
-
-    def magnitude(self, array: ComplexDDArray) -> np.ndarray:
-        return array.abs_double()
-
-    def to_complex128(self, array: ComplexDDArray) -> np.ndarray:
-        return array.to_complex128()
-
-    def lane_scalars(self, array: ComplexDDArray, lane: int) -> List[ComplexDD]:
-        re_hi = array.real.hi[:, lane]
-        re_lo = array.real.lo[:, lane]
-        im_hi = array.imag.hi[:, lane]
-        im_lo = array.imag.lo[:, lane]
-        return [ComplexDD(DoubleDouble(float(rh), float(rl)),
-                          DoubleDouble(float(ih), float(il)))
-                for rh, rl, ih, il in zip(re_hi, re_lo, im_hi, im_lo)]
+    array_type = ComplexDDArray
 
 
-class ComplexQDBackend(ComplexBatchBackend):
+class ComplexQDBackend(PlaneBackend):
     """Complex quad-doubles stored as eight float64 planes (SoA)."""
 
     name = "qd"
     context = QUAD_DOUBLE
-
-    def from_points(self, points: Sequence[Sequence]) -> ComplexQDArray:
-        n = len(points[0]) if points else 0
-        b = len(points)
-        re = [np.zeros((n, b)) for _ in range(4)]
-        im = [np.zeros((n, b)) for _ in range(4)]
-        for lane, point in enumerate(points):
-            if len(point) != n:
-                raise ConfigurationError("all start solutions must have the same dimension")
-            for i, x in enumerate(point):
-                if isinstance(x, ComplexDD):
-                    x = ComplexQD(QuadDouble.from_double_double(x.real),
-                                  QuadDouble.from_double_double(x.imag))
-                elif isinstance(x, (DoubleDouble, QuadDouble)):
-                    x = ComplexQD(QuadDouble(x))
-                elif not isinstance(x, ComplexQD):
-                    x = ComplexQD(complex(x))
-                for c, plane in enumerate(re):
-                    plane[i, lane] = x.real.c[c]
-                for c, plane in enumerate(im):
-                    plane[i, lane] = x.imag.c[c]
-        return ComplexQDArray(QDArray(*re), QDArray(*im))
-
-    def zeros(self, shape) -> ComplexQDArray:
-        return ComplexQDArray.zeros(shape)
-
-    def ones(self, shape) -> ComplexQDArray:
-        return ComplexQDArray(QDArray.ones(shape), QDArray.zeros(shape))
-
-    def full(self, shape, value: complex) -> ComplexQDArray:
-        value = complex(value)
-        return ComplexQDArray(QDArray(np.full(shape, value.real)),
-                              QDArray(np.full(shape, value.imag)))
-
-    def stack(self, rows: Sequence[ComplexQDArray]) -> ComplexQDArray:
-        rows = [r if isinstance(r, ComplexQDArray)
-                else ComplexQDArray.from_complex128(np.asarray(r, dtype=np.complex128))
-                for r in rows]
-        real = QDArray(*(np.stack([getattr(r.real, f"c{c}") for r in rows])
-                         for c in range(4)))
-        imag = QDArray(*(np.stack([getattr(r.imag, f"c{c}") for r in rows])
-                         for c in range(4)))
-        return ComplexQDArray(real, imag)
-
-    def copy(self, array: ComplexQDArray) -> ComplexQDArray:
-        return array.copy()
-
-    def where(self, mask, a, b) -> ComplexQDArray:
-        return ComplexQDArray.where(mask, a, b)
-
-    def iadd(self, acc: ComplexQDArray, value) -> ComplexQDArray:
-        return acc.iadd_(value)
-
-    def isub_mul(self, acc: ComplexQDArray, factor, value) -> ComplexQDArray:
-        return acc.isub_mul_(factor, value)
-
-    def iadd_mul(self, acc: ComplexQDArray, a, b) -> ComplexQDArray:
-        if isinstance(a, ComplexQDArray):
-            return acc.iadd_mul_(a, b)
-        if isinstance(b, ComplexQDArray):
-            return acc.iadd_mul_(b, a)
-        return acc.iadd_(a * b)
-
-    def iadd_masked(self, acc: ComplexQDArray, value, mask) -> ComplexQDArray:
-        return acc.iadd_where_(value, mask)
-
-    def mul_into(self, out: ComplexQDArray, a, b) -> ComplexQDArray:
-        if isinstance(a, ComplexQDArray):
-            return complex_qd_mul_into(out, a, qd_mul_operand(a, b))
-        return complex_qd_mul_into(out, b, qd_mul_operand(b, a))
-
-    def copy_into(self, out: ComplexQDArray, src: ComplexQDArray
-                  ) -> ComplexQDArray:
-        for dst, plane in zip(out.real._components(), src.real._components()):
-            np.copyto(dst, plane)
-        for dst, plane in zip(out.imag._components(), src.imag._components()):
-            np.copyto(dst, plane)
-        return out
-
-    def full_into(self, out: ComplexQDArray, value: complex) -> ComplexQDArray:
-        # Replay full()'s constructor renormalisation on one element, then
-        # broadcast the resulting components (renorm is element-wise).
-        value = complex(value)
-        re = QDArray(np.full((1,), value.real))
-        im = QDArray(np.full((1,), value.imag))
-        for dst, plane in zip(out.real._components(), re._components()):
-            dst[...] = plane[0]
-        for dst, plane in zip(out.imag._components(), im._components()):
-            dst[...] = plane[0]
-        return out
-
-    def zero_into(self, out: ComplexQDArray) -> ComplexQDArray:
-        for plane in out.real._components() + out.imag._components():
-            plane[...] = 0.0
-        return out
-
-    def component_planes(self, array: ComplexQDArray):
-        return array.real._components() + array.imag._components()
-
-    def embed_complex128(self, values: np.ndarray) -> ComplexQDArray:
-        # What ComplexQDArray._coerce does with an ndarray operand.
-        return ComplexQDArray.from_complex128(
-            np.asarray(values, dtype=np.complex128))
-
-    def magnitude(self, array: ComplexQDArray) -> np.ndarray:
-        return array.abs_double()
-
-    def to_complex128(self, array: ComplexQDArray) -> np.ndarray:
-        return array.to_complex128()
-
-    def lane_scalars(self, array: ComplexQDArray, lane: int) -> List[ComplexQD]:
-        re = [getattr(array.real, f"c{c}")[:, lane] for c in range(4)]
-        im = [getattr(array.imag, f"c{c}")[:, lane] for c in range(4)]
-        return [ComplexQD(QuadDouble._raw(tuple(float(p[i]) for p in re)),
-                          QuadDouble._raw(tuple(float(p[i]) for p in im)))
-                for i in range(len(re[0]))]
+    array_type = ComplexQDArray
 
 
 COMPLEX128_BACKEND = Complex128Backend()
 COMPLEX_DD_BACKEND = ComplexDDBackend()
 COMPLEX_QD_BACKEND = ComplexQDBackend()
 
-_BACKENDS: Dict[str, ComplexBatchBackend] = {}
+#: The batch backends, one per context the batch stack runs.
+_BUILT_IN = (COMPLEX128_BACKEND, COMPLEX_DD_BACKEND, COMPLEX_QD_BACKEND)
 
 
-def register_backend(backend: ComplexBatchBackend) -> ComplexBatchBackend:
-    """Register a batch backend under its context name (last one wins).
-
-    The registry is what makes the batch stack precision-generic: the
-    evaluator, linear solver and tracker only ever ask
-    :func:`backend_for_context`, so a new arithmetic participates in batched
-    tracking by registering its backend here.
-    """
-    _BACKENDS[backend.context.name] = backend
-    return backend
+def _narrow_qd_to_dd(array: ComplexQDArray) -> ComplexDDArray:
+    """Each quad-double's two leading components as a double-double."""
+    return ComplexDDArray(DDArray(array.real.c0, array.real.c1),
+                          DDArray(array.imag.c0, array.imag.c1))
 
 
-def registered_backends() -> Dict[str, ComplexBatchBackend]:
-    """A snapshot of the registry (context name -> backend)."""
-    return dict(_BACKENDS)
-
-
-for _backend in (COMPLEX128_BACKEND, COMPLEX_DD_BACKEND, COMPLEX_QD_BACKEND):
-    register_backend(_backend)
-
-
-#: Exact plane-widening conversions between the built-in batch arrays,
-#: keyed by (source context name, target context name).  Widening embeds
-#: every element bit-for-bit: d -> dd/qd zero-extends the float64 planes,
-#: dd -> qd promotes the (hi, lo) pair to the two leading quad-double
-#: components (the vectorised ``QuadDouble.from_double_double``).
-_WIDENINGS = {
+#: Conversions between the multiprecision batch arrays, keyed by (source
+#: context name, target context name).  Widening embeds every element
+#: bit-for-bit: d -> dd/qd zero-extends the float64 planes, dd -> qd
+#: promotes the (hi, lo) pair to the two leading quad-double components
+#: (the vectorised ``QuadDouble.from_double_double``).
+_CONVERSIONS = {
     ("d", "dd"): ComplexDDArray.from_complex128,
     ("d", "qd"): ComplexQDArray.from_complex128,
     ("dd", "qd"): ComplexQDArray.from_complex_dd,
+    ("qd", "dd"): _narrow_qd_to_dd,
 }
 
 
 def convert_batch(array: BatchArray, source: ComplexBatchBackend,
                   target: ComplexBatchBackend) -> BatchArray:
-    """Convert a batch array between two registered backends.
+    """Convert a batch array between two backends.
 
     This is how a :class:`~repro.tracking.batch_tracker.LaneCheckpoint`
     captured at one rung of the escalation ladder becomes the starting state
@@ -615,22 +514,28 @@ def convert_batch(array: BatchArray, source: ComplexBatchBackend,
         conversions truncate each element to its leading component planes,
         like any precision demotion.
     """
-    if source.context.name == target.context.name:
+    pair = source.context.name, target.context.name
+    if pair[0] == pair[1]:
         return target.copy(array)
-    widen = _WIDENINGS.get((source.context.name, target.context.name))
-    if widen is not None:
-        return widen(array)
-    if (source.context.name, target.context.name) == ("qd", "dd"):
-        return ComplexDDArray(DDArray(array.real.c0, array.real.c1),
-                              DDArray(array.imag.c0, array.imag.c1))
-    if target.context.name == "d":
+    if pair[1] == "d":
         return source.to_complex128(array)
-    # Generic (and slow) fallback for third-party registered backends:
-    # round-trip through the source's lane scalars; target.from_points
-    # performs whatever coercion it supports.
-    lanes = array.shape[-1]
-    return target.from_points([source.lane_scalars(array, lane)
-                               for lane in range(lanes)])
+    return _CONVERSIONS[pair](array)
+
+
+def backend_named(name: str) -> ComplexBatchBackend:
+    """The batch backend of the numeric context called ``name``.
+
+    Raises
+    ------
+    ConfigurationError
+        For a context the batch stack does not run.
+    """
+    for backend in _BUILT_IN:
+        if backend.name == name:
+            return backend
+    raise ConfigurationError(
+        f"no batch array backend for numeric context {name!r}; available: "
+        f"{[backend.name for backend in _BUILT_IN]}")
 
 
 def backend_for_context(context: NumericContext) -> ComplexBatchBackend:
@@ -639,13 +544,6 @@ def backend_for_context(context: NumericContext) -> ComplexBatchBackend:
     Raises
     ------
     ConfigurationError
-        For contexts without a registered vectorised array type.
+        For contexts without a vectorised array type.
     """
-    backend = _BACKENDS.get(context.name)
-    if backend is None:
-        raise ConfigurationError(
-            f"no batch array backend for numeric context {context.name!r}; "
-            f"available: {sorted(_BACKENDS)} (register one with "
-            f"repro.multiprec.backend.register_backend)"
-        )
-    return backend
+    return backend_named(context.name)

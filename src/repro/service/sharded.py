@@ -39,7 +39,7 @@ are missing, and a cold-restarted shard's lanes were re-tracked from
 ``t = 0`` at the wide rung.
 
 Every rung tracks with the batched tracker, so every rung's context needs
-a registered batch backend: without one its checkpoints could be neither
+a batch backend: without one its checkpoints could be neither
 produced nor honoured, and the crash-resume promise would break.  That is
 checked up front and refused with a
 :class:`~repro.errors.ConfigurationError`, never degraded silently.
@@ -289,7 +289,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
     Raises
     ------
     ConfigurationError
-        When a ladder rung has no registered batch backend or is not
+        When a ladder rung has no batch backend or is not
         resolvable by name in a worker process -- the service refuses up
         front rather than degrade its crash-resume guarantee.
     ShardFailedError
@@ -303,8 +303,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
         except ConfigurationError:
             raise ConfigurationError(
                 f"the sharded service needs the batched tracking route at "
-                f"every rung, but context {rung.name!r} has no registered "
-                f"batch backend -- its checkpoints could be neither "
+                f"every rung, but context {rung.name!r} has no batch "
+                f"backend -- its checkpoints could be neither "
                 f"produced nor honoured, breaking crash recovery"
             ) from None
         if CONTEXTS.get(rung.name) is not rung:

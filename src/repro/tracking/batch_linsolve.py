@@ -39,7 +39,7 @@ update as one call of ``newton_d`` / ``newton_dd`` / ``newton_qd``
 (:mod:`repro.multiprec.compiled`), where each lane eliminates its own
 system and a row swap is an index swap.  The kernels replay the Python
 routes below bit for bit; those stay as their fallback and test oracle
-and run when no kernels are loaded, the backend is third-party or patched
+and run when no kernels are loaded, the backend is substituted or patched
 on the instance, the context is not in
 :data:`~repro.multiprec.compiled.SOLVE_CONTEXTS`, or the kernel declines
 the call (an entry layout it does not take, ``n`` above its bound, a
@@ -58,8 +58,8 @@ from ..multiprec import compiled
 from ..multiprec.backend import (COMPLEX128_BACKEND, COMPLEX_DD_BACKEND,
                                  COMPLEX_QD_BACKEND, ComplexBatchBackend,
                                  masked_lane_errstate)
-from ..multiprec.ddarray import ComplexDDArray, complex_dd_from_planes
-from ..multiprec.qdarray import ComplexQDArray, complex_qd_from_planes
+from ..multiprec.ddarray import ComplexDDArray
+from ..multiprec.qdarray import ComplexQDArray
 
 __all__ = ["NewtonUpdate", "batched_solve", "lane_norms"]
 
@@ -281,16 +281,6 @@ def _solution_d(n: int, lanes: int):
     return out, out
 
 
-def _solution_dd(n: int, lanes: int):
-    out = np.empty((4, n, lanes))
-    return out, complex_dd_from_planes(out)
-
-
-def _solution_qd(n: int, lanes: int):
-    out = np.empty((8, n, lanes))
-    return out, complex_qd_from_planes(out)
-
-
 #: Per built-in backend type: the solve and Newton kernels, the entry type
 #: they read, and the solution buffer they write with that buffer's (n, B)
 #: batch-array view.
@@ -298,9 +288,9 @@ _NATIVE = {
     type(COMPLEX128_BACKEND): ("solve_d", "newton_d", np.ndarray,
                                _solution_d),
     type(COMPLEX_DD_BACKEND): ("solve_dd", "newton_dd", ComplexDDArray,
-                               _solution_dd),
+                               ComplexDDArray.buffered),
     type(COMPLEX_QD_BACKEND): ("solve_qd", "newton_qd", ComplexQDArray,
-                               _solution_qd),
+                               ComplexQDArray.buffered),
 }
 
 

@@ -27,7 +27,7 @@ lock step:
   last accepted ``(x, t)``, the step size, the work counters and the
   failure cause -- and :meth:`BatchTracker.track_batches` accepts
   ``resume_from=`` checkpoints so a batch can start *mid-path*.  Checkpoints
-  convert between arithmetics through the backend registry
+  convert between arithmetics through the batch backends
   (:func:`repro.multiprec.backend.convert_batch`), which is what lets the
   escalation pipeline resume a failed path one precision rung wider
   instead of re-tracking it from ``t = 0``.
@@ -52,14 +52,11 @@ from ..errors import CheckpointCorruptError, ConfigurationError
 from ..multiprec.backend import (
     ComplexBatchBackend,
     backend_for_context,
+    backend_named,
     convert_batch,
     masked_lane_errstate,
-    registered_backends,
 )
-from ..multiprec.complex_dd import ComplexDD
-from ..multiprec.double_double import DoubleDouble
-from ..multiprec.numeric import DOUBLE, ComplexQD, NumericContext
-from ..multiprec.quad_double import QuadDouble
+from ..multiprec.numeric import DOUBLE, NumericContext
 from .batch_linsolve import lane_norms
 from .homotopy import BatchHomotopy
 from .newton import BatchNewtonCorrector
@@ -74,69 +71,36 @@ __all__ = ["PathStatus", "LaneCheckpoint", "PathBatch", "BatchTrackResult",
 # ----------------------------------------------------------------------
 # portable scalar encoding: context scalars <-> flat float64 components
 # ----------------------------------------------------------------------
-#: Flat float components of one complex scalar per context: ``d`` stores
-#: ``(re, im)``, ``dd`` the four ``(re.hi, re.lo, im.hi, im.lo)`` planes,
-#: ``qd`` all eight quad-double components.  The planes ARE the scalar's
-#: in-memory representation, so the round trip is bit-for-bit (inf, NaN
-#: and signed zeros included).
-_PLANES_PER_SCALAR = {"d": 2, "dd": 4, "qd": 8}
-
-
 def scalar_to_planes(x, context_name: str) -> List[float]:
     """Flatten one scalar of a ``d``/``dd``/``qd`` context to plain floats.
 
-    The floats are exactly the scalar's component planes -- no rounding --
-    so :func:`scalar_from_planes` reconstructs the scalar bit-for-bit.
-    This is the element step of the portable checkpoint format (see
-    :meth:`LaneCheckpoint.to_portable`).
+    The floats are the context's planes of the scalar -- ``(re, im)`` at
+    ``d``, the four ``(re.hi, re.lo, im.hi, im.lo)`` at ``dd``, all eight
+    quad-double components at ``qd`` -- taken as they are, and a narrower
+    scalar widens exactly, so :func:`scalar_from_planes` reconstructs the
+    scalar bit-for-bit (inf, NaN and signed zeros included).  This is the
+    element step of the portable checkpoint format (see
+    :meth:`LaneCheckpoint.to_portable`) and the codec the backend packs
+    points and exports lanes with.
 
     Raises
     ------
     ConfigurationError
-        For contexts without a known plane decomposition.
+        For contexts without a batch backend.
     """
-    if context_name == "d":
-        z = complex(x)
-        return [z.real, z.imag]
-    if context_name == "dd":
-        if not isinstance(x, ComplexDD):
-            x = ComplexDD(DoubleDouble(complex(x).real),
-                          DoubleDouble(complex(x).imag))
-        return [x.real.hi, x.real.lo, x.imag.hi, x.imag.lo]
-    if context_name == "qd":
-        if not isinstance(x, ComplexQD):
-            x = ComplexQD(complex(x))
-        return [*x.real.c, *x.imag.c]
-    raise ConfigurationError(
-        f"no portable plane encoding for numeric context {context_name!r}; "
-        f"supported: {sorted(_PLANES_PER_SCALAR)}"
-    )
+    return list(backend_named(context_name).scalar_to_planes(x))
 
 
 def scalar_from_planes(planes: Sequence[float], context_name: str):
     """Rebuild a context scalar from :func:`scalar_to_planes` output."""
+    backend = backend_named(context_name)
     values = [float(v) for v in planes]
-    expected = _PLANES_PER_SCALAR.get(context_name)
-    if expected is None:
+    if len(values) != backend.planes_per_scalar:
         raise ConfigurationError(
-            f"no portable plane encoding for numeric context {context_name!r}; "
-            f"supported: {sorted(_PLANES_PER_SCALAR)}"
+            f"a {context_name!r} scalar needs {backend.planes_per_scalar} "
+            f"plane components, got {len(values)}"
         )
-    if len(values) != expected:
-        raise ConfigurationError(
-            f"a {context_name!r} scalar needs {expected} plane components, "
-            f"got {len(values)}"
-        )
-    if context_name == "d":
-        return complex(values[0], values[1])
-    if context_name == "dd":
-        # _raw skips the constructor's two_sum renormalisation: the planes
-        # already are a valid decomposition, and renormalising would poison
-        # non-finite lanes (inf + nan -> nan).
-        return ComplexDD(DoubleDouble._raw(values[0], values[1]),
-                         DoubleDouble._raw(values[2], values[3]))
-    return ComplexQD(QuadDouble._raw(tuple(values[:4])),
-                     QuadDouble._raw(tuple(values[4:])))
+    return backend.scalar_from_planes(values)
 
 
 class PathStatus(IntEnum):
@@ -172,14 +136,14 @@ class LaneCheckpoint:
     are plain scalar data -- ``point``/``prev_point`` hold scalars of the
     capturing arithmetic (``context_name``) -- so they survive the batch
     they came from and can seed a new batch in a *different* arithmetic:
-    :meth:`PathBatch.from_checkpoints` widens them through the backend
-    registry (:func:`repro.multiprec.backend.convert_batch`).
+    :meth:`PathBatch.from_checkpoints` widens them through the batch
+    backends (:func:`repro.multiprec.backend.convert_batch`).
 
     Attributes
     ----------
     context_name:
         Name of the numeric context the checkpoint was captured in
-        (``"d"``, ``"dd"``, ``"qd"``, or any registered backend's).
+        (``"d"``, ``"dd"`` or ``"qd"``).
     point / t:
         The last accepted solution ``x`` (tuple of context scalars) and its
         continuation parameter.
@@ -405,9 +369,9 @@ class PathBatch:
                          initial_step: float) -> "PathBatch":
         """Rebuild a batch mid-path from per-lane checkpoints.
 
-        Checkpoint points are converted into ``backend``'s arithmetic
-        through the backend registry: lanes are grouped by their capturing
-        context and each group moves as one structure-of-arrays
+        Checkpoint points are converted into ``backend``'s arithmetic by
+        their capturing context's backend: lanes are grouped by that context
+        and each group moves as one structure-of-arrays
         :func:`~repro.multiprec.backend.convert_batch` call, so the common
         case -- a whole residue escalating one rung wider -- costs a handful
         of NumPy plane copies.  Widening (``d -> dd -> qd``) preserves every
@@ -440,8 +404,9 @@ class PathBatch:
         ------
         ConfigurationError
             When ``checkpoints`` is empty, the checkpoint dimensions
-            disagree, or a lane's ``t`` lies outside ``[0, 1]`` or its
-            resumed ``dt`` is not positive (NaN included).
+            disagree, a checkpoint's context has no batch backend, or a
+            lane's ``t`` lies outside ``[0, 1]`` or its resumed ``dt`` is
+            not positive (NaN included).
         """
         if not checkpoints:
             raise ConfigurationError("a path batch needs at least one checkpoint")
@@ -467,27 +432,17 @@ class PathBatch:
         # Convert lane points per capturing context, whole groups at a time.
         points = backend.zeros((n, lanes))
         prev_points = backend.zeros((n, lanes))
-        registry = registered_backends()
         by_context: Dict[str, List[int]] = {}
         for lane, cp in enumerate(checkpoints):
             by_context.setdefault(cp.context_name, []).append(lane)
         for name, group in by_context.items():
-            source = registry.get(name)
-            group_points = [checkpoints[lane].point for lane in group]
-            group_prev = [checkpoints[lane].prev_point for lane in group]
-            if source is None:
-                # Unregistered capturing arithmetic: let the target backend
-                # coerce the scalars itself.
-                converted = backend.from_points(group_points)
-                converted_prev = backend.from_points(group_prev)
-            else:
-                converted = convert_batch(source.from_points(group_points),
-                                          source, backend)
-                converted_prev = convert_batch(source.from_points(group_prev),
-                                               source, backend)
+            source = backend_named(name)
             idx = (slice(None), np.asarray(group, dtype=np.intp))
-            points[idx] = converted
-            prev_points[idx] = converted_prev
+            points[idx] = convert_batch(source.from_points(
+                [checkpoints[lane].point for lane in group]), source, backend)
+            prev_points[idx] = convert_batch(source.from_points(
+                [checkpoints[lane].prev_point for lane in group]), source,
+                backend)
 
         return cls(
             backend=backend,
@@ -619,9 +574,8 @@ class BatchTracker:
         The systems of the gamma-trick homotopy (evaluated with the
         structure-of-arrays evaluator; regularity is not required).
     context:
-        Scalar arithmetic; ``d``, ``dd`` and ``qd`` have built-in batch
-        backends (:func:`~repro.multiprec.backend.register_backend` admits
-        more).
+        Scalar arithmetic: ``d``, ``dd`` or ``qd``, the contexts with a
+        batch backend.
     options:
         The same :class:`~repro.tracking.tracker.TrackerOptions` the scalar
         tracker takes -- both engines share the step-control policy.

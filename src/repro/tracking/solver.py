@@ -14,7 +14,7 @@ computational engine inside them.  :func:`solve_system` wires the pieces of
 2. construct the gamma-trick homotopy from the start system to the target;
 3. track every path (optionally only a sample of them) through the
    structure-of-arrays :class:`~repro.tracking.batch_tracker.BatchTracker`,
-   which needs a registered batch backend for every rung's context;
+   which needs a batch backend for every rung's context;
 4. optionally *escalate*: re-track the failed-path residue at the next wider
    arithmetic of an :class:`EscalationPolicy` ladder (d -> dd -> qd),
    except the paths retired as diverging to infinity, the
@@ -61,7 +61,7 @@ class EscalationPolicy:
     A failed path is *resumed* at the wider rung from its
     :class:`~repro.tracking.batch_tracker.LaneCheckpoint` -- the last
     accepted ``(x, t)`` of the cheaper run, converted into the wider
-    arithmetic through the backend registry -- instead of being re-tracked
+    arithmetic through the batch backends -- instead of being re-tracked
     from ``t = 0``.  Failed lanes typically fail near ``t = 1`` (a
     tightening endgame or a final sharpening that double precision cannot
     certify), so the resume reuses almost all of the cheap-rung work.  A
@@ -480,7 +480,7 @@ def solve_system(system: PolynomialSystem, *,
     ------
     ConfigurationError
         Before any path is tracked, when a ladder rung's context has no
-        registered batch backend (the error names ``register_backend``).
+        batch backend (the error names the context).
     """
     ladder = list(escalation.ladder) if escalation is not None else [context]
     for rung in ladder:

@@ -43,14 +43,8 @@ from repro.multiprec.backend import (
     COMPLEX_DD_BACKEND,
     COMPLEX_QD_BACKEND,
 )
-from repro.multiprec.ddarray import complex_dd_mul_into
 from repro.multiprec.eft import SPLIT_THRESHOLD
-from repro.multiprec.qdarray import (
-    _insert_lowest,
-    _renorm4,
-    _renorm5,
-    complex_qd_mul_into,
-)
+from repro.multiprec.qdarray import _insert_lowest, _renorm4, _renorm5
 from repro.multiprec.quad_double import (
     _renorm4 as scalar_renorm4,
     _renorm5 as scalar_renorm5,
@@ -332,12 +326,12 @@ class TestComplexKernels:
         x, y = random_cqd(22), random_cqd(23)
         expected = x * y
         out = x.copy()
-        complex_qd_mul_into(out, out, y)
+        out.assign_mul_(out, y)
         assert_identical(out, expected)
         u, w = random_cdd(22), random_cdd(23)
         expected = u * w
         out = w.copy()
-        complex_dd_mul_into(out, u, out)
+        out.assign_mul_(u, out)
         assert_identical(out, expected)
 
     @pytest.mark.parametrize("kind", ["qd", "dd"])
@@ -591,7 +585,7 @@ class TestPlaneLayouts:
         expected = on_reference(lambda: x * y)
         assert compiled.run("cqd_mul", planes(out) + planes(x)
                             + planes(y)) is None
-        complex_qd_mul_into(out, x, y)
+        out.assign_mul_(x, y)
         assert_identical(out, expected)
 
 

@@ -21,8 +21,8 @@ from repro.errors import DivisionByZeroError
 from repro.multiprec import compiled
 from repro.multiprec.backend import (COMPLEX128_BACKEND, COMPLEX_DD_BACKEND,
                                      COMPLEX_QD_BACKEND)
-from repro.multiprec.ddarray import ComplexDDArray, complex_dd_from_planes
-from repro.multiprec.qdarray import ComplexQDArray, complex_qd_from_planes
+from repro.multiprec.ddarray import ComplexDDArray
+from repro.multiprec.qdarray import ComplexQDArray
 from repro.tracking import batched_solve
 from repro.tracking.batch_linsolve import NewtonUpdate
 
@@ -367,10 +367,10 @@ def test_zero_denominator_declines_to_the_python_error(backend, monkeypatch):
     _native_or_skip(backend)
     one, zero = np.ones(2), np.zeros(2)
     if backend is COMPLEX_DD_BACKEND:
-        pivot = complex_dd_from_planes((one, -0.5 * one, zero, zero))
+        pivot = ComplexDDArray.from_planes((one, -0.5 * one, zero, zero))
     else:
-        pivot = complex_qd_from_planes((one, -one, zero, zero,
-                                        zero, zero, zero, zero))
+        pivot = ComplexQDArray.from_planes((one, -one, zero, zero,
+                                            zero, zero, zero, zero))
     spy = KernelSpy(compiled.KERNELS)
     monkeypatch.setattr(compiled, "KERNELS", spy)
     with pytest.raises(DivisionByZeroError):
@@ -523,11 +523,11 @@ def test_a_zero_denominator_leaves_the_iterate_to_the_python_error(
     _native_or_skip(backend)
     one, zero = np.ones(2), np.zeros(2)
     if backend is COMPLEX_DD_BACKEND:
-        pivot = complex_dd_from_planes((one, np.array([0.0, -0.5]),
-                                        zero, zero))
+        pivot = ComplexDDArray.from_planes((one, np.array([0.0, -0.5]),
+                                            zero, zero))
     else:
-        pivot = complex_qd_from_planes((one, np.array([0.0, -1.0]), zero,
-                                        zero, zero, zero, zero, zero))
+        pivot = ComplexQDArray.from_planes((one, np.array([0.0, -1.0]), zero,
+                                            zero, zero, zero, zero, zero))
     points = _rows([[1.0, 1.0]], backend)
     step = NewtonUpdate(backend.copy(points), 1e-12)
     spy = KernelSpy(compiled.KERNELS)

@@ -276,6 +276,61 @@ class TestPathBatchStructure:
             BatchTracker(start, system, context=octuple)
 
 
+def plane_hex(backend, array, lane):
+    """Lane ``lane`` of an ``(n, B)`` batch array, every plane as hex."""
+    return [[float(v).hex() for v in np.ravel(plane[:, lane].view(np.float64))]
+            for plane in backend.component_planes(array)]
+
+
+@pytest.mark.parametrize("context", [DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE],
+                         ids=lambda c: c.name)
+class TestLaneScalarCodec:
+    """Each backend packs scalars into planes and exports them back with one
+    codec: components are taken as they are (no renormalisation, which
+    would turn an infinite lane into NaN) and narrower scalars widen
+    exactly, so a lane exported and packed again is bit for bit itself."""
+
+    def test_infinite_start_lane_reports_its_start_point(self, context):
+        from repro.bench.batch_tracking import cyclic_quadratic_system
+
+        system = cyclic_quadratic_system(2)
+        tracker = BatchTracker(total_degree_start_system(system), system,
+                               context=context)
+        result = tracker.track_batches([[np.inf, 1], [1, 1]])
+        lane = result.checkpoints()[0]
+        assert lane.status is PathStatus.START_FAILED
+        assert [complex(x) for x in result.results[0].solution] \
+            == [complex(np.inf, 0.0), 1 + 0j]
+
+    def test_exported_lane_packs_back_bit_for_bit(self, context):
+        from repro.multiprec.backend import backend_for_context
+
+        backend = backend_for_context(context)
+        points = backend.from_points([[np.inf, 1], [1, 1]])
+        again = backend.from_points([backend.lane_scalars(points, 0)])
+        assert plane_hex(backend, again, 0) == plane_hex(backend, points, 0)
+
+    def test_ragged_start_solutions_are_refused(self, context):
+        system = decoupled_quadratic_system()
+        tracker = BatchTracker(total_degree_start_system(system), system,
+                               context=context)
+        with pytest.raises(ConfigurationError, match="same dimension"):
+            tracker.track_batches([[1, 1], [1]])
+
+
+def test_double_double_scalar_widens_exactly_into_quad_double_planes():
+    from repro.multiprec import ComplexDD, DoubleDouble
+    from repro.multiprec.backend import COMPLEX_QD_BACKEND
+    from repro.tracking.batch_tracker import scalar_to_planes
+
+    x = ComplexDD(DoubleDouble(1.0, 1e-20), DoubleDouble(2.0, -3e-21))
+    want = [1.0, 1e-20, 0.0, 0.0, 2.0, -3e-21, 0.0, 0.0]
+    assert scalar_to_planes(x, "qd") == want
+    packed = COMPLEX_QD_BACKEND.from_points([[x]])
+    assert [float(plane[0, 0]) for plane
+            in COMPLEX_QD_BACKEND.component_planes(packed)] == want
+
+
 class TestQuadDoubleBatchTracking:
     """The qd backend drives the batch stack end to end (seed fixtures)."""
 

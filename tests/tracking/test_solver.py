@@ -309,7 +309,7 @@ class TestBatchedRoute:
 
 class TestLadderRouting:
     """Every rung tracks through the batched engine: a rung whose context
-    has no registered batch backend is refused before any path is tracked,
+    has no batch backend is refused before any path is tracked,
     and a clean escalated solve records no degradation."""
 
     def test_solver_refuses_backendless_rung_before_tracking(self,
@@ -326,7 +326,7 @@ class TestLadderRouting:
         monkeypatch.setattr(BatchTracker, "track_batches", track_batches)
         orphan = dataclasses.replace(DOUBLE_DOUBLE, name="dd-no-backend")
         with pytest.raises(ConfigurationError,
-                           match="'dd-no-backend'.*register_backend"):
+                           match="'dd-no-backend'; available"):
             solve_system(decoupled_quadratics(values=(2.0,)),
                          escalation=EscalationPolicy(ladder=(DOUBLE, orphan)))
 
@@ -345,7 +345,7 @@ class TestLadderRouting:
         monkeypatch.setattr(BatchTracker, "__init__", build)
         orphan = dataclasses.replace(DOUBLE_DOUBLE, name="dd-no-backend")
         with pytest.raises(ConfigurationError,
-                           match="'dd-no-backend'.*register_backend"):
+                           match="'dd-no-backend'; available"):
             solve_system(decoupled_quadratics(), context=orphan)
 
     def test_clean_escalated_solve_reports_no_degradations(self):

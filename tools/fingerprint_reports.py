@@ -24,7 +24,10 @@ only reclassifies or stops failed paths can show that no root moved.
 
 ``--solve-off`` empties ``compiled.SOLVE_CONTEXTS``, so the linear solves
 and Newton updates run their Python routes; ``--kernels-off`` sets
-``compiled.KERNELS`` to None (slow: keep it to ``--workload solve-d``).
+``compiled.KERNELS`` to None, so every dd/qd operation runs its NumPy
+reference chain.  Run it on all four line sets: ``solve-d`` and
+``tangent`` stay at d, and only ``escalate-qd`` and ``ladder-all`` reach
+the dd/qd chains (all four take about 25 s on a two-CPU host).
 ``--sharded N`` solves every case through ``solve_system_sharded`` with
 ``N`` shards on one two-worker ``WorkerPool``; the service promises the
 in-process answers, so it prints the same lines.
