@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-all test-scenarios chaos docs kernels fingerprints bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
+.PHONY: test test-all test-scenarios chaos docs kernels fingerprints importtime bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
 
 # Build (or confirm) the cached dd/qd plane kernels ahead of the first
 # import and print the contexts whose plan tapes and batched linear solves
@@ -26,6 +26,18 @@ kernels:
 # must print the in-process lines.
 fingerprints:
 	$(PY) tools/fingerprint_reports.py
+
+# Where a fresh process spends its import time: the 20 largest cumulative
+# `python -X importtime` entries (microseconds) of `import repro.tracking`
+# and of `import repro.service`, so a module that couples the solve path
+# to the simulated GPU, the bench sweeps or the service again shows up by
+# name.  No gate: tests/test_import_contract.py pins the module sets.
+importtime:
+	@for module in repro.tracking repro.service; do \
+		echo "import $$module: largest cumulative import times (us)"; \
+		$(PY) -X importtime -c "import $$module" 2>&1 >/dev/null \
+			| grep '^import time:' | sort -t'|' -k2 -n -r | head -20; \
+	done
 
 # Tier-1: the fast suite (pytest.ini deselects @pytest.mark.slow).
 test:

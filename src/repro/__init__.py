@@ -22,89 +22,67 @@ Typical use::
 
 See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 regeneration of the paper's Tables 1 and 2.
+
+The names below resolve on first use (:mod:`repro._lazy`): ``import repro``
+loads no subpackage, so a solve never loads the simulated GPU, the bench
+sweeps or the service.
 """
 
-from . import bench, core, gpusim, multiprec, polynomials, service, tracking
-from .core import (
-    CPUReferenceEvaluator,
-    GPUEvaluation,
-    GPUEvaluator,
-    MulticoreEvaluator,
-    SystemLayout,
-    validate_evaluator,
-)
-from .errors import (
-    ConfigurationError,
-    ConstantMemoryOverflow,
-    ConvergenceError,
-    DeviceCapacityError,
-    KernelExecutionError,
-    LaunchConfigurationError,
-    MemoryAccessError,
-    PathTrackingError,
-    ReproError,
-    SharedMemoryOverflow,
-    SingularMatrixError,
-)
-from .gpusim import CPUCostModel, GPUCostModel, TESLA_C2050, XEON_X5690
-from .multiprec import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, ComplexDD, DoubleDouble, QuadDouble
-from .polynomials import (
-    Monomial,
-    Polynomial,
-    PolynomialSystem,
-    random_point,
-    random_regular_system,
-    table1_system,
-    table2_system,
-)
-from .tracking import Homotopy, NewtonCorrector, PathTracker
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
+#: Public name -> the subpackage (or module) that exports it.
+_EXPORTS = {
+    "CPUReferenceEvaluator": "core",
+    "GPUEvaluation": "core",
+    "GPUEvaluator": "core",
+    "MulticoreEvaluator": "core",
+    "SystemLayout": "core",
+    "validate_evaluator": "core",
+    "ConfigurationError": "errors",
+    "ConstantMemoryOverflow": "errors",
+    "ConvergenceError": "errors",
+    "DeviceCapacityError": "errors",
+    "KernelExecutionError": "errors",
+    "LaunchConfigurationError": "errors",
+    "MemoryAccessError": "errors",
+    "PathTrackingError": "errors",
+    "ReproError": "errors",
+    "SharedMemoryOverflow": "errors",
+    "SingularMatrixError": "errors",
+    "CPUCostModel": "gpusim",
+    "GPUCostModel": "gpusim",
+    "TESLA_C2050": "gpusim",
+    "XEON_X5690": "gpusim",
+    "DOUBLE": "multiprec",
+    "DOUBLE_DOUBLE": "multiprec",
+    "QUAD_DOUBLE": "multiprec",
+    "ComplexDD": "multiprec",
+    "DoubleDouble": "multiprec",
+    "QuadDouble": "multiprec",
+    "Monomial": "polynomials",
+    "Polynomial": "polynomials",
+    "PolynomialSystem": "polynomials",
+    "random_point": "polynomials",
+    "random_regular_system": "polynomials",
+    "table1_system": "polynomials",
+    "table2_system": "polynomials",
+    "Homotopy": "tracking",
+    "NewtonCorrector": "tracking",
+    "PathTracker": "tracking",
+}
+
 __all__ = [
-    "ComplexDD",
-    "ConfigurationError",
-    "ConstantMemoryOverflow",
-    "ConvergenceError",
-    "CPUCostModel",
-    "CPUReferenceEvaluator",
-    "DeviceCapacityError",
-    "DOUBLE",
-    "DOUBLE_DOUBLE",
-    "DoubleDouble",
-    "GPUCostModel",
-    "GPUEvaluation",
-    "GPUEvaluator",
-    "Homotopy",
-    "KernelExecutionError",
-    "LaunchConfigurationError",
-    "MemoryAccessError",
-    "Monomial",
-    "MulticoreEvaluator",
-    "NewtonCorrector",
-    "PathTracker",
-    "PathTrackingError",
-    "Polynomial",
-    "PolynomialSystem",
-    "QUAD_DOUBLE",
-    "QuadDouble",
-    "ReproError",
-    "SharedMemoryOverflow",
-    "SingularMatrixError",
-    "SystemLayout",
-    "TESLA_C2050",
-    "XEON_X5690",
+    *_EXPORTS,
     "bench",
     "core",
     "gpusim",
     "multiprec",
     "polynomials",
-    "random_point",
-    "random_regular_system",
     "service",
-    "table1_system",
-    "table2_system",
     "tracking",
-    "validate_evaluator",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -2,97 +2,57 @@
 plain-text reporting used by the scripts under ``benchmarks/`` and by the
 examples that reproduce the paper's tables."""
 
-from .batch_tracking import (
-    BatchTrackingRow,
-    cyclic_quadratic_system,
-    run_batch_tracking_bench,
-    run_scenario_batch_tracking_bench,
-)
-from .escalation import (
-    EscalationRow,
-    EscalationSummary,
-    run_escalation_bench,
-    run_scenario_escalation_bench,
-)
-from .eval_plan import run_scenario_eval_plan_bench
-from .harness import RowResult, run_table, run_workload, speedup_curve
-from .qd_arith import (
-    QDArithRow,
-    QDTrackerRow,
-    qd_arith_report,
-    run_qd_arith_bench,
-    run_qd_tracker_bench,
-)
-from .reporting import format_breakdown, format_paper_rows, format_table
-from .scenarios import (
-    FAMILIES,
-    SCENARIOS,
-    Scenario,
-    ScenarioFamily,
-    bench_scenarios,
-    get_scenario,
-    iter_scenarios,
-    matrix_scenarios,
-    scenario_names,
-    tier1_scenarios,
-)
-from .shard import (ShardRow, ShardSummary, run_robustness_bench,
-                    run_scenario_shard_bench, run_shard_bench)
-from .start_strategies import run_family_serving_bench, run_start_strategy_bench
-from .workloads import (
-    EVALUATIONS_PER_RUN,
-    PaperRow,
-    TABLE1_ROWS,
-    TABLE1_WORKLOADS,
-    TABLE2_ROWS,
-    TABLE2_WORKLOADS,
-    Workload,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchTrackingRow",
-    "EVALUATIONS_PER_RUN",
-    "FAMILIES",
-    "PaperRow",
-    "QDArithRow",
-    "QDTrackerRow",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioFamily",
-    "bench_scenarios",
-    "cyclic_quadratic_system",
-    "get_scenario",
-    "iter_scenarios",
-    "matrix_scenarios",
-    "qd_arith_report",
-    "run_batch_tracking_bench",
-    "run_qd_arith_bench",
-    "run_qd_tracker_bench",
-    "run_scenario_batch_tracking_bench",
-    "run_scenario_escalation_bench",
-    "run_scenario_eval_plan_bench",
-    "run_family_serving_bench",
-    "run_robustness_bench",
-    "run_scenario_shard_bench",
-    "scenario_names",
-    "tier1_scenarios",
-    "EscalationRow",
-    "EscalationSummary",
-    "run_escalation_bench",
-    "RowResult",
-    "ShardRow",
-    "ShardSummary",
-    "run_shard_bench",
-    "run_start_strategy_bench",
-    "TABLE1_ROWS",
-    "TABLE1_WORKLOADS",
-    "TABLE2_ROWS",
-    "TABLE2_WORKLOADS",
-    "Workload",
-    "format_breakdown",
-    "format_paper_rows",
-    "format_table",
-    "run_table",
-    "run_workload",
-    "speedup_curve",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BatchTrackingRow": "batch_tracking",
+    "EVALUATIONS_PER_RUN": "workloads",
+    "FAMILIES": "scenarios",
+    "PaperRow": "workloads",
+    "QDArithRow": "qd_arith",
+    "QDTrackerRow": "qd_arith",
+    "SCENARIOS": "scenarios",
+    "Scenario": "scenarios",
+    "ScenarioFamily": "scenarios",
+    "bench_scenarios": "scenarios",
+    "cyclic_quadratic_system": "batch_tracking",
+    "get_scenario": "scenarios",
+    "iter_scenarios": "scenarios",
+    "matrix_scenarios": "scenarios",
+    "qd_arith_report": "qd_arith",
+    "run_batch_tracking_bench": "batch_tracking",
+    "run_qd_arith_bench": "qd_arith",
+    "run_qd_tracker_bench": "qd_arith",
+    "run_scenario_batch_tracking_bench": "batch_tracking",
+    "run_scenario_escalation_bench": "escalation",
+    "run_scenario_eval_plan_bench": "eval_plan",
+    "run_family_serving_bench": "start_strategies",
+    "run_robustness_bench": "shard",
+    "run_scenario_shard_bench": "shard",
+    "scenario_names": "scenarios",
+    "tier1_scenarios": "scenarios",
+    "EscalationRow": "escalation",
+    "EscalationSummary": "escalation",
+    "run_escalation_bench": "escalation",
+    "RowResult": "harness",
+    "ShardRow": "shard",
+    "ShardSummary": "shard",
+    "run_shard_bench": "shard",
+    "run_start_strategy_bench": "start_strategies",
+    "TABLE1_ROWS": "workloads",
+    "TABLE1_WORKLOADS": "workloads",
+    "TABLE2_ROWS": "workloads",
+    "TABLE2_WORKLOADS": "workloads",
+    "Workload": "workloads",
+    "format_breakdown": "reporting",
+    "format_paper_rows": "reporting",
+    "format_table": "reporting",
+    "run_table": "harness",
+    "run_workload": "harness",
+    "speedup_curve": "harness",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

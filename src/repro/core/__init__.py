@@ -14,82 +14,52 @@
 * :mod:`~repro.core.validation` -- GPU-vs-CPU cross checking.
 """
 
-from .batch import BatchEvaluator, BatchResult, BatchStatistics
-from .evalplan import EvaluationPlan, HomotopyPlan, PlanOpCounts
-from .common_factor_kernel import CommonFactorFromScratchKernel, CommonFactorKernel
-from .cpu_reference import CPUEvaluation, CPUReferenceEvaluator
-from .evaluator import GPUEvaluation, GPUEvaluator
-from .layout import (
-    ARRAY_COEFFS,
-    ARRAY_COMMON_FACTORS,
-    ARRAY_EXPONENTS,
-    ARRAY_MONS,
-    ARRAY_PACKED_SUPPORTS,
-    ARRAY_POSITIONS,
-    ARRAY_RESULTS,
-    ARRAY_X,
-    MonomialRecord,
-    SharedMemoryBudget,
-    SystemLayout,
-    shared_memory_budget,
-)
-from .multicore import (
-    MulticoreEvaluator,
-    partition_lanes,
-    partition_monomials,
-)
-from .packed_kernels import PackedCommonFactorKernel, PackedSpeelpenningKernel
-from .opcounts import (
-    KernelOperationCounts,
-    expected_counts,
-    kernel1_multiplications_per_thread,
-    kernel2_multiplications_per_thread,
-    sharing_report,
-    speelpenning_multiplications,
-)
-from .speelpenning_kernel import SpeelpenningKernel
-from .summation_kernel import SummationKernel
-from .validation import ComparisonReport, compare_evaluations, validate_evaluator
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ARRAY_COEFFS",
-    "ARRAY_COMMON_FACTORS",
-    "ARRAY_EXPONENTS",
-    "ARRAY_MONS",
-    "ARRAY_PACKED_SUPPORTS",
-    "ARRAY_POSITIONS",
-    "ARRAY_RESULTS",
-    "ARRAY_X",
-    "BatchEvaluator",
-    "BatchResult",
-    "BatchStatistics",
-    "CommonFactorFromScratchKernel",
-    "CommonFactorKernel",
-    "ComparisonReport",
-    "CPUEvaluation",
-    "CPUReferenceEvaluator",
-    "EvaluationPlan",
-    "GPUEvaluation",
-    "GPUEvaluator",
-    "HomotopyPlan",
-    "KernelOperationCounts",
-    "MonomialRecord",
-    "MulticoreEvaluator",
-    "PackedCommonFactorKernel",
-    "PlanOpCounts",
-    "PackedSpeelpenningKernel",
-    "SharedMemoryBudget",
-    "SpeelpenningKernel",
-    "SummationKernel",
-    "SystemLayout",
-    "compare_evaluations",
-    "expected_counts",
-    "kernel1_multiplications_per_thread",
-    "kernel2_multiplications_per_thread",
-    "partition_lanes",
-    "partition_monomials",
-    "shared_memory_budget",
-    "sharing_report",
-    "speelpenning_multiplications",
-    "validate_evaluator",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ARRAY_COEFFS": "layout",
+    "ARRAY_COMMON_FACTORS": "layout",
+    "ARRAY_EXPONENTS": "layout",
+    "ARRAY_MONS": "layout",
+    "ARRAY_PACKED_SUPPORTS": "layout",
+    "ARRAY_POSITIONS": "layout",
+    "ARRAY_RESULTS": "layout",
+    "ARRAY_X": "layout",
+    "BatchEvaluator": "batch",
+    "BatchResult": "batch",
+    "BatchStatistics": "batch",
+    "CommonFactorFromScratchKernel": "common_factor_kernel",
+    "CommonFactorKernel": "common_factor_kernel",
+    "ComparisonReport": "validation",
+    "CPUEvaluation": "cpu_reference",
+    "CPUReferenceEvaluator": "cpu_reference",
+    "EvaluationPlan": "evalplan",
+    "GPUEvaluation": "evaluator",
+    "GPUEvaluator": "evaluator",
+    "HomotopyPlan": "evalplan",
+    "KernelOperationCounts": "opcounts",
+    "MonomialRecord": "layout",
+    "MulticoreEvaluator": "multicore",
+    "PackedCommonFactorKernel": "packed_kernels",
+    "PlanOpCounts": "evalplan",
+    "PackedSpeelpenningKernel": "packed_kernels",
+    "SharedMemoryBudget": "layout",
+    "SpeelpenningKernel": "speelpenning_kernel",
+    "SummationKernel": "summation_kernel",
+    "SystemLayout": "layout",
+    "compare_evaluations": "validation",
+    "expected_counts": "opcounts",
+    "kernel1_multiplications_per_thread": "opcounts",
+    "kernel2_multiplications_per_thread": "opcounts",
+    "partition_lanes": "multicore",
+    "partition_monomials": "multicore",
+    "shared_memory_budget": "layout",
+    "sharing_report": "opcounts",
+    "speelpenning_multiplications": "opcounts",
+    "validate_evaluator": "validation",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -30,19 +30,19 @@ and the differential tests and the plan-vs-walk bench evaluate through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..gpusim.costmodel import CPUCostModel, GPUCostModel
 from ..multiprec.backend import ComplexBatchBackend, backend_for_context
 from ..multiprec.numeric import DOUBLE, NumericContext
 from ..polynomials.speelpenning import speelpenning_gradient
 from ..polynomials.system import PolynomialSystem
-from .cpu_reference import CPUReferenceEvaluator
 from .evalplan import require_lane_batch
-from .evaluator import GPUEvaluation, GPUEvaluator
-from .validation import compare_evaluations
+
+if TYPE_CHECKING:
+    from ..gpusim.costmodel import CPUCostModel, GPUCostModel
+    from .evaluator import GPUEvaluation, GPUEvaluator
 
 __all__ = [
     "BatchStatistics",
@@ -127,6 +127,12 @@ class BatchEvaluator:
                  validate_every: int = 0,
                  validation_tolerance: float = 1e-10,
                  **evaluator_kwargs):
+        # The simulated device and the cost model load only for the
+        # evaluator that runs on them (a solve never builds one).
+        from ..gpusim.costmodel import GPUCostModel
+        from .cpu_reference import CPUReferenceEvaluator
+        from .evaluator import GPUEvaluator
+
         self.system = system
         self.context = context
         self.evaluator = evaluator or GPUEvaluator(system, context=context, **evaluator_kwargs)
@@ -140,6 +146,8 @@ class BatchEvaluator:
 
     def evaluate_batch(self, points: Iterable[Sequence]) -> BatchResult:
         """Evaluate the system and Jacobian at every point of the batch."""
+        from .validation import compare_evaluations
+
         statistics = BatchStatistics()
         values: List[List] = []
         jacobians: List[List[List]] = []
@@ -170,6 +178,9 @@ class BatchEvaluator:
         The CPU prediction reuses the operation tally of one sequential
         factored evaluation, exactly as the benchmark harness does.
         """
+        from ..gpusim.costmodel import CPUCostModel
+        from .cpu_reference import CPUReferenceEvaluator
+
         cpu_model = cpu_model or CPUCostModel()
         reference = CPUReferenceEvaluator(self.system, context=self.context,
                                           algorithm="factored")

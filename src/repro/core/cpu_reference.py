@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..gpusim.costmodel import CPUCostModel
 from ..multiprec.numeric import DOUBLE, NumericContext
 from ..polynomials.evaluation import EvaluationResult, evaluate_factored, evaluate_naive
 from ..polynomials.speelpenning import OperationCount
 from ..polynomials.system import PolynomialSystem
+
+if TYPE_CHECKING:
+    from ..gpusim.costmodel import CPUCostModel
 
 __all__ = ["CPUEvaluation", "CPUReferenceEvaluator"]
 
@@ -46,6 +48,8 @@ class CPUEvaluation:
     def predicted_host_time(self, cost_model: Optional[CPUCostModel] = None,
                             context: NumericContext = DOUBLE) -> float:
         """Predicted single-core Xeon X5690 time for this evaluation."""
+        from ..gpusim.costmodel import CPUCostModel
+
         model = cost_model or CPUCostModel()
         return model.evaluation_time(self.operations, context)
 

@@ -291,7 +291,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
     ConfigurationError
         When a ladder rung has no batch backend or is not
         resolvable by name in a worker process -- the service refuses up
-        front rather than degrade its crash-resume guarantee.
+        front rather than degrade its crash-resume guarantee -- or
+        ``deduplication_tolerance`` is not finite and positive.
     ShardFailedError
         When one shard's retries are exhausted (and quarantine did not
         intervene).
@@ -314,7 +315,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
                 f"the sharded service ships contexts by name across the "
                 f"process boundary"
             )
-    plan, starts = prepare_starts(system, start, max_paths, seed)
+    plan, starts = prepare_starts(system, start, max_paths, seed,
+                                  deduplication_tolerance)
     starts = [tuple(complex(x) for x in s) for s in starts]
 
     if store is None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,14 +162,15 @@ class BatchHomotopy:
         self.context = context
         self.backend = backend or backend_for_context(context)
         self.gamma = _checked_gamma(gamma)
-        # The walk reference of use_plan=False.
-        self.start_evaluator = VectorisedBatchEvaluator(start_system, backend=self.backend)
-        self.target_evaluator = VectorisedBatchEvaluator(target_system, backend=self.backend)
+        # Both routes refuse here: the plan compiles only on first use.
+        if not (start_system.is_square() and target_system.is_square()):
+            raise ConfigurationError("batched evaluation needs a square system")
         if start_system.dimension != target_system.dimension:
             raise ConfigurationError("start and target systems must share a dimension")
         self.dimension = target_system.dimension
         self.use_plan = use_plan
         self._plan = None
+        self._walk = None
         self._systems = (start_system, target_system)
 
     @property
@@ -180,6 +181,15 @@ class BatchHomotopy:
             self._plan = HomotopyPlan(self._systems[0], self._systems[1],
                                       gamma=self.gamma, backend=self.backend)
         return self._plan
+
+    @property
+    def walk(self) -> Tuple[VectorisedBatchEvaluator, VectorisedBatchEvaluator]:
+        """The walk-the-terms evaluators of the start and target systems,
+        the ``use_plan=False`` route (built on first use, cached)."""
+        if self._walk is None:
+            self._walk = tuple(VectorisedBatchEvaluator(system, backend=self.backend)
+                               for system in self._systems)
+        return self._walk
 
     def evaluate_batch(self, points, t) -> BatchHomotopyEvaluation:
         """Evaluate ``h``, ``dh/dx`` and ``dh/dt`` at per-lane parameters.
@@ -206,8 +216,7 @@ class BatchHomotopy:
                                            t_derivative=t_derivative)
         require_lane_batch(points, self.dimension)
         t = require_lane_parameters(t, points.shape[1])
-        g = self.start_evaluator.evaluate(points)
-        f = self.target_evaluator.evaluate(points)
+        g, f = (evaluator.evaluate(points) for evaluator in self.walk)
 
         weight_g = self.gamma * (1.0 - t).astype(np.complex128)
         weight_f = t.astype(np.complex128)

@@ -19,11 +19,13 @@ overhead is covered by a given speedup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..multiprec.numeric import CONTEXTS, DOUBLE, NumericContext
 from ..polynomials.speelpenning import OperationCount
-from ..gpusim.costmodel import CPUCostModel, GPUCostModel
+
+if TYPE_CHECKING:
+    from ..gpusim.costmodel import CPUCostModel
 
 __all__ = ["QualityUpEntry", "offset_factor", "affordable_precision", "quality_up_table"]
 
@@ -117,6 +119,8 @@ def measured_overhead_factor(operations: OperationCount,
                              cost_model: Optional[CPUCostModel] = None) -> float:
     """Predicted CPU overhead of ``context`` relative to hardware doubles for
     the given operation tally (the paper's 'cost factor ... around 8')."""
+    from ..gpusim.costmodel import CPUCostModel
+
     model = cost_model or CPUCostModel()
     base = model.evaluation_time(operations, DOUBLE)
     extended = model.evaluation_time(operations, context)

@@ -371,12 +371,25 @@ def _deduplicate(solutions: Sequence[PathResult], context: NumericContext,
 
 
 def prepare_starts(system: PolynomialSystem, start: Optional[StartStrategy],
-                   max_paths: Optional[int], seed: Optional[int]
+                   max_paths: Optional[int], seed: Optional[int],
+                   deduplication_tolerance: float
                    ) -> Tuple[StartPlan, List[Sequence]]:
     """Prepare the start system of ``start`` (total degree by default) and
     the start solutions to track: all of them, or a seeded sample of
     ``max_paths``.  Shared by :func:`solve_system` and the sharded
-    service."""
+    service.
+
+    Raises
+    ------
+    ConfigurationError
+        When ``deduplication_tolerance`` is not finite and positive: it is
+        used only after every path is tracked, so it is refused here.
+    """
+    if not (math.isfinite(deduplication_tolerance)
+            and deduplication_tolerance > 0):
+        raise ConfigurationError(
+            f"deduplication_tolerance must be finite and > 0, got "
+            f"{deduplication_tolerance!r}")
     plan = (start if start is not None else TotalDegreeStart()).prepare(system)
     if max_paths is not None and max_paths < plan.path_count:
         return plan, plan.sample_solutions(max_paths, seed=seed)
@@ -480,12 +493,14 @@ def solve_system(system: PolynomialSystem, *,
     ------
     ConfigurationError
         Before any path is tracked, when a ladder rung's context has no
-        batch backend (the error names the context).
+        batch backend (the error names the context) or
+        ``deduplication_tolerance`` is not finite and positive.
     """
     ladder = list(escalation.ladder) if escalation is not None else [context]
     for rung in ladder:
         backend_for_context(rung)  # refuse a backendless rung up front
-    plan, starts = prepare_starts(system, start, max_paths, seed)
+    plan, starts = prepare_starts(system, start, max_paths, seed,
+                                  deduplication_tolerance)
 
     def run_rung(level, rung, pending, checkpoints_by_index):
         tracker = BatchTracker(plan.start_system, system, context=rung,

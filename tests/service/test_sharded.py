@@ -8,6 +8,7 @@ escalation workload are marked ``slow``.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -121,6 +122,19 @@ class TestValidation:
         impostor = dataclasses.replace(DOUBLE_DOUBLE, mul_cost_factor=9.0)
         with pytest.raises(ConfigurationError, match="resolvable by name"):
             solve_system_sharded(decoupled_quadratics(), context=impostor)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan"),
+                                           float("inf")])
+    def test_bad_deduplication_tolerance_is_refused_before_tracking(
+            self, monkeypatch, tolerance):
+        def pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(sharded_module, "WorkerPool", pool)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"got {tolerance!r}")):
+            solve_system_sharded(decoupled_quadratics(),
+                                 deduplication_tolerance=tolerance)
 
 
 class TestCrashRecovery:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 import repro
+
+SUBPACKAGES = ["repro.bench", "repro.core", "repro.gpusim", "repro.multiprec",
+               "repro.polynomials", "repro.service", "repro.tracking"]
 
 
 class TestPublicAPI:
@@ -21,6 +26,7 @@ class TestPublicAPI:
         import repro.gpusim
         import repro.multiprec
         import repro.polynomials
+        import repro.service
         import repro.tracking
 
         assert repro.core.GPUEvaluator is repro.GPUEvaluator
@@ -47,13 +53,15 @@ class TestPublicAPI:
         assert repro.TESLA_C2050.multiprocessors == 14
         assert repro.XEON_X5690.clock_hz == pytest.approx(3.47e9)
 
-    def test_subpackage_all_lists_resolve(self):
-        import repro.core as core
-        import repro.gpusim as gpusim
-        import repro.multiprec as multiprec
-        import repro.polynomials as polynomials
-        import repro.tracking as tracking
-
-        for module in (core, gpusim, multiprec, polynomials, tracking):
-            for name in module.__all__:
-                assert hasattr(module, name), f"{module.__name__}.{name}"
+    @pytest.mark.parametrize("package", ["repro", *SUBPACKAGES])
+    def test_subpackage_all_lists_resolve(self, package):
+        """Every ``__all__`` name resolves, ``from <package> import *``
+        binds it, and ``dir(<package>)`` lists it."""
+        module = importlib.import_module(package)
+        star: dict = {}
+        exec(f"from {package} import *", star)
+        listed = set(dir(module))
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name}"
+            assert star[name] is getattr(module, name), f"{package}.{name}"
+            assert name in listed, f"{package}.{name}"

@@ -314,3 +314,54 @@ class TestRouteSelection:
             thread.join()
         assert mismatches == {"plan": 0, "walk": 0}
         assert callers == {"plan": {"plan"}, "walk": {"walk"}}
+
+
+class TestConstruction:
+    """A BatchHomotopy builds only what its route runs, and refuses a pair
+    it cannot evaluate before either route compiles or walks anything."""
+
+    @pytest.mark.parametrize("route", ["plan", "walk"])
+    @pytest.mark.parametrize("which", ["start", "target"])
+    def test_a_non_square_system_is_refused_at_construction(self, route,
+                                                            which):
+        target = target_system()
+        start = total_degree_start_system(target)
+        # Two polynomials in three variables.
+        ragged = PolynomialSystem(list(target), dimension=3)
+        pair = (ragged, target) if which == "start" else (start, ragged)
+        with pytest.raises(ConfigurationError, match="square"):
+            BatchHomotopy(*pair, use_plan=route == "plan")
+
+    def test_the_plan_route_builds_no_walk(self, monkeypatch):
+        import repro.tracking.homotopy as homotopy_module
+
+        def walk(*args, **kwargs):
+            raise AssertionError("a walk evaluator was built")
+
+        monkeypatch.setattr(homotopy_module, "VectorisedBatchEvaluator",
+                            walk)
+        evaluate = batch_evaluate("plan")
+        points = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [0.5j, -0.2 + 0j]])
+        evaluate(points, np.array([0.25, 0.75]))
+
+    def test_the_walk_route_walks_each_system_once_built(self, monkeypatch):
+        from repro.core.batch import VectorisedBatchEvaluator
+
+        built = []
+        build = VectorisedBatchEvaluator.__init__
+
+        def recorded_build(self, system, **kwargs):
+            built.append(system)
+            build(self, system, **kwargs)
+
+        monkeypatch.setattr(VectorisedBatchEvaluator, "__init__",
+                            recorded_build)
+        target = target_system()
+        start = total_degree_start_system(target)
+        homotopy = BatchHomotopy(start, target, gamma=complex(0.6, 0.8),
+                                 use_plan=False)
+        assert built == []
+        points = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [0.5j, -0.2 + 0j]])
+        for _ in range(2):
+            homotopy.evaluate_batch(points, np.array([0.25, 0.75]))
+        assert built == [start, target]

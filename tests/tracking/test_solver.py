@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import re
 
 import pytest
 
@@ -124,6 +125,27 @@ class TestDeduplication:
         ]
         merged = _deduplicate(results, DOUBLE, tolerance=1e-6)
         assert len(merged) == 1
+
+
+class TestDeduplicationTolerance:
+    """A tolerance that is not finite and positive is refused before any
+    path is tracked: the de-duplication that reads it runs only after
+    every path is."""
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan"),
+                                           float("inf")])
+    def test_refused_before_tracking(self, monkeypatch, tolerance):
+        from repro.errors import ConfigurationError
+        from repro.tracking.batch_tracker import BatchTracker
+
+        def build(self, *args, **kwargs):
+            raise AssertionError("a tracker was built")
+
+        monkeypatch.setattr(BatchTracker, "__init__", build)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"got {tolerance!r}")):
+            solve_system(decoupled_quadratics(),
+                         deduplication_tolerance=tolerance)
 
 
 class TestBackends:
