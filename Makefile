@@ -23,7 +23,10 @@ kernels:
 # solves and the dd/qd reference chains (run them on all four line sets;
 # only the two ladder sets reach dd/qd), and --sharded N solves every case
 # through solve_system_sharded with N shards on one two-worker pool and
-# must print the in-process lines.
+# must print the in-process lines; --kill-level L (only with --sharded)
+# kills shard 0's worker on entry to ladder level L in every case, so that
+# shard resumes from the checkpoint store at rung L, and must print them
+# too.
 fingerprints:
 	$(PY) tools/fingerprint_reports.py
 

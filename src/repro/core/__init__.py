@@ -52,7 +52,6 @@ _EXPORTS = {
     "expected_counts": "opcounts",
     "kernel1_multiplications_per_thread": "opcounts",
     "kernel2_multiplications_per_thread": "opcounts",
-    "partition_lanes": "multicore",
     "partition_monomials": "multicore",
     "shared_memory_budget": "layout",
     "sharing_report": "opcounts",

@@ -740,6 +740,9 @@ class HomotopyPlan(_PlanExecutor):
                  gamma: Optional[complex] = None,
                  backend: Optional[ComplexBatchBackend] = None,
                  context: NumericContext = DOUBLE):
+        if not (start_system.is_square() and target_system.is_square()):
+            raise ConfigurationError(
+                "a homotopy plan needs a square start and target system")
         if start_system.dimension != target_system.dimension:
             raise ConfigurationError("start and target systems must share a dimension")
         self.start_system = start_system

@@ -8,10 +8,7 @@ can be hidden, which they call *quality up*.  This module provides
 * :class:`MulticoreEvaluator` -- a work-partitioned evaluator that splits the
   monomials of the system over a pool of workers and merges the partial sums,
   mirroring how the multithreaded CPU code of [40] parallelises evaluation;
-* :func:`partition_monomials` -- the static work partition it uses;
-* :func:`partition_lanes` -- the static *lane* partition the sharded solve
-  service uses to split a batch of homotopy paths over worker processes
-  (:mod:`repro.service.sharded`).
+* :func:`partition_monomials` -- the static work partition it uses.
 
 The evaluator is functionally exact (its results equal the sequential
 reference).  True wall-clock scaling is not the point here -- CPython threads
@@ -35,7 +32,7 @@ from ..polynomials.speelpenning import OperationCount
 from ..polynomials.system import PolynomialSystem
 from .cpu_reference import CPUEvaluation
 
-__all__ = ["MulticoreEvaluator", "partition_monomials", "partition_lanes"]
+__all__ = ["MulticoreEvaluator", "partition_monomials"]
 
 
 def partition_monomials(system: PolynomialSystem, workers: int
@@ -56,35 +53,6 @@ def partition_monomials(system: PolynomialSystem, workers: int
             chunks[index % workers].append((p, coeff, mono))
             index += 1
     return chunks
-
-
-def partition_lanes(count: int, shards: int) -> List[List[int]]:
-    """Split ``count`` lane indices into ``shards`` contiguous balanced runs.
-
-    The sharded solve service partitions a solve's path batch across worker
-    processes with this: contiguous runs (rather than the round-robin used
-    for monomials) keep each shard's lanes a slice of the global index
-    space, so merged results concatenate back into global path order.  The
-    first ``count % shards`` shards receive one extra lane; shards beyond
-    ``count`` come back empty (callers skip them).
-
-    Raises
-    ------
-    ConfigurationError
-        When ``shards`` is not at least 1 or ``count`` is negative.
-    """
-    if shards < 1:
-        raise ConfigurationError("shards must be at least 1")
-    if count < 0:
-        raise ConfigurationError("cannot partition a negative lane count")
-    base, extra = divmod(count, shards)
-    out: List[List[int]] = []
-    begin = 0
-    for shard in range(shards):
-        size = base + (1 if shard < extra else 0)
-        out.append(list(range(begin, begin + size)))
-        begin += size
-    return out
 
 
 def _evaluate_chunk(chunk, dimension: int, point, context):

@@ -91,7 +91,13 @@ class ComplexBatchBackend:
         ConfigurationError
             When the points do not all share one dimension.
         """
-        raise NotImplementedError
+        n = len(points[0]) if points else 0
+        if any(len(point) != n for point in points):
+            raise ConfigurationError(
+                "all start solutions must have the same dimension")
+        encode = self.scalar_to_planes
+        return self.from_lane_planes([[encode(x) for x in point]
+                                      for point in points])
 
     def zeros(self, shape) -> BatchArray:
         """An all-zeros batch array of the given shape."""
@@ -213,19 +219,25 @@ class ComplexBatchBackend:
         """The whole batch rounded to a hardware ``complex128`` ndarray."""
         raise NotImplementedError
 
-    def lane_scalars(self, array: BatchArray, lane: int) -> List:
-        """Column ``lane`` of an ``(n, B)`` array as context scalars.
+    # -- lane planes: the checkpoint format ------------------------------
+    # A lane leaves and re-enters a batch as its float planes in storage
+    # order, taken as they are: inf, NaN and signed zeros survive.
 
-        The returned scalars round-trip: feeding them back through
-        :meth:`from_points` reproduces the lane bit-for-bit.  This is the
-        export path of :meth:`repro.tracking.batch_tracker.PathBatch.
-        checkpoint`.
-        """
-        raise NotImplementedError
-
-    # -- the portable scalar codec --------------------------------------
     #: Float planes per complex scalar of this context.
     planes_per_scalar: int
+
+    def lane_planes(self, array: BatchArray) -> List[tuple]:
+        """Every lane of an ``(n, B)`` array as ``n`` per-coordinate
+        tuples of float planes; :meth:`from_lane_planes` packs them back
+        bit for bit."""
+        raise NotImplementedError
+
+    def from_lane_planes(self, lanes: Sequence[Sequence[Sequence[float]]]
+                         ) -> BatchArray:
+        """Pack ``B`` lanes of ``n`` per-coordinate plane sequences (each
+        :attr:`planes_per_scalar` floats) into an ``(n, B)`` array, bit
+        for bit."""
+        raise NotImplementedError
 
     def scalar_to_planes(self, x) -> tuple:
         """One scalar as this context's float planes, exactly as
@@ -234,17 +246,20 @@ class ComplexBatchBackend:
         raise NotImplementedError
 
     def scalar_from_planes(self, planes: Sequence[float]):
-        """The context scalar whose planes are ``planes``, bit for bit
-        (:meth:`lane_scalars` exports lanes through it)."""
+        """The context scalar whose planes are ``planes``, bit for bit."""
         raise NotImplementedError
 
 
-def _dimension(points: Sequence[Sequence]) -> int:
-    """The one dimension every point shares (0 for no points)."""
-    n = len(points[0]) if points else 0
-    if any(len(point) != n for point in points):
-        raise ConfigurationError("all start solutions must have the same dimension")
-    return n
+def _lanes(planes: Sequence[np.ndarray]) -> List[tuple]:
+    """``(n, B)`` float planes as ``B`` lanes of ``n`` plane tuples."""
+    lanes = np.stack(planes, axis=-1).transpose(1, 0, 2).tolist()
+    return [tuple(map(tuple, lane)) for lane in lanes]
+
+
+def _packed(lanes: Sequence, width: int) -> np.ndarray:
+    """``B`` lanes of ``n`` plane sequences as a ``(B, n, width)`` array."""
+    n = len(lanes[0]) if len(lanes) else 0
+    return np.array(lanes, dtype=np.float64).reshape(len(lanes), n, width)
 
 
 class Complex128Backend(ComplexBatchBackend):
@@ -254,11 +269,6 @@ class Complex128Backend(ComplexBatchBackend):
     context = DOUBLE
     array_type = np.ndarray
     planes_per_scalar = 2
-
-    def from_points(self, points: Sequence[Sequence]) -> np.ndarray:
-        _dimension(points)
-        columns = [[complex(x) for x in point] for point in points]
-        return np.array(columns, dtype=np.complex128).T
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.complex128)
@@ -319,8 +329,12 @@ class Complex128Backend(ComplexBatchBackend):
     def to_complex128(self, array: np.ndarray) -> np.ndarray:
         return np.asarray(array, dtype=np.complex128)
 
-    def lane_scalars(self, array: np.ndarray, lane: int) -> List[complex]:
-        return [complex(z) for z in array[:, lane]]
+    def lane_planes(self, array: np.ndarray) -> List[tuple]:
+        return _lanes((array.real, array.imag))
+
+    def from_lane_planes(self, lanes) -> np.ndarray:
+        # (B, n, 2) floats viewed as (B, n) complex, then lanes as columns.
+        return _packed(lanes, 2).view(np.complex128)[..., 0].T
 
     def scalar_to_planes(self, x) -> tuple:
         z = complex(x)
@@ -344,15 +358,6 @@ class PlaneBackend(ComplexBatchBackend):
     @property
     def planes_per_scalar(self) -> int:
         return self.array_type.plane_count
-
-    def from_points(self, points: Sequence[Sequence]):
-        n = _dimension(points)
-        encode = self.array_type.scalar_to_planes
-        packed = np.array([[encode(x) for x in point] for point in points],
-                          dtype=np.float64).reshape(
-                              len(points), n, self.array_type.plane_count)
-        return self.array_type.from_planes(
-            np.ascontiguousarray(packed.transpose(2, 1, 0)))
 
     def zeros(self, shape):
         return self.array_type.zeros(shape)
@@ -433,10 +438,13 @@ class PlaneBackend(ComplexBatchBackend):
     def to_complex128(self, array) -> np.ndarray:
         return array.to_complex128()
 
-    def lane_scalars(self, array, lane: int) -> List:
-        decode = self.array_type.scalar_from_planes
-        column = np.array([plane[:, lane] for plane in array._planes()])
-        return [decode(planes) for planes in column.T.tolist()]
+    def lane_planes(self, array) -> List[tuple]:
+        return _lanes(array._planes())
+
+    def from_lane_planes(self, lanes):
+        packed = _packed(lanes, self.array_type.plane_count)
+        return self.array_type.from_planes(
+            np.ascontiguousarray(packed.transpose(2, 1, 0)))
 
     def scalar_to_planes(self, x) -> tuple:
         return self.array_type.scalar_to_planes(x)

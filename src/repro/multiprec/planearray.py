@@ -26,10 +26,11 @@ supplies only what differs:
   kernel names are built once per class.
 
 The complex type's scalar codec (:meth:`ComplexPlaneArray.scalar_to_planes`
-/ :meth:`ComplexPlaneArray.scalar_from_planes`) is what the batch backends
-pack points and export lanes with, and what portable checkpoints store: the
-planes are the scalar's components as they are, so the round trip is bit
-for bit, inf and NaN lanes included.
+/ :meth:`ComplexPlaneArray.scalar_from_planes`) is where scalars meet
+planes: the batch backends pack start points with it, and a lane
+checkpoint's planes decode through it into the reported point.  The planes
+are the scalar's components as they are, so the round trip is bit for
+bit, inf and NaN lanes included.
 """
 
 from __future__ import annotations

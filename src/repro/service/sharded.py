@@ -2,14 +2,17 @@
 
 :func:`solve_system_sharded` is :func:`repro.tracking.solver.solve_system`
 scaled out and hardened: the solve's path batch is partitioned into
-contiguous lane shards (:func:`repro.core.multicore.partition_lanes`), each
-shard-rung of the escalation ladder runs as a task on a persistent
+contiguous lane shards (:func:`partition_lanes`), each shard-rung of the
+escalation ladder runs as a task on a persistent
 :class:`~repro.service.workerpool.WorkerPool` (long-lived processes that
 cache the shipped systems and the constructed
 :class:`~repro.tracking.batch_tracker.BatchTracker` -- compiled evaluation
 plans included -- across rungs *and across solves*), and after every rung
 each shard's :class:`~repro.tracking.batch_tracker.LaneCheckpoint` state is
 persisted to a pluggable :class:`~repro.service.store.CheckpointStore`.
+Workers receive and return checkpoints as they are; only the store
+encodes them (the put writes ``to_portable()``, a retry's reload revives
+each lane once with ``from_portable()``).
 
 The :class:`~repro.service.supervisor.Supervisor` drives each rung: workers
 emit heartbeats from inside the tracker's lock-step rounds, so the
@@ -51,7 +54,6 @@ import uuid
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.multicore import partition_lanes
 from ..errors import (
     CheckpointCorruptError,
     ConfigurationError,
@@ -80,6 +82,34 @@ __all__ = ["FaultInjection", "solve_system_sharded"]
 #: The fault modes :class:`FaultInjection` can drill (the chaos matrix).
 FAULT_MODES = ("kill", "hang", "slow", "corrupt-checkpoint",
                "store-io-error")
+
+
+def partition_lanes(count: int, shards: int) -> List[List[int]]:
+    """Split ``count`` lane indices into ``shards`` contiguous balanced runs.
+
+    The sharded solve partitions each rung's pending paths across worker
+    processes with this: contiguous runs keep each shard's lanes a slice of
+    the global index space, so merged results concatenate back into global
+    path order.  The first ``count % shards`` shards receive one extra
+    lane; shards beyond ``count`` come back empty (callers skip them).
+
+    Raises
+    ------
+    ConfigurationError
+        When ``shards`` is not at least 1 or ``count`` is negative.
+    """
+    if shards < 1:
+        raise ConfigurationError("shards must be at least 1")
+    if count < 0:
+        raise ConfigurationError("cannot partition a negative lane count")
+    base, extra = divmod(count, shards)
+    out: List[List[int]] = []
+    begin = 0
+    for shard in range(shards):
+        size = base + (1 if shard < extra else 0)
+        out.append(list(range(begin, begin + size)))
+        begin += size
+    return out
 
 
 @dataclass(frozen=True)
@@ -360,7 +390,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
 
     def build_payload(shard: int, level: int, rung: NumericContext,
                       lane_indices: List[int],
-                      resume: Optional[List[Dict[str, object]]]
+                      resume: Optional[List[LaneCheckpoint]]
                       ) -> Dict[str, object]:
         return arm_fault({
             "token": token,
@@ -375,7 +405,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
 
     def run_rung(level: int, rung: NumericContext,
                  pending: List[Tuple[int, Sequence]],
-                 checkpoints_by_index: Dict[int, object]) -> RungOutcome:
+                 checkpoints_by_index: Dict[int, LaneCheckpoint]
+                 ) -> RungOutcome:
         """Fan one rung's pending lanes out over the supervised pool.
 
         The shared ladder loop owns the accounting; this callback owns the
@@ -393,7 +424,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
         if level == 0:
             level0_shards[0] = len(active)
 
-        resume_by_task: Dict[int, Optional[List[Dict[str, object]]]] = {}
+        resume_by_task: Dict[int, Optional[List[LaneCheckpoint]]] = {}
         payloads: Dict[int, Dict[str, object]] = {}
         for tid in sorted(active):
             lane_indices = active[tid]
@@ -434,13 +465,13 @@ def solve_system_sharded(system: PolynomialSystem, *,
                     for record in sorted(records,
                                          key=lambda r: r.get("level", -1)):
                         merged.update(record.get("checkpoints", {}))
-                    reloaded = [merged.get(str(i), resume_by_task[tid][k])
-                                for k, i in enumerate(active[tid])]
-                    # Revive now, so a poisoned record surfaces here as
-                    # CheckpointCorruptError, not in the worker.
-                    for state in reloaded:
-                        LaneCheckpoint.from_portable(state)
-                    payload["resume"] = reloaded
+                    # Revive each reloaded lane once, here, so a poisoned
+                    # record surfaces as CheckpointCorruptError before
+                    # anything is shipped to a worker.
+                    payload["resume"] = [
+                        LaneCheckpoint.from_portable(merged[str(i)])
+                        if str(i) in merged else resume_by_task[tid][k]
+                        for k, i in enumerate(active[tid])]
                     stats["resumed_after_crash"] += 1
                 except (CheckpointCorruptError, OSError) as exc:
                     cold_tasks.add(tid)
@@ -495,7 +526,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
 
         # -- merge shard outcomes back into global pending order, persist --
         results_by_index: Dict[int, PathResult] = {}
-        checkpoints_this_rung: Dict[int, Optional[Dict[str, object]]] = {}
+        checkpoints_this_rung: Dict[int, Optional[LaneCheckpoint]] = {}
         resume_ts: List[float] = []
         for tid in sorted(active):
             outcome = run.outcomes[tid]
@@ -504,13 +535,11 @@ def solve_system_sharded(system: PolynomialSystem, *,
             lane_indices = active[tid]
             resume = resume_by_task[tid]
             if resume is not None and tid not in cold_tasks:
-                resume_ts.extend(float(st["t"]) for st in resume
-                                 if float(st["t"]) > 0.0)
+                resume_ts.extend(cp.t for cp in resume if cp.resumes_mid_path)
             shard_pending: List[int] = []
-            for index, portable in zip(lane_indices, outcome.result):
-                checkpoints_this_rung[index] = portable
-                results_by_index[index] = \
-                    LaneCheckpoint.from_portable(portable).result()
+            for index, checkpoint in zip(lane_indices, outcome.result):
+                checkpoints_this_rung[index] = checkpoint
+                results_by_index[index] = checkpoint.result()
                 if not results_by_index[index].success:
                     shard_pending.append(index)
             store.put(job_id, tid, {
@@ -520,7 +549,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
                 "context": rung.name,
                 "lanes": list(lane_indices),
                 "pending": shard_pending,
-                "checkpoints": {str(i): checkpoints_this_rung[i]
+                "checkpoints": {str(i): checkpoints_this_rung[i].to_portable()
                                 for i in lane_indices},
             })
 

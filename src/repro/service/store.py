@@ -17,12 +17,14 @@ than cold-restarting its shard from ``t = 0``.  The store is pluggable:
   tokens) and ``"npz"`` (a compressed NumPy archive carrying the same
   payload, for artifact stores that want binary blobs).
 
-Shard state is *portable*: each lane's checkpoint is the plain dict of
-floats/ints that :meth:`LaneCheckpoint.to_portable` produces (and
-:meth:`LaneCheckpoint.from_portable` revives), never a pickled object, so
-a store written by one process can be read by any other.  The checkpoint
-is the whole per-path record: the coordinator rebuilds each path's result
-from it.
+Shard state is *portable*: each lane's checkpoint is stored as the plain
+dict of floats/ints that :meth:`LaneCheckpoint.to_portable` produces,
+never a pickled object, so a store written by one process can be read by
+any other.  The store is the one place a checkpoint is encoded: workers
+and the ladder pass :class:`LaneCheckpoint` records as they are, the
+coordinator encodes each lane when it puts a shard's record, and a lane
+is revived (:meth:`LaneCheckpoint.from_portable`) only when a retried
+shard reloads it.
 
 Writes are atomic per shard record (rename-into-place for the file store),
 because the whole point is being readable mid-crash.

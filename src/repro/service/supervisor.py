@@ -39,11 +39,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from .backoff import BackoffPolicy
 from .workerpool import WorkerPool, WorkerSlot, execute_payload
+
+if TYPE_CHECKING:
+    from ..tracking.batch_tracker import LaneCheckpoint
 
 __all__ = ["RunReport", "Supervisor", "TaskFailure", "TaskOutcome"]
 
@@ -66,8 +69,8 @@ class TaskOutcome:
     """Terminal state of one task after supervision."""
 
     status: str  # done | quarantined | failed
-    #: the worker's portable lane checkpoints (see ``execute_payload``)
-    result: Optional[List[Dict[str, object]]] = None
+    #: the worker's lane checkpoints (see ``execute_payload``)
+    result: Optional[List["LaneCheckpoint"]] = None
     failures: List[TaskFailure] = field(default_factory=list)
     attempts: int = 0
     ran_inprocess: bool = False

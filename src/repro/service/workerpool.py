@@ -15,6 +15,10 @@ loop lives in :mod:`repro.service.supervisor`):
                         ``("cancelled", seq)``
   ====================  =============================================
 
+  A payload's resumed lanes and a result are plain
+  :class:`~repro.tracking.batch_tracker.LaneCheckpoint` records, pickled
+  as they are (see :func:`execute_payload`);
+
 * the **worker main loop** (:func:`_worker_main`): a long-lived process
   that executes one shard-rung job at a time, emits throttled heartbeats
   from inside the tracker's lock-step rounds, polls the pipe for
@@ -43,7 +47,6 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..tracking.batch_tracker import LaneCheckpoint
 
 __all__ = ["WorkerPool", "execute_payload"]
 
@@ -208,17 +211,17 @@ def _tracker_for(payload: Dict[str, object],
 def execute_payload(payload: Dict[str, object],
                     systems: Optional["OrderedDict"] = None,
                     trackers: Optional["OrderedDict"] = None,
-                    hooks: Optional[_RoundHooks] = None
-                    ) -> List[Dict[str, object]]:
-    """Track one shard-rung job; returns its lanes' portable checkpoints.
+                    hooks: Optional[_RoundHooks] = None) -> List:
+    """Track one shard-rung job; returns its lanes' checkpoints.
 
     This is the single execution path shared by worker processes and the
     coordinator's in-process fallback: the payload is plain picklable data
-    (context shipped by *name*, portable checkpoints, a system-cache
-    token), and the return value is one
-    :meth:`~repro.tracking.batch_tracker.LaneCheckpoint.to_portable` state
-    per lane, in lane order -- portable again, so the coordinator can
-    persist it as-is and rebuild each path's result from it.
+    (context shipped by *name*, the lanes' start solutions or the
+    :class:`~repro.tracking.batch_tracker.LaneCheckpoint` list to resume,
+    a system-cache token), and the return value is one
+    :class:`~repro.tracking.batch_tracker.LaneCheckpoint` per lane, in lane
+    order.  Checkpoints hold plain floats and cross the pipe as they are;
+    only the coordinator's store encodes them.
     """
     if systems is None:
         systems = OrderedDict()
@@ -237,13 +240,12 @@ def execute_payload(payload: Dict[str, object],
     try:
         resume = payload.get("resume")
         if resume is not None:
-            outcome = tracker.track_batches(resume_from=[
-                LaneCheckpoint.from_portable(state) for state in resume])
+            outcome = tracker.track_batches(resume_from=resume)
         else:
             outcome = tracker.track_batches(payload["starts"])
     finally:
         tracker._advance, tracker._endgame = original
-    return [cp.to_portable() for cp in outcome.checkpoints()]
+    return outcome.checkpoints()
 
 
 def _worker_main(conn, heartbeat_interval: float) -> None:

@@ -24,10 +24,11 @@ lock step:
   one per path (see
   :meth:`repro.gpusim.costmodel.GPUCostModel.batched_kernel_time`);
 * every lane's final state is exportable as a :class:`LaneCheckpoint` -- the
-  last accepted ``(x, t)``, the step size, the work counters and the
-  failure cause -- and :meth:`BatchTracker.track_batches` accepts
-  ``resume_from=`` checkpoints so a batch can start *mid-path*.  Checkpoints
-  convert between arithmetics through the batch backends
+  last accepted ``(x, t)`` with ``x`` as the batch's float planes, the step
+  size, the work counters and the failure cause -- and
+  :meth:`BatchTracker.track_batches` accepts ``resume_from=`` checkpoints
+  so a batch can start *mid-path*.  Checkpoints convert between
+  arithmetics through the batch backends
   (:func:`repro.multiprec.backend.convert_batch`), which is what lets the
   escalation pipeline resume a failed path one precision rung wider
   instead of re-tracking it from ``t = 0``.
@@ -65,42 +66,7 @@ from .tracker import (AT_INFINITY_REASON, DivergenceTest, PathResult,
                       StepControl, TrackerOptions)
 
 __all__ = ["PathStatus", "LaneCheckpoint", "PathBatch", "BatchTrackResult",
-           "BatchTracker", "scalar_to_planes", "scalar_from_planes"]
-
-
-# ----------------------------------------------------------------------
-# portable scalar encoding: context scalars <-> flat float64 components
-# ----------------------------------------------------------------------
-def scalar_to_planes(x, context_name: str) -> List[float]:
-    """Flatten one scalar of a ``d``/``dd``/``qd`` context to plain floats.
-
-    The floats are the context's planes of the scalar -- ``(re, im)`` at
-    ``d``, the four ``(re.hi, re.lo, im.hi, im.lo)`` at ``dd``, all eight
-    quad-double components at ``qd`` -- taken as they are, and a narrower
-    scalar widens exactly, so :func:`scalar_from_planes` reconstructs the
-    scalar bit-for-bit (inf, NaN and signed zeros included).  This is the
-    element step of the portable checkpoint format (see
-    :meth:`LaneCheckpoint.to_portable`) and the codec the backend packs
-    points and exports lanes with.
-
-    Raises
-    ------
-    ConfigurationError
-        For contexts without a batch backend.
-    """
-    return list(backend_named(context_name).scalar_to_planes(x))
-
-
-def scalar_from_planes(planes: Sequence[float], context_name: str):
-    """Rebuild a context scalar from :func:`scalar_to_planes` output."""
-    backend = backend_named(context_name)
-    values = [float(v) for v in planes]
-    if len(values) != backend.planes_per_scalar:
-        raise ConfigurationError(
-            f"a {context_name!r} scalar needs {backend.planes_per_scalar} "
-            f"plane components, got {len(values)}"
-        )
-    return backend.scalar_from_planes(values)
+           "BatchTracker"]
 
 
 class PathStatus(IntEnum):
@@ -133,11 +99,12 @@ class LaneCheckpoint:
     continuation parameter (on a failed step the batch never moves, so
     ``point`` is always on the path to working accuracy), the predictor
     history, the adaptive step state and the retirement cause.  Checkpoints
-    are plain scalar data -- ``point``/``prev_point`` hold scalars of the
-    capturing arithmetic (``context_name``) -- so they survive the batch
-    they came from and can seed a new batch in a *different* arithmetic:
-    :meth:`PathBatch.from_checkpoints` widens them through the batch
-    backends (:func:`repro.multiprec.backend.convert_batch`).
+    are plain floats and ints -- the points are the lane's float planes in
+    the capturing arithmetic (``context_name``) -- so they outlive their
+    batch, cross process boundaries as they are and can seed a batch in a
+    *different* arithmetic: :meth:`PathBatch.from_checkpoints` packs and
+    widens them (:func:`repro.multiprec.backend.convert_batch`).  Only
+    :meth:`result` turns ``point`` into context scalars.
 
     Attributes
     ----------
@@ -145,11 +112,13 @@ class LaneCheckpoint:
         Name of the numeric context the checkpoint was captured in
         (``"d"``, ``"dd"`` or ``"qd"``).
     point / t:
-        The last accepted solution ``x`` (tuple of context scalars) and its
-        continuation parameter.
+        The last accepted solution ``x`` as one tuple of float planes per
+        coordinate (storage order: ``(re, im)`` at ``d``, 4 floats at
+        ``dd``, 8 at ``qd``) and its continuation parameter.
     prev_point / prev_t / has_prev:
-        The secant predictor's memory: the previously accepted point, or a
-        copy of ``point`` with ``has_prev=False`` when no step was accepted.
+        The secant predictor's memory: the previously accepted point (as
+        planes, like ``point``), or a copy of ``point`` with
+        ``has_prev=False`` when no step was accepted.
     dt:
         The adaptive step size at retirement.
     residual:
@@ -198,11 +167,13 @@ class LaneCheckpoint:
         return self.t > 0.0
 
     def result(self) -> PathResult:
-        """The lane's outcome: its point, measured residual, work counters
-        and failure cause as a :class:`~repro.tracking.tracker.PathResult`."""
+        """The lane's outcome: its point as context scalars, measured
+        residual, work counters and failure cause as a
+        :class:`~repro.tracking.tracker.PathResult`."""
+        decode = backend_named(self.context_name).scalar_from_planes
         return PathResult(
             success=self.status is PathStatus.SUCCESS,
-            solution=list(self.point),
+            solution=[decode(planes) for planes in self.point],
             residual=self.residual,
             steps_accepted=self.steps_accepted,
             steps_rejected=self.steps_rejected,
@@ -210,28 +181,41 @@ class LaneCheckpoint:
             failure_reason=self.failure_reason,
         )
 
+    def _defect(self) -> Optional[str]:
+        """Why this checkpoint's state cannot resume, naming the field, or
+        ``None``: a context without a batch backend, a coordinate whose
+        plane count is not the context's, or a ``prev_point`` whose
+        dimension is not ``point``'s."""
+        try:
+            width = backend_named(self.context_name).planes_per_scalar
+        except ConfigurationError as exc:
+            return f"'context': {exc}"
+        want = [width] * len(self.point)
+        for name in ("point", "prev_point"):
+            got = [len(planes) for planes in getattr(self, name)]
+            if got != want:
+                return (f"{name!r} has {got} planes per coordinate; a "
+                        f"{self.context_name!r} point of dimension "
+                        f"{len(self.point)} has {want}")
+        return None
+
     # ------------------------------------------------------------------
     # portable state: plain floats/ints, exact across d/dd/qd
     # ------------------------------------------------------------------
     def to_portable(self) -> Dict[str, object]:
         """This checkpoint as a dict of plain floats, ints and bools.
 
-        ``point``/``prev_point`` hold context scalars (:class:`~repro.
-        multiprec.complex_dd.ComplexDD`, :class:`~repro.multiprec.numeric.
-        ComplexQD`, ...), which no generic store can persist.  The portable
-        form flattens every scalar to its float64 component planes
-        (:func:`scalar_to_planes`), so the whole state is JSON/npz-friendly
-        while :meth:`from_portable` reconstructs the checkpoint bit-for-bit
-        -- inf/NaN lanes and signed zeros included.  This is the wire and
-        storage format of the sharded solve service
-        (:mod:`repro.service.store`).
+        The points' planes become lists, so the whole state is
+        JSON/npz-friendly while :meth:`from_portable` reconstructs the
+        checkpoint bit-for-bit -- inf/NaN lanes and signed zeros included.
+        This is the storage format of the sharded solve service
+        (:mod:`repro.service.store`); nothing else encodes a checkpoint.
         """
-        name = self.context_name
         return {
-            "context": name,
-            "point": [scalar_to_planes(x, name) for x in self.point],
+            "context": self.context_name,
+            "point": [list(planes) for planes in self.point],
             "t": float(self.t),
-            "prev_point": [scalar_to_planes(x, name) for x in self.prev_point],
+            "prev_point": [list(planes) for planes in self.prev_point],
             "prev_t": float(self.prev_t),
             "has_prev": bool(self.has_prev),
             "dt": float(self.dt),
@@ -250,21 +234,18 @@ class LaneCheckpoint:
         Raises
         ------
         CheckpointCorruptError
-            When the state does not revive -- a missing key, planes that
-            are not lists of numbers, a non-numeric entry.  The record is
+            When the state does not revive -- a missing or non-numeric
+            entry, a context without a batch backend, planes that do not
+            fit it or ``point`` -- naming the field.  The record is
             poison: resume nothing from it.
-        ConfigurationError
-            When the state names a context without a plane encoding or the
-            plane counts are inconsistent.
         """
         try:
-            name = str(state["context"])
-            return cls(
-                context_name=name,
-                point=tuple(scalar_from_planes(planes, name)
+            checkpoint = cls(
+                context_name=str(state["context"]),
+                point=tuple(tuple(map(float, planes))
                             for planes in state["point"]),
                 t=float(state["t"]),
-                prev_point=tuple(scalar_from_planes(planes, name)
+                prev_point=tuple(tuple(map(float, planes))
                                  for planes in state["prev_point"]),
                 prev_t=float(state["prev_t"]),
                 has_prev=bool(state["has_prev"]),
@@ -276,12 +257,15 @@ class LaneCheckpoint:
                 newton_iterations=int(state["newton_iterations"]),
                 growth_exponent=float(state["growth_exponent"]),
             )
-        except ConfigurationError:
-            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointCorruptError(
                 f"portable checkpoint does not revive "
                 f"({type(exc).__name__}: {exc})") from exc
+        defect = checkpoint._defect()
+        if defect is not None:
+            raise CheckpointCorruptError(
+                f"portable checkpoint does not revive ({defect})")
+        return checkpoint
 
 
 @dataclass
@@ -302,9 +286,8 @@ class PathBatch:
     A batch is constructed either fresh at ``t = 0``
     (:meth:`from_start_solutions`) or mid-path from per-lane
     :class:`LaneCheckpoint` state (:meth:`from_checkpoints`), and every lane
-    can be exported back out as a checkpoint (:meth:`checkpoint` /
-    :meth:`checkpoints`) -- the round trip behind warm-restarted precision
-    escalation.
+    can be exported back out as a checkpoint (:meth:`checkpoints`) -- the
+    round trip behind warm-restarted precision escalation.
     """
 
     backend: ComplexBatchBackend
@@ -369,9 +352,9 @@ class PathBatch:
                          initial_step: float) -> "PathBatch":
         """Rebuild a batch mid-path from per-lane checkpoints.
 
-        Checkpoint points are converted into ``backend``'s arithmetic by
-        their capturing context's backend: lanes are grouped by that context
-        and each group moves as one structure-of-arrays
+        Checkpoint planes are packed by their capturing context's backend
+        and converted into ``backend``'s arithmetic: lanes are grouped by
+        that context and each group moves as one structure-of-arrays
         :func:`~repro.multiprec.backend.convert_batch` call, so the common
         case -- a whole residue escalating one rung wider -- costs a handful
         of NumPy plane copies.  Widening (``d -> dd -> qd``) preserves every
@@ -404,15 +387,21 @@ class PathBatch:
         ------
         ConfigurationError
             When ``checkpoints`` is empty, the checkpoint dimensions
-            disagree, a checkpoint's context has no batch backend, or a
-            lane's ``t`` lies outside ``[0, 1]`` or its resumed ``dt`` is
-            not positive (NaN included).
+            disagree, a checkpoint's context has no batch backend or its
+            planes do not fit it (naming the lane), or a lane's ``t`` lies
+            outside ``[0, 1]`` or its resumed ``dt`` is not positive (NaN
+            included).
         """
         if not checkpoints:
             raise ConfigurationError("a path batch needs at least one checkpoint")
         n = len(checkpoints[0].point)
         if any(len(cp.point) != n for cp in checkpoints):
             raise ConfigurationError("all checkpoints must share a dimension")
+        for lane, cp in enumerate(checkpoints):
+            defect = cp._defect()
+            if defect is not None:
+                raise ConfigurationError(
+                    f"checkpoint {lane} cannot resume: {defect}")
         lanes = len(checkpoints)
         t = np.array([cp.t for cp in checkpoints], dtype=np.float64)
         dt = StepControl.resumed(
@@ -429,7 +418,7 @@ class PathBatch:
                 f"checkpoint {lane} cannot resume: t = {t[lane]!r} must lie "
                 f"in [0, 1] and dt = {dt[lane]!r} must be positive")
 
-        # Convert lane points per capturing context, whole groups at a time.
+        # Pack lane planes per capturing context, whole groups at a time.
         points = backend.zeros((n, lanes))
         prev_points = backend.zeros((n, lanes))
         by_context: Dict[str, List[int]] = {}
@@ -438,9 +427,9 @@ class PathBatch:
         for name, group in by_context.items():
             source = backend_named(name)
             idx = (slice(None), np.asarray(group, dtype=np.intp))
-            points[idx] = convert_batch(source.from_points(
+            points[idx] = convert_batch(source.from_lane_planes(
                 [checkpoints[lane].point for lane in group]), source, backend)
-            prev_points[idx] = convert_batch(source.from_points(
+            prev_points[idx] = convert_batch(source.from_lane_planes(
                 [checkpoints[lane].prev_point for lane in group]), source,
                 backend)
 
@@ -482,35 +471,28 @@ class PathBatch:
         return {PathStatus(code).name.lower(): int(count)
                 for code, count in zip(*np.unique(self.status, return_counts=True))}
 
-    def checkpoint(self, lane: int) -> LaneCheckpoint:
-        """Export one lane's state as a :class:`LaneCheckpoint`.
+    def checkpoints(self) -> List[LaneCheckpoint]:
+        """Every lane's state as a :class:`LaneCheckpoint`, in lane order.
 
         Retired lanes are never touched again by the tracker (a round
         writes only the lanes under its live-lane mask, and the endgame
-        only those that reached ``t = 1``), so a checkpoint taken after
-        tracking finished is exactly the lane's state at retirement: the
-        last accepted point, the step size the step control had earned, and
-        the failure cause.
+        only those that reached ``t = 1``), so checkpoints taken after
+        tracking finished are exactly the lanes' states at retirement: the
+        last accepted point, the step size the step control had earned,
+        and the failure cause.
         """
-        return LaneCheckpoint(
-            context_name=self.backend.context.name,
-            point=tuple(self.backend.lane_scalars(self.points, lane)),
-            t=float(self.t[lane]),
-            prev_point=tuple(self.backend.lane_scalars(self.prev_points, lane)),
-            prev_t=float(self.prev_t[lane]),
-            has_prev=bool(self.has_prev[lane]),
-            dt=float(self.dt[lane]),
-            residual=float(self.residual[lane]),
-            status=PathStatus(int(self.status[lane])),
-            steps_accepted=int(self.steps_accepted[lane]),
-            steps_rejected=int(self.steps_rejected[lane]),
-            newton_iterations=int(self.newton_iterations[lane]),
-            growth_exponent=float(self.growth_exponent[lane]),
-        )
-
-    def checkpoints(self) -> List[LaneCheckpoint]:
-        """One :class:`LaneCheckpoint` per lane, in lane order."""
-        return [self.checkpoint(lane) for lane in range(self.n_paths)]
+        backend = self.backend
+        lanes = zip(backend.lane_planes(self.points), self.t.tolist(),
+                    backend.lane_planes(self.prev_points),
+                    self.prev_t.tolist(), self.has_prev.tolist(),
+                    self.dt.tolist(), self.residual.tolist(),
+                    map(PathStatus, self.status.tolist()),
+                    self.steps_accepted.tolist(),
+                    self.steps_rejected.tolist(),
+                    self.newton_iterations.tolist(),
+                    self.growth_exponent.tolist())
+        # Positional in LaneCheckpoint's field order.
+        return [LaneCheckpoint(backend.name, *lane) for lane in lanes]
 
 
 @dataclass
@@ -624,7 +606,7 @@ class BatchTracker:
             :class:`LaneCheckpoint` list to continue mid-path instead;
             mutually exclusive with ``start_solutions``.  Checkpoints
             captured in a different arithmetic are converted through the
-            backend registry on entry.  A lane checkpointed at ``t >= 1``
+            batch backends on entry.  A lane checkpointed at ``t >= 1``
             whose measured residual already meets ``end_tolerance`` retires
             as a success without re-entering the endgame, so resuming a
             finished run in the same arithmetic returns it unchanged at

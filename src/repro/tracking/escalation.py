@@ -12,8 +12,7 @@ infinity stays among the failures but never moves up: no wider arithmetic
 brings it back.  The decision reads the rung's
 :class:`~repro.tracking.tracker.PathResult`, the view
 :meth:`~repro.tracking.batch_tracker.LaneCheckpoint.result` of each
-path's checkpoint (the sharded service revives the checkpoints from their
-portable form first).  Only *how a rung is run* differs -- in process
+path's checkpoint, whichever route ran the rung.  Only *how a rung is run* differs -- in process
 (:func:`track_rung`) versus fanned out over a shard pool with crash
 retries -- so that part stays with the caller as a callback and everything
 else lives here, once.  Every rung tracks with the batched tracker, so

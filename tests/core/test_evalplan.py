@@ -329,6 +329,19 @@ class TestPlanMachinery:
         with pytest.raises(ConfigurationError):
             HomotopyPlan(random_system(rng, 2), random_system(rng, 3))
 
+    @pytest.mark.parametrize("position", ["start", "target"])
+    def test_homotopy_plan_rejects_non_square_system(self, position):
+        """Refused before compiling, as EvaluationPlan refuses one, not
+        with an IndexError from inside the compiler."""
+        from repro.polynomials import katsura_system
+
+        square = katsura_system(2)
+        lopsided = PolynomialSystem(square.polynomials[:2], dimension=3)
+        pair = ((lopsided, square) if position == "start"
+                else (square, lopsided))
+        with pytest.raises(ConfigurationError, match="square"):
+            HomotopyPlan(*pair, gamma=1j)
+
 
 # ----------------------------------------------------------------------
 # op counts: the plan never schedules more work than the walk

@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError, WorkerExecutionError
 from repro.core import (
     CPUReferenceEvaluator,
     MulticoreEvaluator,
-    partition_lanes,
     partition_monomials,
 )
 from repro.multiprec import DOUBLE_DOUBLE
@@ -61,34 +60,6 @@ class TestPartition:
         evaluator.evaluate(small_point)
         evaluator.evaluate(small_point)
         assert calls == [3]  # still just the constructor's call
-
-
-class TestLanePartition:
-    """partition_lanes: the sharded service's contiguous path partition."""
-
-    def test_contiguous_balanced_runs(self):
-        assert partition_lanes(10, 3) == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-
-    def test_concatenation_preserves_global_order(self):
-        lanes = partition_lanes(17, 4)
-        flat = [i for shard in lanes for i in shard]
-        assert flat == list(range(17))
-
-    def test_sizes_differ_by_at_most_one(self):
-        sizes = [len(s) for s in partition_lanes(11, 4)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_lanes(self):
-        assert partition_lanes(2, 4) == [[0], [1], [], []]
-
-    def test_empty_batch(self):
-        assert partition_lanes(0, 3) == [[], [], []]
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ConfigurationError):
-            partition_lanes(4, 0)
-        with pytest.raises(ConfigurationError):
-            partition_lanes(-1, 2)
 
 
 class TestEvaluation:

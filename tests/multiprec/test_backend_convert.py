@@ -67,13 +67,13 @@ class TestWidening:
 
         dd = dd_with_low_planes()
         wide = convert_batch(dd, COMPLEX_DD_BACKEND, COMPLEX_QD_BACKEND)
-        for lane in range(dd.shape[1]):
-            batch_scalars = COMPLEX_QD_BACKEND.lane_scalars(wide, lane)
-            dd_scalars = COMPLEX_DD_BACKEND.lane_scalars(dd, lane)
-            for got, src in zip(batch_scalars, dd_scalars):
+        for wide_lane, dd_lane in zip(COMPLEX_QD_BACKEND.lane_planes(wide),
+                                      COMPLEX_DD_BACKEND.lane_planes(dd)):
+            for got, planes in zip(wide_lane, dd_lane):
+                src = COMPLEX_DD_BACKEND.scalar_from_planes(planes)
                 want = ComplexQD(QuadDouble.from_double_double(src.real),
                                  QuadDouble.from_double_double(src.imag))
-                assert got == want
+                assert COMPLEX_QD_BACKEND.scalar_from_planes(got) == want
 
 
 class TestIdentityAndNarrowing:

@@ -8,6 +8,7 @@ escalation workload are marked ``slow``.
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 
 import pytest
@@ -24,6 +25,7 @@ from repro.service import (
     InMemoryCheckpointStore,
     solve_system_sharded,
 )
+from repro.service.sharded import partition_lanes
 from repro.tracking import EscalationPolicy, TrackerOptions, solve_system
 
 
@@ -52,6 +54,34 @@ def escalation_reference():
     """Single-process reference of the 16-path escalation workload."""
     return solve_system(cyclic_quadratic_system(4), options=ESCALATION_OPTS,
                         escalation=ESCALATION_POLICY)
+
+
+class TestLanePartition:
+    """partition_lanes: the sharded service's contiguous path partition."""
+
+    def test_contiguous_balanced_runs(self):
+        assert partition_lanes(10, 3) == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+
+    def test_concatenation_preserves_global_order(self):
+        lanes = partition_lanes(17, 4)
+        flat = [i for shard in lanes for i in shard]
+        assert flat == list(range(17))
+
+    def test_sizes_differ_by_at_most_one(self):
+        sizes = [len(s) for s in partition_lanes(11, 4)]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_more_shards_than_lanes(self):
+        assert partition_lanes(2, 4) == [[0], [1], [], []]
+
+    def test_empty_batch(self):
+        assert partition_lanes(0, 3) == [[], [], []]
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ConfigurationError):
+            partition_lanes(4, 0)
+        with pytest.raises(ConfigurationError):
+            partition_lanes(-1, 2)
 
 
 class TestShardedSmoke:
@@ -175,7 +205,7 @@ class TestCrashRecovery:
                                            kill_after_rounds=0))
         assert report.resumed_after_crash == 1
         (payload,) = retried
-        assert [state["context"] for state in payload["resume"]] == ["dd"]
+        assert [cp.context_name for cp in payload["resume"]] == ["dd"]
         reference = solve_system(system, options=options,
                                  escalation=EscalationPolicy())
         assert solution_key(report) == solution_key(reference)
@@ -230,6 +260,102 @@ class TestCrashRecovery:
                                            kill_after_rounds=0, times=2))
         assert report.worker_retries >= 2
         assert solution_key(report) == solution_key(escalation_reference)
+
+
+KATSURA_OPTS = TrackerOptions(end_tolerance=1e-40, end_iterations=12)
+KILL_AT_DD = FaultInjection(shard=0, level=1, kill_after_rounds=0)
+
+
+class _DamagingStore(InMemoryCheckpointStore):
+    """Reads back every record with each lane's state damaged."""
+
+    def __init__(self, damage):
+        super().__init__()
+        self.damage = damage
+
+    def get(self, job_id, shard):
+        record = super().get(job_id, shard)
+        for state in (record or {}).get("checkpoints", {}).values():
+            self.damage(state)
+        return record
+
+
+def _drop_a_plane(state):
+    state["point"][0] = state["point"][0][:-1]
+
+
+def _garble_context(state):
+    state["context"] = "od"
+
+
+def _shorten_prev_point(state):
+    state["prev_point"] = state["prev_point"][:-1]
+
+
+class TestDamagedRecords:
+    """A stored record that parses but cannot resume is poison like any
+    other: the retried shard cold-restarts, once, and the report names
+    the field."""
+
+    @pytest.mark.parametrize("damage, field", [
+        (_drop_a_plane, "'point'"), (_garble_context, "'context'"),
+        (_shorten_prev_point, "'prev_point'")],
+        ids=["dropped-plane", "unknown-context", "short-prev-point"])
+    def test_a_record_that_does_not_revive_cold_restarts_its_shard(
+            self, damage, field):
+        report = solve_system_sharded(
+            get_scenario("katsura-3").build_system(), shards=2,
+            options=KATSURA_OPTS, escalation=EscalationPolicy(),
+            store=_DamagingStore(damage), backoff_seconds=0.0,
+            fault_injection=KILL_AT_DD)
+        assert report.cold_restarts_after_corruption == 1
+        assert report.resumed_after_crash == 0
+        (degradation,) = report.degradations
+        assert "shard 0 at rung 'dd'" in degradation
+        assert "CheckpointCorruptError" in degradation
+        assert field in degradation
+
+
+class TestOneRecordToTheStore:
+    """Workers ship and resume LaneCheckpoints as they are: only the store
+    put encodes a checkpoint, and only a retry's reload revives one."""
+
+    def test_a_retry_revives_each_reloaded_lane_once(self, monkeypatch):
+        from repro.tracking.batch_tracker import LaneCheckpoint
+
+        revived, retried = [], []
+        from_portable = LaneCheckpoint.from_portable.__func__
+
+        def counting(cls, state):
+            revived.append(state)
+            return from_portable(cls, state)
+
+        class RecordingSupervisor(sharded_module.Supervisor):
+            def run(self, payloads, *, on_retry, **kwargs):
+                def recording(tid, attempt, kind):
+                    retried.append(on_retry(tid, attempt, kind))
+                    return retried[-1]
+                return super().run(payloads, on_retry=recording, **kwargs)
+
+        monkeypatch.setattr(LaneCheckpoint, "from_portable",
+                            classmethod(counting))
+        monkeypatch.setattr(sharded_module, "Supervisor", RecordingSupervisor)
+        system = get_scenario("katsura-3").build_system()
+        report = solve_system_sharded(
+            system, shards=2, options=KATSURA_OPTS,
+            escalation=EscalationPolicy(), backoff_seconds=0.0,
+            fault_injection=KILL_AT_DD)
+        assert report.resumed_after_crash == 1
+        (payload,) = retried
+        lanes = payload["resume"]
+        assert len(revived) == len(lanes) > 0
+        assert all(isinstance(cp, LaneCheckpoint) for cp in lanes)
+        # One revival per shipped lane, each from that lane's record.
+        assert [json.dumps(state) for state in revived] == \
+            [json.dumps(cp.to_portable()) for cp in lanes]
+        reference = solve_system(system, options=KATSURA_OPTS,
+                                 escalation=EscalationPolicy())
+        assert solution_key(report) == solution_key(reference)
 
 
 class TestStoreLifecycle:

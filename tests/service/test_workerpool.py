@@ -113,7 +113,67 @@ class TestTrackerCache:
         # no evaluation.  The records compare as JSON text: a lane's
         # growth exponent is NaN before any in-zone estimate.
         assert tracker.evaluation_log == []
-        assert json.dumps(second) == json.dumps(first)
+        assert json.dumps([cp.to_portable() for cp in second]) == \
+            json.dumps([cp.to_portable() for cp in first])
+
+
+def checkpoint_bits(checkpoints):
+    """Every checkpoint field, each float as its bit pattern."""
+    import numpy as np
+
+    return [(cp.context_name, cp.status, cp.has_prev, cp.steps_accepted,
+             cp.steps_rejected, cp.newton_iterations,
+             np.array([*np.ravel(cp.point), *np.ravel(cp.prev_point), cp.t,
+                       cp.prev_t, cp.dt, cp.residual, cp.growth_exponent],
+                      dtype=np.float64).view(np.uint64).tolist())
+            for cp in checkpoints]
+
+
+class TestLaneCheckpointsCrossThePipe:
+    @pytest.mark.parametrize("context", ["d", "dd"])
+    def test_a_worker_returns_and_resumes_lane_checkpoints(self, context):
+        """A job returns its lanes' LaneCheckpoints; shipped to a worker as
+        they are, they resume there exactly as the in-process tracker
+        resumes them, inf, NaN and -0.0 lanes included."""
+        import math
+        from collections import OrderedDict
+
+        import numpy as np
+
+        from repro.bench.batch_tracking import cyclic_quadratic_system
+        from repro.multiprec import get_context
+        from repro.service.supervisor import Supervisor
+        from repro.service.workerpool import execute_payload
+        from repro.tracking import (BatchTracker, LaneCheckpoint,
+                                    TrackerOptions, start_solutions,
+                                    total_degree_start_system)
+
+        system = cyclic_quadratic_system(2)
+        start = total_degree_start_system(system)
+        starts = ([[np.inf, 1], [complex(-0.0, -0.0), complex(np.nan, 2.0)]]
+                  + [tuple(s) for s in start_solutions(system)])
+        payload = {"token": "sys", "systems": (start, system),
+                   "context": "d", "options": TrackerOptions(max_steps=3),
+                   "gamma": None, "batch_size": None, "starts": starts,
+                   "resume": None}
+        first = execute_payload(payload, OrderedDict(), OrderedDict())
+        assert all(isinstance(cp, LaneCheckpoint) for cp in first)
+        infinite, odd = first[:2]
+        assert infinite.point[0][0] == math.inf
+        assert math.copysign(1.0, odd.point[0][0]) == -1.0
+        assert math.isnan(odd.point[1][0])
+
+        with WorkerPool(workers=1) as pool:
+            token = pool.register_systems(start, system)
+            resume = {"token": token, "context": context, "options": None,
+                      "gamma": None, "batch_size": None, "starts": None,
+                      "resume": first}
+            outcome = Supervisor(pool).run({0: resume}).outcomes[0]
+        assert outcome.status == "done" and not outcome.ran_inprocess
+        in_process = BatchTracker(start, system,
+                                  context=get_context(context)) \
+            .track_batches(resume_from=first).checkpoints()
+        assert checkpoint_bits(outcome.result) == checkpoint_bits(in_process)
 
 
 class TestPoolDegradation:

@@ -67,6 +67,9 @@ def test_service_loads_no_simulator_or_bench():
     modules = loaded_by("import repro.service")
     assert "repro.service.sharded" in modules
     assert under(modules, "repro.gpusim", "repro.bench") == []
+    assert under(modules, "repro.core") == [
+        "repro.core", "repro.core.batch", "repro.core.evalplan",
+        "repro.core.tape"]
 
 
 def test_scenario_registry_loads_only_itself_and_the_systems():

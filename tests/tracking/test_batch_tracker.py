@@ -198,7 +198,7 @@ class TestLaneRetirement:
 
 def lane_bits(batch, lane):
     """A lane's exported state, every float as its bit pattern."""
-    state = batch.checkpoint(lane).to_portable()
+    state = batch.checkpoints()[lane].to_portable()
     floats = [*np.ravel(state.pop("point")), *np.ravel(state.pop("prev_point")),
               *(state.pop(key) for key in ("t", "prev_t", "dt", "residual",
                                            "growth_exponent"))]
@@ -235,13 +235,18 @@ class TestRetiredLanesStayPut:
             self, context):
         from dataclasses import replace
 
+        from repro.multiprec.backend import backend_for_context
+
+        planes = backend_for_context(context).scalar_to_planes
         healthy = self.tracked(context, 3, start_solutions=list(
             start_solutions(decoupled_quadratic_system()))).checkpoints()
-        dead = replace(healthy[0], point=(0j, 0j), prev_point=(0j, 0j),
+        zero = (planes(0j), planes(0j))
+        dead = replace(healthy[0], point=zero, prev_point=zero,
                        t=0.0, prev_t=0.0, has_prev=False,
                        status=PathStatus.START_FAILED)
         # Far off its path and one step shrink from the 1e-6 minimum.
-        stuck = replace(healthy[1], point=(40 + 3j, -25 + 1j), dt=1.5e-6)
+        stuck = replace(healthy[1], point=(planes(40 + 3j), planes(-25 + 1j)),
+                        dt=1.5e-6)
         lanes = [dead, stuck, *healthy]
         full = self.tracked(context, 500, resume_from=lanes)
         assert full.status[:2].tolist() == [int(PathStatus.START_FAILED),
@@ -285,10 +290,10 @@ def plane_hex(backend, array, lane):
 @pytest.mark.parametrize("context", [DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE],
                          ids=lambda c: c.name)
 class TestLaneScalarCodec:
-    """Each backend packs scalars into planes and exports them back with one
-    codec: components are taken as they are (no renormalisation, which
-    would turn an infinite lane into NaN) and narrower scalars widen
-    exactly, so a lane exported and packed again is bit for bit itself."""
+    """Each backend packs scalars into planes and exports lanes as planes:
+    components are taken as they are (no renormalisation, which would
+    turn an infinite lane into NaN) and narrower scalars widen exactly, so
+    a lane exported and packed again is bit for bit itself."""
 
     def test_infinite_start_lane_reports_its_start_point(self, context):
         from repro.bench.batch_tracking import cyclic_quadratic_system
@@ -307,7 +312,7 @@ class TestLaneScalarCodec:
 
         backend = backend_for_context(context)
         points = backend.from_points([[np.inf, 1], [1, 1]])
-        again = backend.from_points([backend.lane_scalars(points, 0)])
+        again = backend.from_lane_planes(backend.lane_planes(points)[:1])
         assert plane_hex(backend, again, 0) == plane_hex(backend, points, 0)
 
     def test_ragged_start_solutions_are_refused(self, context):
@@ -321,14 +326,76 @@ class TestLaneScalarCodec:
 def test_double_double_scalar_widens_exactly_into_quad_double_planes():
     from repro.multiprec import ComplexDD, DoubleDouble
     from repro.multiprec.backend import COMPLEX_QD_BACKEND
-    from repro.tracking.batch_tracker import scalar_to_planes
 
     x = ComplexDD(DoubleDouble(1.0, 1e-20), DoubleDouble(2.0, -3e-21))
     want = [1.0, 1e-20, 0.0, 0.0, 2.0, -3e-21, 0.0, 0.0]
-    assert scalar_to_planes(x, "qd") == want
+    assert list(COMPLEX_QD_BACKEND.scalar_to_planes(x)) == want
     packed = COMPLEX_QD_BACKEND.from_points([[x]])
     assert [float(plane[0, 0]) for plane
             in COMPLEX_QD_BACKEND.component_planes(packed)] == want
+
+
+def float_planes(backend, array):
+    """The float planes of a batch array in storage order."""
+    planes = backend.component_planes(array)
+    if backend.name == "d":
+        (z,) = planes
+        return z.real, z.imag
+    return planes
+
+
+def plane_bits(backend, array):
+    return [np.ascontiguousarray(p).view(np.uint64).tolist()
+            for p in float_planes(backend, array)]
+
+
+@pytest.mark.parametrize("source, target", [
+    (DOUBLE, DOUBLE), (DOUBLE_DOUBLE, DOUBLE_DOUBLE),
+    (QUAD_DOUBLE, QUAD_DOUBLE), (DOUBLE, DOUBLE_DOUBLE),
+    (DOUBLE_DOUBLE, QUAD_DOUBLE), (DOUBLE, QUAD_DOUBLE)],
+    ids=lambda c: c.name)
+def test_checkpoints_leave_and_enter_a_batch_as_planes(monkeypatch, source,
+                                                       target):
+    """A lane leaves a batch as its float planes and the next batch packs
+    them as they are: no scalar is encoded or decoded on the way, and the
+    repacked arrays are ``convert_batch`` of the exported ones bit for bit,
+    inf, NaN and -0.0 lanes included."""
+    from repro.bench.batch_tracking import cyclic_quadratic_system
+    from repro.multiprec.backend import (Complex128Backend, PlaneBackend,
+                                         backend_for_context, convert_batch,
+                                         masked_lane_errstate)
+    from repro.multiprec.planearray import ComplexPlaneArray
+
+    system = cyclic_quadratic_system(2)
+    tracker = BatchTracker(total_degree_start_system(system), system,
+                           context=source,
+                           options=TrackerOptions(max_steps=3))
+    starts = ([[np.inf, 1], [complex(-0.0, -0.0), complex(np.nan, 2.0)]]
+              + list(start_solutions(system)))
+    (batch,) = tracker.track_batches(starts).batches
+    src, dst = backend_for_context(source), backend_for_context(target)
+
+    def refuse(*args):
+        raise AssertionError("a lane moved through the scalar codec")
+
+    for owner in (Complex128Backend, PlaneBackend, ComplexPlaneArray):
+        for name in ("scalar_to_planes", "scalar_from_planes"):
+            monkeypatch.setattr(owner, name, refuse)
+    checkpoints = batch.checkpoints()
+    planes = float_planes(src, batch.points)
+    for lane, cp in enumerate(checkpoints):
+        assert [[float(v).hex() for v in coordinate] for coordinate
+                in cp.point] == \
+            [[float(p[k, lane]).hex() for p in planes]
+             for k in range(len(cp.point))]
+    with masked_lane_errstate():  # widening an inf lane meets inf - inf
+        rebuilt = PathBatch.from_checkpoints(dst, checkpoints,
+                                             initial_step=0.1)
+        points = convert_batch(batch.points, src, dst)
+        prev_points = convert_batch(batch.prev_points, src, dst)
+    assert plane_bits(dst, rebuilt.points) == plane_bits(dst, points)
+    assert plane_bits(dst, rebuilt.prev_points) == \
+        plane_bits(dst, prev_points)
 
 
 class TestQuadDoubleBatchTracking:
@@ -401,10 +468,12 @@ class TestCheckpoints:
         arithmetic reaches, and with a corrector tolerance no step
         meets."""
         from repro.bench.scenarios import get_scenario
-        from repro.tracking.batch_tracker import scalar_to_planes
+        from repro.multiprec.backend import backend_for_context
+
+        scalar_to_planes = backend_for_context(context).scalar_to_planes
 
         def fields(result):
-            return ([[p.hex() for p in scalar_to_planes(x, context.name)]
+            return ([[p.hex() for p in scalar_to_planes(x)]
                      for x in result.solution],
                     float(result.residual).hex(), result.success,
                     result.steps_accepted, result.steps_rejected,
@@ -492,11 +561,14 @@ class TestCheckpoints:
         tracks to success."""
         from dataclasses import replace
 
+        from repro.multiprec.backend import COMPLEX128_BACKEND
+
         system = decoupled_quadratic_system()
         outcome = self.tracked(system, DOUBLE, None)
         good = outcome.checkpoints()[0]
         # Pretend the start correction had failed with the raw start point.
-        start_point = tuple(list(start_solutions(system))[0])
+        start_point = tuple(COMPLEX128_BACKEND.scalar_to_planes(x)
+                            for x in list(start_solutions(system))[0])
         doctored = replace(good, point=start_point, prev_point=start_point,
                            t=0.0, prev_t=0.0, has_prev=False,
                            status=PathStatus.START_FAILED,
@@ -588,6 +660,30 @@ class TestCheckpoints:
         cps[0] = replace(cps[0], **{field: value})
         with pytest.raises(ConfigurationError, match="checkpoint 0 cannot resume"):
             self.tracked(system, DOUBLE, None, resume_from=cps)
+
+    @pytest.mark.parametrize("damage, field", [
+        ("unknown-context", "'context'"), ("dropped-plane", "'point'"),
+        ("short-prev-point", "'prev_point'")])
+    def test_resume_refuses_a_checkpoint_whose_planes_do_not_fit(
+            self, damage, field):
+        from dataclasses import replace
+
+        from repro.multiprec.backend import COMPLEX128_BACKEND
+
+        system = decoupled_quadratic_system()
+        cps = self.tracked(system, DOUBLE,
+                           TrackerOptions(max_steps=2)).checkpoints()
+        cp = cps[1]
+        if damage == "unknown-context":
+            cps[1] = replace(cp, context_name="od")
+        elif damage == "dropped-plane":
+            cps[1] = replace(cp, point=(cp.point[0][:1],) + cp.point[1:])
+        else:
+            cps[1] = replace(cp, prev_point=cp.prev_point[:1])
+        with pytest.raises(ConfigurationError,
+                           match=f"checkpoint 1 cannot resume: {field}"):
+            PathBatch.from_checkpoints(COMPLEX128_BACKEND, cps,
+                                       initial_step=0.1)
 
     def test_both_or_neither_inputs_rejected(self):
         system = decoupled_quadratic_system()

@@ -27,10 +27,10 @@ import pytest
 
 from repro.bench.batch_tracking import cyclic_quadratic_system
 from repro.bench.scenarios import get_scenario
-from repro.errors import CheckpointCorruptError, ConfigurationError
+from repro.errors import CheckpointCorruptError
+from repro.multiprec.backend import backend_named
 from repro.multiprec.numeric import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE
-from repro.tracking.batch_tracker import (BatchTracker, LaneCheckpoint,
-                                          PathStatus, scalar_to_planes)
+from repro.tracking.batch_tracker import BatchTracker, LaneCheckpoint, PathStatus
 from repro.tracking.start_systems import start_solutions, total_degree_start_system
 from repro.tracking.tracker import TrackerOptions
 
@@ -126,12 +126,13 @@ class TestSkipCertifiedEndgame:
         assert resumed.batched_evaluations == 0
         assert resumed.rounds == 0
         assert resumed.endgame_reentries_skipped == finished.paths_converged
+        scalar_to_planes = backend_named(context.name).scalar_to_planes
         for before, after in zip(finished.results, resumed.results):
             assert (after.success, after.failure_reason) == \
                 (before.success, before.failure_reason)
-            assert [[p.hex() for p in scalar_to_planes(x, context.name)]
+            assert [[p.hex() for p in scalar_to_planes(x)]
                     for x in after.solution] == \
-                [[p.hex() for p in scalar_to_planes(x, context.name)]
+                [[p.hex() for p in scalar_to_planes(x)]
                  for x in before.solution]
             assert after.residual == before.residual
             assert (after.steps_accepted, after.steps_rejected,
@@ -154,8 +155,9 @@ class TestPortableCheckpointState:
         from repro.tracking.batch_tracker import LaneCheckpoint
 
         ctx = get_context(context_name)
-        point = tuple(ctx.from_complex(v) for v in values)
-        prev = tuple(ctx.from_complex(v * 0.875) for v in values)
+        planes = backend_named(context_name).scalar_to_planes
+        point = tuple(planes(ctx.from_complex(v)) for v in values)
+        prev = tuple(planes(ctx.from_complex(v * 0.875)) for v in values)
         fields = dict(
             context_name=context_name,
             point=point, t=0.9375,
@@ -171,10 +173,7 @@ class TestPortableCheckpointState:
     def test_round_trip_through_json_is_exact(self, context_name):
         import json
 
-        from repro.tracking.batch_tracker import (
-            LaneCheckpoint,
-            scalar_to_planes,
-        )
+        from repro.tracking.batch_tracker import LaneCheckpoint
 
         cp = self._synthetic_checkpoint(
             context_name,
@@ -182,10 +181,8 @@ class TestPortableCheckpointState:
         wire = json.loads(json.dumps(cp.to_portable()))
         back = LaneCheckpoint.from_portable(wire)
         assert back.context_name == cp.context_name
-        for a, b in zip(back.point + back.prev_point,
-                        cp.point + cp.prev_point):
-            planes_a = scalar_to_planes(a, context_name)
-            planes_b = scalar_to_planes(b, context_name)
+        for planes_a, planes_b in zip(back.point + back.prev_point,
+                                      cp.point + cp.prev_point):
             # Bit-for-bit: every component plane, signed zeros included.
             assert [p.hex() for p in planes_a] == [p.hex() for p in planes_b]
         assert (back.t, back.prev_t, back.dt) == (cp.t, cp.prev_t, cp.dt)
@@ -200,10 +197,7 @@ class TestPortableCheckpointState:
         import json
         import math
 
-        from repro.tracking.batch_tracker import (
-            LaneCheckpoint,
-            scalar_to_planes,
-        )
+        from repro.tracking.batch_tracker import LaneCheckpoint
 
         cp = self._synthetic_checkpoint(
             context_name,
@@ -212,8 +206,7 @@ class TestPortableCheckpointState:
             residual=float("inf"), status=PathStatus.STEP_UNDERFLOW)
         wire = json.loads(json.dumps(cp.to_portable()))
         back = LaneCheckpoint.from_portable(wire)
-        first = scalar_to_planes(back.point[0], context_name)
-        second = scalar_to_planes(back.point[1], context_name)
+        first, second = back.point
         assert first[0] == float("inf")
         assert math.isnan(second[0])
         assert back.residual == float("inf")
@@ -257,24 +250,21 @@ class TestPortableCheckpointState:
             LaneCheckpoint.from_portable(state)
 
     def test_unknown_context_and_bad_plane_counts_are_rejected(self):
-        from repro.tracking.batch_tracker import (
-            scalar_from_planes,
-            scalar_to_planes,
-        )
-
-        with pytest.raises(ConfigurationError):
-            scalar_to_planes(1 + 2j, "octuple")
-        with pytest.raises(ConfigurationError):
-            scalar_from_planes([1.0, 2.0, 3.0], "dd")  # dd needs 4 planes
-        # Reviving a whole checkpoint lets both through, not wrapped as
-        # CheckpointCorruptError.
+        """A state that parses but cannot resume is poison too, and the
+        error names the field."""
         state = self._synthetic_checkpoint(
             "dd", [complex(1 / 3, -2 / 7), complex(0.5, 0.25)]).to_portable()
-        with pytest.raises(ConfigurationError, match="octuple"):
+        with pytest.raises(CheckpointCorruptError,
+                           match="'context'.*'octuple'"):
             LaneCheckpoint.from_portable(dict(state, context="octuple"))
         three_planes = [planes[:3] for planes in state["point"]]
-        with pytest.raises(ConfigurationError, match="plane components"):
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"'point' has \[3, 3\] planes"):
             LaneCheckpoint.from_portable(dict(state, point=three_planes))
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"'prev_point' has \[4\] planes"):
+            LaneCheckpoint.from_portable(
+                dict(state, prev_point=state["prev_point"][:1]))
 
     def test_resumed_tracking_bit_for_bit_vs_in_memory_resume(self, workload):
         """Resuming from portable (JSON round-tripped) checkpoints must
@@ -297,11 +287,12 @@ class TestPortableCheckpointState:
             start, target, context=DOUBLE_DOUBLE, options=opts,
         ).track_batches(resume_from=restored)
 
+        scalar_to_planes = backend_named("dd").scalar_to_planes
         for a, b in zip(resumed_memory.results, resumed_wire.results):
             assert a.success == b.success
             assert a.residual == b.residual
-            planes_a = [scalar_to_planes(x, "dd") for x in a.solution]
-            planes_b = [scalar_to_planes(x, "dd") for x in b.solution]
+            planes_a = [scalar_to_planes(x) for x in a.solution]
+            planes_b = [scalar_to_planes(x) for x in b.solution]
             assert [[p.hex() for p in planes]
                     for planes in planes_a] == \
                 [[p.hex() for p in planes] for planes in planes_b]

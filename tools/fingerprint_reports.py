@@ -30,12 +30,18 @@ reference chain.  Run it on all four line sets: ``solve-d`` and
 the dd/qd chains (all four take about 25 s on a two-CPU host).
 ``--sharded N`` solves every case through ``solve_system_sharded`` with
 ``N`` shards on one two-worker ``WorkerPool``; the service promises the
-in-process answers, so it prints the same lines.
+in-process answers, so it prints the same lines.  ``--kill-level L``
+(only with ``--sharded``) kills shard 0's worker on entry to ladder level
+``L`` in every case (``FaultInjection(shard=0, level=L,
+kill_after_rounds=0)``, no retry backoff), so that shard resumes from the
+checkpoint store at rung ``L``: the store-reload route, which must print
+the same lines too.
 
 Usage::
 
     python tools/fingerprint_reports.py [--workload solve-d] [--solve-off]
                                         [--kernels-off] [--sharded N]
+                                        [--kill-level L]
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from perfbench.workloads import SolveWorkload  # noqa: E402
 from repro.multiprec import compiled  # noqa: E402
-from repro.service import WorkerPool, solve_system_sharded  # noqa: E402
+from repro.service import (FaultInjection, WorkerPool,  # noqa: E402
+                           solve_system_sharded)
 from repro.tracking import solver  # noqa: E402
 
 WORKLOADS = ("solve-d", "escalate-qd", "ladder-all", "tangent")
@@ -147,7 +154,16 @@ def main(argv=None) -> int:
     parser.add_argument("--sharded", type=int, metavar="N",
                         help="solve through solve_system_sharded with N "
                              "shards on one two-worker pool")
+    parser.add_argument("--kill-level", type=int, metavar="L",
+                        help="with --sharded: kill shard 0's worker on "
+                             "entry to ladder level L, so it resumes from "
+                             "the checkpoint store")
     args = parser.parse_args(argv)
+    if args.kill_level is not None:
+        if not args.sharded:
+            parser.error("--kill-level needs --sharded N")
+        if args.kill_level < 0:
+            parser.error("--kill-level must be a ladder level >= 0")
     if args.solve_off:
         compiled.SOLVE_CONTEXTS = frozenset()
     if args.kernels_off:
@@ -158,6 +174,11 @@ def main(argv=None) -> int:
             pool = stack.enter_context(WorkerPool(2))
             solve = functools.partial(solve_system_sharded,
                                       shards=args.sharded, pool=pool)
+        if args.kill_level is not None:
+            solve = functools.partial(
+                solve, backoff_seconds=0.0,
+                fault_injection=FaultInjection(shard=0, level=args.kill_level,
+                                               kill_after_rounds=0))
         for name in args.workload or WORKLOADS:
             cases, options, escalation = line_set(name)
             for case in cases:
