@@ -16,17 +16,20 @@ kernels:
 # (the 14 scenarios at d, the 7 tier-1 scenarios up the default ladder,
 # all 14 up the default ladder, and the 14 at d with the tangent
 # predictor): a sha256 over the whole report, then one over its solutions
-# alone.  A change that must not move any answer prints the same lines as
-# its parent; one that only reclassifies failed paths keeps the second
-# hash.  tools/fingerprint_reports.py --help lists the route switches:
-# --solve-off and --kernels-off print the same lines through the Python
-# solves and the dd/qd reference chains (run them on all four line sets;
-# only the two ladder sets reach dd/qd), and --sharded N solves every case
-# through solve_system_sharded with N shards on one two-worker pool and
-# must print the in-process lines; --kill-level L (only with --sharded)
-# kills shard 0's worker on entry to ladder level L in every case, so that
-# shard resumes from the checkpoint store at rung L, and must print them
-# too.
+# alone.  A fifth set, scalar, hashes the scalar PathTracker's paths from
+# the first two start solutions of each of the 7 tier-1 cases at d, dd
+# and qd, one line per case and context (the route switches below act on
+# the four solve sets only).  A change that must not move any answer
+# prints the same lines as its parent; one that only reclassifies failed
+# paths keeps the second hash.  tools/fingerprint_reports.py --help lists
+# the route switches: --solve-off and --kernels-off print the same lines
+# through the Python solves and the dd/qd reference chains (run them on
+# all four solve sets; only the two ladder sets reach dd/qd), and
+# --sharded N solves every case through solve_system_sharded with N shards
+# on one two-worker pool and must print the in-process lines;
+# --kill-level L (only with --sharded) kills shard 0's worker on entry to
+# ladder level L in every case, so that shard resumes from the checkpoint
+# store at rung L, and must print them too.
 fingerprints:
 	$(PY) tools/fingerprint_reports.py
 

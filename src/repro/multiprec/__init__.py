@@ -9,8 +9,10 @@ provides:
   :class:`~repro.multiprec.quad_double.QuadDouble` -- scalar extended
   precision reals;
 * :class:`~repro.multiprec.complex_dd.ComplexDD` and
-  :class:`~repro.multiprec.numeric.ComplexQD` -- complex variants used by the
-  polynomial evaluators;
+  :class:`~repro.multiprec.quad_double.ComplexQD` -- complex variants used by
+  the polynomial evaluators.  The four share one numeric protocol,
+  :mod:`~repro.multiprec.scalar` (one real and one complex base class); the
+  precision modules hold only their per-precision parts;
 * :class:`~repro.multiprec.ddarray.DDArray` /
   :class:`~repro.multiprec.ddarray.ComplexDDArray` and
   :class:`~repro.multiprec.qdarray.QDArray` /
@@ -38,12 +40,11 @@ from .numeric import (
     DOUBLE,
     DOUBLE_DOUBLE,
     QUAD_DOUBLE,
-    ComplexQD,
     NumericContext,
     get_context,
 )
 from .qdarray import ComplexQDArray, QDArray
-from .quad_double import QuadDouble, qd
+from .quad_double import ComplexQD, QuadDouble, qd
 
 __all__ = [
     "ComplexDD",

@@ -25,6 +25,7 @@ so no caller can swap the arithmetic another solve runs.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -483,14 +484,26 @@ def _narrow_qd_to_dd(array: ComplexQDArray) -> ComplexDDArray:
                           DDArray(array.imag.c0, array.imag.c1))
 
 
+def _zero_extend(array_type, values: np.ndarray):
+    """Each double of ``values`` as the leading component of an element of
+    ``array_type``, its other planes zero.  Unlike ``from_complex128``,
+    whose double-double embedding renormalises ``(x, 0)`` (a -0.0 comes
+    back +0.0, an inf as ``(inf, nan)``), every bit is kept."""
+    values = np.asarray(values, dtype=np.complex128)
+    planes = np.zeros((array_type.plane_count,) + values.shape)
+    planes[0] = values.real
+    planes[array_type.plane_count // 2] = values.imag
+    return array_type.from_planes(planes)
+
+
 #: Conversions between the multiprecision batch arrays, keyed by (source
 #: context name, target context name).  Widening embeds every element
 #: bit-for-bit: d -> dd/qd zero-extends the float64 planes, dd -> qd
 #: promotes the (hi, lo) pair to the two leading quad-double components
 #: (the vectorised ``QuadDouble.from_double_double``).
 _CONVERSIONS = {
-    ("d", "dd"): ComplexDDArray.from_complex128,
-    ("d", "qd"): ComplexQDArray.from_complex128,
+    ("d", "dd"): functools.partial(_zero_extend, ComplexDDArray),
+    ("d", "qd"): functools.partial(_zero_extend, ComplexQDArray),
     ("dd", "qd"): ComplexQDArray.from_complex_dd,
     ("qd", "dd"): _narrow_qd_to_dd,
 }

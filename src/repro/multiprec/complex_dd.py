@@ -5,7 +5,10 @@ continuation works over C), and the kernels manipulate "complex double" and
 "complex double double" values.  :class:`ComplexDD` is the straightforward
 Cartesian pairing of two :class:`~repro.multiprec.double_double.DoubleDouble`
 components with the textbook complex arithmetic rules -- the same four-real-
-multiplication complex product the CUDA kernels would perform.
+multiplication complex product the CUDA kernels would perform.  The rules
+are :class:`~repro.multiprec.scalar.MultiprecComplex`'s, shared with
+:class:`~repro.multiprec.quad_double.ComplexQD`; this module sets only the
+real type.
 
 A complex multiplication costs 4 real multiplications and 2 additions; this
 constant feeds the GPU and CPU cost models so that the operation counts quoted
@@ -15,188 +18,25 @@ translate consistently into predicted cycle counts.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Union
 
-from ..errors import DivisionByZeroError
-from .double_double import DoubleDouble, dd
+from .double_double import DoubleDouble
+from .scalar import MultiprecComplex
 
 __all__ = ["ComplexDD", "cdd"]
 
-_Scalar = Union[int, float, complex, DoubleDouble, "ComplexDD"]
 
-
-class ComplexDD:
+class ComplexDD(MultiprecComplex):
     """A complex number with double-double real and imaginary parts."""
 
-    __slots__ = ("real", "imag")
-
-    def __init__(self,
-                 real: Union[int, float, complex, DoubleDouble, "ComplexDD"] = 0.0,
-                 imag: Union[int, float, DoubleDouble, None] = None):
-        if isinstance(real, ComplexDD):
-            object.__setattr__(self, "real", real.real)
-            object.__setattr__(self, "imag", real.imag if imag is None else dd(imag))
-            return
-        if isinstance(real, complex):
-            if imag is not None:
-                raise TypeError("cannot pass both a complex value and an imag part")
-            object.__setattr__(self, "real", DoubleDouble.from_float(real.real))
-            object.__setattr__(self, "imag", DoubleDouble.from_float(real.imag))
-            return
-        object.__setattr__(self, "real", dd(real))
-        object.__setattr__(self, "imag", dd(0.0 if imag is None else imag))
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ComplexDD instances are immutable")
-
-    # ------------------------------------------------------------------
-    # constructors / conversions
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexDD":
-        return cls(complex(z))
-
-    def to_complex(self) -> complex:
-        """Round both components to hardware doubles."""
-        return complex(self.real.hi, self.imag.hi)
-
-    def components(self) -> Tuple[float, float, float, float]:
-        """Return ``(re.hi, re.lo, im.hi, im.lo)``."""
-        return self.real.hi, self.real.lo, self.imag.hi, self.imag.lo
-
-    def is_zero(self) -> bool:
-        return self.real.is_zero() and self.imag.is_zero()
-
-    def __complex__(self) -> complex:
-        return self.to_complex()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self) -> str:
-        return f"ComplexDD({self.real!r}, {self.imag!r})"
-
-    def __hash__(self) -> int:
-        return hash((self.real, self.imag))
-
-    # ------------------------------------------------------------------
-    # comparisons (equality only; complex numbers are unordered)
-    # ------------------------------------------------------------------
-    def _coerce(self, other) -> "ComplexDD":
-        if isinstance(other, ComplexDD):
-            return other
-        if isinstance(other, (int, float, DoubleDouble)):
-            return ComplexDD(other)
-        if isinstance(other, complex):
-            return ComplexDD.from_complex(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.real == o.real and self.imag == o.imag
-
-    def __ne__(self, other) -> bool:
-        res = self.__eq__(other)
-        if res is NotImplemented:
-            return res
-        return not res
-
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
-    def __neg__(self) -> "ComplexDD":
-        return ComplexDD(-self.real, -self.imag)
-
-    def __pos__(self) -> "ComplexDD":
-        return self
-
-    def __add__(self, other) -> "ComplexDD":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexDD(self.real + o.real, self.imag + o.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ComplexDD":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexDD(self.real - o.real, self.imag - o.imag)
-
-    def __rsub__(self, other) -> "ComplexDD":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexDD(o.real - self.real, o.imag - self.imag)
-
-    def __mul__(self, other) -> "ComplexDD":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        # (a+bi)(c+di) = (ac - bd) + (ad + bc) i : 4 real multiplications.
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        return ComplexDD(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ComplexDD":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        denom = c * c + d * d
-        if denom.is_zero():
-            raise DivisionByZeroError("ComplexDD division by zero")
-        return ComplexDD((a * c + b * d) / denom, (b * c - a * d) / denom)
-
-    def __rtruediv__(self, other) -> "ComplexDD":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, exponent: int) -> "ComplexDD":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return self.power(exponent)
-
-    def power(self, exponent: int) -> "ComplexDD":
-        """Integer power by binary exponentiation."""
-        if exponent == 0:
-            if self.is_zero():
-                raise ZeroDivisionError("0 ** 0 is undefined for ComplexDD")
-            return ComplexDD(1.0)
-        negative = exponent < 0
-        e = abs(exponent)
-        result = ComplexDD(1.0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        if negative:
-            return ComplexDD(1.0) / result
-        return result
-
-    def conjugate(self) -> "ComplexDD":
-        return ComplexDD(self.real, -self.imag)
-
-    def abs2(self) -> DoubleDouble:
-        """Squared modulus as a :class:`DoubleDouble`."""
-        return self.real * self.real + self.imag * self.imag
-
-    def __abs__(self) -> DoubleDouble:
-        return self.abs2().sqrt()
+    __slots__ = ()
+    real_type = DoubleDouble
 
 
-def cdd(real: _Scalar, imag: Union[int, float, DoubleDouble, None] = None) -> ComplexDD:
-    """Convenience constructor for :class:`ComplexDD`."""
+def cdd(real: Union[int, float, complex, DoubleDouble, ComplexDD],
+        imag: Union[int, float, DoubleDouble, None] = None) -> ComplexDD:
+    """Convenience constructor for :class:`ComplexDD` (a ComplexDD without
+    ``imag`` comes back as it is)."""
     if isinstance(real, ComplexDD) and imag is None:
         return real
-    if isinstance(real, complex) and imag is None:
-        return ComplexDD.from_complex(real)
     return ComplexDD(real, imag)

@@ -131,7 +131,7 @@ class DDArray(PlaneArray, prefix="dd",
 
     @staticmethod
     def _scalar(parts) -> DoubleDouble:
-        return DoubleDouble._raw(float(parts[0]), float(parts[1]))
+        return DoubleDouble._raw((float(parts[0]), float(parts[1])))
 
 
 class ComplexDDArray(ComplexPlaneArray, real_type=DDArray,

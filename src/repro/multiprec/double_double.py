@@ -7,11 +7,13 @@ the QD 2.3.9 library of Hida, Li & Bailey that the paper uses for its
 multiprecision path tracking, built on the error-free transformations in
 :mod:`repro.multiprec.eft`.
 
-The class implements the full Python numeric protocol so that generic code --
-the Jacobian evaluators, the LU solver in :mod:`repro.tracking.linsolve`,
-Newton's method -- can be written once and instantiated with ``float``,
-``complex``, :class:`DoubleDouble` or
-:class:`repro.multiprec.complex_dd.ComplexDD` coefficients.
+The numeric protocol -- conversions, comparisons, operators, powers,
+printing, pickling -- is :class:`~repro.multiprec.scalar.MultiprecReal`'s,
+shared with quad-double; this module holds only the double-double parts, so
+that generic code (the Jacobian evaluators, the LU solver in
+:mod:`repro.tracking.linsolve`, Newton's method) runs on ``complex``,
+:class:`~repro.multiprec.complex_dd.ComplexDD` or
+:class:`~repro.multiprec.quad_double.ComplexQD` alike.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from ..errors import DivisionByZeroError
-from .eft import quick_two_sum, two_diff, two_prod, two_sqr, two_sum
+from .eft import quick_two_sum, two_diff, two_prod, two_sum
+from .scalar import MultiprecReal
 
 __all__ = ["DoubleDouble", "dd"]
 
 _EPS = 4.93038065763132e-32  # 2**-104, the relative rounding unit of dd
 
 
-class DoubleDouble:
+class DoubleDouble(MultiprecReal):
     """An immutable double-double number.
 
     Parameters
@@ -47,31 +50,27 @@ class DoubleDouble:
 
     __slots__ = ("hi", "lo")
 
+    width = 2
     #: Relative rounding unit of the double-double format (2**-104).
     eps = _EPS
 
     def __init__(self, hi: Union[float, int, "DoubleDouble"] = 0.0, lo: float = 0.0):
         if isinstance(hi, DoubleDouble):
-            object.__setattr__(self, "hi", hi.hi)
-            object.__setattr__(self, "lo", hi.lo)
+            _set_hi(self, hi.hi)
+            _set_lo(self, hi.lo)
             return
-        h = float(hi)
-        l = float(lo)
         # Renormalise so that the invariant |lo| <= 0.5 ulp(hi) holds even if
         # the caller passed two arbitrary doubles.
-        s, e = two_sum(h, l)
-        object.__setattr__(self, "hi", s)
-        object.__setattr__(self, "lo", e)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("DoubleDouble instances are immutable")
+        s, e = two_sum(float(hi), float(lo))
+        _set_hi(self, s)
+        _set_lo(self, e)
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def _raw(cls, hi: float, lo: float) -> "DoubleDouble":
-        """Adopt two components verbatim, skipping renormalisation.
+    def _raw(cls, parts: Tuple[float, float]) -> "DoubleDouble":
+        """Adopt ``(hi, lo)`` verbatim, skipping renormalisation.
 
         For rebuilding a value whose components are *already* a valid
         double-double decomposition (e.g. the portable checkpoint planes):
@@ -80,21 +79,15 @@ class DoubleDouble:
         must come back exactly as it was captured.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "hi", hi)
-        object.__setattr__(obj, "lo", lo)
+        _set_hi(obj, parts[0])
+        _set_lo(obj, parts[1])
         return obj
 
     @classmethod
     def from_float(cls, x: float) -> "DoubleDouble":
-        """Exact embedding of a double into double-double."""
+        """Embedding of a double: the renormalised pair ``(x, 0)`` (the
+        batch arrays' ``DDArray._embed`` replays it)."""
         return cls(float(x), 0.0)
-
-    @classmethod
-    def from_int(cls, n: int) -> "DoubleDouble":
-        """Exact embedding of an integer with up to ~106 bits."""
-        hi = float(n)
-        lo = float(n - int(hi))
-        return cls(hi, lo)
 
     @classmethod
     def from_sum(cls, a: float, b: float) -> "DoubleDouble":
@@ -108,134 +101,9 @@ class DoubleDouble:
         p, e = two_prod(float(a), float(b))
         return cls(p, e)
 
-    @classmethod
-    def from_string(cls, s: str) -> "DoubleDouble":
-        """Parse a decimal string to full double-double precision."""
-        frac = Fraction(s)
-        return cls.from_fraction(frac)
-
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "DoubleDouble":
-        """Round a :class:`fractions.Fraction` to double-double."""
-        hi = float(frac)
-        lo = float(frac - Fraction(hi))
-        return cls(hi, lo)
-
-    # ------------------------------------------------------------------
-    # conversions / inspection
-    # ------------------------------------------------------------------
-    def to_float(self) -> float:
-        """Round to the nearest double (simply the ``hi`` component)."""
-        return self.hi
-
-    def to_fraction(self) -> Fraction:
-        """Exact rational value of the pair ``hi + lo``."""
-        return Fraction(self.hi) + Fraction(self.lo)
-
     def components(self) -> Tuple[float, float]:
         """Return ``(hi, lo)``."""
         return self.hi, self.lo
-
-    def is_zero(self) -> bool:
-        return self.hi == 0.0 and self.lo == 0.0
-
-    def is_negative(self) -> bool:
-        return self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0)
-
-    def is_positive(self) -> bool:
-        return self.hi > 0.0 or (self.hi == 0.0 and self.lo > 0.0)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.hi) and math.isfinite(self.lo)
-
-    def is_nan(self) -> bool:
-        return math.isnan(self.hi) or math.isnan(self.lo)
-
-    def __float__(self) -> float:
-        return self.hi
-
-    def __int__(self) -> int:
-        return int(self.to_fraction())
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self) -> str:
-        return f"DoubleDouble({self.hi!r}, {self.lo!r})"
-
-    def __str__(self) -> str:
-        return self.to_decimal_string(32)
-
-    def to_decimal_string(self, digits: int = 32) -> str:
-        """Render ``digits`` significant decimal digits of the exact value."""
-        frac = self.to_fraction()
-        if frac == 0:
-            return "0." + "0" * (digits - 1) + "e+00"
-        sign = "-" if frac < 0 else ""
-        frac = abs(frac)
-        exponent = 0
-        while frac >= 10:
-            frac /= 10
-            exponent += 1
-        while frac < 1:
-            frac *= 10
-            exponent -= 1
-        scaled = frac * Fraction(10) ** (digits - 1)
-        digits_int = int(scaled + Fraction(1, 2))
-        mantissa = str(digits_int)
-        if len(mantissa) > digits:  # rounding carried over, e.g. 9.99 -> 10.0
-            mantissa = mantissa[:digits]
-            exponent += 1
-        return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exponent:+03d}"
-
-    def __hash__(self) -> int:
-        return hash((self.hi, self.lo))
-
-    # ------------------------------------------------------------------
-    # comparisons
-    # ------------------------------------------------------------------
-    def _coerce(self, other) -> "DoubleDouble":
-        if isinstance(other, DoubleDouble):
-            return other
-        if isinstance(other, (int, float)):
-            return DoubleDouble(float(other), 0.0)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi == o.hi and self.lo == o.lo
-
-    def __ne__(self, other) -> bool:
-        res = self.__eq__(other)
-        if res is NotImplemented:
-            return res
-        return not res
-
-    def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi < o.hi or (self.hi == o.hi and self.lo < o.lo)
-
-    def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi < o.hi or (self.hi == o.hi and self.lo <= o.lo)
-
-    def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi > o.hi or (self.hi == o.hi and self.lo > o.lo)
-
-    def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.hi > o.hi or (self.hi == o.hi and self.lo >= o.lo)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -243,75 +111,43 @@ class DoubleDouble:
     def __neg__(self) -> "DoubleDouble":
         return DoubleDouble(-self.hi, -self.lo)
 
-    def __pos__(self) -> "DoubleDouble":
-        return self
+    def _add(self, other: "DoubleDouble") -> "DoubleDouble":
+        """IEEE-style accurate addition (QD's ``ieee_add``)."""
+        s1, s2 = two_sum(self.hi, other.hi)
+        t1, t2 = two_sum(self.lo, other.lo)
+        s2 += t1
+        s1, s2 = quick_two_sum(s1, s2)
+        s2 += t2
+        s1, s2 = quick_two_sum(s1, s2)
+        return DoubleDouble(s1, s2)
 
-    def __abs__(self) -> "DoubleDouble":
-        return -self if self.is_negative() else self
+    def _sub(self, other: "DoubleDouble") -> "DoubleDouble":
+        s1, s2 = two_diff(self.hi, other.hi)
+        t1, t2 = two_diff(self.lo, other.lo)
+        s2 += t1
+        s1, s2 = quick_two_sum(s1, s2)
+        s2 += t2
+        s1, s2 = quick_two_sum(s1, s2)
+        return DoubleDouble(s1, s2)
 
-    def __add__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _add(self, o)
+    def _mul(self, other: "DoubleDouble") -> "DoubleDouble":
+        p1, p2 = two_prod(self.hi, other.hi)
+        p2 += self.hi * other.lo + self.lo * other.hi
+        p1, p2 = quick_two_sum(p1, p2)
+        return DoubleDouble(p1, p2)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _sub(self, o)
-
-    def __rsub__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _sub(o, self)
-
-    def __mul__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _mul(self, o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _div(self, o)
-
-    def __rtruediv__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _div(o, self)
-
-    def __pow__(self, exponent: int) -> "DoubleDouble":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return self.power(exponent)
-
-    def power(self, exponent: int) -> "DoubleDouble":
-        """Integer power by binary exponentiation."""
-        if exponent == 0:
-            if self.is_zero():
-                raise ZeroDivisionError("0 ** 0 is undefined for DoubleDouble")
-            return DoubleDouble(1.0)
-        negative = exponent < 0
-        e = abs(exponent)
-        result = DoubleDouble(1.0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        if negative:
-            return DoubleDouble(1.0) / result
-        return result
+    def _div(self, other: "DoubleDouble") -> "DoubleDouble":
+        """Accurate division: three quotient corrections (QD's
+        ``accurate_div``)."""
+        if other.hi == 0.0 and other.lo == 0.0:
+            raise DivisionByZeroError("DoubleDouble division by zero")
+        q1 = self.hi / other.hi
+        r = self._sub(DoubleDouble(q1)._mul(other))
+        q2 = r.hi / other.hi
+        r = r._sub(DoubleDouble(q2)._mul(other))
+        q3 = r.hi / other.hi
+        s, e = quick_two_sum(q1, q2)
+        return DoubleDouble(s, e)._add(DoubleDouble(q3))
 
     def sqrt(self) -> "DoubleDouble":
         """Square root by Karp's method (one Newton step on 1/sqrt)."""
@@ -325,66 +161,13 @@ class DoubleDouble:
         err = self - ax_dd * ax_dd
         return ax_dd + DoubleDouble(err.hi * (x * 0.5))
 
-    def recip(self) -> "DoubleDouble":
-        """Multiplicative inverse."""
-        return DoubleDouble(1.0) / self
 
-    # Convenience used by generic algorithms (mirrors numpy scalar API).
-    def conjugate(self) -> "DoubleDouble":
-        return self
-
-
-def _add(a: DoubleDouble, b: DoubleDouble) -> DoubleDouble:
-    """IEEE-style accurate addition (QD's ``ieee_add``)."""
-    s1, s2 = two_sum(a.hi, b.hi)
-    t1, t2 = two_sum(a.lo, b.lo)
-    s2 += t1
-    s1, s2 = quick_two_sum(s1, s2)
-    s2 += t2
-    s1, s2 = quick_two_sum(s1, s2)
-    return DoubleDouble(s1, s2)
-
-
-def _sub(a: DoubleDouble, b: DoubleDouble) -> DoubleDouble:
-    s1, s2 = two_diff(a.hi, b.hi)
-    t1, t2 = two_diff(a.lo, b.lo)
-    s2 += t1
-    s1, s2 = quick_two_sum(s1, s2)
-    s2 += t2
-    s1, s2 = quick_two_sum(s1, s2)
-    return DoubleDouble(s1, s2)
-
-
-def _mul(a: DoubleDouble, b: DoubleDouble) -> DoubleDouble:
-    p1, p2 = two_prod(a.hi, b.hi)
-    p2 += a.hi * b.lo + a.lo * b.hi
-    p1, p2 = quick_two_sum(p1, p2)
-    return DoubleDouble(p1, p2)
-
-
-def _div(a: DoubleDouble, b: DoubleDouble) -> DoubleDouble:
-    """Accurate division: three quotient corrections (QD's ``accurate_div``)."""
-    if b.hi == 0.0 and b.lo == 0.0:
-        raise DivisionByZeroError("DoubleDouble division by zero")
-    q1 = a.hi / b.hi
-    r = _sub(a, _mul(DoubleDouble(q1), b))
-    q2 = r.hi / b.hi
-    r = _sub(r, _mul(DoubleDouble(q2), b))
-    q3 = r.hi / b.hi
-    s, e = quick_two_sum(q1, q2)
-    result = _add(DoubleDouble(s, e), DoubleDouble(q3))
-    return result
+# The slots' own setters write past the immutability guard.
+_set_hi, _set_lo = DoubleDouble.hi.__set__, DoubleDouble.lo.__set__
 
 
 def dd(value: Union[int, float, str, Fraction, DoubleDouble]) -> DoubleDouble:
-    """Convenience constructor accepting ints, floats, decimal strings,
-    fractions, or existing :class:`DoubleDouble` values."""
-    if isinstance(value, DoubleDouble):
-        return value
-    if isinstance(value, str):
-        return DoubleDouble.from_string(value)
-    if isinstance(value, Fraction):
-        return DoubleDouble.from_fraction(value)
-    if isinstance(value, int):
-        return DoubleDouble.from_int(value)
-    return DoubleDouble.from_float(float(value))
+    """Convert an int, float, decimal string, fraction or real scalar to
+    :class:`DoubleDouble` (:meth:`~repro.multiprec.scalar.MultiprecReal.
+    convert`)."""
+    return DoubleDouble.convert(value)

@@ -15,19 +15,18 @@ are all written against a :class:`NumericContext` that supplies:
 
 Three ready-made contexts are exported: :data:`DOUBLE` (hardware ``complex``),
 :data:`DOUBLE_DOUBLE` (:class:`~repro.multiprec.complex_dd.ComplexDD`) and
-:data:`QUAD_DOUBLE` (Cartesian pair of
-:class:`~repro.multiprec.quad_double.QuadDouble`).
+:data:`QUAD_DOUBLE` (:class:`~repro.multiprec.quad_double.ComplexQD`, also
+importable from here).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict
 
-from ..errors import DivisionByZeroError
 from .complex_dd import ComplexDD
 from .double_double import DoubleDouble
-from .quad_double import QuadDouble
+from .quad_double import ComplexQD, QuadDouble
 
 __all__ = [
     "NumericContext",
@@ -38,109 +37,6 @@ __all__ = [
     "CONTEXTS",
     "get_context",
 ]
-
-
-class ComplexQD:
-    """Minimal complex quad-double scalar (Cartesian pair of QuadDouble).
-
-    Only the operations needed by the evaluators and the linear solver are
-    provided: +, -, *, /, negation, conjugation and conversion.
-    """
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real=0.0, imag=0.0):
-        if isinstance(real, ComplexQD):
-            self.real, self.imag = real.real, real.imag
-            return
-        if isinstance(real, complex):
-            self.real = QuadDouble.from_float(real.real)
-            self.imag = QuadDouble.from_float(real.imag)
-            return
-        self.real = real if isinstance(real, QuadDouble) else QuadDouble.from_float(float(real))
-        self.imag = imag if isinstance(imag, QuadDouble) else QuadDouble.from_float(float(imag))
-
-    def _coerce(self, other) -> "ComplexQD":
-        if isinstance(other, ComplexQD):
-            return other
-        if isinstance(other, (int, float, complex, QuadDouble)):
-            return ComplexQD(other) if not isinstance(other, complex) else ComplexQD(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexQD(self.real + o.real, self.imag + o.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexQD(self.real - o.real, self.imag - o.imag)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexQD(o.real - self.real, o.imag - self.imag)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        return ComplexQD(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        denom = c * c + d * d
-        if denom.is_zero():
-            raise DivisionByZeroError("ComplexQD division by zero")
-        return ComplexQD((a * c + b * d) / denom, (b * c - a * d) / denom)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return ComplexQD(-self.real, -self.imag)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.real == o.real and self.imag == o.imag
-
-    def __hash__(self):
-        return hash((self.real, self.imag))
-
-    def conjugate(self) -> "ComplexQD":
-        return ComplexQD(self.real, -self.imag)
-
-    def abs2(self) -> QuadDouble:
-        return self.real * self.real + self.imag * self.imag
-
-    def __abs__(self) -> QuadDouble:
-        return self.abs2().sqrt()
-
-    def to_complex(self) -> complex:
-        return complex(self.real.to_float(), self.imag.to_float())
-
-    def __complex__(self) -> complex:
-        return self.to_complex()
-
-    def __repr__(self) -> str:
-        return f"ComplexQD({self.to_complex()!r})"
 
 
 @dataclass(frozen=True)
@@ -204,7 +100,7 @@ DOUBLE = NumericContext(
 DOUBLE_DOUBLE = NumericContext(
     name="dd",
     description="complex double double (QD-style software arithmetic)",
-    from_complex=lambda z: ComplexDD.from_complex(complex(z)),
+    from_complex=ComplexDD.from_complex,
     to_complex=lambda z: z.to_complex(),
     zero=lambda: ComplexDD(0.0),
     one=lambda: ComplexDD(1.0),
@@ -216,7 +112,7 @@ DOUBLE_DOUBLE = NumericContext(
 QUAD_DOUBLE = NumericContext(
     name="qd",
     description="complex quad double (QD-style software arithmetic)",
-    from_complex=lambda z: ComplexQD(complex(z)),
+    from_complex=ComplexQD.from_complex,
     to_complex=lambda z: z.to_complex(),
     zero=lambda: ComplexQD(0.0),
     one=lambda: ComplexQD(1.0),

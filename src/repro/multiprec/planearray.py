@@ -42,10 +42,7 @@ import numpy as np
 from ..errors import DivisionByZeroError
 from . import compiled
 from .compiled import apply, complex_chains
-from .complex_dd import ComplexDD
-from .double_double import DoubleDouble
-from .numeric import ComplexQD
-from .quad_double import QuadDouble
+from .scalar import MultiprecComplex, MultiprecReal
 
 __all__ = ["PlaneArray", "ComplexPlaneArray"]
 
@@ -451,9 +448,9 @@ class ComplexPlaneArray:
         ``complex(x)`` does.
         """
         kind = cls.real_type
-        if isinstance(x, (ComplexDD, ComplexQD)):
+        if isinstance(x, MultiprecComplex):
             return kind._parts(x.real) + kind._parts(x.imag)
-        if isinstance(x, (DoubleDouble, QuadDouble)):
+        if isinstance(x, MultiprecReal):
             return kind._parts(x) + kind._parts(0.0)
         z = complex(x)
         return kind._parts(z.real) + kind._parts(z.imag)
@@ -463,8 +460,8 @@ class ComplexPlaneArray:
         """The scalar whose planes (storage order) are ``planes``, adopted
         without renormalisation."""
         kind = cls.real_type
-        return cls.scalar_type(kind._scalar(planes[:kind.width]),
-                               kind._scalar(planes[kind.width:]))
+        return cls.scalar_type._make(kind._scalar(planes[:kind.width]),
+                                     kind._scalar(planes[kind.width:]))
 
     # ------------------------------------------------------------------
     # constructors / conversions
@@ -490,7 +487,7 @@ class ComplexPlaneArray:
                          cls.real_type.from_scalars([v.imag for v in values]))
 
     def to_scalars(self) -> list:
-        return [self.scalar_type(r, i) for r, i
+        return [self.scalar_type._make(r, i) for r, i
                 in zip(self.real.to_scalars(), self.imag.to_scalars())]
 
     def to_complex128(self) -> np.ndarray:

@@ -23,7 +23,7 @@ array and realises each insertion with masked selects, which reproduces the
 scalar branch tree exactly (see :func:`_insert_lowest`).
 
 :class:`ComplexQDArray` pairs two :class:`QDArray` instances, mirroring
-:class:`~repro.multiprec.numeric.ComplexQD`.  Both are
+:class:`~repro.multiprec.quad_double.ComplexQD`.  Both are
 :mod:`repro.multiprec.planearray` types: this module supplies only the
 quad-double parts -- the planes, the constructor's renormalisation, the
 scalar component rules, the reference chains and the exact widening of
@@ -39,9 +39,8 @@ import numpy as np
 from . import compiled
 from .double_double import DoubleDouble
 from .eft import quick_two_sum, two_prod, two_sum
-from .numeric import ComplexQD
 from .planearray import ComplexPlaneArray, PlaneArray
-from .quad_double import QuadDouble
+from .quad_double import ComplexQD, QuadDouble
 
 __all__ = ["QDArray", "ComplexQDArray"]
 

@@ -11,19 +11,24 @@ Quad doubles appear in the reproduction wherever the paper mentions "extended
 multiprecision": the quality-up benchmarks compare double, double-double and
 quad-double evaluation costs, and the path tracker accepts quad-double
 coefficients through the same generic interface as the other scalar types.
+The numeric protocol is :mod:`repro.multiprec.scalar`'s, shared with
+double-double: this module holds the quad-double parts of
+:class:`QuadDouble` and sets the real type of :class:`ComplexQD`, the
+complex quad-double of the ``qd`` context.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 from ..errors import DivisionByZeroError
 from .double_double import DoubleDouble
-from .eft import quick_two_sum, two_diff, two_prod, two_sum
+from .eft import quick_two_sum, two_prod, two_sum
+from .scalar import MultiprecComplex, MultiprecReal
 
-__all__ = ["QuadDouble", "qd"]
+__all__ = ["QuadDouble", "ComplexQD", "qd"]
 
 _EPS = 1.21543267145725e-63  # 2**-209
 
@@ -121,28 +126,23 @@ def _renorm4(c0: float, c1: float, c2: float, c3: float
     return s0, s1, s2, s3
 
 
-class QuadDouble:
+class QuadDouble(MultiprecReal):
     """An immutable quad-double number (four-component expansion)."""
 
     __slots__ = ("c",)
 
+    width = 4
     #: Relative rounding unit of the quad-double format (2**-209).
     eps = _EPS
 
     def __init__(self, c0: Union[float, int, "QuadDouble", DoubleDouble] = 0.0,
                  c1: float = 0.0, c2: float = 0.0, c3: float = 0.0):
         if isinstance(c0, QuadDouble):
-            object.__setattr__(self, "c", c0.c)
-            return
-        if isinstance(c0, DoubleDouble):
-            comps = _renorm4(c0.hi, c0.lo, float(c1), float(c2))
-            object.__setattr__(self, "c", comps)
-            return
-        comps = _renorm4(float(c0), float(c1), float(c2), float(c3))
-        object.__setattr__(self, "c", comps)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("QuadDouble instances are immutable")
+            _set_c(self, c0.c)
+        elif isinstance(c0, DoubleDouble):
+            _set_c(self, _renorm4(c0.hi, c0.lo, float(c1), float(c2)))
+        else:
+            _set_c(self, _renorm4(float(c0), float(c1), float(c2), float(c3)))
 
     # ------------------------------------------------------------------
     # constructors / conversions
@@ -150,36 +150,17 @@ class QuadDouble:
     @classmethod
     def _raw(cls, comps: Tuple[float, float, float, float]) -> "QuadDouble":
         obj = object.__new__(cls)
-        object.__setattr__(obj, "c", comps)
+        _set_c(obj, comps)
         return obj
 
     @classmethod
     def from_float(cls, x: float) -> "QuadDouble":
+        """Embedding of a double: ``(x, 0, 0, 0)`` adopted as it is."""
         return cls._raw((float(x), 0.0, 0.0, 0.0))
 
     @classmethod
     def from_double_double(cls, x: DoubleDouble) -> "QuadDouble":
         return cls._raw((x.hi, x.lo, 0.0, 0.0))
-
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "QuadDouble":
-        comps = []
-        rest = frac
-        for _ in range(4):
-            part = float(rest)
-            comps.append(part)
-            rest = rest - Fraction(part)
-        return cls(*comps)
-
-    @classmethod
-    def from_string(cls, s: str) -> "QuadDouble":
-        return cls.from_fraction(Fraction(s))
-
-    def to_fraction(self) -> Fraction:
-        return sum((Fraction(x) for x in self.c), Fraction(0))
-
-    def to_float(self) -> float:
-        return self.c[0]
 
     def to_double_double(self) -> DoubleDouble:
         return DoubleDouble(self.c[0], self.c[1])
@@ -187,149 +168,72 @@ class QuadDouble:
     def components(self) -> Tuple[float, float, float, float]:
         return self.c
 
-    def is_zero(self) -> bool:
-        return all(x == 0.0 for x in self.c)
-
-    def is_negative(self) -> bool:
-        for x in self.c:
-            if x != 0.0:
-                return x < 0.0
-        return False
-
-    def is_finite(self) -> bool:
-        return all(math.isfinite(x) for x in self.c)
-
-    def __float__(self) -> float:
-        return self.c[0]
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self) -> str:
-        return f"QuadDouble{self.c!r}"
-
-    def __hash__(self) -> int:
-        return hash(self.c)
-
-    # ------------------------------------------------------------------
-    # comparisons
-    # ------------------------------------------------------------------
-    def _coerce(self, other) -> "QuadDouble":
-        if isinstance(other, QuadDouble):
-            return other
-        if isinstance(other, DoubleDouble):
-            return QuadDouble.from_double_double(other)
-        if isinstance(other, (int, float)):
-            return QuadDouble.from_float(float(other))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.c == o.c
-
-    def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).is_negative()
-
-    def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        diff = self - o
-        return diff.is_negative() or diff.is_zero()
-
-    def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (o - self).is_negative()
-
-    def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        diff = o - self
-        return diff.is_negative() or diff.is_zero()
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
     def __neg__(self) -> "QuadDouble":
         return QuadDouble._raw(tuple(-x for x in self.c))  # type: ignore[arg-type]
 
-    def __pos__(self) -> "QuadDouble":
-        return self
+    def _add(self, other: "QuadDouble") -> "QuadDouble":
+        """QD's ``sloppy_add``: accurate to a few ulps of the qd format."""
+        x, y = self.c, other.c
+        s0, t0 = two_sum(x[0], y[0])
+        s1, t1 = two_sum(x[1], y[1])
+        s2, t2 = two_sum(x[2], y[2])
+        s3, t3 = two_sum(x[3], y[3])
 
-    def __abs__(self) -> "QuadDouble":
-        return -self if self.is_negative() else self
+        s1, t0 = two_sum(s1, t0)
+        s2, t0, t1 = _three_sum(s2, t0, t1)
+        s3, t0 = _three_sum2(s3, t0, t2)
+        t0 = t0 + t1 + t3
 
-    def __add__(self, other) -> "QuadDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _qd_add(self, o)
+        return QuadDouble._raw(_renorm5(s0, s1, s2, s3, t0))
 
-    __radd__ = __add__
+    def _sub(self, other: "QuadDouble") -> "QuadDouble":
+        return self._add(-other)
 
-    def __sub__(self, other) -> "QuadDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _qd_add(self, -o)
+    def _mul(self, other: "QuadDouble") -> "QuadDouble":
+        """QD's ``sloppy_mul``: O(eps^4) accurate product."""
+        x, y = self.c, other.c
+        p0, q0 = two_prod(x[0], y[0])
+        p1, q1 = two_prod(x[0], y[1])
+        p2, q2 = two_prod(x[1], y[0])
+        p3, q3 = two_prod(x[0], y[2])
+        p4, q4 = two_prod(x[1], y[1])
+        p5, q5 = two_prod(x[2], y[0])
 
-    def __rsub__(self, other) -> "QuadDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _qd_add(o, -self)
+        # order eps terms
+        p1, p2, q0 = _three_sum(p1, p2, q0)
 
-    def __mul__(self, other) -> "QuadDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _qd_mul(self, o)
+        # order eps^2 terms: six-three sum of p2, q1, q2, p3, p4, p5
+        p2, q1, q2 = _three_sum(p2, q1, q2)
+        p3, p4, p5 = _three_sum(p3, p4, p5)
+        s0, t0 = two_sum(p2, p3)
+        s1, t1 = two_sum(q1, p4)
+        s2 = q2 + p5
+        s1, t0 = two_sum(s1, t0)
+        s2 += t0 + t1
 
-    __rmul__ = __mul__
+        # order eps^3 terms, collapsed into one double
+        s1 += (x[0] * y[3] + x[1] * y[2] + x[2] * y[1] + x[3] * y[0]
+               + q0 + q3 + q4 + q5)
 
-    def __truediv__(self, other) -> "QuadDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _qd_div(self, o)
+        return QuadDouble._raw(_renorm5(p0, p1, s0, s1, s2))
 
-    def __rtruediv__(self, other) -> "QuadDouble":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _qd_div(o, self)
-
-    def __pow__(self, exponent: int) -> "QuadDouble":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return self.power(exponent)
-
-    def power(self, exponent: int) -> "QuadDouble":
-        """Integer power by binary exponentiation."""
-        if exponent == 0:
-            if self.is_zero():
-                raise ZeroDivisionError("0 ** 0 is undefined for QuadDouble")
-            return QuadDouble(1.0)
-        negative = exponent < 0
-        e = abs(exponent)
-        result = QuadDouble(1.0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        if negative:
-            return QuadDouble(1.0) / result
-        return result
+    def _div(self, other: "QuadDouble") -> "QuadDouble":
+        """Iterated-correction division (QD's ``sloppy_div``)."""
+        if other.is_zero():
+            raise DivisionByZeroError("QuadDouble division by zero")
+        q0 = self.c[0] / other.c[0]
+        r = self - other * QuadDouble(q0)
+        q1 = r.c[0] / other.c[0]
+        r = r - other * QuadDouble(q1)
+        q2 = r.c[0] / other.c[0]
+        r = r - other * QuadDouble(q2)
+        q3 = r.c[0] / other.c[0]
+        r = r - other * QuadDouble(q3)
+        q4 = r.c[0] / other.c[0]
+        return QuadDouble._raw(_renorm5(q0, q1, q2, q3, q4))
 
     def sqrt(self) -> "QuadDouble":
         """Square root via two Newton refinements of the double estimate."""
@@ -344,105 +248,20 @@ class QuadDouble:
             x = x + x * (QuadDouble(1.0) - self * x * x) * half
         return self * x
 
-    def conjugate(self) -> "QuadDouble":
-        return self
 
-    def to_decimal_string(self, digits: int = 64) -> str:
-        """Render ``digits`` significant decimal digits of the exact value."""
-        frac = self.to_fraction()
-        if frac == 0:
-            return "0." + "0" * (digits - 1) + "e+00"
-        sign = "-" if frac < 0 else ""
-        frac = abs(frac)
-        exponent = 0
-        while frac >= 10:
-            frac /= 10
-            exponent += 1
-        while frac < 1:
-            frac *= 10
-            exponent -= 1
-        scaled = frac * Fraction(10) ** (digits - 1)
-        digits_int = int(scaled + Fraction(1, 2))
-        mantissa = str(digits_int)
-        if len(mantissa) > digits:
-            mantissa = mantissa[:digits]
-            exponent += 1
-        return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exponent:+03d}"
-
-    __str__ = __repr__
+# The slot's own setter writes past the immutability guard.
+_set_c = QuadDouble.c.__set__
 
 
-def _qd_add(a: QuadDouble, b: QuadDouble) -> QuadDouble:
-    """QD's ``sloppy_add``: accurate to a few ulps of the qd format."""
-    x, y = a.c, b.c
-    s0, t0 = two_sum(x[0], y[0])
-    s1, t1 = two_sum(x[1], y[1])
-    s2, t2 = two_sum(x[2], y[2])
-    s3, t3 = two_sum(x[3], y[3])
+class ComplexQD(MultiprecComplex):
+    """A complex number with quad-double real and imaginary parts."""
 
-    s1, t0 = two_sum(s1, t0)
-    s2, t0, t1 = _three_sum(s2, t0, t1)
-    s3, t0 = _three_sum2(s3, t0, t2)
-    t0 = t0 + t1 + t3
-
-    return QuadDouble._raw(_renorm5(s0, s1, s2, s3, t0))
-
-
-def _qd_mul(a: QuadDouble, b: QuadDouble) -> QuadDouble:
-    """QD's ``sloppy_mul``: O(eps^4) accurate product."""
-    x, y = a.c, b.c
-    p0, q0 = two_prod(x[0], y[0])
-    p1, q1 = two_prod(x[0], y[1])
-    p2, q2 = two_prod(x[1], y[0])
-    p3, q3 = two_prod(x[0], y[2])
-    p4, q4 = two_prod(x[1], y[1])
-    p5, q5 = two_prod(x[2], y[0])
-
-    # order eps terms
-    p1, p2, q0 = _three_sum(p1, p2, q0)
-
-    # order eps^2 terms: six-three sum of p2, q1, q2, p3, p4, p5
-    p2, q1, q2 = _three_sum(p2, q1, q2)
-    p3, p4, p5 = _three_sum(p3, p4, p5)
-    s0, t0 = two_sum(p2, p3)
-    s1, t1 = two_sum(q1, p4)
-    s2 = q2 + p5
-    s1, t0 = two_sum(s1, t0)
-    s2 += t0 + t1
-
-    # order eps^3 terms, collapsed into one double
-    s1 += (x[0] * y[3] + x[1] * y[2] + x[2] * y[1] + x[3] * y[0]
-           + q0 + q3 + q4 + q5)
-
-    return QuadDouble._raw(_renorm5(p0, p1, s0, s1, s2))
-
-
-def _qd_div(a: QuadDouble, b: QuadDouble) -> QuadDouble:
-    """Iterated-correction division (QD's ``sloppy_div``)."""
-    if b.is_zero():
-        raise DivisionByZeroError("QuadDouble division by zero")
-    q0 = a.c[0] / b.c[0]
-    r = a - b * QuadDouble(q0)
-    q1 = r.c[0] / b.c[0]
-    r = r - b * QuadDouble(q1)
-    q2 = r.c[0] / b.c[0]
-    r = r - b * QuadDouble(q2)
-    q3 = r.c[0] / b.c[0]
-    r = r - b * QuadDouble(q3)
-    q4 = r.c[0] / b.c[0]
-    return QuadDouble._raw(_renorm5(q0, q1, q2, q3, q4))
+    __slots__ = ()
+    real_type = QuadDouble
 
 
 def qd(value: Union[int, float, str, Fraction, DoubleDouble, QuadDouble]) -> QuadDouble:
-    """Convenience constructor mirroring :func:`repro.multiprec.double_double.dd`."""
-    if isinstance(value, QuadDouble):
-        return value
-    if isinstance(value, DoubleDouble):
-        return QuadDouble.from_double_double(value)
-    if isinstance(value, str):
-        return QuadDouble.from_string(value)
-    if isinstance(value, Fraction):
-        return QuadDouble.from_fraction(value)
-    if isinstance(value, int):
-        return QuadDouble.from_fraction(Fraction(value))
-    return QuadDouble.from_float(float(value))
+    """Convert an int, float, decimal string, fraction or real scalar to
+    :class:`QuadDouble` (:meth:`~repro.multiprec.scalar.MultiprecReal.
+    convert`)."""
+    return QuadDouble.convert(value)

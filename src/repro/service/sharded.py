@@ -377,6 +377,8 @@ def solve_system_sharded(system: PolynomialSystem, *,
              "cold_restarts": 0, "inprocess": 0}
     fault_budget = [fault_injection.times if fault_injection is not None else 0]
     level0_shards = [0]
+    # The shard whose store record holds each lane's latest checkpoint.
+    lane_shard: Dict[int, int] = {}
 
     def arm_fault(payload: Dict[str, object], shard: int,
                   level: int) -> Dict[str, object]:
@@ -456,22 +458,25 @@ def solve_system_sharded(system: PolynomialSystem, *,
                     flaky.fail_reads = 1
             if resume_by_task[tid] is not None and tid not in cold_tasks:
                 try:
-                    # Lanes move between shards from rung to rung, and a
-                    # shard idle at the last rung keeps an older record:
-                    # merge in rung order, so each lane's latest wins.
-                    records = [store.get(job_id, s) or {}
-                               for s in store.shards(job_id)]
-                    merged: Dict[str, object] = {}
-                    for record in sorted(records,
-                                         key=lambda r: r.get("level", -1)):
-                        merged.update(record.get("checkpoints", {}))
-                    # Revive each reloaded lane once, here, so a poisoned
-                    # record surfaces as CheckpointCorruptError before
-                    # anything is shipped to a worker.
-                    payload["resume"] = [
-                        LaneCheckpoint.from_portable(merged[str(i)])
-                        if str(i) in merged else resume_by_task[tid][k]
-                        for k, i in enumerate(active[tid])]
+                    # Lanes move between shards from rung to rung: read
+                    # the last rung's record of each shard that ran one of
+                    # this task's lanes, and no other.
+                    records = {shard: store.get(job_id, shard) or {}
+                               for shard in sorted({lane_shard[i]
+                                                    for i in active[tid]})}
+                    resume = []
+                    for i in active[tid]:
+                        state = records[lane_shard[i]].get(
+                            "checkpoints", {}).get(str(i))
+                        if state is None:
+                            raise CheckpointCorruptError(
+                                f"the record of shard {lane_shard[i]} holds "
+                                f"no checkpoint of lane {i}")
+                        # Revive each reloaded lane once, here, so a
+                        # poisoned record surfaces before anything is
+                        # shipped to a worker.
+                        resume.append(LaneCheckpoint.from_portable(state))
+                    payload["resume"] = resume
                     stats["resumed_after_crash"] += 1
                 except (CheckpointCorruptError, OSError) as exc:
                     cold_tasks.add(tid)
@@ -539,6 +544,7 @@ def solve_system_sharded(system: PolynomialSystem, *,
             shard_pending: List[int] = []
             for index, checkpoint in zip(lane_indices, outcome.result):
                 checkpoints_this_rung[index] = checkpoint
+                lane_shard[index] = tid
                 results_by_index[index] = checkpoint.result()
                 if not results_by_index[index].success:
                     shard_pending.append(index)

@@ -7,6 +7,8 @@ cheap rung seeds the wider rung with bit-for-bit the same values.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,23 @@ class TestWidening:
         assert np.array_equal(wide.real.c0, z.real)
         assert not (wide.real.c1.any() or wide.real.c2.any()
                     or wide.real.c3.any())
+
+    @pytest.mark.parametrize("target", [COMPLEX_DD_BACKEND,
+                                        COMPLEX_QD_BACKEND], ids=["dd", "qd"])
+    def test_d_widening_keeps_every_bit(self, target):
+        """Signed zeros and infinities widen bit for bit, without a
+        warning: each double becomes its part's leading plane over +0.0
+        planes (a renormalising embedding gives +0.0 and (inf, nan))."""
+        z = np.array([[complex(-0.0, -0.0), complex(np.inf, 1.0),
+                       complex(-np.inf, -0.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = convert_batch(z, COMPLEX128_BACKEND, target)
+        pad = (0.0,) * (target.planes_per_scalar // 2 - 1)
+        want = [[(x.real, *pad, x.imag, *pad)] for x in z[0]]
+        got = np.array(target.lane_planes(wide), dtype=np.float64)
+        assert got.view(np.uint64).tolist() == \
+            np.array(want, dtype=np.float64).view(np.uint64).tolist()
 
     def test_dd_to_qd_plane_widening_preserves_both_planes(self):
         dd = dd_with_low_planes()

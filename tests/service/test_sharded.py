@@ -267,7 +267,7 @@ KILL_AT_DD = FaultInjection(shard=0, level=1, kill_after_rounds=0)
 
 
 class _DamagingStore(InMemoryCheckpointStore):
-    """Reads back every record with each lane's state damaged."""
+    """Reads back every record damaged."""
 
     def __init__(self, damage):
         super().__init__()
@@ -275,21 +275,36 @@ class _DamagingStore(InMemoryCheckpointStore):
 
     def get(self, job_id, shard):
         record = super().get(job_id, shard)
-        for state in (record or {}).get("checkpoints", {}).values():
-            self.damage(state)
+        if record is not None:
+            self.damage(record)
         return record
 
 
+def _in_every_lane(damage):
+    """A record damage that applies ``damage`` to each lane's state."""
+    def damage_record(record):
+        for state in record.get("checkpoints", {}).values():
+            damage(state)
+    return damage_record
+
+
+@_in_every_lane
 def _drop_a_plane(state):
     state["point"][0] = state["point"][0][:-1]
 
 
+@_in_every_lane
 def _garble_context(state):
     state["context"] = "od"
 
 
+@_in_every_lane
 def _shorten_prev_point(state):
     state["prev_point"] = state["prev_point"][:-1]
+
+
+def _lose_the_lanes(record):
+    record["checkpoints"] = {}
 
 
 class TestDamagedRecords:
@@ -299,8 +314,10 @@ class TestDamagedRecords:
 
     @pytest.mark.parametrize("damage, field", [
         (_drop_a_plane, "'point'"), (_garble_context, "'context'"),
-        (_shorten_prev_point, "'prev_point'")],
-        ids=["dropped-plane", "unknown-context", "short-prev-point"])
+        (_shorten_prev_point, "'prev_point'"),
+        (_lose_the_lanes, "no checkpoint of lane")],
+        ids=["dropped-plane", "unknown-context", "short-prev-point",
+             "missing-lane"])
     def test_a_record_that_does_not_revive_cold_restarts_its_shard(
             self, damage, field):
         report = solve_system_sharded(
@@ -353,6 +370,44 @@ class TestOneRecordToTheStore:
         # One revival per shipped lane, each from that lane's record.
         assert [json.dumps(state) for state in revived] == \
             [json.dumps(cp.to_portable()) for cp in lanes]
+        reference = solve_system(system, options=KATSURA_OPTS,
+                                 escalation=EscalationPolicy())
+        assert solution_key(report) == solution_key(reference)
+
+
+class _CountingStore(InMemoryCheckpointStore):
+    """Records each put's ``(level, shard, lanes)`` and each get's shard."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts, self.gets = [], []
+
+    def put(self, job_id, shard, state):
+        self.puts.append((state["level"], shard, state["lanes"]))
+        super().put(job_id, shard, state)
+
+    def get(self, job_id, shard):
+        self.gets.append(shard)
+        return super().get(job_id, shard)
+
+
+class TestRetryReads:
+    def test_a_retry_reads_only_the_records_it_resumes_from(self):
+        """noon-2 to 1e-40 on 9 shards, shard 0 killed at level 1: the
+        retry gets the level-0 record of each shard that ran one of its
+        lanes, once, and no other record of the job."""
+        store = _CountingStore()
+        system = get_scenario("noon-2").build_system()
+        report = solve_system_sharded(
+            system, shards=9, max_workers=2, options=KATSURA_OPTS,
+            escalation=EscalationPolicy(), store=store, backoff_seconds=0.0,
+            fault_injection=KILL_AT_DD)
+        assert report.resumed_after_crash == 1
+        (retried,) = [lanes for level, shard, lanes in store.puts
+                      if (level, shard) == (1, 0)]
+        holders = {shard for level, shard, lanes in store.puts
+                   if level == 0 and set(lanes) & set(retried)}
+        assert sorted(store.gets) == sorted(holders)
         reference = solve_system(system, options=KATSURA_OPTS,
                                  escalation=EscalationPolicy())
         assert solution_key(report) == solution_key(reference)

@@ -12,7 +12,15 @@ alone.  The inputs are perfbench's
   options and policy of ``escalate-qd``, i.e. all 14 up the default
   ladder to 1e-40;
 * ``tangent``: the 14 cases of ``solve-d`` tracked with
-  ``predictor="tangent"``.
+  ``predictor="tangent"``;
+* ``scalar``: the scalar arithmetic, which every other set leaves to the
+  batch arrays.  For each of the 7 ``escalate-qd`` cases, the first two
+  start solutions of the case's start plan are tracked by the scalar
+  ``PathTracker`` over ``CPUReferenceEvaluator`` at d, dd and qd
+  (``TrackerOptions(end_tolerance=1e-10, end_iterations=12)``, about
+  25 s on a two-CPU host); one line per case and context hashes each
+  ``PathResult``'s end point as float bits, its residual, step and
+  Newton counts and reason.
 
 A change that must not move any answer prints the same lines as its
 parent; compare the two outputs with ``diff``.  The full hash covers, as
@@ -35,11 +43,13 @@ in-process answers, so it prints the same lines.  ``--kill-level L``
 ``L`` in every case (``FaultInjection(shard=0, level=L,
 kill_after_rounds=0)``, no retry backoff), so that shard resumes from the
 checkpoint store at rung ``L``: the store-reload route, which must print
-the same lines too.
+the same lines too.  The route switches act on the batched solve only,
+so with any of them the default is the four solve sets, and the
+``scalar`` set runs only when named.
 
 Usage::
 
-    python tools/fingerprint_reports.py [--workload solve-d] [--solve-off]
+    python tools/fingerprint_reports.py [--workload scalar] [--solve-off]
                                         [--kernels-off] [--sharded N]
                                         [--kill-level L]
 """
@@ -51,6 +61,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import struct
 import sys
 from pathlib import Path
@@ -59,12 +70,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from perfbench.workloads import SolveWorkload  # noqa: E402
-from repro.multiprec import compiled  # noqa: E402
+from repro.core import CPUReferenceEvaluator  # noqa: E402
+from repro.multiprec import (DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE,  # noqa: E402
+                             compiled)
 from repro.service import (FaultInjection, WorkerPool,  # noqa: E402
                            solve_system_sharded)
-from repro.tracking import solver  # noqa: E402
+from repro.tracking import (Homotopy, PathTracker,  # noqa: E402
+                            TrackerOptions, solver)
 
-WORKLOADS = ("solve-d", "escalate-qd", "ladder-all", "tangent")
+SOLVE_WORKLOADS = ("solve-d", "escalate-qd", "ladder-all", "tangent")
+WORKLOADS = SOLVE_WORKLOADS + ("scalar",)
+SCALAR_OPTIONS = TrackerOptions(end_tolerance=1e-10, end_iterations=12)
 
 
 def floats(value) -> list:
@@ -73,11 +89,9 @@ def floats(value) -> list:
         return [value.real, value.imag]
     if isinstance(value, (int, float)):
         return [float(value)]
-    if hasattr(value, "hi"):            # DoubleDouble
-        return [value.hi, value.lo]
-    if hasattr(value, "c"):             # QuadDouble
-        return [float(c) for c in value.c]
-    return floats(value.real) + floats(value.imag)
+    if hasattr(value, "imag"):          # a complex scalar
+        return floats(value.real) + floats(value.imag)
+    return list(value.components())
 
 
 class Digest:
@@ -103,6 +117,12 @@ class Digest:
             self.put_point(solution.point)
             self.put(float(solution.residual), solution.multiplicity)
 
+    def put_path(self, result):
+        self.put_point(result.solution)
+        self.put(float(result.residual), result.success,
+                 result.steps_accepted, result.steps_rejected,
+                 result.newton_iterations, result.failure_reason)
+
 
 def report_digests(report):
     """sha256 over a report's answers and per-rung counts, and sha256
@@ -112,10 +132,7 @@ def report_digests(report):
              report.recovered_by_escalation)
     full.put_solutions(report)
     for failure in report.failures:
-        full.put_point(failure.solution)
-        full.put(float(failure.residual), failure.success,
-                 failure.steps_accepted, failure.steps_rejected,
-                 failure.newton_iterations, failure.failure_reason)
+        full.put_path(failure)
     for counts in (report.paths_by_context, report.converged_by_context,
                    report.resumed_by_context, report.restarted_by_context):
         full.put(sorted(counts.items()))
@@ -141,11 +158,32 @@ def line_set(name: str):
     return workload.cases, workload.options, workload.escalation
 
 
+def scalar_lines():
+    """One line per ``escalate-qd`` case and context: the scalar tracker's
+    two paths from the case's first two start solutions."""
+    cases, _, _ = line_set("escalate-qd")
+    for case in cases:
+        plan = case.start.prepare(case.system)
+        starts = list(itertools.islice(plan.solutions(), 2))
+        for context in (DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE):
+            homotopy = Homotopy(
+                CPUReferenceEvaluator(plan.start_system, context=context),
+                CPUReferenceEvaluator(case.system, context=context),
+                context=context)
+            tracker = PathTracker(homotopy, context=context,
+                                  options=SCALAR_OPTIONS)
+            digest = Digest()
+            for start in starts:
+                digest.put_path(tracker.track(start))
+            yield f"scalar {case.kind} {context.name} {digest.sha.hexdigest()}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
                         help="line set to fingerprint (repeatable; "
-                             "default: all four)")
+                             "default: all five, or the four solve sets "
+                             "with a route switch)")
     parser.add_argument("--solve-off", action="store_true",
                         help="run the linear solves and Newton updates in "
                              "Python")
@@ -179,7 +217,14 @@ def main(argv=None) -> int:
                 solve, backoff_seconds=0.0,
                 fault_injection=FaultInjection(shard=0, level=args.kill_level,
                                                kill_after_rounds=0))
-        for name in args.workload or WORKLOADS:
+        switched = (args.solve_off or args.kernels_off
+                    or bool(args.sharded))
+        for name in args.workload or (SOLVE_WORKLOADS if switched
+                                      else WORKLOADS):
+            if name == "scalar":
+                for line in scalar_lines():
+                    print(line, flush=True)
+                continue
             cases, options, escalation = line_set(name)
             for case in cases:
                 report = solve(case.system, options=options,
