@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-all test-scenarios chaos docs kernels fingerprints importtime bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
+.PHONY: test test-all test-scenarios chaos docs kernels fingerprints importtime hooks bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
 
 # Build (or confirm) the cached dd/qd plane kernels ahead of the first
 # import and print the contexts whose plan tapes and batched linear solves
@@ -44,6 +44,25 @@ importtime:
 		$(PY) -X importtime -c "import $$module" 2>&1 >/dev/null \
 			| grep '^import time:' | sort -t'|' -k2 -n -r | head -20; \
 	done
+
+# The repository benchmark's hook check: one 1 s traced perfbench run of
+# each workload (seed 0).  A traced run exits non-zero when a
+# perfbench/layers.py hook does not resolve or never fires on a workload
+# that must fire it, a hook's probe raises, or an operation fails; print
+# each run's HOOK and FAILED lines (and the tail of a run that exits
+# non-zero without one) and fail if any run exited non-zero.
+hooks:
+	@status=0; for workload in solve-d escalate-qd serve-family; do \
+		out=$$($(PY) perfbench/run.py --workload $$workload --seed 0 \
+			--seconds 1 --trace 1 2>&1); code=$$?; \
+		echo "perfbench $$workload: exit $$code"; \
+		echo "$$out" | grep -E '^(HOOK|FAILED) '; \
+		if [ $$code -ne 0 ]; then \
+			echo "$$out" | grep -qE '^(HOOK|FAILED) ' \
+				|| echo "$$out" | tail -20; \
+			status=1; \
+		fi; \
+	done; exit $$status
 
 # Tier-1: the fast suite (pytest.ini deselects @pytest.mark.slow).
 test:

@@ -1459,10 +1459,12 @@ SOLVE(solve_qd, cqd, 8)
  * cqd_add, as iadd_masked adds).  x is written only after every lane has
  * solved, so a call that declines leaves it as it was.
  *
- * Returns None, or NotImplemented when the kernel declines: whatever
- * solve_P declines, or x or a norm output sharing bytes with any other
- * argument.  A malformed x, norm output or tolerance raises, as a
- * malformed solve output does.
+ * Returns the number of lanes the update stopped, the lanes of
+ * batch_linsolve.newton_stops: done, singular, or an update <= tolerance
+ * (a NaN norm passes neither test).  Returns NotImplemented when the
+ * kernel declines: whatever solve_P declines, or x or a norm output
+ * sharing bytes with any other argument.  A malformed x, norm output or
+ * tolerance raises, as a malformed solve output does.
  */
 typedef struct {
     system_t s;
@@ -1575,7 +1577,7 @@ static PyObject *py_##NAME(PyObject *module, PyObject *const *args,         \
     newton_t w = {0};                                                       \
     P##_t a[SOLVE_MAX_N * SOLVE_MAX_N], b[SOLVE_MAX_N], dx[SOLVE_MAX_N], f; \
     double part[WIDTH], *residual, *update, r, u;                           \
-    Py_ssize_t k, e;                                                        \
+    Py_ssize_t k, e, stopped = 0;                                           \
     int status = newton_open(args, nargs, WIDTH, &w), zero = 0, n, i, c;    \
     char *singular;                                                         \
     (void)module;                                                           \
@@ -1610,8 +1612,11 @@ static PyObject *py_##NAME(PyObject *module, PyObject *const *args,         \
     if (zero)                                                               \
         return newton_close(&w, Py_NewRef(Py_NotImplemented));              \
     for (k = 0; k < w.s.lanes; k++) {                                       \
-        if (residual[k] <= w.tolerance || singular[k])                      \
+        if (residual[k] <= w.tolerance || singular[k]) {                    \
+            stopped++;                                                      \
             continue;                                                       \
+        }                                                                   \
+        stopped += update[k] <= w.tolerance;                                \
         for (i = 0; i < n; i++) {                                           \
             for (c = 0; c < WIDTH; c++)                                     \
                 part[c] = *x_part(&w, WIDTH == 2, c, i, k);                 \
@@ -1621,7 +1626,7 @@ static PyObject *py_##NAME(PyObject *module, PyObject *const *args,         \
                 *x_part(&w, WIDTH == 2, c, i, k) = part[c];                 \
         }                                                                   \
     }                                                                       \
-    return newton_close(&w, Py_NewRef(Py_None));                            \
+    return newton_close(&w, PyLong_FromSsize_t(stopped));                   \
 }
 
 NEWTON(newton_d, cd, 2)

@@ -30,9 +30,12 @@ One set of rules holds for all four types:
   the value order of the canonical expansions every constructor and
   operation returns.  Signed zeros compare equal; a NaN component
   compares false except under ``!=``.
-* *Values.*  Instances are immutable and hash by their components;
-  pickling and copying keep every component bit for bit (inf, NaN and
-  ``-0.0`` included).  ``repr`` shows the exact components, ``str`` of a
+* *Values.*  Instances are immutable.  Equal values hash equal, across
+  the precisions and with the Python numbers they equal: a finite real
+  hashes its exact value, a non-finite one its leading component, and a
+  complex combines its parts' hashes as ``complex`` does.  Pickling and
+  copying keep every component bit for bit (inf, NaN and ``-0.0``
+  included).  ``repr`` shows the exact components, ``str`` of a
   real is a decimal string of 16 digits per component.
 """
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -315,7 +319,11 @@ class MultiprecReal(_Scalar):
         return self._compare(other, operator.ge)
 
     def __hash__(self) -> int:
-        return hash(self.components())
+        # The exact value's hash is the hash of the int, float or Fraction
+        # the value equals.
+        if self.is_finite():
+            return hash(self.to_fraction())
+        return hash(self.components()[0])
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -412,7 +420,14 @@ class MultiprecComplex(_Scalar):
         return self.real == other.real and self.imag == other.imag
 
     def __hash__(self) -> int:
-        return hash((self.real, self.imag))
+        # CPython's complex hash: real + IMAG * imag in the unsigned hash
+        # word, -1 being reserved.
+        width = sys.hash_info.width
+        combined = (hash(self.real) + sys.hash_info.imag * hash(self.imag)) \
+            % (1 << width)
+        if combined >= 1 << (width - 1):
+            combined -= 1 << width
+        return -2 if combined == -1 else combined
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.real!r}, {self.imag!r})"

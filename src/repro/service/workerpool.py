@@ -147,9 +147,9 @@ class _RoundHooks:
 
 
 def _around(method, hooks: _RoundHooks):
-    def wrapped(batch):
+    def wrapped(*args):
         hooks.on_round()
-        return method(batch)
+        return method(*args)
     return wrapped
 
 

@@ -29,9 +29,11 @@ The algorithm is Gaussian elimination with per-lane partial pivoting:
 A :class:`NewtonUpdate` request finishes the batched corrector's
 iteration in the same call: the per-lane residual norm of the values
 ``f`` and its convergence test, the right-hand side ``-f``, the solve on
-the lanes that are not done, the update norm and the masked update
-``x += dx`` on the lanes that are neither done nor singular.  With the
-evaluation, an iteration is then two calls.
+the lanes that are not done, the update norm, the masked update
+``x += dx`` on the lanes that are neither done nor singular, and the
+number of lanes the update stopped (:func:`newton_stops`), so that the
+corrector touches its lane bookkeeping only when some lane stopped.  With
+the evaluation, an iteration is then two calls.
 
 For the built-in backends the whole elimination runs as one call of the
 compiled ``solve_d`` / ``solve_dd`` / ``solve_qd`` kernel, and a Newton
@@ -61,7 +63,7 @@ from ..multiprec.backend import (COMPLEX128_BACKEND, COMPLEX_DD_BACKEND,
 from ..multiprec.ddarray import ComplexDDArray
 from ..multiprec.qdarray import ComplexQDArray
 
-__all__ = ["NewtonUpdate", "batched_solve", "lane_norms"]
+__all__ = ["NewtonUpdate", "batched_solve", "lane_norms", "newton_stops"]
 
 
 @dataclass
@@ -89,12 +91,25 @@ class NewtonUpdate:
         The residual tolerance of the convergence test.
     residual / update:
         Set by the call: the ``(B,)`` float64 residual and update norms.
+    stopped:
+        Set by the call: how many lanes the update stopped
+        (:func:`newton_stops`).  Zero means every lane goes on iterating.
     """
 
     points: object
     tolerance: float
     residual: Optional[np.ndarray] = None
     update: Optional[np.ndarray] = None
+    stopped: Optional[int] = None
+
+
+def newton_stops(residual, update, singular, tolerance: float):
+    """The lanes a Newton update stops: done (``residual <= tolerance``),
+    singular, or moved by an update ``<= tolerance`` (the small-update
+    exit).  A NaN norm passes neither test, so a NaN lane goes on
+    iterating.  The ``newton_d`` / ``newton_dd`` / ``newton_qd`` kernels
+    count the same lanes."""
+    return (residual <= tolerance) | singular | (update <= tolerance)
 
 
 def lane_norms(rows, backend: ComplexBatchBackend) -> np.ndarray:
@@ -157,7 +172,12 @@ def batched_solve(matrix: Sequence[Sequence], rhs: Sequence,
         with an ``active`` mask or an empty system.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    square = len(rhs) == n
+    for row in matrix:
+        if len(row) != n:
+            square = False
+            break
+    if not square:
         raise ValueError("batched_solve expects a square matrix and matching rhs")
     if active is not None:
         if newton is not None:
@@ -191,6 +211,8 @@ def _newton_update(matrix, values, backend: ComplexBatchBackend,
                                             ~done & ~singular)
     newton.residual = residual
     newton.update = update
+    newton.stopped = int(np.count_nonzero(
+        newton_stops(residual, update, singular, newton.tolerance)))
     return dx, singular
 
 
@@ -302,10 +324,10 @@ def _solve_natively(matrix, rhs, backend: ComplexBatchBackend, active,
     if (native is None or compiled.KERNELS is None or vars(backend)
             or backend.name not in compiled.SOLVE_CONTEXTS or not rhs):
         return None
-    solve, update, entry_type, allocate = native
+    solve_kernel, newton_kernel, entry_type, allocate = native
     if type(rhs[0]) is not entry_type or len(rhs[0].shape) != 1:
         return None
-    shape = rhs[0].shape
+    lanes = rhs[0].shape[0]
     entries = [entry for row in matrix for entry in row]
     entries.extend(rhs)
     if entry_type is np.ndarray:
@@ -315,20 +337,21 @@ def _solve_natively(matrix, rhs, backend: ComplexBatchBackend, active,
     else:
         planes = [plane for entry in entries
                   for plane in backend.component_planes(entry)]
-    out, solution = allocate(len(rhs), shape[0])
-    singular = np.empty(shape[0], dtype=bool)
+    out, solution = allocate(len(rhs), lanes)
+    singular = np.empty(lanes, dtype=bool)
     if newton is None:
-        status = getattr(compiled.KERNELS, solve)(planes, active, out,
-                                                  singular)
+        status = getattr(compiled.KERNELS, solve_kernel)(planes, active,
+                                                         out, singular)
     elif type(newton.points) is not entry_type:
         return None
     else:
-        norms = np.empty((2, shape[0]))
-        status = getattr(compiled.KERNELS, update)(
+        residual, update = np.empty(lanes), np.empty(lanes)
+        status = getattr(compiled.KERNELS, newton_kernel)(
             planes, out, singular, backend.component_planes(newton.points),
-            norms[0], norms[1], newton.tolerance)
+            residual, update, newton.tolerance)
         if status is not NotImplemented:
-            newton.residual, newton.update = norms
+            newton.residual, newton.update = residual, update
+            newton.stopped = status
     if status is NotImplemented:
         return None
     return solution, singular

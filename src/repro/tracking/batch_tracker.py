@@ -16,9 +16,10 @@ lock step:
   converged, failed and finished paths *retire* without stalling the rest,
   among them paths that diverge to infinity, named in the endgame zone by
   :class:`~repro.tracking.tracker.DivergenceTest` (``AT_INFINITY``).
-  A round runs on the whole batch under its live-lane mask, and the Newton
-  corrector compresses to the lanes still working before every evaluation
-  and solve, so retired lanes cost no evaluation;
+  A round runs on the whole batch under its live-lane mask, derived once
+  per round, and the Newton corrector evaluates and solves only the lanes
+  still working (gathered once per correction), so retired lanes cost no
+  evaluation;
 * one batched homotopy evaluation replaces ``B`` scalar evaluations, which
   is what lets the cost model price one kernel launch per batch instead of
   one per path (see
@@ -722,11 +723,12 @@ class BatchTracker:
                     batch.retire(certified, PathStatus.SUCCESS)
                     batch.endgame_skipped = int(certified.sum())
 
-            while batch.active.any() and batch.rounds < opts.max_steps:
+            live = batch.active
+            while live.any() and batch.rounds < opts.max_steps:
                 batch.rounds += 1
-                self._advance(batch)
+                live = self._advance(batch, live)
 
-            batch.retire(batch.active, PathStatus.MAX_STEPS)
+            batch.retire(live, PathStatus.MAX_STEPS)
             self._endgame(batch)
         return batch
 
@@ -745,8 +747,9 @@ class BatchTracker:
         batch.retire(lanes & ~corrected.converged, failure)
         return corrected.converged
 
-    def _advance(self, batch: PathBatch) -> None:
-        """One predictor-corrector-stepcontrol round on the live lanes.
+    def _advance(self, batch: PathBatch, live: np.ndarray) -> np.ndarray:
+        """One predictor-corrector-stepcontrol round on the ``live`` lanes
+        (``batch.active``); returns the lanes still live after it.
 
         The round runs on the whole batch and writes only the lanes under
         its masks; the corrector compresses to the live lanes itself.
@@ -754,7 +757,6 @@ class BatchTracker:
         opts = self.options
         backend = self.backend
         control = self._step_control
-        live = batch.active
 
         next_t = np.minimum(1.0, batch.t + batch.dt)
         predicted = self._predictor.predict(
@@ -768,8 +770,9 @@ class BatchTracker:
         batch.residual = np.where(live, corrected.residual_norm,
                                   batch.residual)
 
-        accepted = live & corrected.converged
-        rejected = live & ~corrected.converged
+        # The corrector reports lanes outside ``live`` unconverged.
+        accepted = corrected.converged
+        rejected = live ^ accepted
 
         if accepted.any():
             # The scalar tracker remembers the pre-step point for the secant
@@ -795,6 +798,7 @@ class BatchTracker:
             batch.dt = np.where(rejected, control.shrunk(batch.dt), batch.dt)
             batch.retire(rejected & control.underflowed(batch.dt),
                          PathStatus.STEP_UNDERFLOW)
+        return batch.active
 
     def _retire_divergent(self, batch: PathBatch, near: np.ndarray) -> None:
         """Estimate the growth exponent of the ``near`` lanes that just

@@ -21,7 +21,8 @@ import numpy as np
 from ..errors import ConfigurationError, ConvergenceError
 from ..multiprec.backend import ComplexBatchBackend, masked_lane_errstate
 from ..multiprec.numeric import DOUBLE, NumericContext
-from .batch_linsolve import NewtonUpdate, batched_solve, lane_norms
+from .batch_linsolve import (NewtonUpdate, batched_solve, lane_norms,
+                             newton_stops)
 from .linsolve import solve, vector_norm
 
 __all__ = [
@@ -166,17 +167,20 @@ class BatchNewtonCorrector:
 
     The loop mirrors :class:`NewtonCorrector` -- evaluate, test the residual,
     solve, update -- but on ``(n, B)`` batch arrays.  Lanes whose residual
-    passes the tolerance are masked out of further updates (they *retire*)
-    while the rest keep iterating; lanes with a singular Jacobian retire as
-    failures with an infinite residual, matching how the scalar tracker
-    converts :class:`~repro.errors.SingularMatrixError` into non-convergence.
+    passes the tolerance stop iterating (they *retire*) while the rest go
+    on; lanes with a singular Jacobian retire as failures with an infinite
+    residual, matching how the scalar tracker converts
+    :class:`~repro.errors.SingularMatrixError` into non-convergence.
 
     An iteration is two calls: the evaluation, and one
     :func:`~repro.tracking.batch_linsolve.batched_solve` with a
     :class:`~repro.tracking.batch_linsolve.NewtonUpdate` request, which
     takes the residual norms and the convergence test, solves for the
-    update, takes the update norms and moves the lanes that advance (one
-    native kernel call for the built-in backends).
+    update, takes the update norms, moves the lanes that advance and counts
+    the lanes it stopped (one native kernel call for the built-in
+    backends).  The corrector gathers its working lanes once and the
+    update moves that compact iterate in place, so an iteration in which
+    no lane stopped does no lane bookkeeping at all.
 
     Parameters
     ----------
@@ -210,11 +214,19 @@ class BatchNewtonCorrector:
     def correct(self, points, active: Optional[np.ndarray] = None) -> BatchNewtonResult:
         """Run the lock-step Newton loop from the batch ``points``.
 
-        Each iteration *compresses* to the still-working lanes before
-        evaluating (the evaluator receives the matching lane indices, see
-        :meth:`repro.tracking.homotopy.BatchHomotopy._Frozen.evaluate`), so
-        retired lanes cost no arithmetic and the ``evaluation_log`` counts
-        exactly the lanes a batched kernel launch would cover.
+        The lanes working on entry are gathered once into a *compact*
+        iterate, which the evaluator receives with the matching lane
+        indices (see
+        :meth:`repro.tracking.homotopy.BatchHomotopy._Frozen.evaluate`)
+        and the Newton update moves in place, so retired lanes cost no
+        arithmetic and the ``evaluation_log`` counts exactly the lanes a
+        batched kernel launch would cover.  Only in an iteration where the
+        update stopped some lane (:func:`~repro.tracking.batch_linsolve.
+        newton_stops`) are the stopping lanes written back -- their point,
+        verdict, residual (infinite if singular) and the iteration they
+        stopped at -- and the iterate compacted to the lanes that go on.
+        Lanes still working at the iteration cap are written back
+        unconverged.
 
         Lanes whose Newton update drops below tolerance take the scalar
         corrector's small-update exit *within the same iteration*: the
@@ -233,63 +245,86 @@ class BatchNewtonCorrector:
         backend = self.backend
         tolerance = self.tolerance
         log = self.evaluation_log
+        evaluate = self.evaluator.evaluate
         lanes = points.shape[-1]
         if active is None:
-            working = np.ones(lanes, dtype=bool)
+            idx = np.arange(lanes)
         else:
-            working = np.array(active, dtype=bool)
+            working = np.asarray(active, dtype=bool)
             if working.shape != (lanes,):
                 raise ConfigurationError(
                     f"active must be a ({lanes},) lane mask over the batch, "
                     f"got shape {working.shape}")
+            idx = np.flatnonzero(working)
         converged = np.zeros(lanes, dtype=bool)
         iterations = np.zeros(lanes, dtype=np.int64)
         residuals = np.full(lanes, np.inf)
         x = backend.copy(points)
+        if not idx.size or self.max_iterations < 1:
+            return BatchNewtonResult(solution=x, converged=converged,
+                                     iterations=iterations,
+                                     residual_norm=residuals)
+        # The compact iterate: lane k is lane idx[k] of the batch.
+        xs = x[:, idx]
 
         # Diverging lanes carry inf/NaN through the batch arithmetic until
         # the residual test retires them; run the whole loop in the
         # masked-lane errstate scope so they stay silent.
         with masked_lane_errstate():
-            for _ in range(self.max_iterations):
-                idx = working.nonzero()[0]
-                if not idx.size:
-                    break
-                # A fresh gather of the live lanes, so the update may move
-                # it in place.
-                step = NewtonUpdate(x[:, idx], tolerance)
+            for iteration in range(1, self.max_iterations + 1):
+                step = NewtonUpdate(xs, tolerance)
                 if log is not None:
                     log.append(idx.size)
-                evaluation = self.evaluator.evaluate(step.points, lanes=idx)
-                iterations += working
+                evaluation = evaluate(xs, lanes=idx)
                 # The evaluation is rebuilt from scratch next iteration, so
                 # the solver may consume (mutate) its Jacobian.
                 _, singular = batched_solve(evaluation.jacobian,
                                             evaluation.values, backend,
                                             copy=False, newton=step)
-                done = step.residual <= tolerance
-                advance = ~(done | singular)
-                small = advance & (step.update <= tolerance)
-                residuals[idx] = np.where(singular, np.inf, step.residual)
-                converged[idx] = done
-                working[idx] = advance & ~small
-                x[:, idx] = step.points
+                # Rebound by the Python route's allocating masked add.
+                xs = step.points
+                residual = step.residual
+                if not step.stopped:
+                    continue
+
+                stop = newton_stops(residual, step.update, singular,
+                                    tolerance)
+                done = residual <= tolerance
+                stopping = idx[stop]
+                x[:, stopping] = xs[:, stop]
+                converged[stopping] = done[stop]
+                residuals[stopping] = np.where(singular, np.inf,
+                                               residual)[stop]
+                iterations[stopping] = iteration
 
                 # The scalar small-update exit, lane-wise and in this
                 # iteration: re-evaluate the freshly updated small-update
                 # lanes and settle them for good (the iteration counter does
                 # not advance for this final check, matching the scalar
                 # corrector).
+                small = stop & ~(done | singular)
                 if small.any():
                     small_idx = idx[small]
                     if log is not None:
                         log.append(small_idx.size)
-                    final = self.evaluator.evaluate(x[:, small_idx],
-                                                    lanes=small_idx)
+                    final = evaluate(xs[:, small], lanes=small_idx)
                     final_norms = lane_norms(final.values, backend)
                     residuals[small_idx] = final_norms
                     converged[small_idx] = residual_accepted_after_update(
                         final_norms, tolerance)
+
+                if step.stopped == idx.size:
+                    break
+                going = ~stop
+                idx = idx[going]
+                xs = xs[:, going]
+                residual = residual[going]
+            else:
+                # The iteration cap: the lanes still working retire
+                # unconverged, at the last residual they measured.
+                x[:, idx] = xs
+                residuals[idx] = residual
+                iterations[idx] = self.max_iterations
 
         return BatchNewtonResult(solution=x, converged=converged,
                                  iterations=iterations, residual_norm=residuals)

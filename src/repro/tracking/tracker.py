@@ -19,12 +19,14 @@ quality-up analysis compares.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import SingularMatrixError
+from ..errors import ConfigurationError, SingularMatrixError
 from ..multiprec.numeric import DOUBLE, NumericContext
 from .homotopy import Homotopy
 from .linsolve import vector_norm
@@ -40,7 +42,22 @@ AT_INFINITY_REASON = "path diverges to infinity"
 
 @dataclass(frozen=True)
 class TrackerOptions:
-    """Tuning knobs of the tracker (defaults follow common practice)."""
+    """Tuning knobs of the tracker (defaults follow common practice).
+
+    Both engines share them, and both refuse at construction a value no
+    tracker can run with.  ``max_steps=0`` (correct the starts, run no
+    round) and an ``initial_step`` above ``max_step`` (the first accepted
+    step clips it) stay allowed.
+
+    Raises
+    ------
+    ConfigurationError
+        Naming the field, when ``predictor`` is not ``"secant"`` or
+        ``"tangent"``; a step size or tolerance is not finite and
+        positive; ``step_expansion`` is not finite and at least 1;
+        ``step_reduction`` lies outside ``(0, 1)``; an iteration budget
+        is below 1; or ``max_steps`` is negative.
+    """
 
     initial_step: float = 0.1
     min_step: float = 1e-6
@@ -53,6 +70,26 @@ class TrackerOptions:
     end_iterations: int = 10
     max_steps: int = 500
     predictor: str = "secant"   # "secant" | "tangent"
+
+    def __post_init__(self):
+        if self.predictor not in ("secant", "tangent"):
+            raise ConfigurationError(
+                f"predictor must be 'secant' or 'tangent', got "
+                f"{self.predictor!r}")
+        rules = [(name, "finite and > 0", lambda v: math.isfinite(v) and v > 0)
+                 for name in ("initial_step", "min_step", "max_step",
+                              "corrector_tolerance", "end_tolerance")]
+        rules += [("step_expansion", "finite and >= 1",
+                   lambda v: math.isfinite(v) and v >= 1),
+                  ("step_reduction", "in (0, 1)", lambda v: 0 < v < 1),
+                  ("corrector_iterations", ">= 1", lambda v: v >= 1),
+                  ("end_iterations", ">= 1", lambda v: v >= 1),
+                  ("max_steps", ">= 0", lambda v: v >= 0)]
+        for name, rule, holds in rules:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and holds(value)):
+                raise ConfigurationError(
+                    f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -263,3 +263,68 @@ class TestOrdering:
         assert hash(cplx(1 + 2j)) == hash(cplx(1.0, 2.0))
         nan = cplx(math.nan)
         assert nan != nan and not nan == nan
+
+
+class TestHashing:
+    """Equal values hash equal: across the precisions, with the Python
+    numbers they equal, and over signed zeros.  A finite real hashes its
+    exact value, a non-finite one its leading component; a complex
+    combines its parts' hashes as ``complex`` does."""
+
+    NUMBERS = [1.0, -2.5, 0.1, 2.0 ** -1074, 1e300, -7.0]
+
+    @pytest.mark.parametrize("value", NUMBERS)
+    def test_reals_hash_as_the_float_they_equal(self, value):
+        for real in (DoubleDouble, QuadDouble):
+            x = real(value)
+            assert x == value and hash(x) == hash(value)
+        assert hash(DoubleDouble(value)) == hash(QuadDouble(value))
+
+    def test_integers(self):
+        for real in (DoubleDouble, QuadDouble):
+            assert hash(real(3)) == hash(3)
+            assert hash(real.convert(BIG)) == hash(BIG)
+
+    @pytest.mark.parametrize("value", [1 + 2j, -0.5 - 3j, complex(0.1, -1e-300),
+                                       complex(1e300, 2.0 ** -1074), 4.0 + 0j])
+    def test_complexes_hash_as_the_complex_they_equal(self, value):
+        for cplx in (ComplexDD, ComplexQD):
+            z = cplx(value)
+            assert z == value and hash(z) == hash(value)
+
+    def test_a_real_complex_hashes_as_its_real_part(self):
+        for cplx, real in ((ComplexDD, DoubleDouble), (ComplexQD, QuadDouble)):
+            assert cplx(2.5) == real(2.5) and hash(cplx(2.5)) == \
+                hash(real(2.5)) == hash(2.5)
+
+    def test_signed_zeros(self):
+        for real in (DoubleDouble, QuadDouble):
+            zero, minus_zero = raw(real, 0.0), raw(real, -0.0, -0.0)
+            assert hash(zero) == hash(minus_zero) == hash(0.0)
+        for cplx in (ComplexDD, ComplexQD):
+            assert hash(cplx(complex(-0.0, -0.0))) == hash(cplx(0.0)) == 0
+
+    def test_a_nonzero_low_part_hashes_the_exact_value(self):
+        low = DoubleDouble(1.0, 1e-20)
+        wide = QuadDouble.convert(low)
+        assert low == wide and hash(low) == hash(wide) == \
+            hash(low.to_fraction())
+        assert hash(low) != hash(1.0)
+        z, w = ComplexDD(low, -low), ComplexQD(wide, -wide)
+        assert z == w and hash(z) == hash(w)
+
+    def test_non_finite_values_hash_their_leading_component(self):
+        for real in (DoubleDouble, QuadDouble):
+            assert hash(raw(real, math.inf)) == hash(math.inf)
+            assert hash(raw(real, -math.inf, -0.0)) == hash(-math.inf)
+        assert hash(ComplexQD(complex(math.inf, 1.0))) == \
+            hash(complex(math.inf, 1.0))
+
+    def test_sets_and_dict_keys(self):
+        assert len({DoubleDouble(1.0), QuadDouble(1.0), 1.0, 1}) == 1
+        assert len({ComplexDD(1 + 2j), ComplexQD(1 + 2j), 1 + 2j}) == 1
+        low = DoubleDouble(1.0, 1e-20)
+        assert len({low, QuadDouble.convert(low), DoubleDouble(1.0)}) == 2
+        table = {QuadDouble(0.5): "half", ComplexQD(3j): "three i"}
+        assert table[DoubleDouble(0.5)] == table[0.5] == "half"
+        assert table[ComplexDD(3j)] == table[3j] == "three i"

@@ -24,7 +24,7 @@ from repro.multiprec.backend import (COMPLEX128_BACKEND, COMPLEX_DD_BACKEND,
 from repro.multiprec.ddarray import ComplexDDArray
 from repro.multiprec.qdarray import ComplexQDArray
 from repro.tracking import batched_solve
-from repro.tracking.batch_linsolve import NewtonUpdate
+from repro.tracking.batch_linsolve import NewtonUpdate, newton_stops
 
 BACKENDS = [COMPLEX128_BACKEND, COMPLEX_DD_BACKEND, COMPLEX_QD_BACKEND]
 by_backend = pytest.mark.parametrize("backend", BACKENDS,
@@ -403,11 +403,21 @@ def assert_same_update(got, want, backend):
     assert np.array_equal(got_singular, want_singular), "singular lanes differ"
     assert compiled._same_bits(got_step.residual, want_step.residual)
     assert compiled._same_bits(got_step.update, want_step.update)
+    assert got_step.stopped == want_step.stopped == np.count_nonzero(
+        newton_stops(want_step.residual, want_step.update, want_singular,
+                     want_step.tolerance)), "stopped lane counts differ"
     planes = backend.component_planes
     for a, b in zip(planes(got_dx), planes(want_dx)):
         assert compiled._same_bits(a, b), "update bits differ"
     for a, b in zip(planes(got_step.points), planes(want_step.points)):
         assert compiled._same_bits(a, b), "iterate bits differ"
+
+
+def assert_counted(spy, want):
+    """The compiled update ran once, did not decline, and returned the
+    number of lanes the Python route stopped."""
+    assert spy.updates != [NotImplemented], "the compiled update declined"
+    assert spy.updates == [want[0].stopped], "the stopped count differs"
 
 
 def iterate(backend, rng, n, lanes, gather=False):
@@ -443,7 +453,7 @@ class TestNewtonUpdateMatchesPython:
             got, want, spy = update_both_ways(
                 monkeypatch, matrix, f, iterate(backend, rng, n, lanes),
                 tolerance, backend)
-            assert spy.updates == [None], "the compiled update declined"
+            assert_counted(spy, want)
             assert_same_update(got, want, backend)
             assert (got[0].residual == tolerance).any()
 
@@ -456,7 +466,7 @@ class TestNewtonUpdateMatchesPython:
         got, want, spy = update_both_ways(
             monkeypatch, *system(backend, values, 3), points,
             float(residual_norms(values, 3).max()), backend)
-        assert spy.updates == [None]
+        assert_counted(spy, want)
         assert_same_update(got, want, backend)
         assert not got[2].any()
         for a, b in zip(backend.component_planes(got[0].points),
@@ -481,7 +491,7 @@ class TestNewtonUpdateMatchesPython:
         got, want, spy = update_both_ways(
             monkeypatch, matrix, f, iterate(backend, rng, 3, 10), 1e-6,
             backend)
-        assert spy.updates == [None]
+        assert_counted(spy, want)
         assert_same_update(got, want, backend)
         assert np.flatnonzero(got[2]).tolist() == [1, 2]
         assert np.isnan(got[0].residual[6]) and got[0].residual[5] == np.inf
@@ -500,7 +510,7 @@ class TestNewtonUpdateMatchesPython:
         got, want, spy = update_both_ways(
             monkeypatch, matrix, rows[n * n:],
             iterate(backend, rng, n, 5, gather=True), 1.0, backend)
-        assert spy.updates == [None]
+        assert_counted(spy, want)
         assert_same_update(got, want, backend)
 
     def test_above_the_kernel_bound_declines(self, backend, monkeypatch):
@@ -565,10 +575,19 @@ class TestNewtonKernelArguments:
         return compiled.KERNELS.newton_d(rows, solution, singular, x,
                                          residual, update, tolerance)
 
-    def test_a_fitting_call_updates(self):
+    def test_a_fitting_call_updates(self, monkeypatch):
         x = np.zeros((2, 3), np.complex128, order="F")
-        assert self._call(x=(x,)) is None
+        stopped = self._call(x=(x,))
+        assert stopped is not NotImplemented
         assert x.any()
+        # The Python route on the same arguments stops as many lanes.
+        rows = list(random_values(np.random.default_rng(16), 2, 3))
+        step = NewtonUpdate(np.zeros((2, 3), np.complex128), 1e-8)
+        monkeypatch.setattr(compiled, "KERNELS", None)
+        batched_solve([rows[0:2], rows[2:4]], rows[4:], COMPLEX128_BACKEND,
+                      newton=step)
+        assert stopped == step.stopped
+        assert x.tobytes() == step.points.tobytes()
 
     def test_malformed_arguments_raise(self):
         plane = np.zeros((2, 3), np.complex128)

@@ -259,6 +259,34 @@ class TestRetiredLanesStayPut:
             assert lane_bits(full, lane) == lane_bits(cut, lane)
 
 
+@pytest.mark.parametrize("name", ["cyclic-4", "katsura-3", "noon-2"])
+def test_the_round_returns_the_lanes_still_live(name, monkeypatch):
+    # _track_one_batch carries _advance's returned mask into the next round
+    # instead of deriving PathBatch.active again: after every round the two
+    # must agree, through retirements at t = 1, at infinity (noon-2) and by
+    # step underflow alike.
+    from repro.bench.scenarios import get_scenario
+
+    system = get_scenario(name).build_system()
+    tracker = BatchTracker(total_degree_start_system(system), system)
+    advance, left = tracker._advance, []
+
+    def checked(batch, live):
+        assert np.array_equal(live, batch.active)
+        after = advance(batch, live)
+        assert after.dtype == np.bool_
+        assert np.array_equal(after, batch.active)
+        left.append(int(np.count_nonzero(live & ~after)))
+        return after
+
+    monkeypatch.setattr(tracker, "_advance", checked)
+    (batch,) = tracker.track_batches(list(start_solutions(system))).batches
+    # One entry per round; every lane left the live mask in some round.
+    assert len(left) == batch.rounds > 1
+    assert sum(left) == batch.n_paths
+    assert not batch.active.any()
+
+
 class TestPathBatchStructure:
     def test_retire_masks_lanes(self):
         from repro.multiprec.backend import COMPLEX128_BACKEND

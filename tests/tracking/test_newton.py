@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import collections
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
 from repro.core import CPUReferenceEvaluator, GPUEvaluator
 from repro.multiprec import DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE, compiled
+from repro.multiprec.backend import masked_lane_errstate
 from repro.polynomials import Monomial, Polynomial, PolynomialSystem
-from repro.tracking import NewtonCorrector
+from repro.tracking import (BatchHomotopy, BatchNewtonCorrector,
+                            NewtonCorrector, total_degree_start_system)
+from repro.tracking.batch_linsolve import (NewtonUpdate, batched_solve,
+                                           lane_norms)
+from repro.tracking.newton import residual_accepted_after_update
 
 
 def circle_line_system():
@@ -324,9 +332,12 @@ class TestLaneGathersRunNatively:
                             or updates[-1])
         got = corrector.correct(gathered)
         assert declined == []
-        assert updates and all(result is None for result in updates)
+        assert updates and NotImplemented not in updates
         monkeypatch.setattr(compiled, "KERNELS", None)
+        counts = _stopped_counts(monkeypatch)
         want = corrector.correct(gathered)
+        # Every update ran natively and stopped the Python route's lanes.
+        assert updates == counts
         for a, b in zip(homotopy.backend.component_planes(got.solution),
                         homotopy.backend.component_planes(want.solution)):
             assert compiled._same_bits(a, b)
@@ -353,6 +364,22 @@ class TestLaneGathersRunNatively:
         for a, b in zip(homotopy.backend.component_planes(got),
                         homotopy.backend.component_planes(want)):
             assert compiled._same_bits(a, b)
+
+
+def _stopped_counts(monkeypatch):
+    """Record the ``stopped`` count of every Newton update the corrector
+    requests from here on."""
+    from repro.tracking import newton as newton_module
+
+    counts, solve = [], newton_module.batched_solve
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        counts.append(kwargs["newton"].stopped)
+        return result
+
+    monkeypatch.setattr(newton_module, "batched_solve", counted)
+    return counts
 
 
 def _circle_line_homotopy():
@@ -501,3 +528,233 @@ class TestOneSolveCallPerIteration:
         assert exits >= 1
         assert len(calls) == 2 * solves + exits
         assert solves == result.iterations.max()
+
+
+# ----------------------------------------------------------------------
+# the corrector against its former loop
+# ----------------------------------------------------------------------
+def reference_correct(corrector, points, active=None):
+    """The batched corrector's former loop, kept as its test-only
+    reference: every iteration gathers the working lanes, derives the
+    verdict masks and scatters every lane back.  Returns the
+    :class:`~repro.tracking.newton.BatchNewtonResult` fields plus
+    ``reasons``, why each lane stopped: ``done``, ``singular``,
+    ``small-accepted`` / ``small-refused`` (the small-update exit),
+    ``cap`` or ``inactive``."""
+    backend = corrector.backend
+    tolerance = corrector.tolerance
+    log = corrector.evaluation_log
+    lanes = points.shape[-1]
+    working = np.ones(lanes, dtype=bool) if active is None \
+        else np.array(active, dtype=bool)
+    converged = np.zeros(lanes, dtype=bool)
+    iterations = np.zeros(lanes, dtype=np.int64)
+    residuals = np.full(lanes, np.inf)
+    reasons = np.where(working, "cap", "inactive").astype(object)
+    x = backend.copy(points)
+    with masked_lane_errstate():
+        for _ in range(corrector.max_iterations):
+            idx = working.nonzero()[0]
+            if not idx.size:
+                break
+            step = NewtonUpdate(x[:, idx], tolerance)
+            if log is not None:
+                log.append(idx.size)
+            evaluation = corrector.evaluator.evaluate(step.points, lanes=idx)
+            iterations += working
+            _, singular = batched_solve(evaluation.jacobian,
+                                        evaluation.values, backend,
+                                        copy=False, newton=step)
+            done = step.residual <= tolerance
+            advance = ~(done | singular)
+            small = advance & (step.update <= tolerance)
+            residuals[idx] = np.where(singular, np.inf, step.residual)
+            converged[idx] = done
+            working[idx] = advance & ~small
+            x[:, idx] = step.points
+            reasons[idx[done]] = "done"
+            reasons[idx[singular]] = "singular"
+            if small.any():
+                small_idx = idx[small]
+                if log is not None:
+                    log.append(small_idx.size)
+                final = corrector.evaluator.evaluate(x[:, small_idx],
+                                                     lanes=small_idx)
+                final_norms = lane_norms(final.values, backend)
+                residuals[small_idx] = final_norms
+                accepted = residual_accepted_after_update(final_norms,
+                                                          tolerance)
+                converged[small_idx] = accepted
+                reasons[small_idx] = np.where(accepted, "small-accepted",
+                                              "small-refused")
+    return SimpleNamespace(solution=x, converged=converged,
+                           iterations=iterations, residual_norm=residuals,
+                           reasons=reasons)
+
+
+class SingularFrom:
+    """An evaluator whose Jacobian turns zero on chosen lanes: lane ``b``
+    from its ``schedule[b]``-th evaluation on, so that the lane stops
+    singular in the iteration of that evaluation."""
+
+    def __init__(self, evaluator, backend, schedule):
+        self.evaluator = evaluator
+        self.backend = backend
+        self.schedule = schedule
+        self.seen = collections.Counter()
+
+    def evaluate(self, points, lanes=None):
+        evaluation = self.evaluator.evaluate(points, lanes=lanes)
+        count = points.shape[-1]
+        dead = np.zeros(count, dtype=bool)
+        for k, lane in enumerate(range(count) if lanes is None
+                                 else lanes.tolist()):
+            self.seen[lane] += 1
+            dead[k] = self.seen[lane] >= self.schedule.get(lane, math.inf)
+        if not dead.any():
+            return evaluation
+        zero = self.backend.zeros((count,))
+        return SimpleNamespace(values=evaluation.values, jacobian=[
+            [self.backend.where(dead, zero, entry) for entry in row]
+            for row in evaluation.jacobian])
+
+
+def scaled_sqrt2_system(scale):
+    """``scale (x0^2 - 2) = 0, x0 - x1 = 0``: ``sqrt(2)`` is no
+    representable root, so the residual floor sits near ``scale * eps``
+    while the updates shrink to ``eps``."""
+    return PolynomialSystem([
+        Polynomial([(scale + 0j, Monomial((0,), (2,))),
+                    (-2 * scale + 0j, Monomial((), ()))]),
+        Polynomial([(1 + 0j, Monomial((0,), (1,))),
+                    (-1 + 0j, Monomial((1,), (1,)))]),
+    ])
+
+
+#: Per context: the system's scale and the tolerance at which the batch
+#: below meets every stop reason.
+STOP_REASONS = {"d": (1e4, 1e-14), "dd": (1e6, 1e-30), "qd": (1e6, 1e-62)}
+
+
+def reasons_batch(context):
+    """``(homotopy, t, points, active)``: lanes that stop for every reason
+    at several iterations -- start-system roots at ``t = 0`` (done at once
+    or later), a far and a NaN lane (the cap), two inactive lanes, and
+    seeded lanes around ``sqrt(2)`` at mixed ``t`` that take the
+    small-update exit, accepted or refused."""
+    scale, _ = STOP_REASONS[context.name]
+    system = scaled_sqrt2_system(scale)
+    homotopy = BatchHomotopy(total_degree_start_system(system), system,
+                             context=context)
+    rng = np.random.default_rng(4)
+    nan = complex(math.nan, 0.0)
+    lanes = [(0.0, [1.0, 1.0]), (0.0, [1.0 + 1e-6, 1.0]),
+             (1.0, [40.0, 40.0]), (1.0, [nan, nan]), (0.5, [1.2, 1.1]),
+             (0.0, [1.1, 1.0]), (1.0, [1.5, 1.5]), (0.0, [2.0, 1.0])]
+    t = rng.choice([0.0, 1.0, 0.5, 1e-3], 14)
+    x0 = math.sqrt(2.0) + 10.0 ** rng.uniform(-17, 0.5, 14) \
+        * rng.choice([-1, 1], 14)
+    lanes += [(tb, [complex(a), complex(a + 0.01 * rng.normal())])
+              for tb, a in zip(t, x0)]
+    active = np.ones(len(lanes), dtype=bool)
+    active[[5, 9]] = False
+    return (homotopy, np.array([lane[0] for lane in lanes]),
+            homotopy.backend.from_points([lane[1] for lane in lanes]),
+            active)
+
+
+@pytest.fixture(params=["native", "solve-off", "kernels-off"])
+def newton_route(request, monkeypatch):
+    """The Newton update natively, in Python (``SOLVE_CONTEXTS`` empty),
+    or with no kernels at all."""
+    if request.param == "solve-off":
+        monkeypatch.setattr(compiled, "SOLVE_CONTEXTS", frozenset())
+    elif request.param == "kernels-off":
+        monkeypatch.setattr(compiled, "KERNELS", None)
+    return request.param
+
+
+def both_ways(homotopy, t, points, active, schedule, tolerance,
+              max_iterations=5):
+    """``(got, want, got_log, want_log)``: the corrector and its reference
+    on fresh evaluators with the same singular schedule."""
+    def corrector(log):
+        return BatchNewtonCorrector(
+            SingularFrom(homotopy.at(t), homotopy.backend, schedule),
+            homotopy.backend, tolerance=tolerance,
+            max_iterations=max_iterations, evaluation_log=log)
+
+    got_log, want_log = [], []
+    got = corrector(got_log).correct(points, active)
+    want = reference_correct(corrector(want_log), points, active)
+    return got, want, got_log, want_log
+
+
+def assert_same_correction(got, want, got_log, want_log, backend):
+    for a, b in zip(backend.component_planes(got.solution),
+                    backend.component_planes(want.solution)):
+        assert compiled._same_bits(a, b), "solution bits differ"
+    assert got.converged.tolist() == want.converged.tolist()
+    assert got.iterations.tolist() == want.iterations.tolist()
+    assert compiled._same_bits(got.residual_norm, want.residual_norm)
+    assert got_log == want_log
+
+
+@pytest.mark.parametrize("context", [DOUBLE, DOUBLE_DOUBLE, QUAD_DOUBLE],
+                         ids=lambda c: c.name)
+class TestCorrectorMatchesItsFormerLoop:
+    """The corrector gathers its lanes once and writes them back only in
+    an iteration where some lane stops; its former loop gathered, masked
+    and scattered every iteration.  Both make the same calls on the same
+    lanes, so every bit, verdict, count and log entry repeats."""
+
+    def test_every_stop_reason_at_several_iterations(self, context,
+                                                     newton_route):
+        homotopy, t, points, active = reasons_batch(context)
+        # Lanes 4, 6 and 7 turn singular at their 1st, 3rd and 2nd
+        # evaluation.
+        got, want, got_log, want_log = both_ways(
+            homotopy, t, points, active, {4: 1, 6: 3, 7: 2},
+            STOP_REASONS[context.name][1])
+        assert_same_correction(got, want, got_log, want_log,
+                               homotopy.backend)
+        stops = collections.defaultdict(set)
+        for reason, iteration in zip(want.reasons, want.iterations.tolist()):
+            stops[reason].add(iteration)
+        assert set(stops) == {"done", "singular", "small-accepted",
+                              "small-refused", "cap", "inactive"}
+        assert len(stops["done"]) >= 2 and len(stops["singular"]) == 3
+        assert stops["cap"] == {5} and stops["inactive"] == {0}
+
+    def test_every_lane_stopping_at_once(self, context, newton_route):
+        # Every lane still working in the second iteration turns singular
+        # there.
+        homotopy, t, points, active = reasons_batch(context)
+        got, want, got_log, want_log = both_ways(
+            homotopy, t, points, active, dict.fromkeys(range(len(t)), 2),
+            STOP_REASONS[context.name][1])
+        assert_same_correction(got, want, got_log, want_log,
+                               homotopy.backend)
+        assert set(want.iterations[active].tolist()) <= {1, 2}
+        assert len(got_log) >= 2 and got_log[0] == active.sum()
+
+    def test_every_lane_done_in_the_first_iteration(self, context,
+                                                    newton_route):
+        system = scaled_sqrt2_system(1.0)
+        homotopy = BatchHomotopy(total_degree_start_system(system), system,
+                                 context=context)
+        points = homotopy.backend.from_points(
+            [[1.0, 1.0], [-1.0, 1.0], [1.0, 1.0]])
+        got, want, got_log, want_log = both_ways(
+            homotopy, np.zeros(3), points, None, {}, 1e-12)
+        assert_same_correction(got, want, got_log, want_log,
+                               homotopy.backend)
+        assert got.converged.all() and got_log == [3]
+
+    def test_no_lane_active(self, context, newton_route):
+        homotopy, t, points, _ = reasons_batch(context)
+        got, want, got_log, want_log = both_ways(
+            homotopy, t, points, np.zeros(len(t), dtype=bool), {}, 1e-12)
+        assert_same_correction(got, want, got_log, want_log,
+                               homotopy.backend)
+        assert got_log == [] and not got.iterations.any()

@@ -150,3 +150,67 @@ class TestTracking:
         assert result.success
         assert result.residual < 1e-25
         assert abs(ctx.to_complex(result.solution[0]) - cmath.sqrt(targets[0])) < 1e-12
+
+
+class TestTrackerOptionsRefuseWhatNoTrackerRuns:
+    """Both engines share :class:`TrackerOptions`, which refuses at
+    construction, naming the field, every value no tracker can run with:
+    an unknown predictor used to track silently with the secant one, a
+    bad initial step failed in the first round, and a zero corrector
+    budget or a growing "reduction" returned no solution and no error."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("predictor", "bogus"), ("predictor", "Tangent"), ("predictor", None),
+        ("initial_step", float("nan")), ("initial_step", -0.1),
+        ("initial_step", 0.0), ("initial_step", float("inf")),
+        ("min_step", 0.0), ("min_step", float("nan")),
+        ("max_step", -1.0), ("max_step", float("inf")),
+        ("corrector_tolerance", 0.0), ("corrector_tolerance", float("nan")),
+        ("end_tolerance", -1e-12), ("end_tolerance", float("inf")),
+        ("step_expansion", 0.5), ("step_expansion", float("inf")),
+        ("step_expansion", float("nan")),
+        ("step_reduction", 1.5), ("step_reduction", 1.0),
+        ("step_reduction", 0.0), ("step_reduction", float("nan")),
+        ("corrector_iterations", 0), ("end_iterations", 0),
+        ("end_iterations", -3), ("max_steps", -1),
+        ("initial_step", "0.1"), ("max_steps", None),
+    ])
+    def test_a_value_no_tracker_runs_with_raises(self, field, value):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=field):
+            TrackerOptions(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_steps=0),                       # corrects the starts only
+        dict(max_step=0.002),                    # initial_step > max_step
+        dict(step_expansion=1.0),
+        dict(predictor="tangent", end_tolerance=1e-80,
+             corrector_tolerance=1e-300, corrector_iterations=1,
+             end_iterations=1, step_reduction=0.999),
+    ], ids=["no-rounds", "initial-above-max", "no-growth", "edges"])
+    def test_edge_values_stay_allowed(self, kwargs):
+        options = TrackerOptions(**kwargs)
+        for name, value in kwargs.items():
+            assert getattr(options, name) == value
+
+    def test_replace_checks_too(self):
+        import dataclasses
+
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="predictor"):
+            dataclasses.replace(TrackerOptions(), predictor="newton")
+
+    def test_the_fields_stay_eleven(self):
+        import dataclasses
+
+        assert len(dataclasses.fields(TrackerOptions)) == 11
+
+    def test_max_steps_zero_tracks_no_round(self):
+        system, _ = decoupled_quadratic_system()
+        homotopy, _ = make_homotopy(system)
+        result = PathTracker(homotopy, options=TrackerOptions(
+            max_steps=0)).track([1 + 0j, 1 + 0j])
+        assert not result.success
+        assert result.failure_reason == "maximum number of steps exceeded"
