@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-all test-scenarios chaos docs kernels fingerprints importtime hooks bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
+.PHONY: test test-all test-scenarios chaos docs kernels fingerprints fingerprint-matrix importtime hooks bench-batch bench-qd bench-eval bench-shard bench-start bench-tables bench-json
 
 # Build (or confirm) the cached dd/qd plane kernels ahead of the first
 # import and print the contexts whose plan tapes and batched linear solves
@@ -32,6 +32,20 @@ kernels:
 # store at rung L, and must print them too.
 fingerprints:
 	$(PY) tools/fingerprint_reports.py
+
+# Every route of tools/fingerprint_reports.py in one run: natively (all
+# five line sets), then the four solve sets with --solve-off,
+# --kernels-off, --sharded 2 and --sharded 2 --kill-level 1 and 2.  A
+# header line names each route before its lines; fails if any run exits
+# non-zero.  A change that must not move any answer prints its parent's
+# output: diff this target's output in both trees (about 47 s on a
+# two-CPU host).
+fingerprint-matrix:
+	@status=0; for route in "" "--solve-off" "--kernels-off" "--sharded 2" \
+		"--sharded 2 --kill-level 1" "--sharded 2 --kill-level 2"; do \
+		echo "== route: $${route:-native}"; \
+		$(PY) tools/fingerprint_reports.py $$route || status=1; \
+	done; exit $$status
 
 # Where a fresh process spends its import time: the 20 largest cumulative
 # `python -X importtime` entries (microseconds) of `import repro.tracking`

@@ -5,14 +5,20 @@ provides:
 
 * :mod:`~repro.multiprec.eft` -- error-free transformations (TwoSum, TwoProd,
   Dekker splitting) shared by everything else;
+* the dd and qd arithmetic, written once in Python over component tuples
+  that hold floats or float64 planes: the QD sequences of
+  :mod:`~repro.multiprec.double_double` and
+  :mod:`~repro.multiprec.quad_double`, composed into complex by
+  :func:`~repro.multiprec.scalar.complex_chains`;
 * :class:`~repro.multiprec.double_double.DoubleDouble` and
   :class:`~repro.multiprec.quad_double.QuadDouble` -- scalar extended
   precision reals;
 * :class:`~repro.multiprec.complex_dd.ComplexDD` and
   :class:`~repro.multiprec.quad_double.ComplexQD` -- complex variants used by
   the polynomial evaluators.  The four share one numeric protocol,
-  :mod:`~repro.multiprec.scalar` (one real and one complex base class); the
-  precision modules hold only their per-precision parts;
+  :mod:`~repro.multiprec.scalar` (one real and one complex base class),
+  which runs those sequences on their components; the precision modules
+  hold only their per-precision parts;
 * :class:`~repro.multiprec.ddarray.DDArray` /
   :class:`~repro.multiprec.ddarray.ComplexDDArray` and
   :class:`~repro.multiprec.qdarray.QDArray` /
@@ -20,7 +26,8 @@ provides:
   double-double and quad-double arrays for the bulk benchmarks and the
   batched path tracker, whose element-wise arithmetic runs through the
   compiled plane kernels of :mod:`~repro.multiprec.compiled` (built and
-  cached on first import).  Both precisions share one implementation,
+  cached on first import), with the same sequences on planes as their
+  reference chains.  Both precisions share one implementation,
   :mod:`~repro.multiprec.planearray`; the two modules hold only their
   per-precision parts;
 * :mod:`~repro.multiprec.backend` -- the batch backends of the ``d``,

@@ -3,9 +3,11 @@
 The array types in :mod:`repro.multiprec.ddarray` and
 :mod:`repro.multiprec.qdarray` run their element-wise arithmetic through
 the C kernels in ``_kernels.c``: each kernel replays, lane by lane, the
-exact floating-point sequence of the scalar
-:class:`~repro.multiprec.double_double.DoubleDouble` /
-:class:`~repro.multiprec.quad_double.QuadDouble` operations.
+exact floating-point sequence of the one Python copy of the dd and qd
+arithmetic (the sequences of :mod:`repro.multiprec.double_double` and
+:mod:`repro.multiprec.quad_double`, composed into complex by
+:func:`repro.multiprec.scalar.complex_chains`), which the scalar types run
+on floats and the array types, as their reference chains, on planes.
 
 On first import the source is compiled with the system ``gcc`` into a
 CPython extension under the user cache directory (``$XDG_CACHE_HOME`` or
@@ -17,8 +19,8 @@ first imports cannot load a half-written extension.  A cached file that
 fails to load (truncated by a crash, or built on a host with another C
 library) is rebuilt once in place.  If the compiler is missing or the
 build fails, one :class:`RuntimeWarning` is emitted, :data:`KERNELS` is
-``None`` and the array types run the plain NumPy reference chains instead:
-slower, with the same results.
+``None`` and the array types run the reference chains on NumPy planes
+instead: slower, with the same results.
 
 The extension also runs whole evaluation plans lowered to instruction
 tapes (:mod:`repro.core.tape`), one call per evaluation.  The ``d`` tape
@@ -39,9 +41,9 @@ names the contexts whose solves may run natively.  The Newton updates
 corrector's residual and update norms, a negation and a masked add: no
 rounding the probe has not checked, so they run for the same contexts.
 
-:func:`run` calls one kernel on a tuple of planes, :func:`apply` runs an op
-through its kernel or else its reference chain, and :func:`complex_chains`
-composes the complex reference chains from the real ones.
+:func:`run` calls one kernel on a tuple of planes and :func:`apply` runs an
+op through its kernel or else its reference chain; this module defines no
+arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -59,11 +61,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import DivisionByZeroError
-
 __all__ = ["FLAGS", "KERNELS", "SOLVE_CONTEXTS", "SOURCE", "TAPE_CONTEXTS",
-           "apply", "cache_dir", "complex_chains", "load_kernels", "run",
-           "solve_contexts", "tape_contexts"]
+           "apply", "cache_dir", "load_kernels", "run", "solve_contexts",
+           "tape_contexts"]
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -324,41 +324,3 @@ def apply(kernel: str, reference, x: tuple, y: tuple, out=None) -> tuple:
     for dst, src in zip(out, planes):
         np.copyto(dst, src)
     return out
-
-
-def complex_chains(add, sub, mul, div, name: str):
-    """The reference complex ``+ - * /`` over flat ``(real..., imag...)``
-    plane tuples, composed from the real reference chains exactly as the
-    complex array type ``name`` composes its parts:
-    ``(a*c - b*d, a*d + b*c)`` and ``((a*c + b*d) / |z|^2,
-    (b*c - a*d) / |z|^2)`` with ``|z|^2 = c*c + d*d``."""
-    def parts(x, y):
-        half = len(x) // 2
-        return x[:half], x[half:], y[:half], y[half:]
-
-    def complex_add(x, y):
-        a, b, c, d = parts(x, y)
-        return add(a, c) + add(b, d)
-
-    def complex_sub(x, y):
-        a, b, c, d = parts(x, y)
-        return sub(a, c) + sub(b, d)
-
-    def complex_mul(x, y):
-        a, b, c, d = parts(x, y)
-        return sub(mul(a, c), mul(b, d)) + add(mul(a, d), mul(b, c))
-
-    def complex_div(x, y):
-        a, b, c, d = parts(x, y)
-        denom = add(mul(c, c), mul(d, d))
-        # Mirror the scalar check: |z|^2 == 0 means the divisor is an exact
-        # zero (or underflowed to one), which would otherwise fill the lane
-        # with silent NaN.  NaN divisors propagate instead of raising.
-        zeros = int(np.count_nonzero(denom[0] == 0.0))
-        if zeros:
-            raise DivisionByZeroError(
-                f"{name} division by zero in {zeros} element(s)")
-        return (div(add(mul(a, c), mul(b, d)), denom)
-                + div(sub(mul(b, c), mul(a, d)), denom))
-
-    return complex_add, complex_sub, complex_mul, complex_div

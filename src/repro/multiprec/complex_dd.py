@@ -7,8 +7,8 @@ Cartesian pairing of two :class:`~repro.multiprec.double_double.DoubleDouble`
 components with the textbook complex arithmetic rules -- the same four-real-
 multiplication complex product the CUDA kernels would perform.  The rules
 are :class:`~repro.multiprec.scalar.MultiprecComplex`'s, shared with
-:class:`~repro.multiprec.quad_double.ComplexQD`; this module sets only the
-real type.
+:class:`~repro.multiprec.quad_double.ComplexQD`, composed from the real
+type's sequences; this module names only the real type.
 
 A complex multiplication costs 4 real multiplications and 2 additions; this
 constant feeds the GPU and CPU cost models so that the operation counts quoted
@@ -26,11 +26,10 @@ from .scalar import MultiprecComplex
 __all__ = ["ComplexDD", "cdd"]
 
 
-class ComplexDD(MultiprecComplex):
+class ComplexDD(MultiprecComplex, real_type=DoubleDouble):
     """A complex number with double-double real and imaginary parts."""
 
     __slots__ = ()
-    real_type = DoubleDouble
 
 
 def cdd(real: Union[int, float, complex, DoubleDouble, ComplexDD],

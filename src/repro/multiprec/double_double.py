@@ -1,11 +1,18 @@
-"""Scalar double-double arithmetic.
+"""Double-double arithmetic: the operation sequences and the scalar type.
 
-A :class:`DoubleDouble` represents a real number as an unevaluated sum of two
-IEEE doubles ``hi + lo`` with ``|lo| <= 0.5 ulp(hi)``, giving roughly 32
+A double-double represents a real number as an unevaluated sum of two IEEE
+doubles ``hi + lo`` with ``|lo| <= 0.5 ulp(hi)``, giving roughly 32
 significant decimal digits (106 bits of significand).  The algorithms follow
 the QD 2.3.9 library of Hida, Li & Bailey that the paper uses for its
 multiprecision path tracking, built on the error-free transformations in
 :mod:`repro.multiprec.eft`.
+
+:func:`dd_add`, :func:`dd_sub`, :func:`dd_mul` and :func:`dd_div` are those
+sequences, written once over ``(hi, lo)`` tuples whose components are
+either Python floats or float64 planes.  :class:`DoubleDouble` runs them on
+its two components, :class:`~repro.multiprec.ddarray.DDArray` takes them as
+its reference chains, and the compiled ``dd_*`` kernels replay them bit for
+bit.
 
 The numeric protocol -- conversions, comparisons, operators, powers,
 printing, pickling -- is :class:`~repro.multiprec.scalar.MultiprecReal`'s,
@@ -22,16 +29,59 @@ import math
 from fractions import Fraction
 from typing import Tuple, Union
 
-from ..errors import DivisionByZeroError
 from .eft import quick_two_sum, two_diff, two_prod, two_sum
 from .scalar import MultiprecReal
 
-__all__ = ["DoubleDouble", "dd"]
+__all__ = ["DoubleDouble", "dd", "dd_add", "dd_div", "dd_mul", "dd_sub"]
 
 _EPS = 4.93038065763132e-32  # 2**-104, the relative rounding unit of dd
 
 
-class DoubleDouble(MultiprecReal):
+# ----------------------------------------------------------------------
+# the sequences, on (hi, lo) tuples of floats or of float64 planes
+# ----------------------------------------------------------------------
+def dd_add(x, y):
+    """IEEE-style accurate addition (QD's ``ieee_add``)."""
+    s1, s2 = two_sum(x[0], y[0])
+    t1, t2 = two_sum(x[1], y[1])
+    s2 = s2 + t1
+    s1, s2 = quick_two_sum(s1, s2)
+    s2 = s2 + t2
+    return quick_two_sum(s1, s2)
+
+
+def dd_sub(x, y):
+    """IEEE-style accurate subtraction."""
+    s1, s2 = two_diff(x[0], y[0])
+    t1, t2 = two_diff(x[1], y[1])
+    s2 = s2 + t1
+    s1, s2 = quick_two_sum(s1, s2)
+    s2 = s2 + t2
+    return quick_two_sum(s1, s2)
+
+
+def dd_mul(x, y):
+    """Product with the ``lo * lo`` term dropped (QD's ``operator*``)."""
+    p1, p2 = two_prod(x[0], y[0])
+    p2 = p2 + (x[0] * y[1] + x[1] * y[0])
+    return quick_two_sum(p1, p2)
+
+
+def dd_div(x, y):
+    """Accurate division: three quotient terms (QD's ``accurate_div``).
+
+    Each correction subtracts ``y * (q, 0)``, the pair padded with a plain
+    ``0.0``.  The caller refuses a zero divisor.
+    """
+    q1 = x[0] / y[0]
+    r = dd_sub(x, dd_mul(y, (q1, 0.0)))
+    q2 = r[0] / y[0]
+    r = dd_sub(r, dd_mul(y, (q2, 0.0)))
+    q3 = r[0] / y[0]
+    return dd_add(quick_two_sum(q1, q2), (q3, 0.0))
+
+
+class DoubleDouble(MultiprecReal, chains=(dd_add, dd_sub, dd_mul, dd_div)):
     """An immutable double-double number.
 
     Parameters
@@ -111,50 +161,8 @@ class DoubleDouble(MultiprecReal):
     def __neg__(self) -> "DoubleDouble":
         return DoubleDouble(-self.hi, -self.lo)
 
-    def _add(self, other: "DoubleDouble") -> "DoubleDouble":
-        """IEEE-style accurate addition (QD's ``ieee_add``)."""
-        s1, s2 = two_sum(self.hi, other.hi)
-        t1, t2 = two_sum(self.lo, other.lo)
-        s2 += t1
-        s1, s2 = quick_two_sum(s1, s2)
-        s2 += t2
-        s1, s2 = quick_two_sum(s1, s2)
-        return DoubleDouble(s1, s2)
-
-    def _sub(self, other: "DoubleDouble") -> "DoubleDouble":
-        s1, s2 = two_diff(self.hi, other.hi)
-        t1, t2 = two_diff(self.lo, other.lo)
-        s2 += t1
-        s1, s2 = quick_two_sum(s1, s2)
-        s2 += t2
-        s1, s2 = quick_two_sum(s1, s2)
-        return DoubleDouble(s1, s2)
-
-    def _mul(self, other: "DoubleDouble") -> "DoubleDouble":
-        p1, p2 = two_prod(self.hi, other.hi)
-        p2 += self.hi * other.lo + self.lo * other.hi
-        p1, p2 = quick_two_sum(p1, p2)
-        return DoubleDouble(p1, p2)
-
-    def _div(self, other: "DoubleDouble") -> "DoubleDouble":
-        """Accurate division: three quotient corrections (QD's
-        ``accurate_div``)."""
-        if other.hi == 0.0 and other.lo == 0.0:
-            raise DivisionByZeroError("DoubleDouble division by zero")
-        q1 = self.hi / other.hi
-        r = self._sub(DoubleDouble(q1)._mul(other))
-        q2 = r.hi / other.hi
-        r = r._sub(DoubleDouble(q2)._mul(other))
-        q3 = r.hi / other.hi
-        s, e = quick_two_sum(q1, q2)
-        return DoubleDouble(s, e)._add(DoubleDouble(q3))
-
-    def sqrt(self) -> "DoubleDouble":
+    def _sqrt(self) -> "DoubleDouble":
         """Square root by Karp's method (one Newton step on 1/sqrt)."""
-        if self.is_zero():
-            return DoubleDouble(0.0)
-        if self.is_negative():
-            raise ValueError("square root of a negative DoubleDouble")
         x = 1.0 / math.sqrt(self.hi)
         ax = self.hi * x
         ax_dd = DoubleDouble(ax)

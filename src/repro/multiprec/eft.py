@@ -9,7 +9,9 @@ closest to it.
 
 All functions also operate element-wise on NumPy arrays: the expressions use
 only ``+``, ``-`` and ``*`` so broadcasting applies unchanged.  That is what
-the vectorised :mod:`repro.multiprec.ddarray` module builds on.
+lets the dd and qd sequences of :mod:`repro.multiprec.double_double` and
+:mod:`repro.multiprec.quad_double` be written once, for the scalars' floats
+and the plane arrays' planes alike.
 
 Notes
 -----

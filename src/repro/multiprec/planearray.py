@@ -4,10 +4,13 @@ An array of double-doubles or quad-doubles is stored as ``float64`` *planes*,
 one per expansion component: ``(hi, lo)`` for
 :class:`~repro.multiprec.ddarray.DDArray`, ``(c0, c1, c2, c3)`` for
 :class:`~repro.multiprec.qdarray.QDArray`.  Element-wise arithmetic runs the
-compiled plane kernels of :mod:`repro.multiprec.compiled` when they fit, else
-the NumPy reference chains, and both replay the scalar
+compiled plane kernels of :mod:`repro.multiprec.compiled` when they fit,
+else the reference chains: the very sequences the scalar
 :class:`~repro.multiprec.double_double.DoubleDouble` /
-:class:`~repro.multiprec.quad_double.QuadDouble` sequences bit for bit.
+:class:`~repro.multiprec.quad_double.QuadDouble` run on floats, here run on
+planes, and composed into complex by
+:func:`~repro.multiprec.scalar.complex_chains` as the complex scalars
+compose theirs.  Scalar loop, reference chain and kernel agree bit for bit.
 
 Everything above the per-component arithmetic is the same at both
 precisions, so it lives here once: :class:`PlaneArray` (real) and
@@ -22,8 +25,10 @@ supplies only what differs:
   scalars and plain numbers round to one double), ``_scalar`` adopts
   components as a scalar without renormalising them;
 * its kernel prefix and reference chains, as class keywords
-  (``class DDArray(PlaneArray, prefix="dd", chains=(add, sub, mul, div))``);
-  kernel names are built once per class.
+  (``class DDArray(PlaneArray, prefix="dd", chains=(dd_add, dd_sub, dd_mul,
+  dd_div))``, the scalar module's sequences); kernel names are built once
+  per class.  Integer powers run the scalars' ladder,
+  :func:`~repro.multiprec.scalar.integer_power`.
 
 The complex type's scalar codec (:meth:`ComplexPlaneArray.scalar_to_planes`
 / :meth:`ComplexPlaneArray.scalar_from_planes`) is where scalars meet
@@ -41,29 +46,52 @@ import numpy as np
 
 from ..errors import DivisionByZeroError
 from . import compiled
-from .compiled import apply, complex_chains
-from .scalar import MultiprecComplex, MultiprecReal
+from .compiled import apply
+from .scalar import (MultiprecComplex, MultiprecReal, complex_chains,
+                     integer_power)
 
 __all__ = ["PlaneArray", "ComplexPlaneArray"]
 
 _OPS = ("add", "sub", "mul", "div")
 
 
-def _power(base, exponent: int):
-    """``base ** exponent`` by the scalar types' binary ladder."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise TypeError(f"{type(base).__name__} only supports non-negative "
-                        f"integer powers")
-    result = base.ones(base.shape)
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        base = base * base
-        exponent >>= 1
-    return result
+class _Elementwise:
+    """What the real and complex plane arrays share above their planes:
+    printing, integer powers, masked fills and the magnitude tests."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(shape={self.shape})"
+
+    def __pow__(self, exponent: int):
+        """``self ** exponent`` by the scalar types' ladder."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise TypeError(f"{type(self).__name__} only supports "
+                            f"non-negative integer powers")
+        return integer_power(self, exponent, self.ones(self.shape))
+
+    def masked_fill(self, mask, value):
+        """Copy with elements under ``mask`` replaced by ``value``."""
+        return self.where(mask, value, self)
+
+    def max_abs(self, axis=None):
+        """Largest magnitude (``abs_double``), used for norms/tolerances.
+
+        With ``axis`` the reduction runs along that axis and returns a float
+        array -- the per-path infinity norms of a batch stored column-wise.
+        """
+        if axis is None:
+            return float(np.max(self.abs_double())) if self.size else 0.0
+        return np.max(self.abs_double(), axis=axis, initial=0.0)
+
+    def allclose(self, other, tol=None) -> bool:
+        tol = self.default_tol if tol is None else tol
+        scale = max(self.max_abs(), other.max_abs(), 1.0)
+        return (self - other).max_abs() <= tol * scale
 
 
-class PlaneArray:
+class PlaneArray(_Elementwise):
     """An n-dimensional array of multiprecision reals, one float64 plane per
     expansion component (see the module docstring for what a precision
     subclass supplies).
@@ -82,7 +110,7 @@ class PlaneArray:
     scalar_type: type
     #: Default tolerance of :meth:`allclose`.
     default_tol: float
-    #: The NumPy reference chain of each op over plane tuples.
+    #: The reference chain of each op over plane tuples.
     reference_chains: dict
 
     def __init_subclass__(cls, prefix: str, chains, **kwargs):
@@ -179,9 +207,6 @@ class PlaneArray:
         for dst, src in zip(planes, value._components()):
             dst[idx] = src
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(shape={self.shape})"
-
     @classmethod
     def _coerce(cls, value, like) -> "PlaneArray":
         """``value`` as an array of this type, broadcastable against
@@ -237,9 +262,6 @@ class PlaneArray:
 
     def __rtruediv__(self, other) -> "PlaneArray":
         return self._coerce(other, self) / self
-
-    def __pow__(self, exponent: int) -> "PlaneArray":
-        return _power(self, exponent)
 
     # ------------------------------------------------------------------
     # in-place updates (the accumulation loops of the batched engine)
@@ -297,10 +319,6 @@ class PlaneArray:
         values = np.asarray(value, dtype=np.float64)
         return (values,) + (np.zeros_like(values),) * (cls.width - 1)
 
-    def masked_fill(self, mask, value) -> "PlaneArray":
-        """Copy with elements under ``mask`` replaced by ``value``."""
-        return self.where(mask, value, self)
-
     # ------------------------------------------------------------------
     # reductions and element-wise helpers
     # ------------------------------------------------------------------
@@ -339,24 +357,8 @@ class PlaneArray:
             total = total + c
         return np.abs(total)
 
-    def max_abs(self, axis=None):
-        """Largest magnitude, rounded to double (used for norms/tolerances).
 
-        With ``axis`` the reduction runs along that axis and returns a float
-        array -- the per-path infinity norms of a batch stored column-wise.
-        """
-        if axis is None:
-            return float(np.max(self.abs_double())) if self.size else 0.0
-        return np.max(self.abs_double(), axis=axis, initial=0.0)
-
-    def allclose(self, other, tol=None) -> bool:
-        tol = self.default_tol if tol is None else tol
-        diff = (self - other).abs()
-        scale = max(self.max_abs(), other.max_abs(), 1.0)
-        return diff.max_abs() <= tol * scale
-
-
-class ComplexPlaneArray:
+class ComplexPlaneArray(_Elementwise):
     """An array of complex multiprecision numbers: a ``(real, imag)`` pair
     of :class:`PlaneArray` of one precision.
 
@@ -372,9 +374,12 @@ class ComplexPlaneArray:
     real_type: type
     #: The complex scalar type an element reads back as.
     scalar_type: type
+    #: Default tolerance of :meth:`allclose` (the real type's).
+    default_tol: float
     #: Float planes per element (twice the real type's).
     plane_count: int
-    #: The NumPy reference chain of each op over flat plane tuples.
+    #: The reference chain of each op over flat plane tuples, composed
+    #: from the real type's by :func:`~repro.multiprec.scalar.complex_chains`.
     reference_chains: dict
 
     def __init_subclass__(cls, real_type, scalar_type, prefix: str,
@@ -382,6 +387,7 @@ class ComplexPlaneArray:
         super().__init_subclass__(**kwargs)
         cls.real_type = real_type
         cls.scalar_type = scalar_type
+        cls.default_tol = real_type.default_tol
         cls.plane_count = 2 * real_type.width
         chains = complex_chains(*(real_type.reference_chains[op]
                                   for op in _OPS), cls.__name__)
@@ -520,9 +526,6 @@ class ComplexPlaneArray:
         self.real[idx] = value.real
         self.imag[idx] = value.imag
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(shape={self.shape})"
-
     def _coerce(self, other) -> "ComplexPlaneArray":
         """``other`` as an array of this type and shape (scalars fill it)."""
         if isinstance(other, type(self)):
@@ -587,9 +590,6 @@ class ComplexPlaneArray:
 
     def __rtruediv__(self, other) -> "ComplexPlaneArray":
         return self._coerce(other) / self
-
-    def __pow__(self, exponent: int) -> "ComplexPlaneArray":
-        return _power(self, exponent)
 
     # ------------------------------------------------------------------
     # in-place updates (bit-for-bit with the out-of-place operators)
@@ -674,10 +674,6 @@ class ComplexPlaneArray:
         values = np.asarray(value, dtype=np.complex128)
         return values.real, values.imag
 
-    def masked_fill(self, mask, value) -> "ComplexPlaneArray":
-        """Copy with elements under ``mask`` replaced by ``value``."""
-        return self.where(mask, value, self)
-
     def conjugate(self) -> "ComplexPlaneArray":
         return self._wrap(self.real, -self.imag)
 
@@ -687,15 +683,3 @@ class ComplexPlaneArray:
     def abs_double(self) -> np.ndarray:
         """Per-element magnitude rounded to a hardware double."""
         return np.abs(self.to_complex128())
-
-    def max_abs(self, axis=None):
-        magnitudes = np.sqrt(np.maximum(self.abs2().to_float64(), 0.0))
-        if axis is None:
-            return float(np.max(magnitudes)) if self.size else 0.0
-        return np.max(magnitudes, axis=axis, initial=0.0)
-
-    def allclose(self, other, tol=None) -> bool:
-        tol = self.real_type.default_tol if tol is None else tol
-        diff = self - other
-        scale = max(self.max_abs(), other.max_abs(), 1.0)
-        return diff.max_abs() <= tol * scale

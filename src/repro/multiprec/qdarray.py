@@ -10,11 +10,12 @@ to looping over scalars -- the invariant the batched tracker's differential
 tests rely on.
 
 Every operation runs through the compiled plane kernels of
-:mod:`repro.multiprec.compiled` when they are loaded.  The NumPy reference
-chains below execute the same sequences; they run when no kernels could be
-built, when a plane layout does not fit the kernels, and as the test oracle.
+:mod:`repro.multiprec.compiled` when they are loaded.  The reference chains
+are the scalar's own sequences (:func:`~repro.multiprec.quad_double.
+qd_chains`) run on planes; they run when no kernels could be built, when a
+plane layout does not fit the kernels, and as the test oracle.
 
-The only non-trivial vectorisation of the reference chains is the QD
+The one step those sequences take in another form on planes is the QD
 renormalisation, whose scalar form is a nest of data-dependent branches.
 Those branches implement a *compaction*: the values ``c2, c3, (c4)`` are
 inserted one after another at the lowest non-zero slot of the expansion.
@@ -26,8 +27,8 @@ scalar branch tree exactly (see :func:`_insert_lowest`).
 :class:`~repro.multiprec.quad_double.ComplexQD`.  Both are
 :mod:`repro.multiprec.planearray` types: this module supplies only the
 quad-double parts -- the planes, the constructor's renormalisation, the
-scalar component rules, the reference chains and the exact widening of
-double-double arrays.
+scalar component rules, the vectorised renormalisation its reference
+chains finish with and the exact widening of double-double arrays.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import numpy as np
 
 from . import compiled
 from .double_double import DoubleDouble
-from .eft import quick_two_sum, two_prod, two_sum
+from .eft import quick_two_sum
 from .planearray import ComplexPlaneArray, PlaneArray
-from .quad_double import ComplexQD, QuadDouble
+from .quad_double import ComplexQD, QuadDouble, qd_chains
 
 __all__ = ["QDArray", "ComplexQDArray"]
 
@@ -48,19 +49,6 @@ __all__ = ["QDArray", "ComplexQDArray"]
 # ----------------------------------------------------------------------
 # vectorised renormalisation (QD's renorm, branch tree flattened)
 # ----------------------------------------------------------------------
-def _three_sum(a, b, c):
-    t1, t2 = two_sum(a, b)
-    a, t3 = two_sum(c, t1)
-    b, c = two_sum(t2, t3)
-    return a, b, c
-
-
-def _three_sum2(a, b, c):
-    t1, t2 = two_sum(a, b)
-    a, t3 = two_sum(c, t1)
-    return a, t2 + t3
-
-
 def _insert_lowest(s: List[np.ndarray], ptr: np.ndarray, u: np.ndarray
                    ) -> np.ndarray:
     """Insert ``u`` at each element's lowest non-zero slot of the expansion.
@@ -123,69 +111,10 @@ def _renorm5(c0, c1, c2, c3, c4) -> Tuple[np.ndarray, ...]:
             np.where(keep, c2, s[2]), np.where(keep, c3, s[3]))
 
 
-def _add_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
-    """The reference QD ``sloppy_add`` on component planes."""
-    s0, t0 = two_sum(x[0], y[0])
-    s1, t1 = two_sum(x[1], y[1])
-    s2, t2 = two_sum(x[2], y[2])
-    s3, t3 = two_sum(x[3], y[3])
-
-    s1, t0 = two_sum(s1, t0)
-    s2, t0, t1 = _three_sum(s2, t0, t1)
-    s3, t0 = _three_sum2(s3, t0, t2)
-    t0 = t0 + t1 + t3
-    return _renorm5(s0, s1, s2, s3, t0)
-
-
-def _sub_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
-    """The reference QD subtraction: the add of the negated operand."""
-    return _add_planes_ref(x, tuple(-c for c in y))
-
-
-def _mul_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
-    """The reference QD ``sloppy_mul`` on component planes."""
-    p0, q0 = two_prod(x[0], y[0])
-    p1, q1 = two_prod(x[0], y[1])
-    p2, q2 = two_prod(x[1], y[0])
-    p3, q3 = two_prod(x[0], y[2])
-    p4, q4 = two_prod(x[1], y[1])
-    p5, q5 = two_prod(x[2], y[0])
-
-    p1, p2, q0 = _three_sum(p1, p2, q0)
-
-    p2, q1, q2 = _three_sum(p2, q1, q2)
-    p3, p4, p5 = _three_sum(p3, p4, p5)
-    s0, t0 = two_sum(p2, p3)
-    s1, t1 = two_sum(q1, p4)
-    s2 = q2 + p5
-    s1, t0 = two_sum(s1, t0)
-    s2 = s2 + (t0 + t1)
-
-    s1 = s1 + (x[0] * y[3] + x[1] * y[2] + x[2] * y[1] + x[3] * y[0]
-               + q0 + q3 + q4 + q5)
-    return _renorm5(p0, p1, s0, s1, s2)
-
-
-def _div_planes_ref(x, y) -> Tuple[np.ndarray, ...]:
-    """The reference QD iterated-correction division (QD's ``sloppy_div``)."""
-    q0 = x[0] / y[0]
-    z = np.zeros_like(q0)
-    r = _sub_planes_ref(x, _mul_planes_ref(y, (q0, z, z, z)))
-    q1 = r[0] / y[0]
-    r = _sub_planes_ref(r, _mul_planes_ref(y, (q1, z, z, z)))
-    q2 = r[0] / y[0]
-    r = _sub_planes_ref(r, _mul_planes_ref(y, (q2, z, z, z)))
-    q3 = r[0] / y[0]
-    r = _sub_planes_ref(r, _mul_planes_ref(y, (q3, z, z, z)))
-    q4 = r[0] / y[0]
-    return _renorm5(q0, q1, q2, q3, q4)
-
-
 # ----------------------------------------------------------------------
 # the array types
 # ----------------------------------------------------------------------
-class QDArray(PlaneArray, prefix="qd", chains=(
-        _add_planes_ref, _sub_planes_ref, _mul_planes_ref, _div_planes_ref)):
+class QDArray(PlaneArray, prefix="qd", chains=qd_chains(_renorm5)):
     """An n-dimensional array of quad-double reals stored as four planes.
 
     Parameters

@@ -4,17 +4,21 @@
 :class:`~repro.multiprec.quad_double.QuadDouble` subclass
 :class:`MultiprecReal`; :class:`~repro.multiprec.complex_dd.ComplexDD` and
 :class:`~repro.multiprec.quad_double.ComplexQD` subclass
-:class:`MultiprecComplex` and set only their ``real_type``.  Everything
-above the per-component arithmetic lives here.  A real precision supplies:
+:class:`MultiprecComplex` and name only their ``real_type`` (a class
+keyword).  Everything above the per-component arithmetic lives here, with
+the two pieces the plane arrays share: :func:`complex_chains`, which
+composes a real precision's sequences into complex ones, and
+:func:`integer_power`, the binary power ladder.  A real precision supplies:
 
 * its component slots and ``components()``, its ``width`` (components per
   value) and ``eps``;
 * its renormalising constructor, ``_raw`` (adopt a tuple of components
   verbatim) and ``from_float`` (the embedding of a double: double-double
   renormalises ``(x, 0)``, quad-double adopts it raw);
-* negation and the QD-library algorithms ``_add``, ``_sub``, ``_mul``,
-  ``_div`` and ``sqrt``, which the compiled plane kernels replay bit for
-  bit.
+* negation, ``_sqrt`` and its QD-library ``add, sub, mul, div`` sequences
+  over component tuples as the ``chains=`` class keyword: the plane
+  arrays' reference chains are the same functions, and the compiled plane
+  kernels replay them bit for bit.
 
 One set of rules holds for all four types:
 
@@ -29,7 +33,12 @@ One set of rules holds for all four types:
 * *Order.*  Reals compare by their first pair of differing components:
   the value order of the canonical expansions every constructor and
   operation returns.  Signed zeros compare equal; a NaN component
-  compares false except under ``!=``.
+  compares false except under ``!=``.  A real equals a complex exactly
+  when the imaginary part is zero and the real parts are equal; ordering
+  the two raises ``TypeError``, as in Python.
+* *Division.*  A real divisor with a zero leading component, and a
+  complex one whose ``|z|^2`` has one, raise
+  :class:`~repro.errors.DivisionByZeroError`; a NaN divisor propagates.
 * *Values.*  Instances are immutable.  Equal values hash equal, across
   the precisions and with the Python numbers they equal: a finite real
   hashes its exact value, a non-finite one its leading component, and a
@@ -47,15 +56,67 @@ import sys
 from fractions import Fraction
 from typing import Optional, Tuple
 
+import numpy as np
+
 from ..errors import DivisionByZeroError
 
-__all__ = ["MultiprecReal", "MultiprecComplex"]
+__all__ = ["MultiprecReal", "MultiprecComplex", "complex_chains",
+           "integer_power"]
+
+
+def integer_power(base, exponent: int, one):
+    """``base ** exponent`` for ``exponent >= 0`` by binary exponentiation
+    from ``one``, forming ``result * base`` and ``base * base``."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
+
+
+def complex_chains(add, sub, mul, div, name: str):
+    """The complex ``+ - * /`` over flat ``(real..., imag...)`` component
+    tuples (floats for a scalar, planes for an array), composed from a
+    real precision's sequences: ``(a*c - b*d, a*d + b*c)`` and
+    ``((a*c + b*d) / |z|^2, (b*c - a*d) / |z|^2)`` with ``|z|^2 = c*c +
+    d*d``.  Division refuses a ``|z|^2`` whose leading component is zero
+    (in any element) with a :class:`DivisionByZeroError` naming ``name``:
+    it would fill the value with silent NaN."""
+    def parts(x, y):
+        half = len(x) // 2
+        return x[:half], x[half:], y[:half], y[half:]
+
+    def complex_add(x, y):
+        a, b, c, d = parts(x, y)
+        return add(a, c) + add(b, d)
+
+    def complex_sub(x, y):
+        a, b, c, d = parts(x, y)
+        return sub(a, c) + sub(b, d)
+
+    def complex_mul(x, y):
+        a, b, c, d = parts(x, y)
+        return sub(mul(a, c), mul(b, d)) + add(mul(a, d), mul(b, c))
+
+    def complex_div(x, y):
+        a, b, c, d = parts(x, y)
+        denom = add(mul(c, c), mul(d, d))
+        zeros = int(np.count_nonzero(denom[0] == 0.0))
+        if zeros:
+            raise DivisionByZeroError(
+                f"{name} division by zero in {zeros} element(s)")
+        return (div(add(mul(a, c), mul(b, d)), denom)
+                + div(sub(mul(b, c), mul(a, d)), denom))
+
+    return complex_add, complex_sub, complex_mul, complex_div
 
 
 class _Scalar:
     """What real and complex scalars share: immutability, the arithmetic
-    operators over ``_coerce`` and ``_add``/``_sub``/``_mul``/``_div``,
-    and integer powers."""
+    operators, which run the class's sequences (``_ADD`` ...) on the
+    operands' components after ``_coerce``, and integer powers."""
 
     __slots__ = ()
 
@@ -111,25 +172,33 @@ class _Scalar:
         other = self._coerce(other)
         return other if other is NotImplemented else other._div(self)
 
+    def _add(self, other):
+        return self._raw(self._ADD(self.components(), other.components()))
+
+    def _sub(self, other):
+        return self._raw(self._SUB(self.components(), other.components()))
+
+    def _mul(self, other):
+        return self._raw(self._MUL(self.components(), other.components()))
+
+    def _div(self, other):
+        return self._raw(self._DIV(self.components(), other.components()))
+
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
         return self.power(exponent)
 
     def power(self, exponent: int):
-        """Integer power by binary exponentiation."""
+        """Integer power by binary exponentiation (:func:`integer_power`);
+        a negative power divides one by the positive one."""
         one = type(self)(1.0)
         if exponent == 0:
             if self.is_zero():
                 raise ZeroDivisionError(
                     f"0 ** 0 is undefined for {type(self).__name__}")
             return one
-        result, base, e = one, self, abs(exponent)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        result = integer_power(self, abs(exponent), one)
         return one / result if exponent < 0 else result
 
 
@@ -144,6 +213,13 @@ class MultiprecReal(_Scalar):
     width: int
     #: Relative rounding unit of the format.
     eps: float
+    #: The ``add, sub, mul, div`` sequences over component tuples.
+    chains: tuple
+
+    def __init_subclass__(cls, chains, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.chains = tuple(chains)
+        cls._ADD, cls._SUB, cls._MUL, cls._DIV = map(staticmethod, chains)
 
     # ------------------------------------------------------------------
     # per precision
@@ -304,6 +380,8 @@ class MultiprecReal(_Scalar):
         return op(0.0, 0.0)
 
     def __eq__(self, other):
+        if isinstance(other, (complex, MultiprecComplex)):
+            return other.imag == 0.0 and self == other.real
         return self._compare(other, operator.eq)
 
     def __lt__(self, other):
@@ -328,6 +406,33 @@ class MultiprecReal(_Scalar):
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
+    def _div(self, other):
+        if other.to_float() == 0.0:
+            raise DivisionByZeroError(f"{type(self).__name__} division by zero")
+        return super()._div(other)
+
+    def _sqrt(self):
+        """The square root of a positive finite value."""
+        raise NotImplementedError
+
+    def sqrt(self):
+        """Square root: zero for a zero, ``(inf, 0, ...)`` for a leading
+        +inf, the precision's ``_sqrt`` otherwise; a negative value raises
+        ``ValueError``."""
+        if self.is_zero():
+            return type(self)(0.0)
+        if self.is_negative():
+            raise ValueError(
+                f"square root of a negative {type(self).__name__}")
+        if self.to_float() == math.inf:
+            return self._infinity()
+        return self._sqrt()
+
+    @classmethod
+    def _infinity(cls):
+        """+inf as ``(inf, 0, ...)``."""
+        return cls._raw((math.inf,) + (0.0,) * (cls.width - 1))
+
     def __abs__(self):
         return -self if self.is_negative() else self
 
@@ -355,6 +460,12 @@ class MultiprecComplex(_Scalar):
     #: The type of both parts.
     real_type: type
 
+    def __init_subclass__(cls, real_type, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.real_type = real_type
+        cls._ADD, cls._SUB, cls._MUL, cls._DIV = map(
+            staticmethod, complex_chains(*real_type.chains, cls.__name__))
+
     def __init__(self, real=0.0, imag=None):
         if isinstance(real, complex):
             if imag is not None:
@@ -374,6 +485,12 @@ class MultiprecComplex(_Scalar):
         _set_real(z, real)
         _set_imag(z, imag)
         return z
+
+    @classmethod
+    def _raw(cls, parts):
+        """Adopt components (the real part's, then the imaginary part's)."""
+        raw, half = cls.real_type._raw, cls.real_type.width
+        return cls._make(raw(parts[:half]), raw(parts[half:]))
 
     @classmethod
     def from_complex(cls, z: complex):
@@ -441,24 +558,6 @@ class MultiprecComplex(_Scalar):
     def __neg__(self):
         return self._make(-self.real, -self.imag)
 
-    def _add(self, other):
-        return self._make(self.real + other.real, self.imag + other.imag)
-
-    def _sub(self, other):
-        return self._make(self.real - other.real, self.imag - other.imag)
-
-    def _mul(self, other):
-        # (a+bi)(c+di) = (ac - bd) + (ad + bc) i : 4 real multiplications.
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return self._make(a * c - b * d, a * d + b * c)
-
-    def _div(self, other):
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        denom = c * c + d * d
-        if denom.is_zero():
-            raise DivisionByZeroError(f"{type(self).__name__} division by zero")
-        return self._make((a * c + b * d) / denom, (b * c - a * d) / denom)
-
     def conjugate(self):
         return self._make(self.real, -self.imag)
 
@@ -467,7 +566,30 @@ class MultiprecComplex(_Scalar):
         return self.real * self.real + self.imag * self.imag
 
     def __abs__(self):
-        return self.abs2().sqrt()
+        """The modulus, of the real type: ``abs2().sqrt()``.  Where
+        ``abs2`` leaves the normal range, the parts are first scaled by an
+        even power of two that brings the larger near 1 and the root is
+        scaled back, so the modulus overflows or underflows only when its
+        value does.  An infinite part gives +inf, even beside a NaN one,
+        as for ``complex``."""
+        leads = self.real.to_float(), self.imag.to_float()
+        if math.isinf(leads[0]) or math.isinf(leads[1]):
+            return self.real_type._infinity()
+        square = self.abs2()
+        big = max(map(abs, leads))
+        if sys.float_info.min <= square.to_float() < math.inf \
+                or not 0.0 < big < math.inf:
+            return square.sqrt()
+        half = math.frexp(big)[1] // 2
+        root = _scaled(_scaled(self, 2.0 ** -half).abs2().sqrt(), 2.0 ** half)
+        return self.real_type._infinity() if root.to_float() == math.inf \
+            else root
+
+
+def _scaled(value, factor: float):
+    """``value * factor**2`` for a power of two ``factor``, component by
+    component: exact unless a component leaves the normal range."""
+    return value._raw(tuple(c * factor * factor for c in value.components()))
 
 
 # Construction writes the slots through their own descriptors, past the

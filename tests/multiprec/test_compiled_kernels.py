@@ -351,14 +351,33 @@ class TestComplexKernels:
         out = tuple(np.empty(4) for _ in range(8))
         assert compiled.run("cqd_div", out + planes(x) + planes(y)) == 2
 
-    def test_qd_adversarial_ops_match_scalar_loop(self):
-        x, y = adversarial_qd(), adversarial_qd(3)
-        xs, ys = x.to_scalars(), y.to_scalars()
+    @pytest.mark.parametrize("tier", ["kernels", "reference"])
+    @pytest.mark.parametrize("op", sorted(BINARY))
+    @pytest.mark.parametrize("kind", ["qd", "dd"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_adversarial_ops_match_scalar_loop(self, field, kind, op, tier):
+        """The scalar types run the sequences the arrays run, in the
+        kernels' operand order, on both array tiers."""
+        make = adversarial_qd if kind == "qd" else adversarial_dd
+        complex_type = ComplexQDArray if kind == "qd" else ComplexDDArray
         with np.errstate(all="ignore"):
-            for op in ("add", "sub", "mul"):
-                got = BINARY[op](x, y).to_scalars()
-                for lane, (mine, a, b) in enumerate(zip(got, xs, ys)):
-                    assert same_floats(mine.c, BINARY[op](a, b).c), (op, lane)
+            if field == "real":
+                x, y = make(), make(3)
+                if op == "div":
+                    y = without_zero_lanes(y)
+            else:
+                x = complex_type(make(), make(3))
+                y = complex_type(make(7), make(11))
+                if op == "div":  # keep the lanes whose |y|^2 is not zero
+                    live = planes(y.abs2())[0] != 0.0
+                    y = complex_type(*(type(part).where(live, part, 1.0)
+                                       for part in (y.real, y.imag)))
+            compute = lambda: BINARY[op](x, y)  # noqa: E731
+            got = compute() if tier == "kernels" else on_reference(compute)
+            xs, ys = x.to_scalars(), y.to_scalars()
+            for lane, (mine, a, b) in enumerate(zip(got.to_scalars(), xs, ys)):
+                want = BINARY[op](a, b)
+                assert same_floats(mine.components(), want.components()), lane
 
 
 @pytest.mark.parametrize("tier", ["kernels", "reference"])

@@ -241,6 +241,17 @@ class TestComplexSurface:
         with pytest.raises(DivisionByZeroError, match=pattern):
             (1 + 1j) / y
 
+    def test_magnitudes_whose_squares_leave_the_range(self, spec):
+        array_type = spec[0]
+        values = np.array([[1e200 + 1e200j, 3.0 - 4.0j],
+                           [1e-200j, -1e300 + 0j]])
+        x = array_type.from_complex128(values)
+        assert x.allclose(x) and x.allclose(x.copy())
+        assert x.max_abs() == np.max(np.abs(values))
+        for axis in (0, 1):
+            assert np.array_equal(x.max_abs(axis=axis),
+                                  np.max(np.abs(values), axis=axis))
+
     def test_elementwise_helpers_match_scalars(self, spec):
         array_type, scalar_type, _ = spec
         x = complex_array(spec, 22)

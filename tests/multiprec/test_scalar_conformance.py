@@ -4,14 +4,17 @@
 :class:`ComplexDD` and :class:`ComplexQD` one complex protocol
 (:mod:`repro.multiprec.scalar`).  Every rule is checked at both precisions:
 exact conversions, mixed-precision widening, powers, truth values,
-immutability, pickling and copying bit for bit, printing, and one ordering
-over the components.
+immutability, pickling and copying bit for bit, printing, one ordering
+over the components, equality between reals and complexes, and moduli
+and square roots that overflow or underflow only when their value does.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
+import operator
 import pickle
 import struct
 from fractions import Fraction
@@ -263,6 +266,112 @@ class TestOrdering:
         assert hash(cplx(1 + 2j)) == hash(cplx(1.0, 2.0))
         nan = cplx(math.nan)
         assert nan != nan and not nan == nan
+
+
+class TestRealAgainstComplex:
+    """A real equals a Python ``complex``, a ``ComplexDD`` or a
+    ``ComplexQD`` exactly when the imaginary part is zero (either sign) and
+    the real parts are equal; ``!=`` is the negation of ``==`` and a NaN
+    part compares unequal; ordering a real against a complex raises."""
+
+    ONES = [DoubleDouble(1.0), QuadDouble(1.0), 1.0, 1, ComplexDD(1.0),
+            ComplexQD(1.0), 1 + 0j]
+    ONE_IDS = ["dd", "qd", "float", "int", "cdd", "cqd", "complex"]
+
+    @pytest.mark.parametrize("a", ONES, ids=ONE_IDS)
+    @pytest.mark.parametrize("b", ONES, ids=ONE_IDS)
+    def test_equal_ones_are_equal_both_ways(self, a, b):
+        assert a == b and b == a
+        assert not (a != b or b != a)
+
+    def test_a_set_of_the_ones_has_one_member_in_every_order(self):
+        for order in itertools.permutations(self.ONES):
+            assert len(set(order)) == 1, order
+
+    @REALS
+    @COMPLEXES
+    def test_a_signed_zero_imaginary_part(self, real, cplx):
+        x = real(2.5)
+        for zero in (raw(cplx.real_type, 0.0), raw(cplx.real_type, -0.0, -0.0)):
+            for z in (cplx(2.5, zero), complex(2.5, zero.to_float())):
+                assert x == z and z == x and not (x != z or z != x)
+
+    @REALS
+    @COMPLEXES
+    def test_a_nonzero_imaginary_or_unequal_real_part(self, real, cplx):
+        x = real(2.5)
+        others = [cplx(2.5, 1e-300), complex(2.5, -1e-300), cplx(-2.5),
+                  cplx(2.5, raw(cplx.real_type, 0.0, 1e-300)),
+                  cplx(cplx.real_type(2.5) + cplx.real_type.eps)]
+        for z in others:
+            assert x != z and z != x and not (x == z or z == x), z
+
+    @REALS
+    @COMPLEXES
+    def test_a_nan_part_compares_unequal(self, real, cplx):
+        nan = raw(real, math.nan)
+        for x, z in ((real(1.0), cplx(1.0, raw(cplx.real_type, math.nan))),
+                     (real(1.0), complex(1.0, math.nan)),
+                     (nan, cplx(raw(cplx.real_type, math.nan))),
+                     (nan, complex(math.nan, 0.0))):
+            assert x != z and z != x and not (x == z or z == x)
+
+    @REALS
+    @COMPLEXES
+    def test_ordering_a_real_against_a_complex_raises(self, real, cplx):
+        for z in (cplx(1.0), 1 + 0j):
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    op(real(1.0), z)
+                with pytest.raises(TypeError):
+                    op(z, real(1.0))
+
+
+class TestMagnitudes:
+    """``sqrt`` of +inf is +inf, and a complex modulus overflows or
+    underflows only when its value does."""
+
+    @staticmethod
+    def infinity(real) -> list:
+        return bits((math.inf,) + (0.0,) * (real.width - 1))
+
+    @REALS
+    def test_sqrt_of_infinity(self, real):
+        for x in (real(math.inf), raw(real, math.inf)):
+            assert bits(x.sqrt().components()) == self.infinity(real)
+        assert real(4.0).sqrt() == real(2.0) and not real(0.0).sqrt()
+
+    @COMPLEXES
+    @pytest.mark.parametrize("value", [complex(1e200, 1e200),
+                                       complex(1e-200, 1e-200),
+                                       complex(3e307, -4e307),
+                                       complex(-1e-170, 1e-160),
+                                       complex(5e-324, 0.0)])
+    def test_a_modulus_out_of_range_of_its_square(self, cplx, value):
+        modulus = abs(cplx(value))
+        assert math.isclose(modulus.to_float(), abs(value), rel_tol=1e-15)
+
+    @COMPLEXES
+    @pytest.mark.parametrize("exponent", [600, 601, -600, -601])
+    def test_a_scaled_modulus_is_exact(self, cplx, exponent):
+        scale = 2.0 ** exponent
+        assert abs(cplx(3 * scale, 4 * scale)) == cplx.real_type(5 * scale)
+
+    @COMPLEXES
+    def test_an_infinite_part_gives_infinity(self, cplx):
+        nan = raw(cplx.real_type, math.nan)
+        for z in (cplx(complex(math.inf, 0.0)), cplx(nan, -math.inf),
+                  cplx(1.7e308, 1.7e308)):
+            assert bits(abs(z).components()) == self.infinity(cplx.real_type)
+        assert abs(cplx(nan, 1.0)).is_nan()
+
+    @COMPLEXES
+    def test_a_square_in_range_keeps_its_root(self, cplx):
+        for value in (3 + 4j, complex(0.1, -1e-300), 1e150 - 2e150j,
+                      complex(2.0 ** -500, 0.0), 0j):
+            z = cplx(value) * cplx(1.0, 1e-20)
+            assert bits(abs(z).components()) == \
+                bits(z.abs2().sqrt().components())
 
 
 class TestHashing:
